@@ -1,8 +1,10 @@
 //! Exp 3 / Figure 7(b): WAL flushing throughput over time.
 //!
 //! Paper: ~1800 MB/s sustained via io_uring on an NVMe SSD, stable for the
-//! whole run. Here the per-slot writers flush through the AIO pool (the
-//! io_uring stand-in); the shape to observe is a *stable* MB/s series.
+//! whole run. Here the per-slot buffers share one segment file and every
+//! group-commit round gathers them into one write linked to one
+//! `fdatasync` (the io_uring stand-in's linked submission); the shape to
+//! observe is a *stable* MB/s series.
 
 use phoebe_bench::*;
 use phoebe_common::ids::Xid;

@@ -23,7 +23,7 @@
 //! garbage. Draining does not consume: the rings keep filling.
 
 use crate::metrics::current_worker;
-use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use crate::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::fmt;
 use std::time::Instant;
 
@@ -62,7 +62,8 @@ pub enum EventKind {
     LatchRestart = 14,
     /// One group-commit round (span; `a` = duration ns, `b` = bytes).
     GroupCommitBatch = 15,
-    /// One I/O wave inside a round (span; `b` = 1 writes, 2 fsyncs).
+    /// One segment's gathered write→fdatasync inside a round (span;
+    /// `slot` = segment index, `b` = bytes).
     FlushWave = 16,
     /// RFA remote-dependency wait at commit (span; `b` = waited-for GSN).
     RfaRemoteWait = 17,
@@ -224,15 +225,19 @@ impl TraceEvent {
     }
 }
 
-/// One ring slot: the claimed sequence plus the packed event words. The
-/// writer publishes `seq = index + 1` with release ordering after the
-/// words; a reader accepts the slot only when the sequence matches the
-/// index it expects, which filters slots that are empty, torn, or already
-/// overwritten by a later lap.
+/// One ring slot: a per-slot seqlock over the packed event words. `seq`
+/// is `index + 1` of the event the words hold, 0 while never written, and
+/// [`SLOT_BUSY`] from the moment a writer takes the slot until it
+/// publishes — so a reader accepts the words only when `seq` matched the
+/// index it expects both before and after reading them, which filters
+/// slots that are empty, mid-write, or already overwritten by a later lap.
 struct RingSlot {
     seq: AtomicU64,
     w: [AtomicU64; 4],
 }
+
+/// `RingSlot::seq` while a writer owns the slot's words.
+const SLOT_BUSY: u64 = u64::MAX;
 
 impl Default for RingSlot {
     fn default() -> Self {
@@ -257,14 +262,32 @@ impl TraceRing {
 
     #[inline]
     fn emit(&self, ev: &TraceEvent) {
-        // ORDERING: Relaxed claim + relaxed word stores are safe because
-        // readers accept a slot only via the release store of `seq` below
-        // (paired with the acquire loads in `drain`); the claim itself only
-        // needs atomicity, not ordering, to hand out unique indices.
+        // ORDERING: the claim only needs atomicity to hand out unique
+        // indices; the slot's own `seq` protocol below orders the words.
         let idx = self.head.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(idx & self.mask) as usize];
+        // Take the slot before touching its words, so that neither a
+        // drain nor a writer a whole lap away (this one, or the other,
+        // having been descheduled mid-emit) can see or produce a mix of
+        // two events. Losing that race means the ring has already moved
+        // a lap past this event: it is dropped, like any overwritten one.
+        // ORDERING: relaxed peek; the CAS re-validates it.
+        let cur = slot.seq.load(Ordering::Relaxed);
+        if cur == SLOT_BUSY
+            || cur > idx + 1
+            || slot
+                .seq
+                .compare_exchange(cur, SLOT_BUSY, Ordering::Acquire, Ordering::Relaxed)
+                .is_err()
+        {
+            return;
+        }
+        // Seqlock writer side: BUSY must be visible before any new word
+        // (pairs with the acquire fence in `drain`).
+        fence(Ordering::Release);
         let w = ev.pack();
         for (dst, src) in slot.w.iter().zip(w) {
+            // ORDERING: published by the release store of `seq` below.
             dst.store(src, Ordering::Relaxed);
         }
         slot.seq.store(idx + 1, Ordering::Release);
@@ -281,17 +304,19 @@ impl TraceRing {
             if slot.seq.load(Ordering::Acquire) != idx + 1 {
                 continue;
             }
-            // ORDERING: relaxed word loads are bracketed by the two acquire
-            // `seq` checks; any concurrent overwrite bumps `seq` first
-            // (release), so a torn read is always detected and skipped.
+            // ORDERING: seqlock reader side. The relaxed word loads sit
+            // between the acquire load above and the acquire fence below;
+            // a writer overwriting the slot marks it busy (then fences)
+            // before its first word store, so if any load saw a new word
+            // the re-check sees a changed `seq` and the read is dropped.
             let w = [
                 slot.w[0].load(Ordering::Relaxed),
                 slot.w[1].load(Ordering::Relaxed),
                 slot.w[2].load(Ordering::Relaxed),
                 slot.w[3].load(Ordering::Relaxed),
             ];
-            // Re-check: a writer lapping us mid-read bumps the sequence.
-            if slot.seq.load(Ordering::Acquire) != idx + 1 {
+            fence(Ordering::Acquire);
+            if slot.seq.load(Ordering::Relaxed) != idx + 1 {
                 continue;
             }
             out.push(TraceEvent::unpack(w));

@@ -54,6 +54,32 @@ fn concurrent_drain_sees_no_torn_events() {
     });
 }
 
+/// The ring wraps *while* the drain runs: the emitter laps the capacity-2
+/// ring, so the drainer can be between a slot's two sequence checks when
+/// that slot's words are overwritten. The writer must take the slot
+/// (sequence goes busy) before its first word store, or the drain returns
+/// half of event 1 and half of event 3 under event 1's sequence.
+#[test]
+fn drain_racing_an_overwrite_sees_no_torn_events() {
+    loom::model(|| {
+        let tracer = Arc::new(Tracer::new(0, 2));
+        tracer.instant(EventKind::QueueDepth, 0, 1, 10);
+        tracer.instant(EventKind::QueueDepth, 0, 2, 20);
+        let emitter = {
+            let tracer = Arc::clone(&tracer);
+            loom::thread::spawn(move || {
+                tracer.instant(EventKind::QueueDepth, 0, 3, 30);
+            })
+        };
+        assert!(assert_untorn(&tracer) <= 2);
+        emitter.join().unwrap();
+        let mut a_values: Vec<u64> =
+            tracer.drain().into_iter().flat_map(|(_, evs)| evs).map(|ev| ev.a).collect();
+        a_values.sort_unstable();
+        assert_eq!(a_values, [2, 3], "the overwrite must land whole");
+    });
+}
+
 /// The `/metrics`-era shape: *two* concurrent drainers (a live `/trace`
 /// snapshot racing a watchdog incident capture) against one emitter.
 /// Drains are read-only, so each must independently see only fully

@@ -4,7 +4,7 @@
 //! event.
 
 use phoebe_common::trace::{EventKind, Tracer};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 
@@ -89,6 +89,11 @@ fn drain_racing_live_writers_never_yields_torn_events() {
             }
         })
     };
+    // The drains must race a *running* writer: on a small host all 200
+    // finish before the spawned thread is first scheduled.
+    while tracer.total_emitted() == 0 {
+        thread::yield_now();
+    }
     for _ in 0..200 {
         for (_, events) in tracer.drain() {
             for ev in &events {
@@ -111,10 +116,13 @@ fn live_snapshot_under_writers_is_untorn_unduplicated_and_leaves_rings_usable() 
     const WRITERS: u64 = 4;
     let tracer = Arc::new(Tracer::new(1, 128));
     let stop = Arc::new(AtomicBool::new(false));
+    // Per-writer emit counts, so the drainer can tell who has run.
+    let progress: Arc<Vec<AtomicU64>> = Arc::new((0..WRITERS).map(|_| AtomicU64::new(0)).collect());
     let writers: Vec<_> = (0..WRITERS)
         .map(|t| {
             let tracer = Arc::clone(&tracer);
             let stop = Arc::clone(&stop);
+            let progress = Arc::clone(&progress);
             thread::spawn(move || {
                 let mut i = 0u64;
                 while !stop.load(Ordering::Relaxed) {
@@ -123,13 +131,24 @@ fn live_snapshot_under_writers_is_untorn_unduplicated_and_leaves_rings_usable() 
                     let a = (t << 48) | i;
                     tracer.instant(EventKind::QueueDepth, t as u32, a, a.wrapping_mul(31));
                     i += 1;
+                    progress[t as usize].store(i, Ordering::Relaxed);
                 }
                 i
             })
         })
         .collect();
+    let emitted_by = |t: usize| progress[t].load(Ordering::Relaxed);
 
-    for _ in 0..300 {
+    // With more writers than cores, 300 drains can finish before some
+    // writer is first scheduled: start once every writer has emitted, and
+    // keep draining until each has emitted again *during* the drains.
+    while (0..WRITERS as usize).any(|t| emitted_by(t) == 0) {
+        thread::yield_now();
+    }
+    let at_start: Vec<u64> = (0..WRITERS as usize).map(emitted_by).collect();
+    let mut drains = 0;
+    while drains < 300 || (0..WRITERS as usize).any(|t| emitted_by(t) == at_start[t]) {
+        drains += 1;
         for (_, events) in tracer.drain() {
             let mut seen = std::collections::HashSet::with_capacity(events.len());
             for ev in &events {

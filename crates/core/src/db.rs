@@ -151,17 +151,14 @@ impl WorkerHook for KernelHook {
     }
 }
 
-/// True when `dir` holds at least one non-empty per-slot WAL file — i.e. a
+/// True when `dir` holds at least one non-empty WAL file — i.e. a
 /// previous incarnation left durable history behind.
 fn wal_dir_has_records(dir: &Path) -> bool {
     let Ok(rd) = std::fs::read_dir(dir) else {
         return false;
     };
     rd.filter_map(|e| e.ok()).any(|e| {
-        e.path()
-            .file_name()
-            .and_then(|n| n.to_str())
-            .is_some_and(|n| n.starts_with("wal_slot_") && n.ends_with(".log"))
+        e.file_name().to_str().is_some_and(phoebe_wal::is_wal_file)
             && e.metadata().map(|m| m.len() > 0).unwrap_or(false)
     })
 }
@@ -175,7 +172,7 @@ impl Database {
     /// Recovery protocol (crash-safe at every step):
     ///
     /// 1. If `wal/` holds records, it is renamed to `wal.recovering/`
-    ///    *before* the new hub truncates the slot files. If
+    ///    *before* the new hub truncates the segment files. If
     ///    `wal.recovering/` already exists, a previous recovery itself
     ///    crashed — that directory wins and any half-rebuilt `wal/` is
     ///    discarded, which makes recovery idempotent.
@@ -267,9 +264,13 @@ impl Database {
             fs.as_ref(),
         )?;
         let total_slots = cfg.total_slots() + EXTERNAL_SLOTS;
+        // One segment file (one sync per round) per worker; the external
+        // slots start on a segment boundary, so they never share a file
+        // with a worker's.
         let wal = WalHub::with_fs(
             &wal_dir,
             total_slots,
+            cfg.slots_per_worker,
             2,
             Duration::from_micros(cfg.wal_group_commit_us),
             cfg.wal_sync,

@@ -6,7 +6,7 @@
 use phoebe_common::metrics::Counter;
 use phoebe_core::prelude::*;
 use phoebe_runtime::block_on;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 fn open_db() -> Arc<Database> {
@@ -137,8 +137,10 @@ fn multi_get_is_consistent_under_concurrent_writers() {
     let t = kv(&db);
     let rows = Arc::new(seed_many(&db, &t, 64));
     let stop = Arc::new(AtomicBool::new(false));
+    let writes = Arc::new(AtomicU64::new(0));
     let writer = {
         let (db, t, rows, stop) = (db.clone(), t.clone(), rows.clone(), stop.clone());
+        let writes = writes.clone();
         std::thread::spawn(move || {
             block_on(async {
                 let mut gen = 10i64;
@@ -151,6 +153,7 @@ fn multi_get_is_consistent_under_concurrent_writers() {
                             match res {
                                 Ok(_) => {
                                     tx.commit().await.unwrap();
+                                    writes.fetch_add(1, Ordering::Release);
                                     break;
                                 }
                                 Err(_) => tx.abort(),
@@ -161,8 +164,14 @@ fn multi_get_is_consistent_under_concurrent_writers() {
             })
         })
     };
+    // The reads must race a writer that is actually committing: 50 batches
+    // can finish before the spawned thread is first scheduled. Read on
+    // until it has committed during the batches.
+    let committed = || writes.load(Ordering::Acquire);
     block_on(async {
-        for _ in 0..50 {
+        let mut batches = 0;
+        while batches < 50 || committed() == 0 {
+            batches += 1;
             let mut tx = db.begin(IsolationLevel::ReadCommitted);
             let batch = tx.multi_get(&t, &rows).await.unwrap();
             for (k, got) in batch.iter().enumerate() {

@@ -1,30 +1,44 @@
 //! Asynchronous I/O substrate — the io_uring stand-in (see DESIGN.md).
 //!
-//! The paper's Exp 3 relies on io_uring to keep many WAL flushes in flight
-//! against the NVMe device. io_uring is not available in this build's
-//! offline crate set, so this module reproduces the *model*: callers push
-//! submissions into a queue and either poll or block on per-operation
-//! completions, while a pool of I/O threads drains the queue. What matters
-//! for the experiments — submission never blocks on the device, multiple
-//! writes proceed concurrently, completions are reaped asynchronously — is
-//! preserved.
+//! The paper's Exp 3 relies on io_uring to keep one WAL flush per log
+//! file in flight against the NVMe device. io_uring is not available in
+//! this build's offline crate set, so this module reproduces the *model*
+//! of its linked submissions: one [`AioRequest`] is a positional write
+//! chained to the `fdatasync` that makes it durable (`IOSQE_IO_LINK`: the
+//! barrier runs only if the write fully landed), pushed into a queue that
+//! a pool of I/O threads drains. Submission never blocks on the device,
+//! requests against different files proceed concurrently, and the
+//! submitter reaps one completion per write→sync chain — not one per
+//! syscall.
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use phoebe_common::error::Result;
 use phoebe_common::fault::FaultFile;
 use phoebe_common::sync::{Condvar, Rank, RankedMutex};
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// One I/O submission. Files are [`FaultFile`] handles, so the whole AIO
-/// path runs unchanged over the real filesystem or the fault-injecting
-/// torture disk.
-pub enum AioRequest {
-    /// Positional write of `data` at `offset`.
-    WriteAt { file: Arc<dyn FaultFile>, offset: u64, data: Vec<u8> },
-    /// Durability barrier for everything previously written to `file`.
-    Fsync { file: Arc<dyn FaultFile> },
+/// One linked submission: write `data` at `offset`, then — when `sync` —
+/// the durability barrier for it. Files are [`FaultFile`] handles, so the
+/// whole path runs unchanged over the real filesystem or the
+/// fault-injecting torture disk.
+pub struct AioRequest {
+    pub file: Arc<dyn FaultFile>,
+    pub offset: u64,
+    pub data: Vec<u8>,
+    pub sync: bool,
+}
+
+impl AioRequest {
+    /// Execute the chain on the calling thread; returns bytes written.
+    /// The pool's threads run exactly this, so a submitter that would
+    /// only block on the completion anyway can skip the hand-off.
+    pub fn run(self) -> io::Result<usize> {
+        self.file.write_all_at(self.offset, &self.data)?;
+        if self.sync {
+            self.file.sync_data()?;
+        }
+        Ok(self.data.len())
+    }
 }
 
 /// Completion handle: one per submission.
@@ -34,21 +48,9 @@ pub struct Completion {
 }
 
 impl Completion {
-    fn new() -> Arc<Self> {
-        Arc::new(Completion {
-            state: RankedMutex::new(Rank::Aio, "aio.completion", None),
-            cv: Condvar::new(),
-        })
-    }
-
     fn complete(&self, result: io::Result<usize>) {
         *self.state.lock() = Some(result);
         self.cv.notify_all();
-    }
-
-    /// Non-blocking poll (reap).
-    pub fn try_reap(&self) -> Option<io::Result<usize>> {
-        self.state.lock().take()
     }
 
     /// Block until complete.
@@ -58,10 +60,6 @@ impl Completion {
             s.wait(&self.cv);
         }
         s.take().expect("completion present")
-    }
-
-    pub fn is_done(&self) -> bool {
-        self.state.lock().is_some()
     }
 }
 
@@ -74,52 +72,36 @@ struct Submission {
 pub struct AioPool {
     tx: RankedMutex<Option<Sender<Submission>>>,
     threads: RankedMutex<Vec<std::thread::JoinHandle<()>>>,
-    submitted: AtomicU64,
-    completed: Arc<AtomicU64>,
 }
 
 impl AioPool {
     pub fn new(io_threads: usize) -> Arc<Self> {
         let (tx, rx): (Sender<Submission>, Receiver<Submission>) = unbounded();
-        let completed = Arc::new(AtomicU64::new(0));
-        let mut threads = Vec::new();
-        for i in 0..io_threads.max(1) {
-            let rx = rx.clone();
-            let completed = Arc::clone(&completed);
-            threads.push(
+        let threads = (0..io_threads.max(1))
+            .map(|i| {
+                let rx = rx.clone();
                 std::thread::Builder::new()
                     .name(format!("phoebe-aio-{i}"))
                     .spawn(move || {
                         while let Ok(sub) = rx.recv() {
-                            let result = match sub.req {
-                                AioRequest::WriteAt { file, offset, data } => {
-                                    file.write_all_at(offset, &data).map(|_| data.len())
-                                }
-                                AioRequest::Fsync { file } => file.sync_data().map(|_| 0),
-                            };
-                            // ORDERING: statistic counter; completion is
-                            // published through `Completion`, not this.
-                            completed.fetch_add(1, Ordering::Relaxed);
-                            sub.completion.complete(result);
+                            sub.completion.complete(sub.req.run());
                         }
                     })
-                    .expect("spawn aio thread"),
-            );
-        }
+                    .expect("spawn aio thread")
+            })
+            .collect();
         Arc::new(AioPool {
             tx: RankedMutex::new(Rank::Aio, "aio.pool_tx", Some(tx)),
             threads: RankedMutex::new(Rank::Aio, "aio.pool_threads", threads),
-            submitted: AtomicU64::new(0),
-            completed,
         })
     }
 
     /// Submit without blocking; reap via the returned completion.
     pub fn submit(&self, req: AioRequest) -> Arc<Completion> {
-        let completion = Completion::new();
-        // ORDERING: statistic counter; the submission is ordered by the
-        // channel send below.
-        self.submitted.fetch_add(1, Ordering::Relaxed);
+        let completion = Arc::new(Completion {
+            state: RankedMutex::new(Rank::Aio, "aio.completion", None),
+            cv: Condvar::new(),
+        });
         self.tx
             .lock()
             .as_ref()
@@ -127,27 +109,6 @@ impl AioPool {
             .send(Submission { req, completion: Arc::clone(&completion) })
             .expect("aio workers alive");
         completion
-    }
-
-    /// Submit a write followed by an fsync and wait for both (the group
-    /// commit tail).
-    pub fn write_and_sync(
-        &self,
-        file: &Arc<dyn FaultFile>,
-        offset: u64,
-        data: Vec<u8>,
-    ) -> Result<usize> {
-        let w = self.submit(AioRequest::WriteAt { file: Arc::clone(file), offset, data });
-        let n = w.wait()?;
-        let s = self.submit(AioRequest::Fsync { file: Arc::clone(file) });
-        s.wait()?;
-        Ok(n)
-    }
-
-    /// (submitted, completed) operation counts.
-    pub fn stats(&self) -> (u64, u64) {
-        // ORDERING: diagnostic reads; the pair may be mutually stale.
-        (self.submitted.load(Ordering::Relaxed), self.completed.load(Ordering::Relaxed))
     }
 
     /// Stop the pool; pending submissions are drained first.
@@ -168,21 +129,21 @@ impl Drop for AioPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use phoebe_common::fault::{FaultFs, OsFs};
+    use phoebe_common::fault::{FaultConfig, FaultFs, OsFs, SimFs};
 
-    fn tmpfile(name: &str) -> Arc<dyn FaultFile> {
-        let dir = phoebe_common::KernelConfig::for_tests().data_dir;
-        OsFs.create(&dir.join(name)).unwrap()
+    fn tmp(name: &str) -> std::path::PathBuf {
+        phoebe_common::KernelConfig::for_tests().data_dir.join(name)
     }
 
     #[test]
     fn write_and_reap_roundtrip() {
         let pool = AioPool::new(2);
-        let f = tmpfile("a.log");
-        let c = pool.submit(AioRequest::WriteAt {
+        let f = OsFs.create(&tmp("a.log")).unwrap();
+        let c = pool.submit(AioRequest {
             file: Arc::clone(&f),
             offset: 0,
             data: b"hello".to_vec(),
+            sync: false,
         });
         assert_eq!(c.wait().unwrap(), 5);
         let mut buf = [0u8; 5];
@@ -193,22 +154,20 @@ mod tests {
     #[test]
     fn many_concurrent_submissions_all_complete() {
         let pool = AioPool::new(3);
-        let f = tmpfile("b.log");
+        let f = OsFs.create(&tmp("b.log")).unwrap();
         let completions: Vec<_> = (0..100u64)
             .map(|i| {
-                pool.submit(AioRequest::WriteAt {
+                pool.submit(AioRequest {
                     file: Arc::clone(&f),
                     offset: i * 8,
                     data: i.to_le_bytes().to_vec(),
+                    sync: false,
                 })
             })
             .collect();
         for c in completions {
-            c.wait().unwrap();
+            assert_eq!(c.wait().unwrap(), 8);
         }
-        let (sub, comp) = pool.stats();
-        assert_eq!(sub, 100);
-        assert_eq!(comp, 100);
         for i in 0..100u64 {
             let mut buf = [0u8; 8];
             f.read_exact_at(i * 8, &mut buf).unwrap();
@@ -217,28 +176,24 @@ mod tests {
     }
 
     #[test]
-    fn write_and_sync_is_durable_barrier() {
+    fn linked_sync_makes_the_write_durable_and_is_skipped_after_a_failed_write() {
+        let sim = SimFs::new(FaultConfig::crash_only(3));
+        let path = tmp("c.log");
+        let f = sim.create(&path).unwrap();
         let pool = AioPool::new(1);
-        let f = tmpfile("c.log");
-        let n = pool.write_and_sync(&f, 0, b"durable".to_vec()).unwrap();
-        assert_eq!(n, 7);
-    }
-
-    #[test]
-    fn try_reap_polls_without_blocking() {
-        let pool = AioPool::new(1);
-        let f = tmpfile("d.log");
-        let c = pool.submit(AioRequest::Fsync { file: f });
-        // Eventually done; poll-style.
-        let mut spins = 0;
-        loop {
-            if let Some(r) = c.try_reap() {
-                r.unwrap();
-                break;
-            }
-            spins += 1;
-            assert!(spins < 1_000_000, "completion never arrived");
-            std::thread::yield_now();
-        }
+        let req = |offset, sync| AioRequest {
+            file: Arc::clone(&f),
+            offset,
+            data: b"durable".to_vec(),
+            sync,
+        };
+        assert_eq!(pool.submit(req(0, true)).wait().unwrap(), 7);
+        assert_eq!(sim.io_counts(), (1, 1), "one write linked to one sync");
+        sim.crash();
+        // The synced chain is in the crash image, whatever the seed drew.
+        assert_eq!(std::fs::read(&path).unwrap(), b"durable");
+        // On the dead disk the write fails and the chain stops there.
+        assert!(req(7, true).run().is_err());
+        assert_eq!(sim.io_counts(), (1, 1), "no barrier after a failed write");
     }
 }

@@ -4,18 +4,19 @@
 //! pages, and dirty pages of uncommitted transactions may reach disk (the
 //! buffer pool's write barrier keeps WAL ahead of data). The flushing
 //! bottleneck of a single serialized log is removed by giving **each task
-//! slot its own WAL writer and file** ([`writer`]); recovery re-orders the
-//! files by GSN ([`recovery`]).
+//! slot its own WAL writer** and each worker's slots one shared segment
+//! file ([`writer`]); recovery re-orders the records by GSN
+//! ([`recovery`]).
 //!
 //! Remote Flush Avoidance: a committing transaction that only touched data
 //! last written by its own slot waits only for *its own* writer to flush —
 //! no rendezvous with unrelated loggers. Only transactions that built a
 //! cross-slot dependency (they modified a tuple/page whose previous writer
 //! on another slot is not yet durable) wait for the global flush horizon
-//! ([`writer::WalHub::ensure_durable_gsn`]).
+//! ([`writer::WalHub::ensure_durable_gsn_async`]).
 //!
 //! Physical flushing goes through [`aio`], an asynchronous-I/O substrate
-//! with submission/completion queues standing in for io_uring (see
+//! whose linked write→fdatasync submissions stand in for io_uring (see
 //! DESIGN.md's substitution table).
 
 pub mod aio;
@@ -25,5 +26,5 @@ pub mod writer;
 
 pub use aio::{AioPool, AioRequest};
 pub use record::{crc32, RecordBody, WalRecord};
-pub use recovery::{recover_dir, recover_dir_stats, RecoveredTxn, WalScanStats};
-pub use writer::{CommitGuard, RfaState, WalHub, WalWriter};
+pub use recovery::{is_wal_file, recover_dir, recover_dir_stats, RecoveredTxn, WalScanStats};
+pub use writer::{RfaState, WalHub, WalWriter};

@@ -1,9 +1,13 @@
-//! Recovery: merge the per-slot WAL files by GSN and replay committed
+//! Recovery: merge the WAL segment files by GSN and replay committed
 //! transactions (§8).
 //!
-//! Distributed logging orders recovery with the GSN: within one file the
-//! LSN is already monotone; across files, records are merged by
-//! `(gsn, slot, lsn)`. Because PhoebeDB's records are logical, replay
+//! Distributed logging orders recovery with the GSN: a transaction's
+//! records sit in one file in LSN order (its slot appends to one segment),
+//! and records are merged across files by `(gsn, lsn)`. Records are
+//! self-describing, so the scan does not care how slots were mapped to
+//! files — a per-worker `wal_seg_*` directory and a legacy per-slot
+//! `wal_slot_*` one recover through the same code. Because PhoebeDB's
+//! records are logical, replay
 //! groups each committed transaction's operations and re-applies the
 //! transactions in commit-timestamp order, which reproduces the serial
 //! history the MVCC engine admitted. Transactions without a commit record
@@ -41,6 +45,13 @@ pub struct WalScanStats {
     pub tail_bytes_discarded: u64,
 }
 
+/// True for the file names the log scan reads: `wal_seg_NNNN.log`, and
+/// the per-slot `wal_slot_NNNN.log` of directories written before slots
+/// shared segments.
+pub fn is_wal_file(name: &str) -> bool {
+    name.starts_with("wal_") && name.ends_with(".log")
+}
+
 /// Read one WAL file into records (stopping at a torn tail).
 pub fn read_wal_file(path: &Path) -> Result<Vec<WalRecord>> {
     read_wal_file_stats(path, &mut WalScanStats::default())
@@ -60,14 +71,19 @@ pub fn read_wal_file_stats(path: &Path, stats: &mut WalScanStats) -> Result<Vec<
     Ok(out)
 }
 
-/// Merge per-slot record streams by `(gsn, slot, lsn)` — the global
-/// recovery order.
+/// Merge per-file record streams by `(gsn, lsn)` — the global recovery
+/// order.
 pub fn merge_by_gsn(mut streams: Vec<Vec<WalRecord>>) -> Vec<WalRecord> {
     let mut merged = Vec::with_capacity(streams.iter().map(Vec::len).sum());
-    for (slot, s) in streams.iter_mut().enumerate() {
+    for (file, s) in streams.iter_mut().enumerate() {
+        // A file interleaves several slots' LSN sequences; what replay
+        // relies on is each transaction's own records being in order.
         debug_assert!(
-            s.windows(2).all(|w| w[0].lsn < w[1].lsn),
-            "slot {slot} stream must be LSN-ordered"
+            {
+                let mut last = HashMap::new();
+                s.iter().all(|r| last.insert(r.xid.raw(), r.lsn).is_none_or(|prev| prev < r.lsn))
+            },
+            "file {file}: a transaction's records must be LSN-ordered"
         );
         merged.append(s);
     }
@@ -77,8 +93,8 @@ pub fn merge_by_gsn(mut streams: Vec<Vec<WalRecord>>) -> Vec<WalRecord> {
     merged
 }
 
-/// Scan a WAL directory (`wal_slot_*.log`) and reassemble every committed
-/// transaction, ordered by commit timestamp.
+/// Scan a WAL directory (every [`is_wal_file`]) and reassemble every
+/// committed transaction, ordered by commit timestamp.
 pub fn recover_dir(dir: &Path) -> Result<Vec<RecoveredTxn>> {
     recover_dir_stats(dir).map(|(txns, _)| txns)
 }
@@ -90,11 +106,7 @@ pub fn recover_dir_stats(dir: &Path) -> Result<(Vec<RecoveredTxn>, WalScanStats)
     let mut entries: Vec<_> = std::fs::read_dir(dir)?
         .filter_map(|e| e.ok())
         .map(|e| e.path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("wal_slot_") && n.ends_with(".log"))
-        })
+        .filter(|p| p.file_name().and_then(|n| n.to_str()).is_some_and(is_wal_file))
         .collect();
     entries.sort();
     for path in entries {
@@ -153,6 +165,17 @@ mod tests {
 
     fn xid(n: u64) -> Xid {
         Xid::from_start_ts(n)
+    }
+
+    /// The single log file of a one-segment hub's directory.
+    fn only_wal_file(dir: &Path) -> std::path::PathBuf {
+        let mut files = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| is_wal_file(p.file_name().unwrap().to_str().unwrap()));
+        let path = files.next().expect("a WAL file");
+        assert!(files.next().is_none(), "one segment expected");
+        path
     }
 
     #[test]
@@ -242,12 +265,7 @@ mod tests {
         block_on(h.commit(0, xid(1), 9, &RfaState::default())).unwrap();
         h.flush_all().unwrap();
         h.shutdown();
-        let path = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .find(|p| p.to_string_lossy().contains("wal_slot_"))
-            .unwrap();
+        let path = only_wal_file(&dir);
         let clean = std::fs::read(&path).unwrap();
         // Several shapes of garbage: plausible-length frame with bad CRC,
         // huge length prefix, zero padding, and raw noise.
@@ -285,21 +303,40 @@ mod tests {
         use rand::seq::SliceRandom;
         use rand::{RngExt, SeedableRng};
 
-        let canonical: Vec<RecoveredTxn> = emit_interleaved(0);
+        // Nor of how slots map to files: one file per slot (the layout
+        // before segments) is the reference; all four slots gathered into
+        // one segment must recover bit-identically.
+        let canonical: Vec<RecoveredTxn> = emit_interleaved(0, 1);
         assert_eq!(canonical.len(), 6, "all six committed transactions recovered");
-        for seed in 1..12u64 {
-            let got = emit_interleaved(seed);
-            assert_eq!(got, canonical, "seed {seed}: committed set depends on interleaving");
+        for seed in 0..12u64 {
+            for slots_per_segment in [1, 4] {
+                let got = emit_interleaved(seed, slots_per_segment);
+                assert_eq!(
+                    got, canonical,
+                    "seed {seed}, {slots_per_segment} slots per segment: committed set depends \
+                     on interleaving or file layout"
+                );
+            }
         }
 
         /// Log 8 transactions (6 commit, 1 aborts, 1 stays in flight)
         /// with seed-driven slot assignment and round-robin shuffling,
         /// then recover. Returns committed txns with per-run fields
         /// (gsn) normalised away.
-        fn emit_interleaved(seed: u64) -> Vec<RecoveredTxn> {
+        fn emit_interleaved(seed: u64, slots_per_segment: usize) -> Vec<RecoveredTxn> {
             let mut rng = StdRng::seed_from_u64(seed);
             let dir = KernelConfig::for_tests().data_dir;
-            let h = hub_in(&dir, 4);
+            let h = WalHub::with_fs(
+                &dir,
+                4,
+                slots_per_segment,
+                2,
+                Duration::from_micros(100),
+                true,
+                Arc::new(Metrics::new(1)),
+                Arc::new(phoebe_common::fault::OsFs),
+            )
+            .unwrap();
             let slots: Vec<usize> = (0..8).map(|_| rng.random_range(0..4usize)).collect();
             // Each txn runs three phases: Begin, one Insert, then
             // Commit/Abort/nothing. Shuffling the txn order inside each
@@ -357,6 +394,56 @@ mod tests {
     }
 
     #[test]
+    fn legacy_per_slot_directory_recovers_through_the_same_scan() {
+        // A directory as written before slots shared segments: one
+        // `wal_slot_NNNN.log` per slot, LSNs per file. Hand-built, so the
+        // test does not depend on any writer still producing that layout.
+        let dir = KernelConfig::for_tests().data_dir;
+        std::fs::create_dir_all(&dir).unwrap();
+        let write = |name: &str, recs: &[(u64, u64, u64, RecordBody)]| {
+            let mut bytes = Vec::new();
+            for (x, gsn, lsn, body) in recs {
+                WalRecord {
+                    xid: xid(*x),
+                    gsn: phoebe_common::ids::Gsn(*gsn),
+                    lsn: phoebe_common::ids::Lsn(*lsn),
+                    body: body.clone(),
+                }
+                .encode_into(&mut bytes);
+            }
+            std::fs::write(dir.join(name), bytes).unwrap();
+        };
+        let ins = |row| RecordBody::Insert {
+            table: TableId(1),
+            row: RowId(row),
+            tuple: vec![Value::I64(row as i64)],
+        };
+        write(
+            "wal_slot_0000.log",
+            &[
+                (1, 1, 1, RecordBody::Begin),
+                (1, 1, 2, ins(1)),
+                (1, 1, 3, RecordBody::Commit { cts: 20 }),
+                (3, 2, 4, RecordBody::Begin), // in flight at the crash
+            ],
+        );
+        write(
+            "wal_slot_0001.log",
+            &[
+                (2, 1, 1, RecordBody::Begin),
+                (2, 2, 2, ins(2)),
+                (2, 2, 3, RecordBody::Commit { cts: 10 }),
+            ],
+        );
+        std::fs::write(dir.join("not_a_wal.txt"), b"ignored").unwrap();
+        let (recovered, stats) = recover_dir_stats(&dir).unwrap();
+        assert_eq!(stats.records, 7);
+        assert_eq!(recovered.iter().map(|t| t.cts).collect::<Vec<_>>(), vec![10, 20]);
+        assert_eq!(recovered[0].ops, vec![ins(2)]);
+        assert_eq!(recovered[1].ops, vec![ins(1)]);
+    }
+
+    #[test]
     fn torn_tail_loses_only_the_tail() {
         let dir = KernelConfig::for_tests().data_dir;
         let h = hub_in(&dir, 1);
@@ -365,12 +452,7 @@ mod tests {
         h.flush_all().unwrap();
         h.shutdown();
         // Corrupt the file tail.
-        let path = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .find(|p| p.to_string_lossy().contains("wal_slot_"))
-            .unwrap();
+        let path = only_wal_file(&dir);
         let mut bytes = std::fs::read(&path).unwrap();
         bytes.extend_from_slice(&[0xde, 0xad, 0xbe]);
         std::fs::write(&path, bytes).unwrap();
