@@ -105,6 +105,10 @@ pub struct Database {
 struct HubBarrier(Arc<WalHub>);
 
 impl phoebe_storage::WalBarrier for HubBarrier {
+    fn try_ensure_durable(&self, gsn: u64) -> bool {
+        self.0.try_ensure_durable_gsn(gsn)
+    }
+
     fn ensure_durable(&self, gsn: u64) {
         self.0.ensure_durable_gsn_blocking(gsn);
     }

@@ -32,6 +32,7 @@ use phoebe_wal::writer::RfaState;
 use phoebe_wal::RecordBody;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::task::Poll;
 use std::time::Duration;
 
 /// Per-key delta closure for [`Transaction::multi_update_rmw`]:
@@ -959,10 +960,13 @@ fn write_under_latch(
 /// Round-robin driver for a set of read-mode descent cursors: step each
 /// live cursor once per pass, hand finished leaves to `on_leaf` (the leaf
 /// guard lives only inside that call — it never crosses the yield), and
-/// yield to the scheduler between passes. A pass that still made hops
-/// yields at [`Urgency::Prefetch`] (the wait is a cache-line fill); a
-/// pass where every survivor is stalled on a cold-page fault yields at
-/// [`Urgency::High`], the paper's async-read-in-flight class (§7.1).
+/// give up the worker between passes that delivered no leaf. A pass that
+/// still made hops yields at [`Urgency::Prefetch`] (the wait is a
+/// cache-line fill) and is re-polled next round. A pass where every
+/// survivor waits on the fault service *parks*: the task leaves its waker
+/// on its pending fault tickets and returns `Pending`, so the worker runs
+/// its other slots or sleeps — the paper's asynchronous read that yields
+/// the slot (§7.1) — and the first read to land wakes it.
 async fn drive_reads<'t>(
     mut pending: Vec<(usize, phoebe_storage::DescentCursor<'t>)>,
     mut on_leaf: impl FnMut(usize, phoebe_storage::BatchLeaf<'t>) -> Result<()>,
@@ -993,9 +997,43 @@ async fn drive_reads<'t>(
         // pass would hand the page-swap duty a window to re-latch parents
         // and invalidate every suspended cursor — a restart storm.
         if !pending.is_empty() && !any_leaf {
-            let u = if any_prefetch { Urgency::Prefetch } else { Urgency::High };
-            phoebe_runtime::yield_now(u).await;
+            // Every survivor waiting on the fault service: park on the
+            // batch's own in-flight reads. With hops still to make, or
+            // nothing of its own in flight (the fault budget was spent by
+            // other batches), poll again next round.
+            if any_prefetch || !fault_landed(&pending).await {
+                phoebe_runtime::yield_now(Urgency::Prefetch).await;
+            }
         }
     }
     Ok(())
+}
+
+/// Park the task until one of `cursors`' in-flight faults completes.
+/// Resolves `false` at once if none of them has a fault in flight.
+async fn fault_landed(cursors: &[(usize, phoebe_storage::DescentCursor<'_>)]) -> bool {
+    let mut parked = false;
+    std::future::poll_fn(|cx| {
+        if parked {
+            return Poll::Ready(true);
+        }
+        // Any ticket may be the first to land, so the waker goes on all
+        // of them before the task may sleep.
+        let mut registered = false;
+        for (_, cursor) in cursors {
+            match cursor.register_fault_waker(cx.waker()) {
+                // Landed since the pass looked, possibly before the waker
+                // was there to be woken: do not wait.
+                Some(true) => return Poll::Ready(true),
+                Some(false) => registered = true,
+                None => {}
+            }
+        }
+        if !registered {
+            return Poll::Ready(false);
+        }
+        parked = true;
+        Poll::Pending
+    })
+    .await
 }

@@ -336,3 +336,42 @@ fn multi_get_survives_cold_buffer_pool() {
     );
     db.shutdown();
 }
+
+/// A batch waiting on cold-page reads parks on its fault tickets: the
+/// worker polls it about once per read that lands, not in a loop for as
+/// long as the read takes. One worker, so every poll the runtime counts
+/// is this task's.
+#[test]
+fn cold_batch_parks_on_its_faults_instead_of_polling() {
+    let mut cfg = KernelConfig::for_tests();
+    cfg.buffer_frames = 32;
+    cfg.workers = 1;
+    let db = Database::open(cfg).unwrap();
+    let t = kv(&db);
+    // 60+ leaves against 32 frames, as in the test above.
+    let rows = seed_many(&db, &t, 40_000);
+    let rt = db.runtime();
+    let polls_before = rt.stats().polls;
+    let suspends_before = db.metrics.snapshot().counter(Counter::FaultSuspends);
+    let task = {
+        let (db, t) = (Arc::clone(&db), Arc::clone(&t));
+        rt.spawn(async move {
+            let mut tx = db.begin(IsolationLevel::ReadCommitted);
+            for start in 0..10 {
+                let batch: Vec<_> = rows.iter().skip(start * 37).step_by(997).copied().collect();
+                let got = tx.multi_get(&t, &batch).await.unwrap();
+                assert!(got.iter().all(Option::is_some));
+            }
+            tx.commit().await.unwrap();
+        })
+    };
+    task.join();
+    let polls = rt.stats().polls - polls_before;
+    let suspends = db.metrics.snapshot().counter(Counter::FaultSuspends) - suspends_before;
+    assert!(suspends >= 100, "the batches must run cold: {suspends} fault suspends");
+    assert!(
+        polls <= 8 * suspends + 64,
+        "{polls} polls for {suspends} fault suspends: the task spun on its faults"
+    );
+    db.shutdown();
+}

@@ -23,7 +23,7 @@
 //!   giving upper layers a stable page identity for twin tables (§6.2).
 
 use crate::buffer::{BufferPool, NO_PARENT};
-use crate::latch::{LatchVersion, ReadGuard, WriteGuard};
+use crate::latch::{HybridLatch, LatchVersion, ReadGuard, WriteGuard};
 use crate::node::{IndexLeaf, InnerNode, Page};
 use crate::pax::{PaxLayout, PaxLeaf};
 use crate::schema::Value;
@@ -194,8 +194,12 @@ impl BTree {
                     }
                     _ => None,
                 }) else {
+                    // Write-latched (or changed under the read): one
+                    // restart, taken once the writer is out — re-running
+                    // the descent while it is still in would fail at this
+                    // same node again.
                     restart(&mut attempt);
-                    std::hint::spin_loop();
+                    wait_unlatched(&frame.latch);
                     continue 'restart;
                 };
                 if !self.validate_parent(&parent, parent_ver) {
@@ -1073,6 +1077,21 @@ impl BTree {
     }
 }
 
+/// Spin, bounded, until no writer holds `latch`. A blocking descent that
+/// found an on-path node write-latched calls this before it restarts, so
+/// one conflict is one restart rather than one per spin iteration. Node
+/// critical sections are in-memory and short; the bound only keeps a
+/// descheduled writer from pinning this thread in here — past it the
+/// caller restarts (counted) and comes back.
+fn wait_unlatched(latch: &HybridLatch<Page>) {
+    for _ in 0..2_000 {
+        if latch.optimistic_version().is_some() {
+            return;
+        }
+        std::hint::spin_loop();
+    }
+}
+
 /// Either-latched leaf guard.
 pub enum LeafGuard<'a> {
     Read(ReadGuard<'a, Page>),
@@ -1150,9 +1169,11 @@ pub enum DescentStep<'t> {
     /// backed off a contended latch): run a sibling, then step again —
     /// the line will have arrived by the time the round-robin returns.
     Prefetched,
-    /// A cold-page read is in flight in the background loader: stepping
-    /// again is a cheap completion poll, but the caller should prefer
-    /// siblings (or yield) until it flips.
+    /// Waiting on the background loader: this cursor's cold-page read is
+    /// in flight, or the pool's fault budget is spent and it could not
+    /// kick one. Stepping again is a cheap poll, but the caller should
+    /// prefer siblings; when only such cursors are left it should park
+    /// on them ([`DescentCursor::register_fault_waker`]).
     FaultPending,
 }
 
@@ -1236,6 +1257,17 @@ impl<'t> DescentCursor<'t> {
         }
     }
 
+    /// If this cursor is suspended on a read of its own, leave `waker`
+    /// with the ticket and report whether the read has finished by now
+    /// ([`crate::fault_service::FaultTicket::register_waker`]: `false`
+    /// promises a wake). `None`: nothing of this cursor's is in flight.
+    pub fn register_fault_waker(&self, waker: &std::task::Waker) -> Option<bool> {
+        match &self.state {
+            CursorState::Fault { ticket, .. } => Some(ticket.register_waker(waker)),
+            _ => None,
+        }
+    }
+
     /// One hop of the descent. `Ok(Some(_))` stops the step (suspend or
     /// leaf); `Ok(None)` means "loop again within this step".
     fn hop(&mut self) -> Result<Option<DescentStep<'t>>> {
@@ -1256,9 +1288,11 @@ impl<'t> DescentCursor<'t> {
                 // Over the in-flight fault budget: back off to the
                 // siblings instead of kicking yet another frame-holding
                 // load. The state stays `Hop`, so the next step re-checks
-                // the budget — it frees as sibling faults install.
+                // the budget — it frees as sibling faults install, and a
+                // batch left with nothing else to do waits for exactly
+                // those installs, hence `FaultPending`.
                 if !tree.pool.fault_budget_available() {
-                    return Ok(Some(DescentStep::Prefetched));
+                    return Ok(Some(DescentStep::FaultPending));
                 }
                 // Kick the read to the background loader and suspend —
                 // the blocking path would eat the whole I/O right here.

@@ -131,14 +131,67 @@ pub struct Frame {
 /// Callback the WAL layer installs so dirty-page write-out obeys
 /// write-ahead ordering ("Non-Force, Steal", §8).
 pub trait WalBarrier: Send + Sync + 'static {
-    /// Block until all WAL up to `gsn` is durable.
+    /// Whether all WAL up to `gsn` is durable. If not, nudge the flusher
+    /// and return at once — this is the only barrier call eviction makes
+    /// while it holds a latch.
+    fn try_ensure_durable(&self, gsn: u64) -> bool;
+    /// Block until all WAL up to `gsn` is durable. Called with no latch
+    /// held, and only from [`BufferPool::allocate`]'s last-resort pass.
     fn ensure_durable(&self, gsn: u64);
+}
+
+/// Outcome of one eviction attempt on a cooling candidate.
+enum Evict {
+    /// The frame went back to its partition's free list.
+    Freed,
+    /// Dirty, and its log up to this GSN is not durable yet: not written,
+    /// still cooling, worth another look once the flusher's round lands.
+    LogPending(u64),
+    /// Lost a latch race, heated, or no longer evictable.
+    Skipped,
+}
+
+thread_local! {
+    /// One page image per thread for Data Page File I/O: faults and
+    /// write-backs run back to back on workers and loaders, and a fresh
+    /// zeroed 16 KiB allocation per I/O cost as much as a cached read.
+    static PAGE_BUF: std::cell::RefCell<Vec<u8>> = std::cell::RefCell::new(vec![0u8; PAGE_SIZE]);
 }
 
 struct Partition {
     free: RankedMutex<Vec<FrameId>>,
-    cooling: RankedMutex<VecDeque<FrameId>>,
+    cooling: RankedMutex<CoolingQueue>,
     clock: AtomicUsize,
+}
+
+/// A partition's staged eviction candidates in staging order, each frame
+/// at most once. A candidate heated since staging leaves a stale entry
+/// behind until it reaches the front; when the clock stages that frame
+/// again the entry simply stands for it again. Without the once-only rule
+/// every heat-and-restage cycle added an entry, and a 512-frame partition
+/// under steady page swaps grew a queue of 10⁵ frame ids.
+struct CoolingQueue {
+    fifo: VecDeque<FrameId>,
+    /// Whether each of the partition's frames (by offset from `first`) is
+    /// in `fifo`.
+    queued: Box<[bool]>,
+    first: FrameId,
+}
+
+impl CoolingQueue {
+    fn push(&mut self, fid: FrameId) {
+        let queued = &mut self.queued[(fid - self.first) as usize];
+        if !*queued {
+            *queued = true;
+            self.fifo.push_back(fid);
+        }
+    }
+
+    fn pop(&mut self) -> Option<FrameId> {
+        let fid = self.fifo.pop_front()?;
+        self.queued[(fid - self.first) as usize] = false;
+        Some(fid)
+    }
 }
 
 /// The buffer pool.
@@ -210,7 +263,11 @@ impl BufferPool {
                 cooling: RankedMutex::new(
                     Rank::BufferPartition,
                     "buffer.partition_cooling",
-                    VecDeque::new(),
+                    CoolingQueue {
+                        fifo: VecDeque::new(),
+                        queued: vec![false; fpp].into_boxed_slice(),
+                        first: (p * fpp) as FrameId,
+                    },
                 ),
                 clock: AtomicUsize::new(p * fpp),
             })
@@ -305,7 +362,7 @@ impl BufferPool {
         // Try to make room locally: stage a batch, then reap it.
         for _ in 0..3 {
             self.stage_cooling(home, 8);
-            if self.evict_one(home)? {
+            if self.evict_pass(home)?.0 {
                 if let Some(f) = self.partitions[home].free.lock().pop() {
                     return Ok(f);
                 }
@@ -320,10 +377,20 @@ impl BufferPool {
                 return Ok(f);
             }
         }
-        // Last resort: evict from any partition.
+        // Last resort: evict from any partition, and — the one place the
+        // pool waits for the log — if all that stands between a partition
+        // and a free frame is a WAL round, sleep for it. No latch is held
+        // here; the retry re-checks durability like any other eviction.
         for p in 0..self.partitions.len() {
             self.stage_cooling(p, 8);
-            if self.evict_one(p)? {
+            let (mut freed, log_pending) = self.evict_pass(p)?;
+            if let (false, Some(gsn)) = (freed, log_pending) {
+                if let Some(b) = self.wal_barrier() {
+                    b.ensure_durable(gsn);
+                }
+                freed = self.evict_pass(p)?.0;
+            }
+            if freed {
                 if let Some(f) = self.partitions[p].free.lock().pop() {
                     return Ok(f);
                 }
@@ -388,13 +455,13 @@ impl BufferPool {
             0,
             page.raw(),
         );
-        let mut buf = vec![0u8; PAGE_SIZE];
-        self.page_file.read_page(page, &mut buf)?;
-        let decoded = Page::decode(&buf)?;
-        {
-            let mut guard = self.frames[fid as usize].latch.write();
-            *guard = decoded;
-        }
+        PAGE_BUF.with(|buf| {
+            let buf = &mut *buf.borrow_mut();
+            self.page_file.read_page(page, buf)?;
+            // The frame is parentless until the caller installs it, so
+            // nothing can reach it: decoding under its latch blocks no one.
+            self.frames[fid as usize].latch.write().decode_from(buf)
+        })?;
         let meta = &self.frames[fid as usize].meta;
         meta.parent.store(parent, Ordering::Relaxed);
         meta.disk_page.store(page.raw(), Ordering::Relaxed);
@@ -505,7 +572,7 @@ impl BufferPool {
             };
             let fid = at as FrameId;
             if self.try_stage(fid) {
-                part.cooling.lock().push_back(fid);
+                part.cooling.lock().push(fid);
                 staged += 1;
             }
         }
@@ -519,16 +586,7 @@ impl BufferPool {
             return false; // root or free
         }
         // Only leaves, or inners whose children are all cold, may cool.
-        let evictable = self.frames[fid as usize]
-            .latch
-            .optimistic(|page| match page {
-                Page::Free => false,
-                Page::TableLeaf(_) | Page::IndexLeaf(_) => true,
-                Page::Inner(n) => (0..=n.count as usize)
-                    .all(|i| matches!(Swip::from_raw(n.children[i]).state(), SwipState::Cold(_))),
-            })
-            .unwrap_or(false);
-        if !evictable {
+        if !self.frames[fid as usize].latch.optimistic(Self::evictable).unwrap_or(false) {
             return false;
         }
         let Some(mut pguard) = self.frames[parent as usize].latch.try_write() else {
@@ -545,33 +603,44 @@ impl BufferPool {
     }
 
     /// Evict one staged (still-cooling) page from `partition`
-    /// (Cooling → Cold). Returns true if a frame was freed. Candidates
-    /// heated since staging are dropped from the queue (second chance —
-    /// [`BufferPool::stage_cooling`] finds them again once Hot). A
-    /// candidate that merely lost a latch race but is *still cooling*
-    /// goes back to the queue tail: its swip is no longer Hot, so
-    /// `try_stage` can never re-stage it — dropping it here would strand
-    /// the frame as permanently unevictable, and enough latch churn (a
-    /// batch fault storm) can strand a whole partition that way.
+    /// (Cooling → Cold). Returns true if a frame was freed. Never sleeps
+    /// and never waits for the log: a dirty candidate whose WAL is not
+    /// durable yet is passed over (the flusher is nudged) in favour of
+    /// clean and already-durable ones.
     pub fn evict_one(&self, partition: usize) -> Result<bool> {
+        Ok(self.evict_pass(partition)?.0)
+    }
+
+    /// One pass over `partition`'s cooling queue: whether a frame was
+    /// freed, and the highest page GSN among the candidates passed over
+    /// because their log was not durable.
+    ///
+    /// Candidates heated since staging are dropped from the queue (second
+    /// chance — [`BufferPool::stage_cooling`] finds them again once Hot).
+    /// A candidate that merely lost a latch race or waits for the log but
+    /// is *still cooling* goes back to the queue tail: its swip is no
+    /// longer Hot, so `try_stage` can never re-stage it — dropping it here
+    /// would strand the frame as permanently unevictable, and enough latch
+    /// churn (a batch fault storm) can strand a whole partition that way.
+    fn evict_pass(&self, partition: usize) -> Result<(bool, Option<u64>)> {
+        let cooling = &self.partitions[partition].cooling;
+        let mut log_pending = None;
         // Bound the pass to the entries present at the start so re-queued
         // candidates don't make this call spin on a contended parent.
-        let mut budget = self.partitions[partition].cooling.lock().len();
+        let mut budget = cooling.lock().fifo.len();
         while budget > 0 {
             budget -= 1;
-            let candidate = self.partitions[partition].cooling.lock().pop_front();
-            let fid = match candidate {
-                Some(f) => f,
-                None => return Ok(false),
-            };
-            if self.try_evict(fid)? {
-                return Ok(true);
+            let Some(fid) = cooling.lock().pop() else { break };
+            match self.try_evict(fid)? {
+                Evict::Freed => return Ok((true, log_pending)),
+                Evict::LogPending(gsn) => log_pending = log_pending.max(Some(gsn)),
+                Evict::Skipped => {}
             }
             if self.still_cooling(fid) {
-                self.partitions[partition].cooling.lock().push_back(fid);
+                cooling.lock().push(fid);
             }
         }
-        Ok(false)
+        Ok((false, log_pending))
     }
 
     /// Best-effort check that `fid`'s parent still carries a Cooling swip
@@ -592,62 +661,107 @@ impl BufferPool {
             .unwrap_or(true)
     }
 
-    fn try_evict(&self, fid: FrameId) -> Result<bool> {
-        let meta = &self.frames[fid as usize].meta;
+    fn wal_barrier(&self) -> Option<Arc<dyn WalBarrier>> {
+        self.barrier.read().clone()
+    }
+
+    /// Leaves, and inners whose children are all cold, may leave memory:
+    /// a resident child is reachable only through its parent's frame.
+    fn evictable(page: &Page) -> bool {
+        match page {
+            Page::Free => false,
+            Page::TableLeaf(_) | Page::IndexLeaf(_) => true,
+            // Clamped: `try_stage` runs this on an unvalidated racy read.
+            Page::Inner(n) => n.children[..=(n.count as usize).min(crate::node::FANOUT)]
+                .iter()
+                .all(|&c| matches!(Swip::from_raw(c).state(), SwipState::Cold(_))),
+        }
+    }
+
+    /// One eviction attempt, victim first. The invariant this order buys:
+    /// **no sleep and no I/O under a parent's write latch** — a parent
+    /// latched for the length of a page write (let alone a WAL round)
+    /// stalls every descent through it. All acquisitions are `try_*`, so
+    /// taking the child before the parent cannot deadlock with descents
+    /// and SMOs that couple parent → child.
+    ///
+    /// 1. Latch the victim; under it `page_gsn`, `dirty` and the content
+    ///    are stable (every writer holds this latch).
+    /// 2. Dirty: the log must already be durable up to `page_gsn` (Steal,
+    ///    §8) or the attempt ends here. Then write the image back with
+    ///    only the victim latched. The page is clean from here on whether
+    ///    or not the rest goes through, so a retry writes nothing.
+    /// 3. Latch the parent for a few instructions: re-check the Cooling
+    ///    swip, bump the fault epoch, flip the swip Cold.
+    fn try_evict(&self, fid: FrameId) -> Result<Evict> {
+        let frame = &self.frames[fid as usize];
+        let meta = &frame.meta;
         let parent = meta.parent.load(Ordering::Relaxed);
         if parent == NO_PARENT {
-            return Ok(false);
+            return Ok(Evict::Skipped);
         }
-        let Some(mut pguard) = self.frames[parent as usize].latch.try_write() else {
-            return Ok(false);
+        let Some(mut vguard) = frame.latch.try_write() else {
+            return Ok(Evict::Skipped);
         };
-        let Page::Inner(pnode) = &mut *pguard else {
-            return Ok(false);
-        };
-        // Still cooling? (An access would have heated the swip.)
-        let Some(slot) = pnode.find_child_slot(Swip::cooling(fid).raw()) else {
-            return Ok(false);
-        };
-        let Some(vguard) = self.frames[fid as usize].latch.try_write() else {
-            return Ok(false);
-        };
-        // Past this point the eviction goes through; time the write-out,
-        // WAL barrier wait and unswizzle.
+        // An inner staged with all-cold children may have had one faulted
+        // back in since (the heat on the way down is best effort).
+        if !Self::evictable(&vguard) {
+            return Ok(Evict::Skipped);
+        }
+        let mut disk_raw = meta.disk_page.load(Ordering::Relaxed);
+        let needs_write = meta.dirty.load(Ordering::Relaxed) || disk_raw == NO_DISK;
+        if needs_write {
+            let gsn = meta.page_gsn.load(Ordering::Relaxed);
+            if self.wal_barrier().is_some_and(|b| !b.try_ensure_durable(gsn)) {
+                return Ok(Evict::LogPending(gsn));
+            }
+        }
+        // Past this point the page leaves memory unless the parent is
+        // contended; time the write-out and unswizzle.
         let _evict = self.metrics.latency_timer(LatencySite::Eviction);
         let _span =
             self.metrics.tracer().span_guard(phoebe_common::trace::EventKind::Eviction, 0, fid);
-        // Write out if dirty, honoring the WAL barrier.
-        let disk_raw = meta.disk_page.load(Ordering::Relaxed);
-        let disk = if disk_raw == NO_DISK { self.page_file.alloc() } else { PageId(disk_raw) };
-        if meta.dirty.load(Ordering::Relaxed) || disk_raw == NO_DISK {
-            if let Some(b) = self.barrier.read().clone() {
-                b.ensure_durable(meta.page_gsn.load(Ordering::Relaxed));
+        if needs_write {
+            if disk_raw == NO_DISK {
+                disk_raw = self.page_file.alloc().raw();
             }
-            let mut buf = vec![0u8; PAGE_SIZE];
-            vguard.encode(&mut buf);
-            self.page_file.write_page(disk, &buf)?;
+            PAGE_BUF.with(|buf| {
+                let buf = &mut *buf.borrow_mut();
+                vguard.encode(buf);
+                self.page_file.write_page(PageId(disk_raw), buf)
+            })?;
+            meta.disk_page.store(disk_raw, Ordering::Relaxed);
+            meta.dirty.store(false, Ordering::Relaxed);
             self.metrics.incr(Counter::PageWrites);
         }
+        let Some(mut pguard) = self.frames[parent as usize].latch.try_write() else {
+            return Ok(Evict::Skipped);
+        };
+        let Page::Inner(pnode) = &mut *pguard else {
+            return Ok(Evict::Skipped); // stale hint
+        };
+        // Still cooling? (An access would have heated the swip.)
+        let Some(slot) = pnode.find_child_slot(Swip::cooling(fid).raw()) else {
+            return Ok(Evict::Skipped);
+        };
         // ORDERING: release pairs with the acquire in `fault_epoch`. The
         // bump sits after the write-back above and before the slot turns
-        // cold, all under the parent latch: an install that captured its
+        // cold, under the parent latch: an install that captured its
         // epoch before this bump sees the mismatch and rejects its frame;
         // one that captured after it necessarily issued its disk read
         // after the write-back and loaded current bytes.
-        self.fault_epochs[disk.raw() as usize % self.fault_epochs.len()]
+        self.fault_epochs[disk_raw as usize % self.fault_epochs.len()]
             .fetch_add(1, Ordering::Release);
-        pnode.children[slot] = Swip::cold(disk).raw();
+        pnode.children[slot] = Swip::cold(PageId(disk_raw)).raw();
         drop(pguard);
-        // Clear the frame and hand it back.
+        // Clear the frame and hand it back. The disk slot now belongs to
+        // the cold swip, not to the frame.
+        *vguard = Page::Free;
         drop(vguard);
-        {
-            let mut g = self.frames[fid as usize].latch.write();
-            *g = Page::Free;
-        }
         meta.reset();
         let p = fid as usize / self.frames_per_partition;
         self.partitions[p].free.lock().push(fid);
-        Ok(true)
+        Ok(Evict::Freed)
     }
 
     /// Heat a cooling swip back to hot (second chance). The caller holds
@@ -907,6 +1021,158 @@ mod tests {
             assert!(!p.evict_one(0).unwrap(), "eviction must back off from a latched victim");
         }
         assert!(p.evict_one(0).unwrap(), "candidate lost to a latch race must stay evictable");
+    }
+
+    /// A parent with `n` dirty, empty table leaves as its hot children.
+    /// Frames come off the free list highest first, so the leaves are
+    /// returned in descending frame order — the clock stages the *last*
+    /// one first.
+    fn parent_with_dirty_leaves(p: &BufferPool, n: usize) -> (FrameId, Vec<FrameId>) {
+        let parent = p.allocate().unwrap();
+        let mut inner = crate::node::InnerNode::default();
+        let leaves: Vec<FrameId> = (0..n)
+            .map(|i| {
+                let leaf = p.allocate().unwrap();
+                *p.frame(leaf).latch.write() = Page::TableLeaf(crate::pax::PaxLeaf::new());
+                p.frame(leaf).meta.parent.store(parent, Ordering::Relaxed);
+                p.frame(leaf).meta.dirty.store(true, Ordering::Relaxed);
+                inner.children[i] = Swip::hot(leaf).raw();
+                leaf
+            })
+            .collect();
+        inner.count = n as u16 - 1;
+        *p.frame(parent).latch.write() = Page::Inner(inner);
+        (parent, leaves)
+    }
+
+    fn child_state(p: &BufferPool, parent: FrameId, slot: usize) -> SwipState {
+        let g = p.frame(parent).latch.read();
+        let Page::Inner(n) = &*g else { panic!("parent gone") };
+        Swip::from_raw(n.children[slot]).state()
+    }
+
+    /// A log that is durable up to a horizon the test moves and counts
+    /// the nudges it gets. Sleeping on it (which catches the horizon up)
+    /// is a test failure unless `may_wait`.
+    struct StubLog {
+        durable: AtomicU64,
+        rings: AtomicU64,
+        may_wait: bool,
+    }
+
+    impl StubLog {
+        fn durable_to(gsn: u64, may_wait: bool) -> Arc<StubLog> {
+            Arc::new(StubLog { durable: AtomicU64::new(gsn), rings: AtomicU64::new(0), may_wait })
+        }
+    }
+
+    impl WalBarrier for StubLog {
+        fn try_ensure_durable(&self, gsn: u64) -> bool {
+            let durable = self.durable.load(Ordering::Relaxed) >= gsn;
+            if !durable {
+                self.rings.fetch_add(1, Ordering::Relaxed);
+            }
+            durable
+        }
+        fn ensure_durable(&self, gsn: u64) {
+            assert!(self.may_wait, "evict_one must not wait for the log");
+            self.durable.fetch_max(gsn, Ordering::Relaxed);
+        }
+    }
+
+    /// Steal (§8) without the sleep: a dirty page whose log is not durable
+    /// is neither written nor waited for — eviction takes the next
+    /// candidate, nudges the flusher once, and comes back for the page
+    /// when the horizon has passed it.
+    #[test]
+    fn eviction_skips_a_page_whose_log_is_not_durable() {
+        let p = pool(8, 1);
+        let log = StubLog::durable_to(5, false);
+        p.set_wal_barrier(log.clone());
+        let (parent, leaves) = parent_with_dirty_leaves(&p, 2);
+        // The clock reaches `leaves[1]` first: make it the one ahead of
+        // the log, so the pass has to step over it.
+        let (ahead, durable) = (leaves[1], leaves[0]);
+        p.frame(ahead).meta.page_gsn.store(9, Ordering::Relaxed);
+        p.frame(durable).meta.page_gsn.store(5, Ordering::Relaxed);
+
+        p.stage_cooling(0, 4);
+        assert!(p.evict_one(0).unwrap(), "the durable leaf must go");
+        assert!(matches!(child_state(&p, parent, 0), SwipState::Cold(_)));
+        assert_eq!(child_state(&p, parent, 1), SwipState::Cooling(ahead), "still staged");
+        assert_eq!(log.rings.load(Ordering::Relaxed), 1, "one nudge for the one page passed over");
+        assert_eq!(p.io_counts().1, 1, "no image may reach disk ahead of its log");
+        assert!(p.frame(ahead).meta.dirty.load(Ordering::Relaxed));
+
+        // Still not durable: nothing to evict, nothing written.
+        assert!(!p.evict_one(0).unwrap());
+        assert_eq!(p.io_counts().1, 1);
+
+        log.durable.store(9, Ordering::Relaxed);
+        assert!(p.evict_one(0).unwrap(), "re-queued page goes once its log is durable");
+        assert!(matches!(child_state(&p, parent, 1), SwipState::Cold(_)));
+        assert_eq!(p.io_counts().1, 2);
+        assert_eq!(log.rings.load(Ordering::Relaxed), 2, "one per pass that found it not durable");
+    }
+
+    /// Only an allocation that has nothing else left sleeps for the log,
+    /// and the page it was waiting on is then evicted the ordinary way.
+    #[test]
+    fn allocate_waits_for_the_log_as_a_last_resort() {
+        let p = pool(4, 1);
+        let log = StubLog::durable_to(5, true);
+        p.set_wal_barrier(log.clone());
+        let (_parent, leaves) = parent_with_dirty_leaves(&p, 3);
+        for &leaf in &leaves {
+            p.frame(leaf).meta.page_gsn.store(9, Ordering::Relaxed);
+        }
+        assert_eq!(p.free_frames(0), 0);
+        let got = p.allocate().expect("the log catches up, a leaf is evicted");
+        assert!(leaves.contains(&got));
+        assert_eq!(log.durable.load(Ordering::Relaxed), 9, "allocate slept for the round");
+        assert_eq!(p.io_counts().1, 1);
+    }
+
+    /// The write-back needs only the victim: a busy parent delays the
+    /// unswizzle, not the I/O, and the retry finds the page clean.
+    #[test]
+    fn write_back_does_not_need_the_parent_latch() {
+        let p = pool(8, 1);
+        let (parent, leaves) = parent_with_dirty_leaves(&p, 1);
+        p.stage_cooling(0, 4);
+        {
+            let _reader = p.frame(parent).latch.read();
+            assert!(!p.evict_one(0).unwrap(), "a latched parent keeps its child resident");
+            assert_eq!(p.io_counts().1, 1, "but the image is already on disk");
+            assert!(!p.frame(leaves[0]).meta.dirty.load(Ordering::Relaxed));
+        }
+        assert_eq!(child_state(&p, parent, 0), SwipState::Cooling(leaves[0]));
+        assert!(p.evict_one(0).unwrap(), "evicted once the parent is free");
+        assert!(matches!(child_state(&p, parent, 0), SwipState::Cold(_)));
+        assert_eq!(p.io_counts().1, 1, "clean page: no second write");
+    }
+
+    /// Heat-and-restage cycles must not pile up queue entries: the stale
+    /// entry a heated candidate leaves behind stands for the frame when
+    /// the clock stages it again.
+    #[test]
+    fn cooling_queue_holds_a_frame_at_most_once() {
+        let p = pool(8, 1);
+        let (parent, leaves) = parent_with_dirty_leaves(&p, 2);
+        for _ in 0..100 {
+            p.stage_cooling(0, 4);
+            let mut pg = p.frame(parent).latch.write();
+            let Page::Inner(n) = &mut *pg else { unreachable!() };
+            BufferPool::heat_in_parent(n, 0);
+            BufferPool::heat_in_parent(n, 1);
+        }
+        assert_eq!(p.partitions[0].cooling.lock().fifo.len(), leaves.len());
+        // Both entries are stale (heated): a pass drops them.
+        assert!(!p.evict_one(0).unwrap());
+        assert!(p.partitions[0].cooling.lock().fifo.is_empty());
+        // And the frames are stageable and evictable again.
+        p.stage_cooling(0, 4);
+        assert!(p.evict_one(0).unwrap());
     }
 
     #[test]

@@ -9,13 +9,20 @@
 //!
 //! * the loader thread runs the allocate-and-read half of
 //!   [`crate::buffer::BufferPool::load_cold`] and publishes the outcome
-//!   with [`FaultTicket::complete`] — result first under the mutex, then
-//!   a release store of `done`;
-//! * the suspended cursor polls [`FaultTicket::is_done`] (one acquire
-//!   load, no lock) each time the batch round-robin reaches it, and takes
-//!   the loaded frame with [`FaultTicket::take`] once ready. It then
-//!   performs the swizzle-install half under the parent latch, exactly as
-//!   the blocking path does.
+//!   with [`FaultTicket::complete`] — result and a release store of
+//!   `done` under the mutex, then, the mutex dropped, a wake of the
+//!   registered waker;
+//! * while siblings in the batch can still run, the round-robin skips
+//!   the suspended cursor on [`FaultTicket::is_done`] (one acquire load,
+//!   no lock). Once the whole batch is waiting on faults, the task
+//!   *parks*: it leaves its waker with [`FaultTicket::register_waker`]
+//!   on every pending ticket and returns `Pending`, so its worker runs
+//!   other slots or sleeps and the loaders get the CPU. Registration
+//!   re-checks `is_done` after storing the waker: the waiter is either
+//!   woken or sees the completion itself, never neither;
+//! * the cursor takes the loaded frame with [`FaultTicket::take`] and
+//!   performs the swizzle-install half under the parent latch, exactly
+//!   as the blocking path does.
 //!
 //! The publish/consume protocol lives behind `phoebe_common::sync`, so
 //! the `loom_fault_ticket` suite model-checks it exhaustively. Dropping
@@ -30,13 +37,14 @@ use phoebe_common::ids::PageId;
 use phoebe_common::sync::atomic::{AtomicBool, Ordering};
 use phoebe_common::sync::{Rank, RankedMutex};
 use std::sync::{Arc, Weak};
+use std::task::Waker;
 
 /// Completion state of one in-flight asynchronous page fault.
 pub struct FaultTicket {
-    /// Flipped (release) after `result` is published; polled (acquire) by
+    /// Flipped (release) once `result` is published; polled (acquire) by
     /// the suspended cursor.
     done: AtomicBool,
-    result: RankedMutex<Option<Result<FrameId>>>,
+    state: RankedMutex<TicketState>,
     /// Owner pool, for releasing an unconsumed frame on drop. Empty in
     /// protocol-only tests (loom).
     pool: Weak<BufferPool>,
@@ -46,26 +54,36 @@ pub struct FaultTicket {
     counted: bool,
 }
 
+#[derive(Default)]
+struct TicketState {
+    result: Option<Result<FrameId>>,
+    /// The parked batch task, if its whole batch is waiting on faults.
+    waker: Option<Waker>,
+}
+
 impl FaultTicket {
-    /// A ticket owned by `pool` (the normal path).
-    pub fn new(pool: Weak<BufferPool>) -> Arc<FaultTicket> {
+    fn build(pool: Weak<BufferPool>, counted: bool) -> Arc<FaultTicket> {
         Arc::new(FaultTicket {
             done: AtomicBool::new(false),
-            result: RankedMutex::new(Rank::FaultService, "fault.ticket_result", None),
+            state: RankedMutex::new(
+                Rank::FaultService,
+                "fault.ticket_state",
+                TicketState::default(),
+            ),
             pool,
-            counted: false,
+            counted,
         })
+    }
+
+    /// A ticket owned by `pool` (the normal path).
+    pub fn new(pool: Weak<BufferPool>) -> Arc<FaultTicket> {
+        FaultTicket::build(pool, false)
     }
 
     /// A ticket counted against `pool`'s in-flight fault budget. The
     /// caller must have incremented the budget already.
     pub(crate) fn counted(pool: Weak<BufferPool>) -> Arc<FaultTicket> {
-        Arc::new(FaultTicket {
-            done: AtomicBool::new(false),
-            result: RankedMutex::new(Rank::FaultService, "fault.ticket_result", None),
-            pool,
-            counted: true,
-        })
+        FaultTicket::build(pool, true)
     }
 
     /// A pool-less ticket for protocol tests.
@@ -75,12 +93,37 @@ impl FaultTicket {
 
     /// Publish the fault's outcome. Called exactly once, by the loader.
     pub fn complete(&self, r: Result<FrameId>) {
-        *self.result.lock() = Some(r);
-        // ORDERING: release pairs with the acquire in `is_done`/`take`;
-        // a consumer that observes `done == true` must also observe the
-        // result written above (and the frame contents the loader wrote
-        // before handing us the frame id).
-        self.done.store(true, Ordering::Release);
+        let waker = {
+            let mut state = self.state.lock();
+            state.result = Some(r);
+            // ORDERING: release pairs with the acquire in `is_done`/`take`;
+            // a consumer that observes `done == true` must also observe
+            // the result written above (and the frame contents the loader
+            // wrote before handing us the frame id). Stored *inside* the
+            // critical section: a waiter that registers after it re-checks
+            // `is_done` and sees true; one that registered before it left
+            // its waker for the `take` below.
+            self.done.store(true, Ordering::Release);
+            state.waker.take()
+        };
+        // Woken with the ticket lock dropped: a wake takes runtime locks.
+        if let Some(waker) = waker {
+            waker.wake();
+        }
+    }
+
+    /// Leave `waker` to be woken by [`FaultTicket::complete`], then
+    /// re-check: returns [`FaultTicket::is_done`] as of *after* the
+    /// registration. `false` promises a wake; on `true` the caller must
+    /// not wait (the completion may have come first and found no waker).
+    pub fn register_waker(&self, waker: &Waker) -> bool {
+        {
+            let mut state = self.state.lock();
+            if !state.waker.as_ref().is_some_and(|w| w.will_wake(waker)) {
+                state.waker = Some(waker.clone());
+            }
+        }
+        self.is_done()
     }
 
     /// Whether the fault has finished (one acquire load, no lock) — the
@@ -98,7 +141,7 @@ impl FaultTicket {
         if !self.is_done() {
             return None;
         }
-        self.result.lock().take()
+        self.state.lock().result.take()
     }
 }
 
@@ -109,7 +152,7 @@ impl Drop for FaultTicket {
         // frame back instead of leaking it.
         // Take the result out before touching the pool: `release` acquires
         // the frame latch, which ranks below the ticket lock.
-        let abandoned = self.result.lock().take();
+        let abandoned = self.state.lock().result.take();
         if let Some(Ok(fid)) = abandoned {
             if let Some(pool) = self.pool.upgrade() {
                 // The swizzle install never ran, so the parent's child slot

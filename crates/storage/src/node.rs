@@ -304,57 +304,66 @@ impl Page {
 
     /// Deserialize a page image read back from the Data Page File.
     pub fn decode(buf: &[u8]) -> Result<Page> {
+        let mut page = Page::Free;
+        page.decode_from(buf)?;
+        Ok(page)
+    }
+
+    /// Deserialize a page image in place: `self` (a frame's content,
+    /// write-latched by the caller) takes the image's variant and is
+    /// filled field by field, so a 16 KiB page is never built on the
+    /// stack and moved. On error `self` holds an unspecified valid page.
+    pub fn decode_from(&mut self, buf: &[u8]) -> Result<()> {
         if buf.len() < PAGE_SIZE {
             return Err(PhoebeError::corruption("short page image"));
         }
         let mut r = Reader { buf, at: 0 };
         match r.u8() {
-            0 => Ok(Page::Free),
+            0 => *self = Page::Free,
             1 => {
                 let count = r.u16();
-                let mut n = InnerNode { count, ..Default::default() };
-                if n.count as usize > FANOUT {
+                if count as usize > FANOUT {
                     return Err(PhoebeError::corruption("inner count out of range"));
                 }
+                *self = Page::Inner(InnerNode::default());
+                let Page::Inner(n) = self else { unreachable!() };
+                n.count = count;
                 r.read(&mut n.key_lens);
-                for i in 0..n.count as usize {
-                    let mut k = [0u8; MAX_KEY];
-                    r.read(&mut k);
-                    n.keys[i] = k;
+                for k in &mut n.keys[..count as usize] {
+                    r.read(k);
                 }
-                for i in 0..=n.count as usize {
-                    n.children[i] = r.u64();
+                for c in &mut n.children[..=count as usize] {
+                    *c = r.u64();
                 }
-                Ok(Page::Inner(n))
             }
             2 => {
-                let mut l = PaxLeaf::new();
+                *self = Page::TableLeaf(PaxLeaf::new());
+                let Page::TableLeaf(l) = self else { unreachable!() };
                 l.count = r.u16();
                 for v in l.valid.iter_mut() {
                     *v = r.u64();
                 }
                 r.read(&mut l.data);
-                Ok(Page::TableLeaf(l))
             }
             3 => {
                 let count = r.u16();
-                let mut l = IndexLeaf { count, ..Default::default() };
-                if l.count as usize > INDEX_LEAF_CAP {
+                if count as usize > INDEX_LEAF_CAP {
                     return Err(PhoebeError::corruption("index leaf count out of range"));
                 }
-                r.read(&mut l.key_lens[..l.count as usize]);
-                for i in 0..l.count as usize {
-                    let mut k = [0u8; MAX_KEY];
-                    r.read(&mut k);
-                    l.keys[i] = k;
+                *self = Page::IndexLeaf(IndexLeaf::default());
+                let Page::IndexLeaf(l) = self else { unreachable!() };
+                l.count = count;
+                r.read(&mut l.key_lens[..count as usize]);
+                for k in &mut l.keys[..count as usize] {
+                    r.read(k);
                 }
-                for i in 0..l.count as usize {
-                    l.row_ids[i] = r.u64();
+                for id in &mut l.row_ids[..count as usize] {
+                    *id = r.u64();
                 }
-                Ok(Page::IndexLeaf(l))
             }
-            t => Err(PhoebeError::corruption(format!("unknown page kind {t}"))),
+            t => return Err(PhoebeError::corruption(format!("unknown page kind {t}"))),
         }
+        Ok(())
     }
 }
 

@@ -673,9 +673,24 @@ impl WalHub {
         }
     }
 
-    /// Blocking variant for the buffer pool's write barrier (Steal).
-    /// Returns early (without reaching `gsn`) when the hub halted — the
-    /// caller's subsequent page write will surface its own I/O error.
+    /// Non-blocking write barrier (Steal): whether all WAL up to `gsn` is
+    /// durable. If not, rings the doorbell so a round is under way by the
+    /// time the caller looks again — eviction skips the page meanwhile
+    /// instead of sleeping on the round with latches held.
+    pub fn try_ensure_durable_gsn(&self, gsn: u64) -> bool {
+        let durable = self.durable_gsn() >= gsn;
+        if !durable {
+            self.doorbell.ring();
+        }
+        durable
+    }
+
+    /// Blocking variant of the write barrier, for the buffer pool's
+    /// last-resort allocation pass (called with no latch held). Returns
+    /// early (without reaching `gsn`) when the hub halted; the caller
+    /// re-checks with [`WalHub::try_ensure_durable_gsn`] before any page
+    /// write, so a halted log fails the allocation instead of breaking
+    /// WAL-before-page.
     pub fn ensure_durable_gsn_blocking(&self, gsn: u64) {
         // Checking under the `rounds` lock means no round can be counted
         // between the check and the wait, so no wakeup is lost.
