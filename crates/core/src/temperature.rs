@@ -122,8 +122,14 @@ impl Database {
                     let key = index.key_for(&table.schema, &tuple, old_row);
                     let _ = index.tree.index_remove(&key);
                 }
-                let new_row = table.next_row_id();
-                table.tree.table_append(&table.layout, new_row, &tuple, |_, _, _, _| {})?;
+                // The id is drawn under the leaf latch: drawn out here, a
+                // concurrent insert could append a larger one first.
+                let (new_row, _, _) = table.tree.table_append_alloc(
+                    &table.layout,
+                    &|| table.next_row_id(),
+                    &tuple,
+                    |_, _, _, _| {},
+                )?;
                 for index in table.all_indexes() {
                     let key = index.key_for(&table.schema, &tuple, new_row);
                     index.tree.index_insert(&key, new_row)?;

@@ -969,7 +969,7 @@ fn write_under_latch(
 /// the slot (§7.1) — and the first read to land wakes it.
 async fn drive_reads<'t>(
     mut pending: Vec<(usize, phoebe_storage::DescentCursor<'t>)>,
-    mut on_leaf: impl FnMut(usize, phoebe_storage::BatchLeaf<'t>) -> Result<()>,
+    mut on_leaf: impl FnMut(usize, phoebe_storage::LatchedLeaf<'t>) -> Result<()>,
 ) -> Result<()> {
     use phoebe_storage::DescentStep;
     while !pending.is_empty() {

@@ -477,3 +477,89 @@ fn metrics_report_commits_and_wal_traffic() {
     );
     db.shutdown();
 }
+
+/// `warm_table` re-appends a frozen block's rows under fresh row ids while
+/// ordinary inserts append to the same rightmost leaf. The ids must be
+/// drawn under that leaf's latch: drawn before it, an insert can draw and
+/// append a larger id first, and the warm append then breaks the leaf's
+/// ascending order (an assert, under the exclusive latch). The warm pass
+/// re-appends thousands of rows against a tight insert loop, so a draw
+/// outside the latch loses that race within the first few hundred.
+#[test]
+fn warm_table_appends_in_order_against_concurrent_inserts() {
+    let mut cfg = KernelConfig::for_tests();
+    cfg.freeze_access_threshold = u64::MAX; // everything qualifies as cold
+    cfg.freeze_batch_pages = 8;
+    cfg.warm_read_threshold = 3;
+    let db = Database::open(cfg).unwrap();
+    let schema = Schema::new(vec![("id", ColType::I64), ("v", ColType::I64)]);
+    let t = db.create_table("events", schema).unwrap();
+    let pk = db.create_index(&t, "events_pk", vec![0], true).unwrap();
+    let frozen: i64 = 6_000;
+    block_on(async {
+        let mut tx = db.begin(IsolationLevel::ReadCommitted);
+        for i in 0..frozen {
+            tx.insert(&t, vec![Value::I64(i), Value::I64(-i)]).await.unwrap();
+        }
+        tx.commit().await.unwrap();
+    });
+    let stats = db.freeze_table(&t).unwrap();
+    assert!(stats.rows_frozen > 2_000, "the race needs a long warm pass");
+    let mut tx = db.begin(IsolationLevel::ReadCommitted);
+    for _ in 0..5 {
+        assert!(tx.read(&t, phoebe_common::ids::RowId(1)).unwrap().is_some());
+    }
+    block_on(tx.commit()).unwrap();
+
+    const FIRST_INSERTED: i64 = 1_000_000;
+    let start = std::sync::Barrier::new(2);
+    let warm_done = std::sync::atomic::AtomicBool::new(false);
+    let inserted = std::thread::scope(|s| {
+        let inserter = s.spawn(|| {
+            let mut next = FIRST_INSERTED;
+            start.wait();
+            // ORDERING: the flag only ends the loop; the join publishes.
+            while !warm_done.load(std::sync::atomic::Ordering::Relaxed) {
+                block_on(async {
+                    let mut tx = db.begin(IsolationLevel::ReadCommitted);
+                    for _ in 0..64 {
+                        tx.insert(&t, vec![Value::I64(next), Value::I64(-next)]).await.unwrap();
+                        next += 1;
+                    }
+                    tx.commit().await.unwrap();
+                });
+            }
+            next
+        });
+        // Stops the inserter when the warm pass is over — also by a panic,
+        // which would otherwise leave it filling the disk.
+        struct SetOnDrop<'a>(&'a std::sync::atomic::AtomicBool);
+        impl Drop for SetOnDrop<'_> {
+            fn drop(&mut self) {
+                // ORDERING: see the load.
+                self.0.store(true, std::sync::atomic::Ordering::Relaxed);
+            }
+        }
+        let stop = SetOnDrop(&warm_done);
+        start.wait();
+        let warm = db.warm_table(&t);
+        drop(stop);
+        assert_eq!(warm.unwrap().rows_warmed, stats.rows_frozen);
+        inserter.join().expect("inserter panicked")
+    });
+    assert!(inserted > FIRST_INSERTED, "the inserter must have run during the warm pass");
+
+    // Every row, warmed or inserted, is found by index and, through the
+    // row id the index holds, by id.
+    let mut tx = db.begin(IsolationLevel::ReadCommitted);
+    for id in (0..frozen).chain(FIRST_INSERTED..inserted) {
+        let (rid, row) = tx
+            .lookup_unique(&t, &pk, &[Value::I64(id)])
+            .unwrap()
+            .unwrap_or_else(|| panic!("row {id} lost"));
+        assert_eq!(row, vec![Value::I64(id), Value::I64(-id)]);
+        assert_eq!(tx.read(&t, rid).unwrap().as_ref(), Some(&row));
+    }
+    block_on(tx.commit()).unwrap();
+    db.shutdown();
+}

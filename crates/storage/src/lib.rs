@@ -27,7 +27,7 @@ pub mod smallkey;
 pub mod swip;
 pub mod tier;
 
-pub use btree::{row_key, BTree, BatchLeaf, DescentCursor, DescentStep, TreeKind};
+pub use btree::{row_key, BTree, DescentCursor, DescentStep, LatchedLeaf, TreeKind};
 pub use buffer::{BufferPool, WalBarrier};
 pub use fault_service::FaultTicket;
 pub use latch::HybridLatch;
