@@ -18,28 +18,26 @@ fn main() {
     let frames: usize = env_or("PHOEBE_BUFFER_FRAMES", 192); // deliberately tiny
     let engine = loaded_engine("exp4", 2, 16, frames, wh, phoebe_tpcc::TpccScale::mini());
     let db = engine.db.clone();
-    let mut last = (0u64, 0u64, 0u64);
+    let mut last_io = (0u64, 0u64);
+    let mut last = db.metrics.snapshot();
     let sampler = Sampler::start(Duration::from_millis(500), move |t| {
         let (r, w) = db.pool.io_counts();
-        let commits = db.metrics.snapshot().counter(phoebe_common::metrics::Counter::Commits);
+        let now = db.metrics.snapshot();
+        // One `PHOEBE_STATS` line per sample, covering just that interval.
+        let delta = db.stats_from_metrics(&now.delta_since(&last));
+        println!("PHOEBE_STATS {}", delta.to_json().render());
         let row = vec![
             format!("{t:.1}"),
-            f((r - last.0) as f64 * PAGE_SIZE as f64 / 0.5 / 1e6),
-            f((w - last.1) as f64 * PAGE_SIZE as f64 / 0.5 / 1e6),
-            f((commits - last.2) as f64 * 2.0 * 60.0),
+            f((r - last_io.0) as f64 * PAGE_SIZE as f64 / 0.5 / 1e6),
+            f((w - last_io.1) as f64 * PAGE_SIZE as f64 / 0.5 / 1e6),
+            f(delta.counter("commits") as f64 * 2.0 * 60.0),
         ];
-        last = (r, w, commits);
+        (last_io, last) = ((r, w), now);
         row
-    });
-    // Periodic delta reporting through the public API: one `PHOEBE_STATS`
-    // line per second, each covering just that interval's activity.
-    let reporter = engine.db.start_stats_reporter(Duration::from_secs(1), |delta| {
-        println!("PHOEBE_STATS {}", delta.to_json().render());
     });
     let mut cfg = driver_cfg(wh, 16, true);
     cfg.duration = Duration::from_secs(env_or("PHOEBE_DURATION_SECS", 10));
     let stats = run_phoebe(&engine, &cfg);
-    reporter.stop();
     let rows = sampler.finish();
     let headers = ["t (s)", "read MB/s", "write MB/s", "tpm"];
     print_table(

@@ -94,8 +94,9 @@ pub struct TelemetryConfig {
 pub struct WatchdogConfig {
     /// Heartbeat sampling interval, milliseconds.
     pub interval_ms: u64,
-    /// A worker with occupied task slots whose poll counter has not
-    /// advanced for this long is reported as stalled.
+    /// A worker whose time-in-state total has not advanced for this long
+    /// — it is stuck inside one poll or one hook tick — is reported as
+    /// stalled.
     pub worker_stall_ms: u64,
     /// A WAL flush horizon (appended ahead of flushed) that has not
     /// advanced for this long is reported as stalled.

@@ -273,7 +273,7 @@ impl HistogramSnapshot {
         self.max_ns = self.max_ns.max(other.max_ns);
     }
 
-    /// Bucket-wise `self - earlier` (interval deltas for the reporter).
+    /// Bucket-wise `self - earlier` (interval deltas).
     pub fn delta_since(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
         let mut out = HistogramSnapshot::default();
         for i in 0..NUM_BUCKETS {

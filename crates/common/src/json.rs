@@ -1,9 +1,9 @@
 //! Minimal JSON document builder for machine-readable output.
 //!
-//! The bench binaries and the stats reporter emit one JSON line per
-//! run/interval so harnesses can track series and percentiles without
-//! scraping text tables. There is no external JSON dependency in this
-//! workspace, so this module provides a tiny value tree + renderer.
+//! The bench binaries emit one JSON line per run/interval so harnesses
+//! can track series and percentiles without scraping text tables. There
+//! is no external JSON dependency in this workspace, so this module
+//! provides a tiny value tree + renderer.
 //! Escaping covers the control/quote/backslash set; floats render with
 //! enough precision to round-trip typical metric magnitudes.
 

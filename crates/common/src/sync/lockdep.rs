@@ -60,9 +60,6 @@ pub enum Rank {
     Db = 10,
     /// Catalog/table registry state (`core/catalog.rs`).
     Catalog = 15,
-    /// Per-table DDL/DML intent locks — taken at statement start, before
-    /// any page latch (`txn/locks.rs`).
-    TableLock = 20,
     /// Hybrid-latch internals guarding frame payloads. Low in the order:
     /// tuple operations hold a leaf latch while consulting twin tables,
     /// UNDO chains, the buffer pool, and the WAL. Self-nesting:
@@ -126,10 +123,9 @@ impl Rank {
     /// (`cargo xtask lint-kernel`) resolves `Rank::<Name>` tokens it finds
     /// at construction sites against this table, so rank values are never
     /// duplicated outside this file.
-    pub const ALL: [Rank; 23] = [
+    pub const ALL: [Rank; 22] = [
         Rank::Db,
         Rank::Catalog,
-        Rank::TableLock,
         Rank::FrameMeta,
         Rank::TwinRegistry,
         Rank::TwinShard,
@@ -166,7 +162,6 @@ impl Rank {
             Rank::Catalog => "Catalog",
             Rank::TwinRegistry => "TwinRegistry",
             Rank::TwinShard => "TwinShard",
-            Rank::TableLock => "TableLock",
             Rank::UndoArena => "UndoArena",
             Rank::UndoLink => "UndoLink",
             Rank::FrameMeta => "FrameMeta",

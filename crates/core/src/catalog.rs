@@ -3,8 +3,7 @@
 //! Each relation owns one B-Tree. A table's tree is keyed by the internal
 //! row id and stores PAX tuples; every user-defined index is a secondary
 //! index tree mapping an order-preserving key encoding to the row id. The
-//! table also owns its frozen store (Data Block File) and its table lock
-//! (the paper hangs table-lock state off the relation, not a global map).
+//! table also owns its frozen store (Data Block File).
 
 use crate::keys::KeyBuilder;
 use phoebe_common::error::{PhoebeError, Result};
@@ -12,7 +11,6 @@ use phoebe_common::ids::{RowId, TableId};
 use phoebe_common::snapshot::SnapshotList;
 use phoebe_storage::schema::{ColType, Schema, Value};
 use phoebe_storage::{BTree, FrozenStore, PaxLayout};
-use phoebe_txn::TableLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -85,7 +83,6 @@ pub struct TableEntry {
     pub layout: PaxLayout,
     pub tree: BTree,
     pub frozen: FrozenStore,
-    pub lock: TableLock,
     next_row_id: AtomicU64,
     /// Index list as an immutable snapshot: every insert/delete walks it,
     /// so readers get a lock-free borrow instead of an `RwLock` + clone.
@@ -108,7 +105,6 @@ impl TableEntry {
             layout,
             tree,
             frozen,
-            lock: TableLock::new(),
             next_row_id: AtomicU64::new(1),
             indexes: SnapshotList::default(),
         }

@@ -90,9 +90,6 @@ pub struct Database {
     external_free: RankedMutex<Vec<usize>>,
     txns_since_gc: Vec<AtomicU64>,
     runtime: RankedRwLock<Option<Arc<Runtime>>>,
-    /// Stop flags of live [`crate::stats::StatsReporter`] co-routines;
-    /// raised before the runtime drains so reporters never wedge shutdown.
-    reporter_stops: RankedMutex<Vec<Arc<std::sync::atomic::AtomicBool>>>,
     /// The live telemetry HTTP server, when `cfg.telemetry` or
     /// `PHOEBE_TELEMETRY` enabled it. Stopped first at shutdown so no
     /// scrape runs against a dying kernel.
@@ -306,7 +303,6 @@ impl Database {
             ),
             txns_since_gc: (0..cfg.workers).map(|_| AtomicU64::new(0)).collect(),
             runtime: RankedRwLock::new(Rank::Db, "db.runtime", None),
-            reporter_stops: RankedMutex::new(Rank::Db, "db.reporter_stops", Vec::new()),
             telemetry: RankedMutex::new(Rank::Db, "db.telemetry", None),
             watchdog: RankedMutex::new(Rank::Db, "db.watchdog", None),
             clock: phoebe_txn::GlobalClock::new(),
@@ -415,14 +411,9 @@ impl Database {
         self.runtime.read().clone()
     }
 
-    pub(crate) fn reporter_stops(&self) -> &RankedMutex<Vec<Arc<std::sync::atomic::AtomicBool>>> {
-        &self.reporter_stops
-    }
-
     /// Flush WAL, stop the runtime and background machinery.
     pub fn shutdown(&self) {
         self.stop_observability();
-        self.stop_reporters();
         if let Some(rt) = self.runtime.write().take() {
             rt.shutdown();
         }
@@ -440,12 +431,6 @@ impl Database {
         }
         if let Some(mut t) = self.telemetry.lock().take() {
             t.shutdown();
-        }
-    }
-
-    fn stop_reporters(&self) {
-        for stop in self.reporter_stops.lock().drain(..) {
-            stop.store(true, Ordering::Release);
         }
     }
 
@@ -813,7 +798,6 @@ impl Database {
 impl Drop for Database {
     fn drop(&mut self) {
         self.stop_observability();
-        self.stop_reporters();
         if let Some(rt) = self.runtime.write().take() {
             rt.shutdown();
         }

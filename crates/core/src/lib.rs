@@ -53,8 +53,7 @@ pub use phoebe_common::{TelemetryConfig, TraceConfig, Tracer, WatchdogConfig};
 pub use phoebe_txn::locks::IsolationLevel;
 pub use row::Row;
 pub use stats::{
-    ComponentCost, CounterValue, KernelStats, LatencySummary, RuntimeGauges, StatsReporter,
-    WorkerStateSummary,
+    ComponentCost, CounterValue, KernelStats, LatencySummary, RuntimeGauges, WorkerStateSummary,
 };
 pub use telemetry::KernelTelemetry;
 pub use temperature::{FreezeStats, WarmStats};

@@ -1,27 +1,19 @@
-//! Kernel-wide observability: [`KernelStats`] snapshots and the periodic
-//! [`StatsReporter`].
+//! Kernel-wide observability: [`KernelStats`] snapshots.
 //!
 //! [`Database::stats`] merges the per-worker metric shards — counters,
 //! Figure-12 component costs, and the per-site latency histograms — in
 //! O(workers), then decorates the result with runtime, WAL and buffer-pool
 //! gauges. The snapshot is plain data: serde-derived and convertible to a
 //! single-line JSON document via [`KernelStats::to_json`], which is what
-//! the benchmark binaries emit for machine consumption.
-//!
-//! The [`StatsReporter`] is a co-routine on the kernel's own runtime that
-//! wakes on a fixed cadence (via the runtime's timer service), computes the
-//! *delta* since its previous tick, and hands the interval snapshot to a
-//! caller-supplied sink. `Database::shutdown` stops all reporters before
-//! the pool drains, so a running reporter never wedges shutdown.
+//! the benchmark binaries emit for machine consumption. Interval views
+//! come from [`Database::stats_from_metrics`] over a
+//! `MetricsSnapshot::delta_since`, or from `/metrics` scrapes.
 
 use crate::db::Database;
 use phoebe_common::hist::{LatencySite, SITES};
 use phoebe_common::json::Json;
 use phoebe_common::metrics::{MetricsSnapshot, COMPONENTS, COUNTERS};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Weak};
-use std::time::{Duration, Instant};
 
 /// Percentile summary of one instrumented latency site.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -72,8 +64,7 @@ pub struct RuntimeGauges {
 }
 
 /// One worker's scheduler time-in-state split (see
-/// [`phoebe_runtime::WorkerTimeInState`]): cumulative in
-/// [`Database::stats`], interval deltas from the [`StatsReporter`].
+/// [`phoebe_runtime::WorkerTimeInState`]), cumulative.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WorkerStateSummary {
     pub worker: usize,
@@ -278,8 +269,9 @@ impl Database {
     }
 
     /// Decorate a (possibly delta'd) metrics snapshot with the kernel's
-    /// live gauges. Used by both [`Database::stats`] and the reporter.
-    pub(crate) fn stats_from_metrics(&self, snap: &MetricsSnapshot) -> KernelStats {
+    /// live gauges: counters, component time and histograms cover what
+    /// `snap` covers, everything else is read now.
+    pub fn stats_from_metrics(&self, snap: &MetricsSnapshot) -> KernelStats {
         let mut out = KernelStats::from_metrics(snap);
         if let Some(rt) = self.try_runtime() {
             let rs = rt.stats();
@@ -321,141 +313,5 @@ impl Database {
         out.fault_tickets_inflight = self.pool.faults_inflight() as u64;
         out.fault_budget_limit = self.pool.fault_budget_limit() as u64;
         out
-    }
-
-    /// Spawn a [`StatsReporter`] on the kernel's runtime. Every `interval`
-    /// the sink receives the *delta* since the previous tick (counters,
-    /// component time and histograms subtracted; gauges absolute). The
-    /// reporter stops when its handle is dropped/stopped or at
-    /// `Database::shutdown`.
-    pub fn start_stats_reporter(
-        self: &Arc<Self>,
-        interval: Duration,
-        sink: impl Fn(KernelStats) + Send + 'static,
-    ) -> StatsReporter {
-        let stop = Arc::new(AtomicBool::new(false));
-        let done = Arc::new(AtomicBool::new(false));
-        self.reporter_stops().lock().push(Arc::clone(&stop));
-        let weak: Weak<Database> = Arc::downgrade(self);
-        let stop_task = Arc::clone(&stop);
-        let done_task = Arc::clone(&done);
-        let rt = self.runtime();
-        rt.spawn(async move {
-            // Raised on *every* exit path so `StatsReporter::join` can
-            // prove the sink will never run again.
-            let _done = DoneOnDrop(done_task);
-            let mut prev = match weak.upgrade() {
-                Some(db) => db.metrics.snapshot(),
-                None => return,
-            };
-            // Cumulative per-worker time-in-state and runtime counters at
-            // the previous tick, so intervals report what happened in
-            // *this* interval. All subtractions saturate: a worker vector
-            // that shrinks or a counter that resets (runtime recycled
-            // between ticks) must yield a zero delta, not an underflow.
-            let mut prev_states: Vec<WorkerStateSummary> = Vec::new();
-            let mut prev_runtime = RuntimeGauges::default();
-            'ticks: loop {
-                // Sleep in short slices so shutdown never waits a full
-                // interval for the slot to drain.
-                let deadline = Instant::now() + interval;
-                while Instant::now() < deadline {
-                    if stop_task.load(Ordering::Acquire) {
-                        break 'ticks;
-                    }
-                    let slice = Duration::from_millis(25)
-                        .min(deadline.saturating_duration_since(Instant::now()));
-                    phoebe_runtime::sleep(slice).await;
-                }
-                if stop_task.load(Ordering::Acquire) {
-                    break;
-                }
-                let Some(db) = weak.upgrade() else { break };
-                let now = db.metrics.snapshot();
-                let delta = now.delta_since(&prev);
-                prev = now;
-                let mut stats = db.stats_from_metrics(&delta);
-                let absolute = stats.worker_states.clone();
-                for (ws, p) in stats.worker_states.iter_mut().zip(prev_states.iter()) {
-                    ws.running_ns = ws.running_ns.saturating_sub(p.running_ns);
-                    ws.ready_ns = ws.ready_ns.saturating_sub(p.ready_ns);
-                    ws.parked_ns = ws.parked_ns.saturating_sub(p.parked_ns);
-                    ws.io_ns = ws.io_ns.saturating_sub(p.io_ns);
-                }
-                prev_states = absolute;
-                let rt_abs = stats.runtime.clone();
-                let r = &mut stats.runtime;
-                r.tasks_completed = r.tasks_completed.saturating_sub(prev_runtime.tasks_completed);
-                r.polls = r.polls.saturating_sub(prev_runtime.polls);
-                r.parks = r.parks.saturating_sub(prev_runtime.parks);
-                r.tasks_pulled_global =
-                    r.tasks_pulled_global.saturating_sub(prev_runtime.tasks_pulled_global);
-                r.tasks_pulled_local =
-                    r.tasks_pulled_local.saturating_sub(prev_runtime.tasks_pulled_local);
-                r.urgent_pull_stalls =
-                    r.urgent_pull_stalls.saturating_sub(prev_runtime.urgent_pull_stalls);
-                // occupied_slots / ready_tasks / global_queue_depth are
-                // gauges: report them absolute.
-                prev_runtime = rt_abs;
-                sink(stats);
-            }
-        });
-        StatsReporter { stop, done }
-    }
-}
-
-struct DoneOnDrop(Arc<AtomicBool>);
-
-impl Drop for DoneOnDrop {
-    fn drop(&mut self) {
-        self.0.store(true, Ordering::Release);
-    }
-}
-
-/// Handle to a running stats reporter. Dropping it stops the reporter.
-pub struct StatsReporter {
-    stop: Arc<AtomicBool>,
-    done: Arc<AtomicBool>,
-}
-
-impl StatsReporter {
-    /// Ask the reporter co-routine to exit at its next slice (≤25 ms).
-    pub fn stop(&self) {
-        self.stop.store(true, Ordering::Release);
-    }
-
-    /// Whether `stop` has been requested.
-    pub fn is_stopped(&self) -> bool {
-        self.stop.load(Ordering::Acquire)
-    }
-
-    /// Whether the reporter co-routine has actually exited (its sink will
-    /// never be invoked again).
-    pub fn is_done(&self) -> bool {
-        self.done.load(Ordering::Acquire)
-    }
-
-    /// Stop the reporter and wait (bounded by `timeout`) for its
-    /// co-routine to exit, so a sink capturing external state can be torn
-    /// down without racing a final tick. Returns whether the reporter
-    /// finished within the timeout. The reporter runs *on the kernel's
-    /// own runtime*, so this must be called from an external thread, not
-    /// from a kernel co-routine.
-    pub fn join(&self, timeout: Duration) -> bool {
-        self.stop();
-        let deadline = Instant::now() + timeout;
-        while !self.is_done() {
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        true
-    }
-}
-
-impl Drop for StatsReporter {
-    fn drop(&mut self) {
-        self.stop();
     }
 }

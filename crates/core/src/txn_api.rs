@@ -1000,7 +1000,9 @@ async fn drive_reads<'t>(
             // Every survivor waiting on the fault service: park on the
             // batch's own in-flight reads. With hops still to make, or
             // nothing of its own in flight (the fault budget was spent by
-            // other batches), poll again next round.
+            // other batches), poll again next round — the latter is a
+            // deliberate self-wake spin until frame backpressure exists
+            // (DESIGN.md "What wakes each wait").
             if any_prefetch || !fault_landed(&pending).await {
                 phoebe_runtime::yield_now(Urgency::Prefetch).await;
             }

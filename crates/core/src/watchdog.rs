@@ -2,10 +2,11 @@
 //! incident records that carry their own evidence.
 //!
 //! Every [`WatchdogConfig::interval_ms`] the watchdog samples cheap
-//! progress heartbeats — per-worker poll counters, the WAL flush-horizon
-//! age, the buffer pool's fault-ticket budget, and (optionally) the
-//! interval commit p99. None of these add hot-path cost: the counters
-//! already exist for `/metrics`, and the watchdog only *reads* them.
+//! progress heartbeats — per-worker time-in-state totals, the WAL
+//! flush-horizon age, the buffer pool's fault-ticket budget, and
+//! (optionally) the interval commit p99. None of these add hot-path cost:
+//! the counters already exist for `/metrics`, and the watchdog only
+//! *reads* them.
 //!
 //! On a threshold breach the watchdog writes a structured incident
 //! record to the incident directory with the same capture payload
@@ -24,14 +25,16 @@ use phoebe_common::json::Json;
 use phoebe_common::metrics::Counter;
 use phoebe_common::telemetry::IncidentLog;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 /// Handle to the running watchdog thread. `shutdown` (or drop) stops and
 /// joins it.
 pub struct WatchdogHandle {
-    stop: Arc<AtomicBool>,
+    /// Dropping it disconnects the channel the thread sleeps on between
+    /// samples, which ends the sleep at once.
+    stop: Option<mpsc::Sender<()>>,
     thread: Option<std::thread::JoinHandle<()>>,
     incident_dir: PathBuf,
 }
@@ -44,12 +47,12 @@ impl WatchdogHandle {
 
     /// Stop the sampling thread and join it. Idempotent.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Release);
+        self.stop = None;
         if let Some(t) = self.thread.take() {
             // If the watchdog thread itself held the kernel's last Arc,
             // `Database::drop` (and thus this shutdown) runs *on* the
             // watchdog thread — joining would deadlock on ourselves. The
-            // stop flag already guarantees the thread exits.
+            // disconnected channel already guarantees the thread exits.
             if t.thread().id() != std::thread::current().id() {
                 let _ = t.join();
             }
@@ -68,15 +71,14 @@ impl Drop for WatchdogHandle {
 pub fn start_watchdog(db: &Arc<Database>, cfg: WatchdogConfig) -> WatchdogHandle {
     let incident_dir =
         cfg.incident_dir.clone().unwrap_or_else(|| db.cfg.data_dir.join("incidents"));
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop2 = Arc::clone(&stop);
+    let (stop, stopped) = mpsc::channel();
     let weak = Arc::downgrade(db);
     let dir = incident_dir.clone();
     let thread = std::thread::Builder::new()
         .name("phoebe-watchdog".into())
-        .spawn(move || watchdog_main(weak, cfg, dir, stop2))
+        .spawn(move || watchdog_main(weak, cfg, dir, stopped))
         .expect("spawn watchdog thread");
-    WatchdogHandle { stop, thread: Some(thread), incident_dir }
+    WatchdogHandle { stop: Some(stop), thread: Some(thread), incident_dir }
 }
 
 /// Per-detector state: when the current breach episode started and when
@@ -111,14 +113,19 @@ impl Episode {
     }
 }
 
-fn watchdog_main(weak: Weak<Database>, cfg: WatchdogConfig, dir: PathBuf, stop: Arc<AtomicBool>) {
+fn watchdog_main(
+    weak: Weak<Database>,
+    cfg: WatchdogConfig,
+    dir: PathBuf,
+    stopped: mpsc::Receiver<()>,
+) {
     let log = IncidentLog::new(dir, cfg.max_incidents);
     let interval = Duration::from_millis(cfg.interval_ms);
     let worker_window = Duration::from_millis(cfg.worker_stall_ms);
     let wal_window = Duration::from_millis(cfg.wal_stall_ms);
     let cooldown = Duration::from_millis(cfg.cooldown_ms);
 
-    // Per-worker poll heartbeat: (last polls value, Episode).
+    // Per-worker heartbeat: (time-in-state total last seen, Episode).
     let mut workers: Vec<(u64, Episode)> = Vec::new();
     let mut wal_stall = Episode::default();
     let mut wal_halt = Episode::default();
@@ -126,31 +133,22 @@ fn watchdog_main(weak: Weak<Database>, cfg: WatchdogConfig, dir: PathBuf, stop: 
     let mut p99 = Episode::default();
     let mut prev_metrics = weak.upgrade().map(|db| db.metrics.snapshot());
 
-    loop {
-        // Sleep the interval in short slices so shutdown stays prompt.
-        let deadline = Instant::now() + interval;
-        while Instant::now() < deadline {
-            if stop.load(Ordering::Acquire) {
-                return;
-            }
-            std::thread::sleep(
-                Duration::from_millis(25).min(deadline.saturating_duration_since(Instant::now())),
-            );
-        }
-        if stop.load(Ordering::Acquire) {
-            return;
-        }
+    // Only a timeout continues; shutdown disconnects the channel.
+    while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
         let Some(db) = weak.upgrade() else { return };
 
-        // --- Worker progress: occupied slots but no polls for too long.
+        // --- Worker progress: the worker loop charges its time-in-state
+        // at every phase boundary, bounded parks included, so the total
+        // stands still only while the worker is stuck inside one poll or
+        // one hook tick. (Its poll count is no heartbeat: a worker whose
+        // tasks all sleep on a lock or a commit rightly stops polling.)
         if let Some(rt) = db.try_runtime() {
             let rs = rt.stats();
-            workers.resize_with(rs.worker_polls.len(), Default::default);
-            for (i, st) in workers.iter_mut().enumerate() {
-                let polls = rs.worker_polls[i];
-                let occupied = rs.worker_occupied.get(i).copied().unwrap_or(0);
-                let stuck = occupied > 0 && polls == st.0;
-                st.0 = polls;
+            workers.resize_with(rs.worker_state_ns.len(), Default::default);
+            for (i, (st, ws)) in workers.iter_mut().zip(&rs.worker_state_ns).enumerate() {
+                let charged = ws.running_ns + ws.ready_ns + ws.parked_ns + ws.io_ns;
+                let stuck = charged == st.0;
+                st.0 = charged;
                 if st.1.observe(stuck, worker_window, cooldown) {
                     capture(
                         &db,
@@ -158,8 +156,8 @@ fn watchdog_main(weak: Weak<Database>, cfg: WatchdogConfig, dir: PathBuf, stop: 
                         "worker_stall",
                         Json::obj()
                             .with("worker", i)
-                            .with("occupied_slots", occupied)
-                            .with("polls", polls)
+                            .with("occupied_slots", rs.worker_occupied[i])
+                            .with("polls", rs.worker_polls[i])
                             .with("worker_stall_ms", cfg.worker_stall_ms),
                     );
                 }

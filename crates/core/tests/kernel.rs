@@ -237,6 +237,58 @@ fn read_committed_waits_and_retries_against_inflight_writer() {
     db.shutdown();
 }
 
+/// A lock wait sleeps: on one worker, a writer that collides with a holder
+/// pausing 50 ms before its commit is polled when it collides, when the
+/// holder's commit wakes it, and around its own commit — not once per
+/// scheduling round for as long as the holder takes.
+#[test]
+fn lock_waiter_is_not_polled_while_the_holder_runs() {
+    let cfg = KernelConfig::builder()
+        .workers(1)
+        .slots_per_worker(4)
+        .data_dir(KernelConfig::for_tests().data_dir)
+        .build()
+        .unwrap();
+    let db = Database::open(cfg).unwrap();
+    let t = make_accounts(&db);
+    let rid = block_on(async {
+        let mut tx = db.begin(IsolationLevel::ReadCommitted);
+        let rid = tx.insert(&t, row(1, "alice", 100)).await.unwrap();
+        tx.commit().await.unwrap();
+        rid
+    });
+    let rt = db.runtime();
+    let (updated, holds) = std::sync::mpsc::channel();
+    let holder = {
+        let (db, t) = (db.clone(), t.clone());
+        rt.spawn(async move {
+            let mut tx = db.begin(IsolationLevel::ReadCommitted);
+            tx.update(&t, rid, &[(2, Value::I64(200))]).await.unwrap();
+            updated.send(()).unwrap();
+            phoebe_runtime::sleep(std::time::Duration::from_millis(50)).await;
+            tx.commit().await.unwrap();
+        })
+    };
+    holds.recv().unwrap();
+    let polls_before = rt.stats().polls;
+    let waiter = {
+        let (db, t) = (db.clone(), t.clone());
+        rt.spawn(async move {
+            let mut tx = db.begin(IsolationLevel::ReadCommitted);
+            tx.update(&t, rid, &[(2, Value::I64(300))]).await.unwrap();
+            tx.commit().await.unwrap();
+        })
+    };
+    holder.join();
+    waiter.join();
+    let polls = rt.stats().polls - polls_before;
+    assert!(polls <= 16, "{polls} polls for one lock wait and two commits");
+    let mut check = db.begin(IsolationLevel::ReadCommitted);
+    assert_eq!(check.read(&t, rid).unwrap().unwrap()[2], Value::I64(300));
+    block_on(check.commit()).unwrap();
+    db.shutdown();
+}
+
 #[test]
 fn concurrent_transfers_preserve_total_balance() {
     let db = open_db();

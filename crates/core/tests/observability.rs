@@ -1,12 +1,10 @@
 //! The kernel-wide observability surface, exercised through the public
-//! API only: `Database::stats()` percentiles after a real workload,
-//! typed `Row` access, and the periodic `StatsReporter` deltas.
+//! API only: `Database::stats()` percentiles after a real workload and
+//! typed `Row` access.
 
 use phoebe_core::prelude::*;
 use phoebe_runtime::block_on;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::Arc;
 
 fn open_db() -> Arc<Database> {
     Database::open(KernelConfig::for_tests()).unwrap()
@@ -132,54 +130,4 @@ fn row_supports_named_typed_and_positional_access() {
     assert_eq!(row.clone().into_values(), expected);
     block_on(tx.commit()).unwrap();
     db.shutdown();
-}
-
-#[test]
-fn reporter_emits_interval_deltas_not_cumulative_totals() {
-    let db = open_db();
-    let table = accounts(&db);
-
-    let emissions: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-    let total_count = Arc::new(AtomicU64::new(0));
-    let (em, tc) = (emissions.clone(), total_count.clone());
-    let reporter = db.start_stats_reporter(Duration::from_millis(50), move |delta| {
-        let commits = delta.counter("commits");
-        em.lock().unwrap().push(commits);
-        tc.fetch_add(commits, Ordering::Relaxed);
-    });
-
-    churn(&db, &table, 100);
-    // Give the reporter time to cover the tail of the workload.
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while total_count.load(Ordering::Relaxed) < 80 && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    reporter.stop();
-    assert!(reporter.is_stopped());
-
-    let seen = emissions.lock().unwrap().clone();
-    assert!(!seen.is_empty(), "reporter never fired");
-    // Deltas across intervals must sum to the workload total, proving the
-    // sink sees per-interval activity rather than repeated running totals.
-    assert_eq!(total_count.load(Ordering::Relaxed), 80, "deltas sum to committed txns");
-    db.shutdown();
-}
-
-#[test]
-fn stats_survive_and_stop_reporters_on_shutdown() {
-    let db = open_db();
-    let table = accounts(&db);
-    let fired = Arc::new(AtomicU64::new(0));
-    let f2 = fired.clone();
-    let reporter = db.start_stats_reporter(Duration::from_millis(10), move |_| {
-        f2.fetch_add(1, Ordering::Relaxed);
-    });
-    churn(&db, &table, 10);
-    // Shutdown must raise the stop flag itself; dropping the handle after
-    // is a no-op.
-    db.shutdown();
-    assert!(reporter.is_stopped(), "shutdown stops reporters");
-    let after = fired.load(Ordering::Relaxed);
-    std::thread::sleep(Duration::from_millis(60));
-    assert_eq!(fired.load(Ordering::Relaxed), after, "no emissions after shutdown");
 }

@@ -1,7 +1,7 @@
 //! The live telemetry plane, end to end: Prometheus exposition
-//! completeness, the HTTP endpoints against a real kernel, the stats
-//! reporter's clean join, and the stall watchdog capturing evidence for
-//! a deliberately wedged WAL.
+//! completeness, the HTTP endpoints against a real kernel, and the stall
+//! watchdog: evidence captured for a deliberately wedged WAL, and a worker
+//! judged by its heartbeat rather than by how often it polls.
 
 use phoebe_common::hist::SITES;
 use phoebe_common::metrics::COUNTERS;
@@ -185,44 +185,6 @@ fn http_endpoints_serve_metrics_stats_and_live_trace() {
     assert!(db.telemetry_addr().is_none(), "shutdown tears the server down");
 }
 
-/// The reporter handle joins cleanly: after `join` returns true the sink
-/// can never fire again, so teardown during `Database` drop cannot race
-/// a dead reporter.
-#[test]
-fn stats_reporter_joins_cleanly_and_deltas_stay_sane() {
-    let db = Database::open(KernelConfig::for_tests()).unwrap();
-    let table = accounts(&db);
-    let reports = Arc::new(std::sync::Mutex::new(Vec::<KernelStats>::new()));
-    let sink = Arc::clone(&reports);
-    let reporter =
-        db.start_stats_reporter(Duration::from_millis(20), move |s| sink.lock().unwrap().push(s));
-    churn(&db, &table, 120);
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while reports.lock().unwrap().len() < 2 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    assert!(reporter.join(Duration::from_secs(5)), "reporter must join");
-    assert!(reporter.is_done());
-    let n = reports.lock().unwrap().len();
-    assert!(n >= 2, "expected at least two interval reports, got {n}");
-    // After join, no further reports can arrive.
-    std::thread::sleep(Duration::from_millis(60));
-    assert_eq!(reports.lock().unwrap().len(), n, "sink fired after join");
-    // Interval deltas: runtime counters are per-interval, not cumulative
-    // absolutes — the sum across reports cannot exceed the final
-    // cumulative value, and no interval underflowed into u64 wrap.
-    let total_polls = db.stats().runtime.polls;
-    let reported: u64 = reports.lock().unwrap().iter().map(|s| s.runtime.polls).sum();
-    assert!(
-        reported <= total_polls,
-        "interval polls {reported} exceed cumulative {total_polls}: reporter not delta'ing"
-    );
-    for s in reports.lock().unwrap().iter() {
-        assert!(s.runtime.polls < u64::MAX / 2, "runtime delta underflowed");
-    }
-    db.shutdown();
-}
-
 /// The watchdog satellite: wedge the WAL flush path with the SimFs
 /// torture disk and assert a structured incident record — with its
 /// flight-recorder snapshot and stats dump attached — appears within the
@@ -302,5 +264,56 @@ fn wedged_wal_flush_produces_incident_with_evidence() {
         std::thread::sleep(Duration::from_millis(10));
     }
     assert!(db.stats().counter("watchdog_incidents") >= 1);
+    db.shutdown();
+}
+
+/// How many `worker_stall` incidents are recorded under `root`.
+fn worker_stalls(root: &std::path::Path) -> usize {
+    std::fs::read_dir(root).map_or(0, |rd| {
+        rd.filter_map(|e| e.ok())
+            .filter(|e| e.file_name().to_string_lossy().contains("worker_stall"))
+            .count()
+    })
+}
+
+/// A worker whose only task sleeps 300 ms on a transaction-ID lock is idle,
+/// not wedged: it polls nothing, but its bounded parks keep charging its
+/// time-in-state, so `worker_stall` stays quiet at a 100 ms window. A task
+/// that holds the worker's thread 300 ms inside one poll stops the charge
+/// and is reported.
+#[test]
+fn worker_stall_judges_the_heartbeat_not_the_poll_count() {
+    let cfg = KernelConfig::builder()
+        .workers(1)
+        .slots_per_worker(2)
+        .data_dir(KernelConfig::for_tests().data_dir)
+        .watchdog(WatchdogConfig {
+            interval_ms: 10,
+            worker_stall_ms: 100,
+            cooldown_ms: 60_000,
+            ..WatchdogConfig::default()
+        })
+        .build()
+        .unwrap();
+    let incident_root = cfg.data_dir.join("incidents");
+    let db = Database::open(cfg).unwrap();
+    let rt = db.runtime();
+
+    let holder = phoebe_txn::TxnHandle::new(phoebe_common::ids::Xid::from_start_ts(1));
+    let waiter = {
+        let holder = Arc::clone(&holder);
+        rt.spawn(async move { holder.wait(Duration::from_secs(5)).await })
+    };
+    std::thread::sleep(Duration::from_millis(300));
+    holder.finish(phoebe_txn::TxnOutcome::Committed(2));
+    assert!(waiter.join().is_ok());
+    assert_eq!(worker_stalls(&incident_root), 0, "a sleeping lock wait is not a stall");
+
+    rt.spawn(async { std::thread::sleep(Duration::from_millis(300)) }).join();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while worker_stalls(&incident_root) == 0 {
+        assert!(Instant::now() < deadline, "a worker blocked inside a poll went unreported");
+        std::thread::sleep(Duration::from_millis(10));
+    }
     db.shutdown();
 }

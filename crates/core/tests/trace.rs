@@ -4,7 +4,8 @@
 //! scheduler wait-state surface added alongside it.
 
 use phoebe_core::prelude::*;
-use std::sync::{Arc, Mutex};
+use phoebe_core::WorkerStateSummary;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn traced_cfg() -> KernelConfig {
@@ -143,28 +144,13 @@ fn stats_surface_scheduler_gauges_and_worker_states() {
     assert!(json.contains("\"occupied_slots\""));
     assert!(json.contains("\"workers\""));
 
-    // Reporter ticks deliver per-interval deltas with the same shape.
-    let seen: Arc<Mutex<Vec<KernelStats>>> = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&seen);
-    let reporter =
-        db.start_stats_reporter(Duration::from_millis(30), move |s| sink.lock().unwrap().push(s));
-    while seen.lock().unwrap().len() < 2 {
-        std::thread::sleep(Duration::from_millis(10));
+    // An idle worker still charges its bounded parks: every worker's
+    // time-in-state total keeps advancing (the watchdog's heartbeat).
+    std::thread::sleep(Duration::from_millis(30));
+    let later = db.stats();
+    for (before, after) in stats.worker_states.iter().zip(&later.worker_states) {
+        let total = |w: &WorkerStateSummary| w.running_ns + w.ready_ns + w.parked_ns + w.io_ns;
+        assert!(total(after) > total(before), "worker {} charged nothing", after.worker);
     }
-    reporter.stop();
-    let ticks = seen.lock().unwrap();
-    for tick in ticks.iter() {
-        assert_eq!(tick.worker_states.len(), 2);
-    }
-    // Interval deltas must be far below the cumulative totals a long-lived
-    // kernel accrues (i.e. they were actually subtracted): each ~30 ms tick
-    // can account at most ~2×interval per worker with generous slack.
-    let second = &ticks[1];
-    let delta: u64 = second
-        .worker_states
-        .iter()
-        .map(|w| w.running_ns + w.ready_ns + w.parked_ns + w.io_ns)
-        .sum();
-    assert!(delta < 4 * 30_000_000 * 2, "tick must carry a delta, not cumulative time");
     db.shutdown();
 }

@@ -5,7 +5,6 @@ use std::pin::pin;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
-use std::time::Duration;
 
 struct ThreadWaker {
     thread: std::thread::Thread,
@@ -26,9 +25,9 @@ impl Wake for ThreadWaker {
 /// Drive `future` to completion on the calling thread.
 ///
 /// This is the escape hatch for code outside the co-routine pool (tests,
-/// examples, loaders). Like the pool's workers it is level-triggered: if a
-/// poll returns `Pending` without a wake, it re-polls after a short park, so
-/// condition-checking futures always make progress.
+/// examples, loaders). Like the pool's workers it is edge-triggered: after
+/// a `Pending` poll the thread parks until the future's waker fires, so a
+/// future must leave its waker with whatever will complete it.
 pub fn block_on<F: Future>(future: F) -> F::Output {
     let mut future = pin!(future);
     let tw =
@@ -38,10 +37,11 @@ pub fn block_on<F: Future>(future: F) -> F::Output {
     loop {
         match future.as_mut().poll(&mut cx) {
             Poll::Ready(v) => return v,
+            // `park` may also return spuriously (or on an unpark meant for
+            // something else on this thread): only the flag means a wake.
             Poll::Pending => {
-                if !tw.notified.swap(false, Ordering::AcqRel) {
-                    std::thread::park_timeout(Duration::from_micros(100));
-                    tw.notified.store(false, Ordering::Release);
+                while !tw.notified.swap(false, Ordering::AcqRel) {
+                    std::thread::park();
                 }
             }
         }
@@ -75,15 +75,33 @@ mod tests {
         assert_eq!(block_on(CountDown(50)), 0);
     }
 
+    /// Edge-triggered: a future that returns `Pending` without waking
+    /// itself is polled once, then again only when its waker fires — here
+    /// from another thread 20 ms later. A timed re-poll would poll it
+    /// every park interval in between.
     #[test]
     fn block_on_survives_wakes_from_other_threads() {
-        let n = Arc::new(crate::Notify::new());
-        let n2 = n.clone();
-        let t = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(10));
-            n2.notify_all();
-        });
-        block_on(n.notified());
-        t.join().unwrap();
+        let fired = Arc::new(AtomicBool::new(false));
+        let (tx, rx) = std::sync::mpsc::channel::<Waker>();
+        let waker_side = {
+            let fired = Arc::clone(&fired);
+            std::thread::spawn(move || {
+                let waker = rx.recv().expect("first poll sends its waker");
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                fired.store(true, Ordering::Release);
+                waker.wake();
+            })
+        };
+        let mut polls = 0;
+        block_on(std::future::poll_fn(|cx| {
+            polls += 1;
+            if fired.load(Ordering::Acquire) {
+                return Poll::Ready(());
+            }
+            let _ = tx.send(cx.waker().clone());
+            Poll::Pending
+        }));
+        waker_side.join().unwrap();
+        assert_eq!(polls, 2, "polled without a wake");
     }
 }

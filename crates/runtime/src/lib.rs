@@ -12,11 +12,14 @@
 //! In Rust, the natural co-routine is a [`std::future::Future`]; this crate
 //! is a purpose-built executor for them — no tokio, no work stealing, no
 //! dynamic task migration, because the paper's design deliberately avoids
-//! all three. The executor is *level-triggered*: occupied slots are
-//! re-polled on every scheduling round, and wakers merely unpark the worker
-//! early. That makes wait primitives simple condition checks and rules out
-//! lost-wakeup bugs at a small polling cost, which matches the paper's
-//! "worker actively executes only one task at a time" model.
+//! all three. The executor is *edge-triggered*: a scheduling round polls
+//! only the slots whose waker fired since their last poll, and a worker
+//! with nothing woken parks until a wake, a spawn, or the tick of its
+//! background duties. Every wait therefore needs a named waker — a
+//! [`Notify`] (through [`Notify::wait_until`], the one subscribe →
+//! re-check → await loop), a timer deadline, a fault ticket, or a
+//! self-waking [`yield_now`] — and a lost wakeup hangs the task instead of
+//! being papered over by a periodic re-poll.
 //!
 //! The same executor reproduces the *thread model* of Exp 6: configure one
 //! slot per worker and as many workers as desired, and each transaction gets

@@ -1,19 +1,24 @@
-//! A wait/notify primitive for co-routines.
+//! The kernel's one wait mechanism: a wait/notify cell for co-routines.
 //!
 //! Used wherever one transaction must sleep until another signals — most
 //! importantly the transaction-ID lock (§7.2): waiters on a finishing
 //! transaction "remain in a sleeping state until B completes and wakes
-//! [them] up", and all shared waiters are released simultaneously.
+//! [them] up", and all shared waiters are released simultaneously. Every
+//! kernel wait on a condition another thread makes true goes through
+//! [`Notify::wait_until`]; DESIGN.md "What wakes each wait" lists them.
 //!
 //! The implementation is generation-counted: `notified()` snapshots the
 //! generation, and completes once the generation has advanced, so a
 //! notification that races ahead of the waiter's first poll is never lost.
 
+use crate::timer::sleep_until;
+use crate::yield_point::{note_urgency, Urgency};
+use phoebe_common::sync::atomic::{AtomicU64, Ordering};
 use phoebe_common::sync::{Rank, RankedMutex};
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::task::{Context, Poll, Waker};
+use std::time::Instant;
 
 /// A multi-waiter notification cell.
 pub struct Notify {
@@ -54,6 +59,47 @@ impl Notify {
     /// Number of notifications issued so far (diagnostics/tests).
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::Acquire)
+    }
+
+    /// Sleep until `cond` yields a value, re-checking it after every
+    /// [`Notify::notify_all`]; `None` once `deadline` passes with `cond`
+    /// still unmet. The signalling side must make the condition true
+    /// *before* it notifies.
+    ///
+    /// Each round subscribes, then checks, then awaits: a notification
+    /// issued after the check completes the subscription, and one issued
+    /// before it made the condition the check saw. Checking only before
+    /// subscribing would lose exactly the wakeup in between (the loom
+    /// suite `loom_notify` shows it). The deadline is served by the
+    /// timer thread, so a busy sibling slot cannot starve a timeout, and a
+    /// pending wait declares [`Urgency::Low`]: the worker keeps pulling
+    /// new tasks while it sleeps (§7.1).
+    pub async fn wait_until<T>(
+        &self,
+        mut cond: impl FnMut() -> Option<T>,
+        deadline: Option<Instant>,
+    ) -> Option<T> {
+        let mut timer = deadline.map(sleep_until);
+        loop {
+            let mut notified = self.notified();
+            if let Some(v) = cond() {
+                return Some(v);
+            }
+            let timed_out = std::future::poll_fn(|cx| {
+                if Pin::new(&mut notified).poll(cx).is_ready() {
+                    return Poll::Ready(false);
+                }
+                if timer.as_mut().is_some_and(|t| Pin::new(t).poll(cx).is_ready()) {
+                    return Poll::Ready(true);
+                }
+                note_urgency(Urgency::Low);
+                Poll::Pending
+            })
+            .await;
+            if timed_out {
+                return cond();
+            }
+        }
     }
 }
 

@@ -21,8 +21,6 @@ use std::time::{Duration, Instant};
 pub struct RuntimeConfig {
     pub workers: usize,
     pub slots_per_worker: usize,
-    /// How long an idle worker parks before a forced re-poll round.
-    pub park_timeout: Duration,
     /// Flight recorder the worker loop emits scheduler events into
     /// (task polls, yields, parks, global-queue depth). Disabled by
     /// default: each emit site then costs one relaxed atomic load.
@@ -34,7 +32,6 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             workers: std::thread::available_parallelism().map_or(2, |n| n.get()),
             slots_per_worker: 32,
-            park_timeout: Duration::from_micros(100),
             tracer: Arc::new(Tracer::disabled()),
         }
     }
@@ -73,11 +70,12 @@ pub struct RuntimeStats {
     /// Depth of the global injector queue alone.
     pub global_queue_depth: u64,
     /// Cumulative wall time each worker spent per scheduler state,
-    /// indexed by worker.
+    /// indexed by worker. Charged at every phase boundary of the worker
+    /// loop, bounded parks included, so its total is the watchdog's
+    /// progress heartbeat: it stops only while the worker is stuck inside
+    /// one poll or one hook tick.
     pub worker_state_ns: Vec<WorkerTimeInState>,
-    /// Cumulative poll count per worker — the watchdog's progress
-    /// heartbeat: a worker with occupied slots whose poll count stops
-    /// advancing is wedged.
+    /// Cumulative poll count per worker.
     pub worker_polls: Vec<u64>,
     /// Seated-slot gauge per worker (same data `occupied_slots` sums).
     pub worker_occupied: Vec<u64>,
@@ -333,6 +331,11 @@ struct Seated {
     urgent: bool,
 }
 
+/// The longest a worker with nothing to run parks: the cadence of the
+/// worker hook's page-swap and GC duties while the worker is idle. It
+/// re-polls nothing — only slots a waker marked ready run after a park.
+const HOOK_CADENCE: Duration = Duration::from_micros(100);
+
 fn worker_main(shared: Arc<Shared>, worker: usize) {
     phoebe_common::metrics::set_current_worker(worker);
     shared.worker_threads.write().push(std::thread::current());
@@ -458,38 +461,23 @@ fn worker_main(shared: Arc<Shared>, worker: usize) {
         // ORDERING: statistic gauge, read only by `stats()`.
         stats.occupied.store(occupied as u64, Ordering::Relaxed);
 
-        if occupied == 0 {
-            let queues_empty =
-                shared.injector.is_empty() && shared.locals[worker].lock().is_empty();
-            if queues_empty {
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                // ORDERING: statistic counter; parking itself synchronizes
-                // through `park_timeout`/`unpark`.
-                stats.parks.fetch_add(1, Ordering::Relaxed);
-                charge(ST_READY, &mut mark);
-                let park_start = tracer.span_begin();
-                std::thread::park_timeout(shared.cfg.park_timeout);
-                tracer.span_end(EventKind::Park, 0, park_start, 0);
-                tracer.instant(EventKind::Unpark, 0, 0, 0);
-                charge(ST_PARKED, &mut mark);
+        // Nothing woke and nothing was pulled: every seated task sleeps on
+        // a waker, and any vacant slot found the queues empty. A waker stores
+        // `ready` before it unparks, so one that fires after this round's
+        // scan leaves the unpark token and the park returns at once.
+        if !progressed {
+            if occupied == 0 && shared.shutdown.load(Ordering::Acquire) {
+                return;
             }
-        } else if !progressed {
-            // Everything pending and nothing woke: park briefly, then force
-            // a re-poll round (level-triggered backstop for condition
-            // futures and lock timeouts).
-            // ORDERING: statistic counter, as above.
+            // ORDERING: statistic counter; parking itself synchronizes
+            // through `park_timeout`/`unpark`.
             stats.parks.fetch_add(1, Ordering::Relaxed);
             charge(ST_READY, &mut mark);
             let park_start = tracer.span_begin();
-            std::thread::park_timeout(shared.cfg.park_timeout);
+            std::thread::park_timeout(HOOK_CADENCE);
             tracer.span_end(EventKind::Park, 0, park_start, 0);
             tracer.instant(EventKind::Unpark, 0, 0, 0);
             charge(ST_PARKED, &mut mark);
-            for seated in slots.iter().flatten() {
-                seated.wake.ready.store(true, Ordering::Release);
-            }
         }
         charge(ST_READY, &mut mark);
     }

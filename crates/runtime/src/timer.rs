@@ -1,13 +1,13 @@
 //! A process-wide timer service: `sleep`/`sleep_until` futures for
 //! co-routines running on the pool.
 //!
-//! The executor is level-triggered, but a worker whose *other* slots keep
-//! making progress never takes the park-timeout backstop — a future that
-//! just returns `Pending` until a deadline could starve under load. The
-//! timer fixes that with one lazily-spawned background thread holding a
-//! deadline heap; at each deadline it fires the registered wakers, which
-//! unpark the owning workers. Used by the kernel's `StatsReporter` for
-//! its periodic ticks.
+//! The executor polls only woken slots, so a deadline needs a waker of its
+//! own: one lazily-spawned background thread holds a deadline heap and at
+//! each deadline fires the registered wakers, which mark the slots ready
+//! and unpark the owning workers — however busy their sibling slots are.
+//! The kernel's user is the lock-wait timeout in
+//! [`crate::Notify::wait_until`]. An entry is not withdrawn when its
+//! future completes early; it fires at its deadline as one spurious wake.
 
 use phoebe_common::sync::{Condvar, Rank, RankedMutex};
 use std::cmp::Reverse;
@@ -114,9 +114,10 @@ impl Timer {
     }
 }
 
-/// Future that resolves at `deadline`. Level-triggered safe: it
-/// re-registers its (cheaply cloned) waker on every poll, so spurious
-/// polls cost one heap push and late polls resolve immediately.
+/// Future that resolves at `deadline`. It registers its (cheaply cloned)
+/// waker on every pending poll, so whichever waker polled it last is
+/// woken; a spurious poll costs one heap push, a late poll resolves
+/// immediately.
 pub struct Sleep {
     deadline: Instant,
 }

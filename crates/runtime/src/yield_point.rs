@@ -4,12 +4,17 @@
 //! explicitly at wait points. The scheduler treats the classes
 //! differently: a *high*-urgency yield (latch spin, async read in flight)
 //! tells the worker to stop accepting new transactions and drive its current
-//! tasks to resolution; a *low*-urgency yield (waiting on a tuple lock,
-//! which can take arbitrarily long) leaves the pull loop open so the worker
-//! keeps its slots utilized. The *prefetch* class sits below both: the
-//! wait is a cache-line fill measured in nanoseconds, so it would be
-//! wasteful to pause pulls for it — the yield exists only to give a
-//! sibling interleaved descent the CPU while the line arrives.
+//! tasks to resolution; a *low*-urgency wait (a transaction-ID lock or a
+//! commit's durability wait, which can take arbitrarily long) leaves the
+//! pull loop open so the worker keeps its slots utilized. The *prefetch*
+//! class sits below both: the wait is a cache-line fill measured in
+//! nanoseconds, so it would be wasteful to pause pulls for it — the yield
+//! exists only to give a sibling interleaved descent the CPU while the
+//! line arrives.
+//!
+//! [`yield_now`] wakes itself, so its task runs again next round: it is a
+//! turn given up, not a wait. A task that waits for another thread sleeps
+//! in [`crate::Notify::wait_until`], which declares `Low` while pending.
 
 use std::future::Future;
 use std::pin::Pin;
@@ -22,7 +27,8 @@ pub enum Urgency {
     /// Short wait expected: latch spin, asynchronous read. The worker pauses
     /// pulling new tasks until this task resolves.
     High,
-    /// Potentially long wait: tuple/transaction-ID lock. Pulling continues.
+    /// Potentially long wait: transaction-ID lock, commit durability.
+    /// Pulling continues.
     Low,
     /// Software prefetch in flight (interleaved batch descent): the wait
     /// is a cache-line fill, far cheaper than either class above. Pulling
@@ -84,8 +90,9 @@ impl Future for YieldNow {
         } else {
             self.yielded = true;
             note_urgency(self.urgency);
-            // Level-triggered executor: wake immediately so the next round
-            // re-polls us; the yield still gives other slots a turn.
+            // A self-wake: the next round re-polls us (nothing else would —
+            // the executor polls only woken slots); the yield still gives
+            // other slots a turn. Not a way to wait for a condition.
             cx.waker().wake_by_ref();
             Poll::Pending
         }

@@ -14,8 +14,8 @@
 //!   without widening every tuple by a pointer ([`twin`]);
 //! * **Algorithm 1** reconstructs the visible version ([`visibility`]);
 //! * **decentralized locks** — transaction-ID locks waited on through the
-//!   handle stored right in the twin entry, per-slot tuple-lock slots, and
-//!   per-table locks — replace the global lock hash table ([`locks`]);
+//!   handle stored right in the twin entry, and per-slot tuple-lock slots
+//!   — replace the global lock hash table ([`locks`]);
 //! * **watermark GC** reclaims UNDO logs, twin tables and deleted tuples
 //!   ([`gc`]).
 
@@ -28,7 +28,7 @@ pub mod visibility;
 
 pub use clock::{GlobalClock, Snapshot};
 pub use gc::{ActiveTxnTable, GcEngine, GcStats};
-pub use locks::{IsolationLevel, TableLock, TxnHandle, TxnOutcome};
+pub use locks::{IsolationLevel, TxnHandle, TxnOutcome};
 pub use twin::{TwinKey, TwinRegistry, TwinTable};
 pub use undo::{UndoArena, UndoLog, UndoOp};
 pub use visibility::{check_visibility, resolve_visibility, Visibility, VisibleVersion};

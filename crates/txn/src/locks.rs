@@ -1,8 +1,8 @@
 //! Decentralized lock management (§7.2).
 //!
 //! Traditional engines keep object locks in one global hash table — a
-//! contention hotspot the paper singles out. PhoebeDB decentralizes all
-//! three lock kinds:
+//! contention hotspot the paper singles out. PhoebeDB decentralizes its
+//! lock kinds:
 //!
 //! * **Transaction-ID lock** ([`TxnHandle`]): a transaction implicitly
 //!   holds the exclusive lock on its own XID from start to finish. A
@@ -13,14 +13,15 @@
 //! * **Tuple lock** ([`TupleLockSlot`]): each active transaction holds at
 //!   most one tuple lock at a time; the slot object lives in the co-routine
 //!   task slot and is reused across transactions.
-//! * **Table lock** ([`TableLock`]): stored with the relation (the catalog
-//!   entry referencing the B-Tree root), not in a global table.
+//!
+//! The paper's third kind, the table lock stored with the relation, has no
+//! caller yet: nothing in the kernel reorganizes a table under concurrent
+//! DML. It comes back with its first caller.
 
 use crate::clock::Snapshot;
 use phoebe_common::error::{PhoebeError, Result};
 use phoebe_common::ids::{RowId, TableId, Timestamp, Xid};
-use phoebe_common::sync::{Rank, RankedMutex};
-use phoebe_runtime::{yield_now, Notify, Urgency};
+use phoebe_runtime::Notify;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -98,29 +99,15 @@ impl TxnHandle {
         matches!(self.outcome(), Some(TxnOutcome::Committed(cts)) if snapshot.sees(cts))
     }
 
-    /// Acquire a shared lock on this transaction's ID: sleep until it
-    /// finishes (low-urgency yield — tuple-lock class waits do not stop the
-    /// worker from pulling new tasks, §7.1).
+    /// Acquire a shared lock on this transaction's ID: sleep until
+    /// [`TxnHandle::finish`] wakes it, or until the timer fires `timeout`
+    /// later. The sleeping waiter is not polled, and it leaves the
+    /// worker's pull loop open (§7.1).
     pub async fn wait(&self, timeout: Duration) -> Result<TxnOutcome> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(o) = self.outcome() {
-                return Ok(o);
-            }
-            if Instant::now() >= deadline {
-                return Err(PhoebeError::LockTimeout { waiting_for: self.xid });
-            }
-            // The subscription lives until the end of this iteration; the
-            // loop re-subscribes each time around.
-            let _notified = self.notify.notified();
-            // Re-check after subscribing to close the race.
-            if let Some(o) = self.outcome() {
-                return Ok(o);
-            }
-            // Park on the notification; the level-triggered executor
-            // re-polls periodically, which is what enforces the deadline.
-            yield_now(Urgency::Low).await;
-        }
+        self.notify
+            .wait_until(|| self.outcome(), Some(Instant::now() + timeout))
+            .await
+            .ok_or(PhoebeError::LockTimeout { waiting_for: self.xid })
     }
 }
 
@@ -162,83 +149,6 @@ impl TupleLockSlot {
     pub fn grant_count(&self) -> u64 {
         // ORDERING: diagnostic read of a monotonic statistic.
         self.grants.load(Ordering::Relaxed)
-    }
-}
-
-/// A table-level lock stored with the relation (§7.2 "table lock
-/// information is stored in a dedicated memory block, referenced by a
-/// pointer in the B-Tree root node"). Shared mode for DML, exclusive for
-/// structural operations (truncate/freeze reorganizations).
-pub struct TableLock {
-    /// Negative = exclusive held; positive = shared count.
-    state: RankedMutex<i64>,
-    waiters: Notify,
-}
-
-impl Default for TableLock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TableLock {
-    pub fn new() -> Self {
-        TableLock {
-            state: RankedMutex::new(Rank::TableLock, "locks.table_state", 0),
-            waiters: Notify::new(),
-        }
-    }
-
-    pub fn try_shared(&self) -> bool {
-        let mut s = self.state.lock();
-        if *s >= 0 {
-            *s += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    pub fn try_exclusive(&self) -> bool {
-        let mut s = self.state.lock();
-        if *s == 0 {
-            *s = -1;
-            true
-        } else {
-            false
-        }
-    }
-
-    pub async fn shared(&self) {
-        while !self.try_shared() {
-            let _n = self.waiters.notified();
-            yield_now(Urgency::Low).await;
-        }
-    }
-
-    pub async fn exclusive(&self) {
-        while !self.try_exclusive() {
-            let _n = self.waiters.notified();
-            yield_now(Urgency::Low).await;
-        }
-    }
-
-    pub fn release_shared(&self) {
-        let mut s = self.state.lock();
-        debug_assert!(*s > 0);
-        *s -= 1;
-        if *s == 0 {
-            drop(s);
-            self.waiters.notify_all();
-        }
-    }
-
-    pub fn release_exclusive(&self) {
-        let mut s = self.state.lock();
-        debug_assert_eq!(*s, -1);
-        *s = 0;
-        drop(s);
-        self.waiters.notify_all();
     }
 }
 
@@ -298,6 +208,33 @@ mod tests {
         assert!(err.is_retryable());
     }
 
+    /// The timeout is the timer's wake, not a re-poll: one worker whose
+    /// other slot yields in a loop never idles, yet the sleeping waiter
+    /// still times out on schedule.
+    #[test]
+    fn wait_times_out_under_busy_sibling_slots() {
+        let rt = phoebe_runtime::Runtime::with_shape(1, 2);
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let busy = {
+            let stop = Arc::clone(&stop);
+            rt.spawn(async move {
+                while !stop.load(Ordering::Acquire) {
+                    phoebe_runtime::yield_now(phoebe_runtime::Urgency::Low).await;
+                }
+            })
+        };
+        let h = TxnHandle::new(Xid::from_start_ts(1));
+        let t0 = Instant::now();
+        let waited = rt.spawn(async move { h.wait(Duration::from_millis(20)).await }).join();
+        let elapsed = t0.elapsed();
+        stop.store(true, Ordering::Release);
+        busy.join();
+        assert!(matches!(waited, Err(PhoebeError::LockTimeout { .. })));
+        assert!(elapsed >= Duration::from_millis(15), "timed out early: {elapsed:?}");
+        assert!(elapsed < Duration::from_secs(5), "timeout starved: {elapsed:?}");
+        rt.shutdown();
+    }
+
     #[test]
     fn tuple_lock_slot_claims_and_reuses() {
         let s = TupleLockSlot::default();
@@ -309,35 +246,5 @@ mod tests {
         s.claim(TableId(2), RowId(20));
         s.release();
         assert_eq!(s.grant_count(), 2);
-    }
-
-    #[test]
-    fn table_lock_modes_exclude_correctly() {
-        let l = TableLock::new();
-        assert!(l.try_shared());
-        assert!(l.try_shared());
-        assert!(!l.try_exclusive());
-        l.release_shared();
-        l.release_shared();
-        assert!(l.try_exclusive());
-        assert!(!l.try_shared());
-        l.release_exclusive();
-        assert!(l.try_shared());
-        l.release_shared();
-    }
-
-    #[test]
-    fn table_lock_async_waiters_proceed_after_release() {
-        let l = Arc::new(TableLock::new());
-        assert!(l.try_exclusive());
-        let l2 = l.clone();
-        let t = std::thread::spawn(move || {
-            block_on(l2.shared());
-            l2.release_shared();
-            true
-        });
-        std::thread::sleep(Duration::from_millis(20));
-        l.release_exclusive();
-        assert!(t.join().unwrap());
     }
 }

@@ -34,7 +34,7 @@ use phoebe_common::ids::{Gsn, Lsn, Timestamp, Xid};
 use phoebe_common::metrics::{Component, Counter, Metrics};
 use phoebe_common::sync::{Condvar, Rank, RankedMutex};
 use phoebe_common::trace::EventKind;
-use phoebe_runtime::Notify;
+use phoebe_runtime::{block_on, Notify};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -217,34 +217,31 @@ impl WalWriter {
         self.bytes_flushed.load(Ordering::Relaxed)
     }
 
-    /// Await durability of `lsn` (own-slot commit wait).
-    ///
-    /// Parks the co-routine on the writer's durable [`Notify`] rather than
-    /// spin-yielding: on a loaded machine a spinning committer competes
-    /// with the flusher for CPU, which is exactly backwards. The subscribe
-    /// → re-check → await order makes the wakeup race-free (the `Notify`
-    /// is generation-counted, so a notification between the re-check and
-    /// the await is never lost).
+    /// Await durability of `lsn` (own-slot commit wait): sleep on the
+    /// writer's durable [`Notify`], which every round that publishes this
+    /// slot's horizon fires. Parking rather than spin-yielding matters: on
+    /// a loaded machine a spinning committer competes with the flusher for
+    /// CPU, which is exactly backwards.
     ///
     /// Errs with [`PhoebeError::WalHalted`] if the log device failed
     /// before `lsn` became durable: the commit must NOT be acknowledged.
     pub async fn wait_lsn(&self, lsn: Lsn) -> Result<()> {
-        loop {
-            if self.flushed_lsn.load(Ordering::Acquire) >= lsn.raw() {
-                return Ok(());
-            }
-            if self.halted.load(Ordering::Acquire) {
-                return Err(PhoebeError::WalHalted);
-            }
-            let notified = self.durable.notified();
-            if self.flushed_lsn.load(Ordering::Acquire) >= lsn.raw() {
-                return Ok(());
-            }
-            if self.halted.load(Ordering::Acquire) {
-                return Err(PhoebeError::WalHalted);
-            }
-            notified.await;
-        }
+        self.durable
+            .wait_until(|| durable_or_halted(self.flushed_lsn() >= lsn.raw(), &self.halted), None)
+            .await
+            .expect("a wait without a deadline ends on its condition")
+    }
+}
+
+/// The condition of every durability wait: `Ok` once the horizon reached
+/// the target, `WalHalted` once the log device failed, else keep waiting.
+fn durable_or_halted(durable: bool, halted: &AtomicBool) -> Option<Result<()>> {
+    if durable {
+        Some(Ok(()))
+    } else if halted.load(Ordering::Acquire) {
+        Some(Err(PhoebeError::WalHalted))
+    } else {
+        None
     }
 }
 
@@ -284,14 +281,10 @@ pub struct WalHub {
     /// a round: rounds never overlap, which keeps at most one write→sync
     /// in flight per segment.
     round: RankedMutex<Vec<u64>>,
-    /// Rounds completed so far (empty and failed ones included), bumped
-    /// and signalled after every round: what the blocking write barrier
-    /// sleeps on. Its own small lock, so a barrier waiter never competes
-    /// with the flusher for `round`.
-    rounds: RankedMutex<u64>,
-    round_cv: Condvar,
-    /// Notified after every flush round; remote-dependency commits park
-    /// here instead of polling `durable_gsn`.
+    /// Rounds completed so far (empty and failed ones included).
+    rounds: AtomicU64,
+    /// Notified after every flush round, failed ones included: what
+    /// remote-dependency commits and the blocking write barrier sleep on.
     round_done: Notify,
     /// Watchdog probe: tracks how long the flushed-LSN horizon has been
     /// stuck behind the appended horizon. Off the commit/flush paths —
@@ -364,8 +357,7 @@ impl WalHub {
             flusher: RankedMutex::new(Rank::WalHub, "wal.hub_flusher", None),
             doorbell: Doorbell::default(),
             round: RankedMutex::new(Rank::WalHub, "wal.hub_round", vec![0; segments.len()]),
-            rounds: RankedMutex::new(Rank::WalHub, "wal.hub_rounds", 0),
-            round_cv: Condvar::new(),
+            rounds: AtomicU64::new(0),
             segments,
             round_done: Notify::new(),
             horizon_probe: RankedMutex::new(
@@ -547,18 +539,20 @@ impl WalHub {
             }
             flushed
         };
+        // ORDERING: statistic counter; waiters synchronize through the
+        // horizons and `round_done`, never through this count.
+        self.rounds.fetch_add(1, Ordering::Relaxed);
         // Wake remote-dependency waiters and the write barrier after
         // every round, failed ones included (they re-check `halted`).
         self.round_done.notify_all();
-        *self.rounds.lock() += 1;
-        self.round_cv.notify_all();
         flushed
     }
 
     /// Group-commit rounds run so far, empty ones included (diagnostics:
     /// an idle hub barely moves this).
     pub fn rounds(&self) -> u64 {
-        *self.rounds.lock()
+        // ORDERING: diagnostic read of a monotonic statistic.
+        self.rounds.load(Ordering::Relaxed)
     }
 
     /// The body of a round, under the `round` lock. Any error leaves the
@@ -646,31 +640,17 @@ impl WalHub {
         self.writers.iter().map(|w| w.durable_horizon()).min().unwrap_or(u64::MAX)
     }
 
-    /// Await global durability of `gsn` (remote-dependency commits).
-    ///
-    /// Parks on the per-round notification with the same subscribe →
-    /// re-check → await discipline as [`WalWriter::wait_lsn`]; spinning at
-    /// high urgency here starved the flusher of CPU on small machines.
+    /// Await global durability of `gsn` (remote-dependency commits):
+    /// sleep on the per-round notification; spinning at high urgency here
+    /// starved the flusher of CPU on small machines.
     ///
     /// Errs with [`PhoebeError::WalHalted`] if the log device failed
     /// before the horizon reached `gsn`.
     pub async fn ensure_durable_gsn_async(&self, gsn: u64) -> Result<()> {
-        loop {
-            if self.durable_gsn() >= gsn {
-                return Ok(());
-            }
-            if self.halted.load(Ordering::Acquire) {
-                return Err(PhoebeError::WalHalted);
-            }
-            let notified = self.round_done.notified();
-            if self.durable_gsn() >= gsn {
-                return Ok(());
-            }
-            if self.halted.load(Ordering::Acquire) {
-                return Err(PhoebeError::WalHalted);
-            }
-            notified.await;
-        }
+        self.round_done
+            .wait_until(|| durable_or_halted(self.durable_gsn() >= gsn, &self.halted), None)
+            .await
+            .expect("a wait without a deadline ends on its condition")
     }
 
     /// Non-blocking write barrier (Steal): whether all WAL up to `gsn` is
@@ -692,14 +672,16 @@ impl WalHub {
     /// write, so a halted log fails the allocation instead of breaking
     /// WAL-before-page.
     pub fn ensure_durable_gsn_blocking(&self, gsn: u64) {
-        // Checking under the `rounds` lock means no round can be counted
-        // between the check and the wait, so no wakeup is lost.
-        let mut rounds = self.rounds.lock();
-        while self.durable_gsn() < gsn && !self.halted.load(Ordering::Acquire) {
-            // One ring per round that is actually needed.
-            self.doorbell.ring();
-            rounds.wait(&self.round_cv);
-        }
+        // The async barrier's wait, on the calling thread; the condition
+        // rings once per round it still needs.
+        let cond = || {
+            let done = durable_or_halted(self.durable_gsn() >= gsn, &self.halted);
+            if done.is_none() {
+                self.doorbell.ring();
+            }
+            done
+        };
+        let _ = block_on(self.round_done.wait_until(cond, None));
     }
 
     /// Total bytes physically flushed across writers.

@@ -20,3 +20,4 @@ export RUSTFLAGS="--cfg loom ${RUSTFLAGS:-}"
 cargo test -p phoebe-common --features lockdep --test loom_trace_ring --test loom_snapshot --test loom_lockdep "$@"
 cargo test -p phoebe-storage --test loom_latch --test loom_fault_ticket "$@"
 cargo test -p phoebe-txn --test loom_twin "$@"
+cargo test -p phoebe-runtime --test loom_notify "$@"
