@@ -11,6 +11,7 @@
 //! counters in [`crate::metrics::Metrics`] and merged in O(workers) at
 //! snapshot time; merged snapshots expose p50/p95/p99 estimates.
 
+use crate::trace::EventKind;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Linear sub-buckets per power-of-two octave (2^3 = 8).
@@ -19,7 +20,9 @@ pub const SUB_BUCKET_BITS: usize = 3;
 /// Total bucket count: covers the full `u64` nanosecond domain.
 pub const NUM_BUCKETS: usize = (64 - SUB_BUCKET_BITS + 1) << SUB_BUCKET_BITS;
 
-/// Instrumented latency sites across the kernel.
+/// Instrumented latency sites across the kernel. Each is measured at one
+/// [`crate::metrics::Metrics::probe`] call, which also writes the site's
+/// flight-recorder event (its row in `SITE_TABLE`).
 ///
 /// Every variant maps to one paper mechanism (see DESIGN.md
 /// "Observability" for the section-by-section mapping).
@@ -30,9 +33,10 @@ pub enum LatencySite {
     Commit = 0,
     /// `Transaction::rollback` end-to-end (UNDO replay + abort record).
     Abort = 1,
-    /// One per-slot WAL writer flush (write + optional fsync).
+    /// One WAL segment's gathered write→sync, timed from the start of its
+    /// group-commit round (what the segment's committers waited).
     WalFlush = 2,
-    /// One group-commit round flushing all dirty slot writers.
+    /// One group-commit round flushing every segment with pending bytes.
     GroupCommit = 3,
     /// Cold page fault: read from the Data Page File into a frame.
     BufferFault = 4,
@@ -45,41 +49,49 @@ pub enum LatencySite {
     /// End-to-end WAL recovery replay in `Database::open` (scan + apply
     /// + re-log). At most one observation per crash-recovering open.
     RecoveryReplay = 8,
-    /// One `Transaction::multi_get`/`multi_lookup` batch end-to-end
-    /// (interleaved descents, including any fault-suspend waits).
+    /// One `Transaction::multi_get`/`multi_lookup`/`multi_update_rmw`
+    /// batch end-to-end (interleaved descents, including any fault-suspend
+    /// waits).
     BatchGet = 9,
 }
 
 pub const NSITES: usize = 10;
 
-/// All sites in display/report order.
-pub const SITES: [LatencySite; NSITES] = [
-    LatencySite::Commit,
-    LatencySite::Abort,
-    LatencySite::WalFlush,
-    LatencySite::GroupCommit,
-    LatencySite::BufferFault,
-    LatencySite::Eviction,
-    LatencySite::BtreeRestart,
-    LatencySite::LockWait,
-    LatencySite::RecoveryReplay,
-    LatencySite::BatchGet,
+/// Every site's stable name and the flight-recorder event its probe
+/// writes, in display/report order; row `i` is discriminant `i`.
+const SITE_TABLE: [(LatencySite, &str, EventKind); NSITES] = [
+    (LatencySite::Commit, "commit", EventKind::TxnCommit),
+    (LatencySite::Abort, "abort", EventKind::TxnAbort),
+    (LatencySite::WalFlush, "wal_flush", EventKind::FlushWave),
+    (LatencySite::GroupCommit, "group_commit", EventKind::GroupCommitBatch),
+    (LatencySite::BufferFault, "buffer_fault", EventKind::BufferFault),
+    (LatencySite::Eviction, "eviction", EventKind::Eviction),
+    (LatencySite::BtreeRestart, "btree_restart", EventKind::LatchRestart),
+    (LatencySite::LockWait, "lock_wait", EventKind::LockWait),
+    (LatencySite::RecoveryReplay, "recovery_replay", EventKind::RecoveryReplay),
+    (LatencySite::BatchGet, "batch_get", EventKind::BatchGet),
 ];
+
+/// All sites in display/report order.
+pub const SITES: [LatencySite; NSITES] = {
+    let mut sites = [LatencySite::Commit; NSITES];
+    let mut i = 0;
+    while i < NSITES {
+        assert!(SITE_TABLE[i].0 as usize == i, "SITE_TABLE rows must follow discriminant order");
+        sites[i] = SITE_TABLE[i].0;
+        i += 1;
+    }
+    sites
+};
 
 impl LatencySite {
     pub fn name(self) -> &'static str {
-        match self {
-            LatencySite::Commit => "commit",
-            LatencySite::Abort => "abort",
-            LatencySite::WalFlush => "wal_flush",
-            LatencySite::GroupCommit => "group_commit",
-            LatencySite::BufferFault => "buffer_fault",
-            LatencySite::Eviction => "eviction",
-            LatencySite::BtreeRestart => "btree_restart",
-            LatencySite::LockWait => "lock_wait",
-            LatencySite::RecoveryReplay => "recovery_replay",
-            LatencySite::BatchGet => "batch_get",
-        }
+        SITE_TABLE[self as usize].1
+    }
+
+    /// The flight-recorder event this site's probe writes.
+    pub fn event(self) -> EventKind {
+        SITE_TABLE[self as usize].2
     }
 }
 

@@ -6,7 +6,8 @@
 //! kernel subsystem wraps its hot sections in [`Metrics::timer`], and the
 //! remainder of a transaction's wall time is attributed to effective
 //! computation. Counters additionally track the I/O volumes needed for
-//! Exp 3/4 (WAL MB/s, data page read/write MB/s).
+//! Exp 3/4 (WAL MB/s, data page read/write MB/s). Per-event latencies go
+//! through [`Metrics::probe`], one call per [`LatencySite`].
 //!
 //! To keep the accounting itself off the contended path, counters are
 //! sharded per worker. Worker threads announce themselves once via
@@ -232,18 +233,18 @@ impl Metrics {
         self.add(counter, 1);
     }
 
-    /// Record one latency observation (nanoseconds) at `site` into the
-    /// calling worker's lock-free histogram shard.
+    /// Measure one event at `site`, starting now (see [`Probe`]).
     #[inline]
-    pub fn record_latency(&self, site: LatencySite, ns: u64) {
-        self.shard().hists[site as usize].record(ns);
+    pub fn probe(&self, site: LatencySite, slot: u32, arg: u64) -> Probe<'_> {
+        self.probe_since(site, slot, arg, Instant::now())
     }
 
-    /// Start a scoped timer that records its elapsed time into `site`'s
-    /// latency histogram when dropped.
+    /// [`Metrics::probe`] for an event that began at `start`, a clock read
+    /// the caller already made: a transaction's first instant, the round
+    /// start its segment waves share, a descent attempt's start.
     #[inline]
-    pub fn latency_timer(&self, site: LatencySite) -> LatencyTimer<'_> {
-        LatencyTimer { metrics: self, site, start: Instant::now() }
+    pub fn probe_since(&self, site: LatencySite, slot: u32, arg: u64, start: Instant) -> Probe<'_> {
+        Probe { metrics: self, site, slot, arg, start }
     }
 
     /// Sum all shards into an immutable snapshot — O(workers) merges of
@@ -280,17 +281,42 @@ impl Drop for ScopedTimer<'_> {
     }
 }
 
-/// RAII guard produced by [`Metrics::latency_timer`].
-pub struct LatencyTimer<'a> {
+/// One event being measured at a [`LatencySite`]: the kernel's single
+/// emit point per site. Closing it — [`Probe::finish`] or drop — reads the
+/// clock once more and books that one duration twice: as the site's
+/// histogram sample in the calling worker's shard and, when the tracer is
+/// on, as the site's ring event ([`LatencySite::event`], `b` = `arg`). The
+/// histogram and the flight recorder therefore agree on count and time.
+#[must_use = "a probe measures until it is finished or dropped"]
+pub struct Probe<'a> {
     metrics: &'a Metrics,
     site: LatencySite,
+    slot: u32,
+    arg: u64,
     start: Instant,
 }
 
-impl Drop for LatencyTimer<'_> {
+impl Probe<'_> {
+    /// Close the probe now. Returns the finish instant, so the caller can
+    /// start its next measurement there without another clock read.
+    pub fn finish(self) -> Instant {
+        let end = self.close();
+        std::mem::forget(self); // already closed; skip the drop
+        end
+    }
+
+    fn close(&self) -> Instant {
+        let end = Instant::now();
+        let ns = end.saturating_duration_since(self.start).as_nanos() as u64;
+        self.metrics.shard().hists[self.site as usize].record(ns);
+        self.metrics.tracer.span(self.site.event(), self.slot, self.start, end, self.arg);
+        end
+    }
+}
+
+impl Drop for Probe<'_> {
     fn drop(&mut self) {
-        let ns = self.start.elapsed().as_nanos() as u64;
-        self.metrics.record_latency(self.site, ns);
+        self.close();
     }
 }
 

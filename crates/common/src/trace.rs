@@ -13,8 +13,11 @@
 //! Overhead contract: with tracing disabled, every emit site costs exactly
 //! one relaxed atomic load (the [`Tracer::enabled`] check) — no branches
 //! into ring code, no timestamps taken. Enabled, an emit is one
-//! monotonic-clock read, one relaxed `fetch_add` to claim a ring index,
-//! four relaxed word stores and one release store of the slot sequence.
+//! monotonic-clock read ([`Tracer::instant`]; [`Tracer::span`] reuses the
+//! caller's), one relaxed `fetch_add` to claim a ring index, four relaxed
+//! word stores and one release store of the slot sequence. The events of
+//! the latency sites come from [`crate::metrics::Metrics::probe`], which
+//! writes the histogram sample and the ring event from one duration.
 //!
 //! Drain semantics: [`Tracer::drain`] walks each ring from oldest to
 //! newest and keeps only slots whose sequence number matches the claimed
@@ -28,7 +31,8 @@ use std::fmt;
 use std::time::Instant;
 
 /// Event kinds emitted across the kernel. The discriminant is stored in
-/// the packed event word, so variants are append-only.
+/// the packed event word, so variants are append-only. Each kind's name,
+/// track and shape live in one row of `KINDS`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u16)]
 pub enum EventKind {
@@ -56,14 +60,16 @@ pub enum EventKind {
     LockWait = 11,
     /// Cold page fault: Data Page File read (span; `b` = page id).
     BufferFault = 12,
-    /// Page eviction: write-back + unswizzle (span; `b` = page id).
+    /// Page eviction: write-back + unswizzle (span; `b` = the disk page id
+    /// the frame's image went to, as a later `BufferFault` for it names).
     Eviction = 13,
-    /// Optimistic latch validation failed, descent restarted (instant).
+    /// Optimistic latch validation failed, descent restarted (instant;
+    /// `a` = wasted descent time ns).
     LatchRestart = 14,
     /// One group-commit round (span; `a` = duration ns, `b` = bytes).
     GroupCommitBatch = 15,
-    /// One segment's gathered write→fdatasync inside a round (span;
-    /// `slot` = segment index, `b` = bytes).
+    /// One segment's gathered write→fdatasync, from the start of its round
+    /// (span; `slot` = segment index, `b` = bytes).
     FlushWave = 16,
     /// RFA remote-dependency wait at commit (span; `b` = waited-for GSN).
     RfaRemoteWait = 17,
@@ -72,103 +78,6 @@ pub enum EventKind {
     /// One interleaved multi-key batch (span; `a` = duration ns,
     /// `b` = key count).
     BatchGet = 19,
-}
-
-impl EventKind {
-    /// Stable display name (the Chrome trace event `name` field).
-    pub fn name(self) -> &'static str {
-        match self {
-            EventKind::TaskSpawn => "spawn",
-            EventKind::TaskPoll => "poll",
-            EventKind::TaskDone => "task_done",
-            EventKind::Yield => "yield",
-            EventKind::Park => "park",
-            EventKind::Unpark => "unpark",
-            EventKind::QueueDepth => "global_queue_depth",
-            EventKind::TxnBegin => "txn_begin",
-            EventKind::TxnCommit => "commit",
-            EventKind::TxnAbort => "abort",
-            EventKind::LockWait => "lock_wait",
-            EventKind::BufferFault => "buffer_fault",
-            EventKind::Eviction => "eviction",
-            EventKind::LatchRestart => "latch_restart",
-            EventKind::GroupCommitBatch => "group_commit",
-            EventKind::FlushWave => "flush_wave",
-            EventKind::RfaRemoteWait => "rfa_remote_wait",
-            EventKind::RecoveryReplay => "recovery_replay",
-            EventKind::BatchGet => "batch_get",
-        }
-    }
-
-    fn from_u16(v: u16) -> Option<EventKind> {
-        Some(match v {
-            1 => EventKind::TaskSpawn,
-            2 => EventKind::TaskPoll,
-            3 => EventKind::TaskDone,
-            4 => EventKind::Yield,
-            5 => EventKind::Park,
-            6 => EventKind::Unpark,
-            7 => EventKind::QueueDepth,
-            8 => EventKind::TxnBegin,
-            9 => EventKind::TxnCommit,
-            10 => EventKind::TxnAbort,
-            11 => EventKind::LockWait,
-            12 => EventKind::BufferFault,
-            13 => EventKind::Eviction,
-            14 => EventKind::LatchRestart,
-            15 => EventKind::GroupCommitBatch,
-            16 => EventKind::FlushWave,
-            17 => EventKind::RfaRemoteWait,
-            18 => EventKind::RecoveryReplay,
-            19 => EventKind::BatchGet,
-            _ => return None,
-        })
-    }
-
-    /// Which per-worker Perfetto track this kind renders on.
-    fn track(self) -> Track {
-        match self {
-            EventKind::TaskSpawn
-            | EventKind::TaskPoll
-            | EventKind::TaskDone
-            | EventKind::Yield
-            | EventKind::Park
-            | EventKind::Unpark
-            | EventKind::QueueDepth => Track::Sched,
-            EventKind::TxnBegin
-            | EventKind::TxnCommit
-            | EventKind::TxnAbort
-            | EventKind::LockWait => Track::Txn,
-            EventKind::BufferFault
-            | EventKind::Eviction
-            | EventKind::LatchRestart
-            | EventKind::BatchGet => Track::Storage,
-            EventKind::GroupCommitBatch
-            | EventKind::FlushWave
-            | EventKind::RfaRemoteWait
-            | EventKind::RecoveryReplay => Track::Wal,
-        }
-    }
-
-    /// Spans carry a duration in `a`; everything else is an instant or a
-    /// counter sample.
-    fn is_span(self) -> bool {
-        matches!(
-            self,
-            EventKind::TaskPoll
-                | EventKind::Park
-                | EventKind::TxnCommit
-                | EventKind::TxnAbort
-                | EventKind::LockWait
-                | EventKind::BufferFault
-                | EventKind::Eviction
-                | EventKind::GroupCommitBatch
-                | EventKind::FlushWave
-                | EventKind::RfaRemoteWait
-                | EventKind::RecoveryReplay
-                | EventKind::BatchGet
-        )
-    }
 }
 
 /// The four per-worker tracks in the exported timeline.
@@ -181,6 +90,68 @@ enum Track {
 }
 
 const TRACK_NAMES: [&str; 4] = ["sched", "txn", "storage", "wal"];
+
+/// Spans carry a duration in `a` and start at `ts_ns`; everything else is
+/// an instant or a counter sample at `ts_ns`.
+const SPAN: bool = true;
+const INSTANT: bool = false;
+
+/// Every kind's stable display name (the Chrome trace event `name`),
+/// Perfetto track and shape. Row `i` describes discriminant `i + 1`
+/// (checked at compile time below).
+const KINDS: [(EventKind, &str, Track, bool); 19] = [
+    (EventKind::TaskSpawn, "spawn", Track::Sched, INSTANT),
+    (EventKind::TaskPoll, "poll", Track::Sched, SPAN),
+    (EventKind::TaskDone, "task_done", Track::Sched, INSTANT),
+    (EventKind::Yield, "yield", Track::Sched, INSTANT),
+    (EventKind::Park, "park", Track::Sched, SPAN),
+    (EventKind::Unpark, "unpark", Track::Sched, INSTANT),
+    (EventKind::QueueDepth, "global_queue_depth", Track::Sched, INSTANT),
+    (EventKind::TxnBegin, "txn_begin", Track::Txn, INSTANT),
+    (EventKind::TxnCommit, "commit", Track::Txn, SPAN),
+    (EventKind::TxnAbort, "abort", Track::Txn, SPAN),
+    (EventKind::LockWait, "lock_wait", Track::Txn, SPAN),
+    (EventKind::BufferFault, "buffer_fault", Track::Storage, SPAN),
+    (EventKind::Eviction, "eviction", Track::Storage, SPAN),
+    (EventKind::LatchRestart, "latch_restart", Track::Storage, INSTANT),
+    (EventKind::GroupCommitBatch, "group_commit", Track::Wal, SPAN),
+    (EventKind::FlushWave, "flush_wave", Track::Wal, SPAN),
+    (EventKind::RfaRemoteWait, "rfa_remote_wait", Track::Wal, SPAN),
+    (EventKind::RecoveryReplay, "recovery_replay", Track::Wal, SPAN),
+    (EventKind::BatchGet, "batch_get", Track::Storage, SPAN),
+];
+
+const _: () = {
+    let mut i = 0;
+    while i < KINDS.len() {
+        assert!(KINDS[i].0 as usize == i + 1, "KINDS rows must follow discriminant order");
+        i += 1;
+    }
+};
+
+impl EventKind {
+    fn row(self) -> &'static (EventKind, &'static str, Track, bool) {
+        &KINDS[self as usize - 1]
+    }
+
+    /// Stable display name (the Chrome trace event `name` field).
+    pub fn name(self) -> &'static str {
+        self.row().1
+    }
+
+    fn from_u16(v: u16) -> Option<EventKind> {
+        KINDS.get(usize::from(v).checked_sub(1)?).map(|row| row.0)
+    }
+
+    /// Which per-worker Perfetto track this kind renders on.
+    fn track(self) -> Track {
+        self.row().2
+    }
+
+    fn is_span(self) -> bool {
+        self.row().3
+    }
+}
 
 /// One recorded event: exactly 32 bytes, packed into four `u64` words in
 /// the ring so concurrent access is plain atomics (no `UnsafeCell`).
@@ -403,57 +374,23 @@ impl Tracer {
         });
     }
 
-    /// Open a span: returns the start timestamp to pass to
-    /// [`Tracer::span_end`] (0 when disabled; `span_end` ignores it then).
+    /// Record an event from clock reads the caller already made: a span
+    /// from `start` to `end`, or for an instant kind a mark at `end`;
+    /// either way `a` = the duration. Reads no clock itself.
     #[inline]
-    pub fn span_begin(&self) -> u64 {
-        if self.enabled() {
-            self.now_ns()
-        } else {
-            0
-        }
-    }
-
-    /// Close a span opened with [`Tracer::span_begin`].
-    #[inline]
-    pub fn span_end(&self, kind: EventKind, slot: u32, start_ns: u64, b: u64) {
+    pub fn span(&self, kind: EventKind, slot: u32, start: Instant, end: Instant, b: u64) {
         if !self.enabled() {
             return;
         }
-        let dur = self.now_ns().saturating_sub(start_ns);
+        let at = if kind.is_span() { start } else { end };
         self.ring().emit(&TraceEvent {
-            ts_ns: start_ns,
-            a: dur,
+            ts_ns: at.saturating_duration_since(self.epoch).as_nanos() as u64,
+            a: end.saturating_duration_since(start).as_nanos() as u64,
             b,
             slot,
             kind: kind as u16,
             _pad: 0,
         });
-    }
-
-    /// Record a span that just finished and took `dur_ns` (for call sites
-    /// that already hold an `Instant`-based duration).
-    #[inline]
-    pub fn span_dur(&self, kind: EventKind, slot: u32, dur_ns: u64, b: u64) {
-        if !self.enabled() {
-            return;
-        }
-        let now = self.now_ns();
-        self.ring().emit(&TraceEvent {
-            ts_ns: now.saturating_sub(dur_ns),
-            a: dur_ns,
-            b,
-            slot,
-            kind: kind as u16,
-            _pad: 0,
-        });
-    }
-
-    /// RAII span: closes with [`Tracer::span_end`] on drop (early returns
-    /// and `?` included).
-    #[inline]
-    pub fn span_guard(&self, kind: EventKind, slot: u32, b: u64) -> SpanGuard<'_> {
-        SpanGuard { tracer: self, kind, slot, b, start_ns: self.span_begin() }
     }
 
     /// Snapshot every ring: `(worker_index, events)` with the external
@@ -617,21 +554,6 @@ impl Tracer {
     }
 }
 
-/// RAII guard from [`Tracer::span_guard`].
-pub struct SpanGuard<'a> {
-    tracer: &'a Tracer,
-    kind: EventKind,
-    slot: u32,
-    b: u64,
-    start_ns: u64,
-}
-
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        self.tracer.span_end(self.kind, self.slot, self.start_ns, self.b);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -657,30 +579,11 @@ mod tests {
 
     #[test]
     fn every_kind_roundtrips_through_u16() {
-        for kind in [
-            EventKind::TaskSpawn,
-            EventKind::TaskPoll,
-            EventKind::TaskDone,
-            EventKind::Yield,
-            EventKind::Park,
-            EventKind::Unpark,
-            EventKind::QueueDepth,
-            EventKind::TxnBegin,
-            EventKind::TxnCommit,
-            EventKind::TxnAbort,
-            EventKind::LockWait,
-            EventKind::BufferFault,
-            EventKind::Eviction,
-            EventKind::LatchRestart,
-            EventKind::GroupCommitBatch,
-            EventKind::FlushWave,
-            EventKind::RfaRemoteWait,
-            EventKind::RecoveryReplay,
-            EventKind::BatchGet,
-        ] {
+        for &(kind, ..) in &KINDS {
             assert_eq!(EventKind::from_u16(kind as u16), Some(kind), "{kind:?}");
         }
         assert_eq!(EventKind::from_u16(0), None);
+        assert_eq!(EventKind::from_u16(KINDS.len() as u16 + 1), None);
         assert_eq!(EventKind::from_u16(999), None);
     }
 
@@ -689,19 +592,32 @@ mod tests {
         let t = Tracer::disabled();
         assert!(!t.enabled());
         t.instant(EventKind::Yield, 0, 1, 0);
-        t.span_dur(EventKind::TxnCommit, 0, 100, 0);
-        let s = t.span_begin();
-        t.span_end(EventKind::TaskPoll, 0, s, 0);
-        drop(t.span_guard(EventKind::BufferFault, 0, 0));
+        let now = Instant::now();
+        t.span(EventKind::TxnCommit, 0, now, now, 0);
         assert_eq!(t.total_emitted(), 0);
         assert!(t.drain().iter().all(|(_, evs)| evs.is_empty()));
+    }
+
+    #[test]
+    fn span_stamps_start_and_instant_stamps_end() {
+        let t = Tracer::new(1, 16);
+        let start = Instant::now();
+        let end = start + std::time::Duration::from_micros(5);
+        t.span(EventKind::TxnCommit, 2, start, end, 7);
+        t.span(EventKind::LatchRestart, 0, start, end, 0);
+        let (_, events) = &t.drain()[t.workers()];
+        assert_eq!(events[0].a, 5_000);
+        assert_eq!(events[1].a, 5_000);
+        assert_eq!(events[1].ts_ns - events[0].ts_ns, 5_000, "instant sits at the end");
+        assert_eq!((events[0].slot, events[0].b), (2, 7));
     }
 
     #[test]
     fn export_is_valid_shape_and_sorted() {
         let t = Tracer::new(1, 16);
         t.instant(EventKind::QueueDepth, 0, 3, 0);
-        t.span_dur(EventKind::TxnCommit, 2, 1_000, 7);
+        let now = Instant::now();
+        t.span(EventKind::TxnCommit, 2, now, now + std::time::Duration::from_micros(1), 7);
         t.instant(EventKind::Yield, 1, 0, 0);
         let json = t.export_chrome_json();
         assert!(json.starts_with('{') && json.ends_with('}'), "{json}");

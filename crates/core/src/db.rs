@@ -12,7 +12,7 @@ use phoebe_common::metrics::{Component, Counter, Metrics};
 use phoebe_common::snapshot::SnapshotList;
 use phoebe_common::sync::{Rank, RankedMutex, RankedRwLock};
 use phoebe_common::telemetry::TelemetryServer;
-use phoebe_common::trace::{EventKind, Tracer};
+use phoebe_common::trace::Tracer;
 use phoebe_common::{KernelConfig, TelemetryConfig, TraceConfig, WatchdogConfig};
 use phoebe_runtime::{Runtime, RuntimeConfig, WorkerHook};
 use phoebe_storage::schema::{ColType, Schema};
@@ -327,11 +327,11 @@ impl Database {
         if had_recovery {
             // Recovery is the one open-path latency a user actually waits
             // behind; book the end-to-end scan + apply + re-log cost.
-            let dur_ns = recovery_start.elapsed().as_nanos() as u64;
             db.metrics.add(Counter::RecoveryRecordsReplayed, recovery.records);
             db.metrics.add(Counter::RecoveryTailBytesDiscarded, recovery.tail_bytes_discarded);
-            db.metrics.record_latency(LatencySite::RecoveryReplay, dur_ns);
-            db.tracer.span_dur(EventKind::RecoveryReplay, 0, dur_ns, recovery.records);
+            db.metrics
+                .probe_since(LatencySite::RecoveryReplay, 0, recovery.records, recovery_start)
+                .finish();
         }
 
         // Start the co-routine pool and install the worker duties.

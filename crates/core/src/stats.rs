@@ -76,10 +76,16 @@ pub struct WorkerStateSummary {
     pub parked_ns: u64,
     /// Worker-hook background duties: page swaps, GC.
     pub io_ns: u64,
+    /// Task polls on this worker (cumulative).
+    #[serde(default)]
+    pub polls: u64,
+    /// Task slots seated on this worker (gauge).
+    #[serde(default)]
+    pub occupied_slots: u64,
 }
 
 /// A merged, point-in-time view of the whole kernel.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct KernelStats {
     /// Operational counters (commits, aborts, page I/O, WAL volume, ...).
     pub counters: Vec<CounterValue>,
@@ -119,6 +125,9 @@ pub struct KernelStats {
     /// The in-flight fault cap backpressure enforces.
     #[serde(default)]
     pub fault_budget_limit: u64,
+    /// Flight-recorder events emitted since boot (0 while disabled).
+    #[serde(default)]
+    pub trace_events_emitted: u64,
 }
 
 impl KernelStats {
@@ -152,24 +161,7 @@ impl KernelStats {
                 }
             })
             .collect();
-        KernelStats {
-            counters,
-            components,
-            latency,
-            runtime: RuntimeGauges::default(),
-            worker_states: Vec::new(),
-            wal_bytes_flushed: 0,
-            wal_durable_gsn: 0,
-            wal_flush_horizon_age_ns: 0,
-            wal_backlog_records: 0,
-            wal_halted: false,
-            page_file_reads: 0,
-            page_file_writes: 0,
-            buffer_total_frames: 0,
-            buffer_free_frames: 0,
-            fault_tickets_inflight: 0,
-            fault_budget_limit: 0,
-        }
+        KernelStats { counters, components, latency, ..KernelStats::default() }
     }
 
     /// The summary for one latency site.
@@ -234,6 +226,8 @@ impl KernelStats {
                                     .with("ready_ns", w.ready_ns)
                                     .with("parked_ns", w.parked_ns)
                                     .with("io_ns", w.io_ns)
+                                    .with("polls", w.polls)
+                                    .with("occupied_slots", w.occupied_slots)
                             })
                             .collect::<Vec<Json>>(),
                     ),
@@ -257,6 +251,7 @@ impl KernelStats {
                     .with("fault_tickets_inflight", self.fault_tickets_inflight)
                     .with("fault_budget_limit", self.fault_budget_limit),
             )
+            .with("trace", Json::obj().with("events_emitted", self.trace_events_emitted))
     }
 }
 
@@ -270,7 +265,9 @@ impl Database {
 
     /// Decorate a (possibly delta'd) metrics snapshot with the kernel's
     /// live gauges: counters, component time and histograms cover what
-    /// `snap` covers, everything else is read now.
+    /// `snap` covers, everything else is read now. The only reader of the
+    /// runtime, WAL and buffer-pool gauges: `/metrics`, `/stats` and the
+    /// watchdog all see the kernel through the `KernelStats` built here.
     pub fn stats_from_metrics(&self, snap: &MetricsSnapshot) -> KernelStats {
         let mut out = KernelStats::from_metrics(snap);
         if let Some(rt) = self.try_runtime() {
@@ -296,6 +293,8 @@ impl Database {
                     ready_ns: s.ready_ns,
                     parked_ns: s.parked_ns,
                     io_ns: s.io_ns,
+                    polls: rs.worker_polls[worker],
+                    occupied_slots: rs.worker_occupied[worker],
                 })
                 .collect();
         }
@@ -312,6 +311,7 @@ impl Database {
             (0..self.pool.partition_count()).map(|p| self.pool.free_frames(p) as u64).sum();
         out.fault_tickets_inflight = self.pool.faults_inflight() as u64;
         out.fault_budget_limit = self.pool.fault_budget_limit() as u64;
+        out.trace_events_emitted = self.tracer().total_emitted();
         out
     }
 }

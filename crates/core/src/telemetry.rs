@@ -2,9 +2,10 @@
 //!
 //! [`phoebe_common::telemetry`] owns the HTTP listener and the Prometheus
 //! text encoder; this module supplies the kernel data behind it: the
-//! [`KernelTelemetry`] provider renders `/metrics` from a fresh
-//! [`phoebe_common::metrics::MetricsSnapshot`] plus the runtime / WAL /
-//! buffer-pool gauges, serves `/stats` via [`KernelStats::to_json`], and
+//! [`KernelTelemetry`] provider renders `/metrics` from one fresh
+//! [`phoebe_common::metrics::MetricsSnapshot`] and the
+//! [`KernelStats`](crate::KernelStats) built over it, serves `/stats` via
+//! [`KernelStats::to_json`](crate::KernelStats::to_json), and
 //! answers `/trace?ms=N` by letting the flight recorder run `N` more
 //! milliseconds and then draining the rings live (the seq-validated drain
 //! is safe concurrent with writers — nothing stops while the snapshot is
@@ -16,7 +17,6 @@
 
 use crate::db::Database;
 use phoebe_common::hist::SITES;
-use phoebe_common::metrics::{COMPONENTS, COUNTERS};
 use phoebe_common::telemetry::{PromText, TelemetryProvider};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
@@ -55,14 +55,17 @@ impl TelemetryProvider for KernelTelemetry {
 /// operational counter, every Figure-12 component, every latency-site
 /// histogram (cumulative octave buckets + sum/count), per-worker
 /// scheduler time-in-state and progress heartbeats, and the WAL /
-/// buffer-pool / fault-budget gauges the watchdog also samples.
+/// buffer-pool / fault-budget gauges the watchdog also judges. One metrics
+/// snapshot feeds it: the histograms render from its buckets, everything
+/// else from the [`KernelStats`](crate::KernelStats) built over it.
 pub fn prometheus_text(db: &Database) -> String {
     let snap = db.metrics.snapshot();
+    let stats = db.stats_from_metrics(&snap);
     let mut w = PromText::new();
 
     w.header("phoebe_counter_total", "Kernel operational counters.", "counter");
-    for &(c, name) in COUNTERS.iter() {
-        w.sample("phoebe_counter_total", &[("counter", name)], snap.counter(c));
+    for c in &stats.counters {
+        w.sample("phoebe_counter_total", &[("counter", c.name)], c.value);
     }
 
     w.header(
@@ -70,20 +73,16 @@ pub fn prometheus_text(db: &Database) -> String {
         "Cumulative busy time per kernel cost component (Figure 12).",
         "counter",
     );
-    for &c in COMPONENTS.iter() {
-        w.sample(
-            "phoebe_component_busy_ns_total",
-            &[("component", c.name())],
-            snap.component_ns(c),
-        );
+    for c in &stats.components {
+        w.sample("phoebe_component_busy_ns_total", &[("component", c.component)], c.busy_ns);
     }
     w.header(
         "phoebe_component_ops_total",
         "Timed sections entered per kernel cost component.",
         "counter",
     );
-    for &c in COMPONENTS.iter() {
-        w.sample("phoebe_component_ops_total", &[("component", c.name())], snap.component_ops(c));
+    for c in &stats.components {
+        w.sample("phoebe_component_ops_total", &[("component", c.component)], c.ops);
     }
 
     w.header(
@@ -102,42 +101,44 @@ pub fn prometheus_text(db: &Database) -> String {
         );
     }
 
-    if let Some(rt) = db.try_runtime() {
-        let rs = rt.stats();
+    // A kernel without a runtime (shut down) has no worker rows and
+    // exports no scheduler series.
+    if !stats.worker_states.is_empty() {
+        let rt = &stats.runtime;
         for (name, help, value) in [
             (
                 "phoebe_runtime_tasks_completed_total",
                 "Co-routines run to completion.",
-                rs.tasks_completed,
+                rt.tasks_completed,
             ),
-            ("phoebe_runtime_polls_total", "Task polls across all workers.", rs.polls),
-            ("phoebe_runtime_parks_total", "Times a worker parked empty-handed.", rs.parks),
+            ("phoebe_runtime_polls_total", "Task polls across all workers.", rt.polls),
+            ("phoebe_runtime_parks_total", "Times a worker parked empty-handed.", rt.parks),
             (
                 "phoebe_runtime_tasks_pulled_global_total",
                 "Tasks pulled from the global injector.",
-                rs.tasks_pulled_global,
+                rt.tasks_pulled_global,
             ),
             (
                 "phoebe_runtime_tasks_pulled_local_total",
                 "Tasks pulled from local queues.",
-                rs.tasks_pulled_local,
+                rt.tasks_pulled_local,
             ),
             (
                 "phoebe_runtime_urgent_pull_stalls_total",
                 "Urgent pulls that found nothing runnable.",
-                rs.urgent_pull_stalls,
+                rt.urgent_pull_stalls,
             ),
         ] {
             w.header(name, help, "counter");
             w.sample(name, &[], value);
         }
         for (name, help, value) in [
-            ("phoebe_runtime_occupied_slots", "Task slots currently seated.", rs.occupied_slots),
-            ("phoebe_runtime_ready_tasks", "Spawned tasks waiting for a slot.", rs.ready_tasks),
+            ("phoebe_runtime_occupied_slots", "Task slots currently seated.", rt.occupied_slots),
+            ("phoebe_runtime_ready_tasks", "Spawned tasks waiting for a slot.", rt.ready_tasks),
             (
                 "phoebe_runtime_global_queue_depth",
                 "Depth of the global injector queue.",
-                rs.global_queue_depth,
+                rt.global_queue_depth,
             ),
         ] {
             w.header(name, help, "gauge");
@@ -149,8 +150,8 @@ pub fn prometheus_text(db: &Database) -> String {
             "Cumulative wall time per worker and scheduler state.",
             "counter",
         );
-        for (i, s) in rs.worker_state_ns.iter().enumerate() {
-            let worker = i.to_string();
+        for s in &stats.worker_states {
+            let worker = s.worker.to_string();
             for (state, ns) in [
                 ("running", s.running_ns),
                 ("ready", s.ready_ns),
@@ -169,59 +170,58 @@ pub fn prometheus_text(db: &Database) -> String {
             "Task polls per worker (the watchdog progress heartbeat).",
             "counter",
         );
-        for (i, &polls) in rs.worker_polls.iter().enumerate() {
-            w.sample("phoebe_worker_polls_total", &[("worker", &i.to_string())], polls);
+        for s in &stats.worker_states {
+            w.sample("phoebe_worker_polls_total", &[("worker", &s.worker.to_string())], s.polls);
         }
         w.header("phoebe_worker_occupied_slots", "Seated task slots per worker.", "gauge");
-        for (i, &occ) in rs.worker_occupied.iter().enumerate() {
-            w.sample("phoebe_worker_occupied_slots", &[("worker", &i.to_string())], occ);
+        for s in &stats.worker_states {
+            let worker = s.worker.to_string();
+            w.sample("phoebe_worker_occupied_slots", &[("worker", &worker)], s.occupied_slots);
         }
     }
 
     w.header("phoebe_wal_bytes_flushed_total", "Bytes physically flushed to WAL files.", "counter");
-    w.sample("phoebe_wal_bytes_flushed_total", &[], db.wal.total_bytes_flushed());
+    w.sample("phoebe_wal_bytes_flushed_total", &[], stats.wal_bytes_flushed);
     w.header("phoebe_wal_durable_gsn", "Globally durable GSN horizon.", "gauge");
-    w.sample("phoebe_wal_durable_gsn", &[], db.wal.durable_gsn().min(db.wal.current_gsn()));
+    w.sample("phoebe_wal_durable_gsn", &[], stats.wal_durable_gsn);
     w.header(
         "phoebe_wal_flush_horizon_age_ns",
         "How long the WAL flush horizon has been stuck behind appends.",
         "gauge",
     );
-    w.sample("phoebe_wal_flush_horizon_age_ns", &[], db.wal.flush_horizon_age_ns());
+    w.sample("phoebe_wal_flush_horizon_age_ns", &[], stats.wal_flush_horizon_age_ns);
     w.header("phoebe_wal_backlog_records", "WAL records appended but not yet flushed.", "gauge");
-    w.sample("phoebe_wal_backlog_records", &[], db.wal.backlog_records());
+    w.sample("phoebe_wal_backlog_records", &[], stats.wal_backlog_records);
     w.header("phoebe_wal_halted", "1 when the WAL hub halted after an I/O failure.", "gauge");
-    w.sample("phoebe_wal_halted", &[], u64::from(db.wal.is_halted()));
+    w.sample("phoebe_wal_halted", &[], u64::from(stats.wal_halted));
 
-    let (reads, writes) = db.pool.io_counts();
     w.header("phoebe_page_file_reads_total", "Pages read from the Data Page File.", "counter");
-    w.sample("phoebe_page_file_reads_total", &[], reads);
+    w.sample("phoebe_page_file_reads_total", &[], stats.page_file_reads);
     w.header("phoebe_page_file_writes_total", "Pages written to the Data Page File.", "counter");
-    w.sample("phoebe_page_file_writes_total", &[], writes);
+    w.sample("phoebe_page_file_writes_total", &[], stats.page_file_writes);
     w.header("phoebe_buffer_total_frames", "Buffer pool capacity in frames.", "gauge");
-    w.sample("phoebe_buffer_total_frames", &[], db.pool.total_frames() as u64);
+    w.sample("phoebe_buffer_total_frames", &[], stats.buffer_total_frames);
     w.header("phoebe_buffer_free_frames", "Free buffer frames across partitions.", "gauge");
-    let free: u64 = (0..db.pool.partition_count()).map(|p| db.pool.free_frames(p) as u64).sum();
-    w.sample("phoebe_buffer_free_frames", &[], free);
+    w.sample("phoebe_buffer_free_frames", &[], stats.buffer_free_frames);
     w.header(
         "phoebe_fault_tickets_inflight",
         "Asynchronous page faults currently in flight.",
         "gauge",
     );
-    w.sample("phoebe_fault_tickets_inflight", &[], db.pool.faults_inflight() as u64);
+    w.sample("phoebe_fault_tickets_inflight", &[], stats.fault_tickets_inflight);
     w.header(
         "phoebe_fault_budget_limit",
         "In-flight fault cap enforced by buffer-pool backpressure.",
         "gauge",
     );
-    w.sample("phoebe_fault_budget_limit", &[], db.pool.fault_budget_limit() as u64);
+    w.sample("phoebe_fault_budget_limit", &[], stats.fault_budget_limit);
 
     w.header(
         "phoebe_trace_events_emitted_total",
         "Flight-recorder events emitted since boot (0 while disabled).",
         "counter",
     );
-    w.sample("phoebe_trace_events_emitted_total", &[], db.tracer().total_emitted());
+    w.sample("phoebe_trace_events_emitted_total", &[], stats.trace_events_emitted);
 
     w.finish()
 }

@@ -33,7 +33,7 @@ use phoebe_wal::RecordBody;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::task::Poll;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Per-key delta closure for [`Transaction::multi_update_rmw`]:
 /// `f(i, current_values)` returns the `(column, new_value)` pairs for
@@ -245,7 +245,7 @@ impl Transaction {
         table: &Arc<TableEntry>,
         rows: &[RowId],
     ) -> Result<Vec<Option<Row>>> {
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         let snapshot = self.stmt_snapshot();
         let tuples = self.multi_get_inner(table, rows, snapshot).await?;
         self.note_batch(t0, rows.len());
@@ -265,7 +265,7 @@ impl Transaction {
         keys: &[Vec<Value>],
     ) -> Result<Vec<Option<(RowId, Row)>>> {
         debug_assert!(index.def.unique, "multi_lookup on a non-unique index");
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         let snapshot = self.stmt_snapshot();
         let encoded: Vec<Vec<u8>> =
             keys.iter().map(|k| index.prefix_for(&table.schema, k)).collect();
@@ -333,19 +333,15 @@ impl Transaction {
         Ok(results)
     }
 
-    /// Per-batch accounting: histogram sample, flight-recorder span and
-    /// the depth counters (`batch_keys / batch_gets` = mean batch depth).
-    fn note_batch(&self, t0: std::time::Instant, keys: usize) {
-        let dur_ns = t0.elapsed().as_nanos() as u64;
+    /// Per-batch accounting: the `batch_get` probe and the depth counters
+    /// (`batch_keys / batch_gets` = mean batch depth).
+    fn note_batch(&self, t0: Instant, keys: usize) {
         self.db.metrics.incr(Counter::BatchGets);
         self.db.metrics.add(Counter::BatchKeys, keys as u64);
-        self.db.metrics.record_latency(LatencySite::BatchGet, dur_ns);
-        self.db.metrics.tracer().span_dur(
-            EventKind::BatchGet,
-            self.slot as u32,
-            dur_ns,
-            keys as u64,
-        );
+        self.db
+            .metrics
+            .probe_since(LatencySite::BatchGet, self.slot as u32, keys as u64, t0)
+            .finish();
     }
 
     // ------------------------------------------------------------------
@@ -535,7 +531,7 @@ impl Transaction {
         rows: &[RowId],
         f: &BatchRmwFn<'_>,
     ) -> Result<Vec<(RowId, Vec<Value>)>> {
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         // Phase one: interleaved warm-up. Frozen rows skip it — their
         // write path is out-of-place (§5.2), not a table descent.
         let watermark = table.frozen.max_frozen_row_id();
@@ -647,22 +643,12 @@ impl Transaction {
         row: RowId,
         holder: Arc<TxnHandle>,
     ) -> Result<()> {
-        // The sleep itself is idle time, not lock-management instructions;
-        // only the occurrence is accounted (Figure 12 semantics). The
-        // latency histogram, by contrast, wants the full stall.
-        self.db.metrics.record(Component::Lock, 0);
-        let t0 = std::time::Instant::now();
-        let wait_result = holder.wait(self.lock_timeout()).await;
-        let waited_ns = t0.elapsed().as_nanos() as u64;
-        self.db.metrics.record_latency(LatencySite::LockWait, waited_ns);
-        self.db.metrics.tracer().span_dur(
-            EventKind::LockWait,
-            self.slot as u32,
-            waited_ns,
-            holder.xid.raw(),
-        );
-        let outcome = wait_result?;
-        match (self.iso, outcome) {
+        // The sleep is idle time, not lock-management instructions, so no
+        // Figure-12 component is charged; the probe carries the full stall.
+        let wait = self.db.metrics.probe(LatencySite::LockWait, self.slot as u32, holder.xid.raw());
+        let outcome = holder.wait(self.lock_timeout()).await;
+        wait.finish();
+        match (self.iso, outcome?) {
             (IsolationLevel::RepeatableRead, TxnOutcome::Committed(_)) => {
                 Err(PhoebeError::WriteConflict { table: table.id, row, holder: holder.xid })
             }
@@ -718,46 +704,35 @@ impl Transaction {
     /// the RFA rules when `wal_sync` is on (§8).
     pub async fn commit(mut self) -> Result<Timestamp> {
         debug_assert!(!self.finished);
-        let t0 = std::time::Instant::now();
-        if self.undo.is_empty() && !self.wal_begun {
+        let t0 = Instant::now();
+        let result = if self.undo.is_empty() && !self.wal_begun {
             // Read-only: nothing to stamp or flush.
             self.finish_common(TxnOutcome::Committed(self.start_ts));
-            self.db.metrics.incr(Counter::Commits);
-            let dur_ns = t0.elapsed().as_nanos() as u64;
-            self.db.metrics.record_latency(LatencySite::Commit, dur_ns);
-            self.db.metrics.tracer().span_dur(
-                EventKind::TxnCommit,
-                self.slot as u32,
-                dur_ns,
-                self.xid.raw(),
-            );
-            return Ok(self.start_ts);
-        }
-        let cts = self.db.clock.commit_ts();
-        // Publish the outcome first: readers that catch an unstamped ets
-        // learn the cts through the handle (mid-commit bridge).
-        self.handle.finish(TxnOutcome::Committed(cts));
-        // Single scan over the grouped UNDO logs (§6.2).
-        {
-            let _t = self.db.metrics.timer(Component::Mvcc);
-            for log in &self.undo {
-                log.stamp_commit(cts);
+            Ok(self.start_ts)
+        } else {
+            let cts = self.db.clock.commit_ts();
+            // Publish the outcome first: readers that catch an unstamped
+            // ets learn the cts through the handle (mid-commit bridge).
+            self.handle.finish(TxnOutcome::Committed(cts));
+            // Single scan over the grouped UNDO logs (§6.2).
+            {
+                let _t = self.db.metrics.timer(Component::Mvcc);
+                for log in &self.undo {
+                    log.stamp_commit(cts);
+                }
             }
-        }
-        let wal_result = self.db.wal.commit(self.slot, self.xid, cts, &self.rfa).await;
-        self.finish_slot_state();
+            let wal_result = self.db.wal.commit(self.slot, self.xid, cts, &self.rfa).await;
+            self.finish_slot_state();
+            wal_result.map(|_| cts)
+        };
         self.db.metrics.incr(Counter::Commits);
         // Commit latency includes the durability wait: it is what a client
         // of a synchronous commit observes.
-        let dur_ns = t0.elapsed().as_nanos() as u64;
-        self.db.metrics.record_latency(LatencySite::Commit, dur_ns);
-        self.db.metrics.tracer().span_dur(
-            EventKind::TxnCommit,
-            self.slot as u32,
-            dur_ns,
-            self.xid.raw(),
-        );
-        wal_result.map(|_| cts)
+        self.db
+            .metrics
+            .probe_since(LatencySite::Commit, self.slot as u32, self.xid.raw(), t0)
+            .finish();
+        result
     }
 
     /// Roll back: restore before images, unlink our chain heads, log the
@@ -770,7 +745,7 @@ impl Transaction {
         if self.finished {
             return;
         }
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         for log in self.undo.iter().rev() {
             let Ok(table) = self.db.table_by_id(log.table) else {
                 continue;
@@ -819,14 +794,10 @@ impl Transaction {
         }
         self.finish_common(TxnOutcome::Aborted);
         self.db.metrics.incr(Counter::Aborts);
-        let dur_ns = t0.elapsed().as_nanos() as u64;
-        self.db.metrics.record_latency(LatencySite::Abort, dur_ns);
-        self.db.metrics.tracer().span_dur(
-            EventKind::TxnAbort,
-            self.slot as u32,
-            dur_ns,
-            self.xid.raw(),
-        );
+        self.db
+            .metrics
+            .probe_since(LatencySite::Abort, self.slot as u32, self.xid.raw(), t0)
+            .finish();
     }
 
     fn finish_common(&mut self, outcome: TxnOutcome) {

@@ -1,12 +1,13 @@
 //! The stall watchdog: a sampling thread that turns kernel wedges into
 //! incident records that carry their own evidence.
 //!
-//! Every [`WatchdogConfig::interval_ms`] the watchdog samples cheap
-//! progress heartbeats — per-worker time-in-state totals, the WAL
-//! flush-horizon age, the buffer pool's fault-ticket budget, and
-//! (optionally) the interval commit p99. None of these add hot-path cost:
-//! the counters already exist for `/metrics`, and the watchdog only
-//! *reads* them.
+//! Every [`WatchdogConfig::interval_ms`] the watchdog takes one
+//! `Database::stats_from_metrics` over the interval since its previous
+//! tick and judges every detector from it: per-worker time-in-state
+//! totals, the WAL flush-horizon age and halt flag, the buffer pool's
+//! fault-ticket budget, and (optionally) the interval commit p99. None of
+//! these add hot-path cost: the counters already exist for `/metrics`,
+//! and the watchdog only *reads* them.
 //!
 //! On a threshold breach the watchdog writes a structured incident
 //! record to the incident directory with the same capture payload
@@ -131,41 +132,43 @@ fn watchdog_main(
     let mut wal_halt = Episode::default();
     let mut fault_budget = Episode::default();
     let mut p99 = Episode::default();
-    let mut prev_metrics = weak.upgrade().map(|db| db.metrics.snapshot());
+    let Some(mut prev) = weak.upgrade().map(|db| db.metrics.snapshot()) else { return };
 
     // Only a timeout continues; shutdown disconnects the channel.
     while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
         let Some(db) = weak.upgrade() else { return };
+        // One snapshot per tick: the interval since the previous tick plus
+        // the live gauges, the same `KernelStats` `/metrics` renders.
+        let now = db.metrics.snapshot();
+        let s = db.stats_from_metrics(&now.delta_since(&prev));
+        prev = now;
 
         // --- Worker progress: the worker loop charges its time-in-state
         // at every phase boundary, bounded parks included, so the total
         // stands still only while the worker is stuck inside one poll or
         // one hook tick. (Its poll count is no heartbeat: a worker whose
         // tasks all sleep on a lock or a commit rightly stops polling.)
-        if let Some(rt) = db.try_runtime() {
-            let rs = rt.stats();
-            workers.resize_with(rs.worker_state_ns.len(), Default::default);
-            for (i, (st, ws)) in workers.iter_mut().zip(&rs.worker_state_ns).enumerate() {
-                let charged = ws.running_ns + ws.ready_ns + ws.parked_ns + ws.io_ns;
-                let stuck = charged == st.0;
-                st.0 = charged;
-                if st.1.observe(stuck, worker_window, cooldown) {
-                    capture(
-                        &db,
-                        &log,
-                        "worker_stall",
-                        Json::obj()
-                            .with("worker", i)
-                            .with("occupied_slots", rs.worker_occupied[i])
-                            .with("polls", rs.worker_polls[i])
-                            .with("worker_stall_ms", cfg.worker_stall_ms),
-                    );
-                }
+        workers.resize_with(s.worker_states.len(), Default::default);
+        for (st, ws) in workers.iter_mut().zip(&s.worker_states) {
+            let charged = ws.running_ns + ws.ready_ns + ws.parked_ns + ws.io_ns;
+            let stuck = charged == st.0;
+            st.0 = charged;
+            if st.1.observe(stuck, worker_window, cooldown) {
+                capture(
+                    &db,
+                    &log,
+                    "worker_stall",
+                    Json::obj()
+                        .with("worker", ws.worker)
+                        .with("occupied_slots", ws.occupied_slots)
+                        .with("polls", ws.polls)
+                        .with("worker_stall_ms", cfg.worker_stall_ms),
+                );
             }
         }
 
         // --- WAL flush horizon stuck behind appends.
-        let age_ns = db.wal.flush_horizon_age_ns();
+        let age_ns = s.wal_flush_horizon_age_ns;
         if wal_stall.observe(age_ns >= wal_window.as_nanos() as u64, Duration::ZERO, cooldown) {
             capture(
                 &db,
@@ -173,53 +176,45 @@ fn watchdog_main(
                 "wal_flush_stall",
                 Json::obj()
                     .with("flush_horizon_age_ns", age_ns)
-                    .with("backlog_records", db.wal.backlog_records())
+                    .with("backlog_records", s.wal_backlog_records)
                     .with("wal_stall_ms", cfg.wal_stall_ms),
             );
         }
 
         // --- WAL hub halted on an I/O failure (latched condition, so the
         // cooldown is what keeps this to one record per episode).
-        if wal_halt.observe(db.wal.is_halted(), Duration::ZERO, cooldown) {
+        if wal_halt.observe(s.wal_halted, Duration::ZERO, cooldown) {
             capture(
                 &db,
                 &log,
                 "wal_halted",
-                Json::obj().with("backlog_records", db.wal.backlog_records()),
+                Json::obj().with("backlog_records", s.wal_backlog_records),
             );
         }
 
-        // --- Fault-ticket budget pinned at the cap.
-        let inflight = db.pool.faults_inflight();
-        if fault_budget.observe(!db.pool.fault_budget_available(), worker_window, cooldown) {
+        // --- Fault-ticket budget pinned at the cap (the test
+        // `BufferPool::fault_budget_available` makes, negated).
+        let exhausted = s.fault_tickets_inflight >= s.fault_budget_limit;
+        if fault_budget.observe(exhausted, worker_window, cooldown) {
             capture(
                 &db,
                 &log,
                 "fault_budget_exhausted",
                 Json::obj()
-                    .with("faults_inflight", inflight)
-                    .with("fault_budget_limit", db.pool.fault_budget_limit()),
+                    .with("faults_inflight", s.fault_tickets_inflight)
+                    .with("fault_budget_limit", s.fault_budget_limit),
             );
         }
 
         // --- Optional commit-p99 ceiling over the sampling window.
         if let Some(limit) = cfg.p99_limit_ns {
-            let now = db.metrics.snapshot();
-            let (breach, observed) = match prev_metrics.as_ref() {
-                Some(prev) => {
-                    let delta = now.delta_since(prev);
-                    let commit = delta.latency(LatencySite::Commit);
-                    (commit.count() > 0 && commit.p99() > limit, commit.p99())
-                }
-                None => (false, 0),
-            };
-            prev_metrics = Some(now);
-            if p99.observe(breach, Duration::ZERO, cooldown) {
+            let commit = s.latency(LatencySite::Commit);
+            if p99.observe(commit.count > 0 && commit.p99_ns > limit, Duration::ZERO, cooldown) {
                 capture(
                     &db,
                     &log,
                     "p99_breach",
-                    Json::obj().with("commit_p99_ns", observed).with("p99_limit_ns", limit),
+                    Json::obj().with("commit_p99_ns", commit.p99_ns).with("p99_limit_ns", limit),
                 );
             }
         }

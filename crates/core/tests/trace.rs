@@ -1,8 +1,11 @@
 //! The kernel flight recorder end to end: open a traced kernel, run real
 //! transactions, and check the exported Chrome trace JSON has the tracks
 //! the tooling expects; plus the recovery counters/latency site and the
-//! scheduler wait-state surface added alongside it.
+//! scheduler wait-state surface added alongside it, and the one-probe-per-
+//! site contract between the latency histograms and the rings.
 
+use phoebe_common::hist::SITES;
+use phoebe_common::{EventKind, TraceEvent};
 use phoebe_core::prelude::*;
 use phoebe_core::WorkerStateSummary;
 use std::sync::Arc;
@@ -73,6 +76,114 @@ fn export_has_worker_tracks_spans_and_counter() {
     // Every yield instant carries its urgency annotation.
     if json.contains("\"name\":\"yield\"") {
         assert!(json.contains("\"urgency\":"));
+    }
+    db.shutdown();
+}
+
+/// Every latency site is measured once: for each site that fired, the
+/// flight recorder holds exactly as many of the site's events as its
+/// histogram holds samples, and their durations add up to the histogram's
+/// sum to the nanosecond. One worker and a pool far smaller than the data
+/// make the run evict, fault cold pages back in, wait on a lock and flush.
+#[test]
+fn every_site_books_one_duration_to_histogram_and_ring() {
+    const RING: usize = 1 << 18;
+    let mut cfg = KernelConfig::for_tests();
+    cfg.workers = 1;
+    cfg.buffer_frames = 32;
+    cfg.trace = Some(phoebe_common::TraceConfig { path: None, ring_capacity: RING });
+    let db = Database::open(cfg).unwrap();
+    let t =
+        db.create_table("kv", Schema::new(vec![("k", ColType::I64), ("v", ColType::I64)])).unwrap();
+    let idx = db.create_index(&t, "by_k", vec![0], true).unwrap();
+    let rows = phoebe_runtime::block_on(async {
+        let mut rows = Vec::new();
+        for chunk in 0..40i64 {
+            let mut tx = db.begin(IsolationLevel::ReadCommitted);
+            for k in chunk * 500..(chunk + 1) * 500 {
+                rows.push(tx.insert(&t, vec![Value::I64(k), Value::I64(k)]).await.unwrap());
+            }
+            tx.commit().await.unwrap();
+        }
+        rows
+    });
+
+    // A lock wait: the holder keeps its write 20 ms before committing.
+    let rt = db.runtime();
+    let (updated, holds) = std::sync::mpsc::channel();
+    let holder = {
+        let (db, t, row) = (db.clone(), t.clone(), rows[0]);
+        rt.spawn(async move {
+            let mut tx = db.begin(IsolationLevel::ReadCommitted);
+            tx.update(&t, row, &[(1, Value::I64(-1))]).await.unwrap();
+            updated.send(()).unwrap();
+            phoebe_runtime::sleep(Duration::from_millis(20)).await;
+            tx.commit().await.unwrap();
+        })
+    };
+    holds.recv().unwrap();
+    let (db2, t2) = (db.clone(), t.clone());
+    rt.spawn(async move {
+        let mut tx = db2.begin(IsolationLevel::ReadCommitted);
+        tx.update(&t2, rows[0], &[(1, Value::I64(-2))]).await.unwrap();
+        tx.commit().await.unwrap();
+        // Batches striding the whole table (cold pages), a read-only
+        // commit, and an abort.
+        let mut tx = db2.begin(IsolationLevel::ReadCommitted);
+        let keys: Vec<Vec<Value>> = (0..20).map(|i| vec![Value::I64(i * 997)]).collect();
+        assert!(tx.multi_lookup(&t2, &idx, &keys).await.unwrap().iter().all(Option::is_some));
+        let batch: Vec<_> = rows.iter().skip(13).step_by(1_009).copied().collect();
+        assert!(tx.multi_get(&t2, &batch).await.unwrap().iter().all(Option::is_some));
+        tx.commit().await.unwrap();
+        let mut tx = db2.begin(IsolationLevel::ReadCommitted);
+        tx.update(&t2, rows[1], &[(1, Value::I64(-3))]).await.unwrap();
+        tx.abort();
+    })
+    .join();
+    holder.join();
+
+    // Drain between two equal snapshots, so no probe was half-way through
+    // (histogram booked, ring event not yet written) at the drain.
+    let (snap, events) = loop {
+        let before = db.metrics.snapshot();
+        std::thread::sleep(Duration::from_millis(20));
+        let events: Vec<TraceEvent> =
+            db.tracer().drain().into_iter().flat_map(|(_, ring)| ring).collect();
+        let after = db.metrics.snapshot();
+        if SITES.iter().all(|&s| before.latency(s) == after.latency(s)) {
+            break (after, events);
+        }
+    };
+    assert!(db.tracer().total_emitted() <= RING as u64, "a ring wrapped: raise RING");
+    let mut fired = Vec::new();
+    for &site in SITES.iter() {
+        let h = snap.latency(site);
+        let ring: Vec<u64> =
+            events.iter().filter(|e| e.kind() == Some(site.event())).map(|e| e.a).collect();
+        assert_eq!(ring.len() as u64, h.count(), "{}: ring events vs samples", site.name());
+        assert_eq!(ring.iter().sum::<u64>(), h.sum_ns(), "{}: ring time vs sum_ns", site.name());
+        if h.count() > 0 {
+            fired.push(site.name());
+        }
+    }
+    for site in [
+        "commit",
+        "abort",
+        "lock_wait",
+        "batch_get",
+        "buffer_fault",
+        "eviction",
+        "wal_flush",
+        "group_commit",
+    ] {
+        assert!(fired.contains(&site), "{site} never fired; fired: {fired:?}");
+    }
+    // Pages go cold only by eviction, and an eviction names the disk page
+    // it wrote — so every cold fault pairs with an eviction of its page.
+    let pages = |kind| events.iter().filter(move |e| e.kind() == Some(kind)).map(|e| e.b);
+    let evicted: std::collections::HashSet<u64> = pages(EventKind::Eviction).collect();
+    for page in pages(EventKind::BufferFault) {
+        assert!(evicted.contains(&page), "page {page} faulted in without an eviction event");
     }
     db.shutdown();
 }

@@ -389,10 +389,13 @@ fn worker_main(shared: Arc<Shared>, worker: usize) {
             let seated = slots[i].as_mut().expect("occupied slot");
             let _guard = enter_slot(worker, i);
             let mut cx = Context::from_waker(&seated.waker);
-            let poll_start = tracer.span_begin();
-            match seated.future.as_mut().poll(&mut cx) {
+            let poll_start = tracer.enabled().then(Instant::now);
+            let poll = seated.future.as_mut().poll(&mut cx);
+            if let Some(start) = poll_start {
+                tracer.span(EventKind::TaskPoll, i as u32, start, Instant::now(), 0);
+            }
+            match poll {
                 Poll::Ready(()) => {
-                    tracer.span_end(EventKind::TaskPoll, i as u32, poll_start, 0);
                     tracer.instant(EventKind::TaskDone, i as u32, 0, 0);
                     slots[i] = None;
                     occupied -= 1;
@@ -401,7 +404,6 @@ fn worker_main(shared: Arc<Shared>, worker: usize) {
                     stats.tasks_completed.fetch_add(1, Ordering::Relaxed);
                 }
                 Poll::Pending => {
-                    tracer.span_end(EventKind::TaskPoll, i as u32, poll_start, 0);
                     seated.urgent = take_last_urgency() == Urgency::High;
                     tracer.instant(EventKind::Yield, i as u32, !seated.urgent as u64, 0);
                     if seated.urgent {
@@ -473,11 +475,12 @@ fn worker_main(shared: Arc<Shared>, worker: usize) {
             // through `park_timeout`/`unpark`.
             stats.parks.fetch_add(1, Ordering::Relaxed);
             charge(ST_READY, &mut mark);
-            let park_start = tracer.span_begin();
+            let park_start = mark;
             std::thread::park_timeout(HOOK_CADENCE);
-            tracer.span_end(EventKind::Park, 0, park_start, 0);
-            tracer.instant(EventKind::Unpark, 0, 0, 0);
+            // The park span reuses the time-in-state boundary reads.
             charge(ST_PARKED, &mut mark);
+            tracer.span(EventKind::Park, 0, park_start, mark, 0);
+            tracer.instant(EventKind::Unpark, 0, 0, 0);
         }
         charge(ST_READY, &mut mark);
     }

@@ -119,17 +119,11 @@ impl BTree {
 
     /// One descent restart: the counter and the wasted-work histogram are
     /// two views of the same event and must stay in lockstep (asserted by
-    /// `restart_counter_matches_restart_latency_samples`).
+    /// `restart_counter_matches_restart_latency_samples`). The next attempt
+    /// starts where the probe finished — one clock read per restart.
     fn note_restart(&self, attempt: &mut Instant) {
         self.metrics.incr(Counter::LatchRestarts);
-        self.metrics.record_latency(LatencySite::BtreeRestart, attempt.elapsed().as_nanos() as u64);
-        self.metrics.tracer().instant(
-            phoebe_common::trace::EventKind::LatchRestart,
-            0,
-            attempt.elapsed().as_nanos() as u64,
-            0,
-        );
-        *attempt = Instant::now();
+        *attempt = self.metrics.probe_since(LatencySite::BtreeRestart, 0, 0, *attempt).finish();
     }
 
     /// A descent for `key`, not yet started. `write` selects the leaf

@@ -449,12 +449,7 @@ impl BufferPool {
     pub fn read_into_frame(&self, fid: FrameId, page: PageId, parent: FrameId) -> Result<()> {
         // The whole fault — read I/O, decode, frame install — is what a
         // transaction stalls on when it hits a cold swip.
-        let _fault = self.metrics.latency_timer(LatencySite::BufferFault);
-        let _span = self.metrics.tracer().span_guard(
-            phoebe_common::trace::EventKind::BufferFault,
-            0,
-            page.raw(),
-        );
+        let _fault = self.metrics.probe(LatencySite::BufferFault, 0, page.raw());
         PAGE_BUF.with(|buf| {
             let buf = &mut *buf.borrow_mut();
             self.page_file.read_page(page, buf)?;
@@ -716,15 +711,14 @@ impl BufferPool {
                 return Ok(Evict::LogPending(gsn));
             }
         }
+        if disk_raw == NO_DISK {
+            disk_raw = self.page_file.alloc().raw();
+        }
         // Past this point the page leaves memory unless the parent is
-        // contended; time the write-out and unswizzle.
-        let _evict = self.metrics.latency_timer(LatencySite::Eviction);
-        let _span =
-            self.metrics.tracer().span_guard(phoebe_common::trace::EventKind::Eviction, 0, fid);
+        // contended; time the write-out and unswizzle. The event names the
+        // disk page, so it pairs with that page's later `buffer_fault`.
+        let _evict = self.metrics.probe(LatencySite::Eviction, 0, disk_raw);
         if needs_write {
-            if disk_raw == NO_DISK {
-                disk_raw = self.page_file.alloc().raw();
-            }
             PAGE_BUF.with(|buf| {
                 let buf = &mut *buf.borrow_mut();
                 vguard.encode(buf);

@@ -493,14 +493,18 @@ impl WalHub {
             // can already cover `rfa.max_gsn` from earlier rounds while
             // this record still sits in the volatile buffer.
             self.writers[slot].wait_lsn(lsn).await?;
-            let wait_start = self.metrics.tracer().span_begin();
+            let tracer = self.metrics.tracer();
+            let wait_start = tracer.enabled().then(Instant::now);
             let waited = self.ensure_durable_gsn_async(rfa.max_gsn).await;
-            self.metrics.tracer().span_end(
-                EventKind::RfaRemoteWait,
-                slot as u32,
-                wait_start,
-                rfa.max_gsn,
-            );
+            if let Some(start) = wait_start {
+                tracer.span(
+                    EventKind::RfaRemoteWait,
+                    slot as u32,
+                    start,
+                    Instant::now(),
+                    rfa.max_gsn,
+                );
+            }
             waited?;
         } else {
             self.metrics.incr(Counter::RfaEarlyCommits);
@@ -564,8 +568,6 @@ impl WalHub {
             return Err(PhoebeError::WalHalted);
         }
         let round_start = Instant::now();
-        let tracer = self.metrics.tracer();
-        let batch_start = tracer.span_begin();
         // Gather: one slot lock at a time, one write per segment.
         let mut gathered = Vec::new();
         for (i, (seg, offset)) in self.segments.iter().zip(offsets).enumerate() {
@@ -588,16 +590,14 @@ impl WalHub {
         let last = gathered.pop();
         let submitted: Vec<_> = gathered
             .into_iter()
-            .map(|(i, stolen, req)| (i, stolen, tracer.span_begin(), self.aio.submit(req)))
+            .map(|(i, stolen, req)| (i, stolen, self.aio.submit(req)))
             .collect();
         let mut done = Vec::with_capacity(submitted.len() + 1);
         let mut first_err = None;
-        let mut reap = |i, stolen, wave_start, result: std::io::Result<usize>| match result {
+        let mut reap = |i, stolen, result: std::io::Result<usize>| match result {
             Ok(n) => {
-                tracer.span_end(EventKind::FlushWave, i, wave_start, n as u64);
                 // Per-file durability latency, as the committers saw it.
-                self.metrics
-                    .record_latency(LatencySite::WalFlush, round_start.elapsed().as_nanos() as u64);
+                self.metrics.probe_since(LatencySite::WalFlush, i, n as u64, round_start).finish();
                 done.push((stolen, n as u64));
             }
             Err(e) => {
@@ -605,13 +605,12 @@ impl WalHub {
             }
         };
         if let Some((i, stolen, req)) = last {
-            let wave_start = tracer.span_begin();
-            reap(i, stolen, wave_start, req.run());
+            reap(i, stolen, req.run());
         }
         // Reap every completion before judging the round: nothing may
         // still be in flight when the next round is allowed to start.
-        for (i, stolen, wave_start, completion) in submitted {
-            reap(i, stolen, wave_start, completion.wait());
+        for (i, stolen, completion) in submitted {
+            reap(i, stolen, completion.wait());
         }
         if let Some(e) = first_err {
             return Err(e.into());
@@ -627,9 +626,7 @@ impl WalHub {
             self.metrics.incr(Counter::WalFlushes);
             self.metrics.add(Counter::WalFlushedBytes, total);
             // The whole round is one group-commit window's worth of work.
-            self.metrics
-                .record_latency(LatencySite::GroupCommit, round_start.elapsed().as_nanos() as u64);
-            tracer.span_end(EventKind::GroupCommitBatch, 0, batch_start, total);
+            self.metrics.probe_since(LatencySite::GroupCommit, 0, total, round_start).finish();
         }
         Ok(total)
     }
@@ -684,7 +681,6 @@ impl WalHub {
         let _ = block_on(self.round_done.wait_until(cond, None));
     }
 
-    /// Total bytes physically flushed across writers.
     /// Records appended but not yet physically flushed, summed across
     /// writers (LSNs are per-slot record sequence numbers).
     pub fn backlog_records(&self) -> u64 {
@@ -718,6 +714,7 @@ impl WalHub {
         probe.since.map_or(0, |s| s.elapsed().as_nanos() as u64)
     }
 
+    /// Total bytes physically flushed across writers.
     pub fn total_bytes_flushed(&self) -> u64 {
         self.writers.iter().map(|w| w.bytes_flushed()).sum()
     }

@@ -2,7 +2,9 @@
 # CI trace smoke: run exp1 briefly with the flight recorder enabled via
 # PHOEBE_TRACE and validate the exported Chrome trace-event JSON: it must
 # parse, carry at least one task span on every worker's scheduler track,
-# and include the global-queue-depth counter track.
+# include the global-queue-depth counter track, and hold the `commit`,
+# `group_commit` and `flush_wave` spans the latency probes write (a probe
+# that stops writing its ring half fails here).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -41,8 +43,13 @@ depth = [e for e in events if e.get("ph") == "C" and e.get("name") == "global_qu
 if not depth:
     sys.exit("FAIL: no global_queue_depth counter track")
 
+span_names = {e.get("name") for e in events if e.get("ph") == "X"}
+missing = sorted({"commit", "group_commit", "flush_wave"} - span_names)
+if missing:
+    sys.exit(f"FAIL: no {missing} spans in the trace")
+
 names = {e.get("name") for e in events}
-interesting = sorted(names & {"poll", "commit", "group_commit", "yield"})
+interesting = sorted(names & {"poll", "commit", "group_commit", "flush_wave", "yield"})
 print(f"trace-smoke: {len(events)} events, "
       f"sched spans per worker {spans_per_worker}, "
       f"{len(depth)} queue-depth samples, tracks include {interesting}")
