@@ -1,10 +1,10 @@
 //! Exp 3 / Figure 7(b): WAL flushing throughput over time.
 //!
 //! Paper: ~1800 MB/s sustained via io_uring on an NVMe SSD, stable for the
-//! whole run. Here the per-slot buffers share one segment file and every
-//! group-commit round gathers them into one write linked to one
-//! `fdatasync` (the io_uring stand-in's linked submission); the shape to
-//! observe is a *stable* MB/s series.
+//! whole run. Here every slot buffer drains into one log file: each
+//! group-commit round gathers them into one write followed by one
+//! `fdatasync`, both made by the flusher thread; the shape to observe is
+//! a *stable* MB/s series.
 
 use phoebe_bench::*;
 use phoebe_common::ids::Xid;
@@ -23,7 +23,7 @@ fn main() {
     let hub = WalHub::new(
         &dir,
         writers,
-        4,
+        0, // I/O threads: none, the flusher writes and syncs itself
         Duration::from_micros(200),
         true,
         Arc::new(Metrics::new(appenders)),

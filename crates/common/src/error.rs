@@ -50,6 +50,10 @@ pub enum PhoebeError {
     /// durability cannot be established and the kernel stops acknowledging
     /// transactions (a crash/restart is the only way forward).
     WalHalted,
+    /// The WAL hub was shut down before the commit's record became
+    /// durable: no flush round runs any more, so the commit is not
+    /// acknowledged.
+    WalClosed,
     /// On-disk data failed a checksum or structural validation.
     Corruption(String),
     /// Internal invariant violation; indicates a kernel bug.
@@ -107,6 +111,9 @@ impl fmt::Display for PhoebeError {
             PhoebeError::Io(e) => write!(f, "i/o error: {e}"),
             PhoebeError::WalHalted => {
                 write!(f, "wal halted after a log i/o failure; commit durability unknown")
+            }
+            PhoebeError::WalClosed => {
+                write!(f, "wal closed by shutdown; commit durability unknown")
             }
             PhoebeError::Corruption(msg) => write!(f, "corruption detected: {msg}"),
             PhoebeError::Internal(msg) => write!(f, "internal error: {msg}"),

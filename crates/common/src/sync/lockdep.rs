@@ -98,8 +98,6 @@ pub enum Rank {
     /// WAL flusher doorbell — rung while a slot buffer may be held
     /// (`wal/writer.rs`).
     WalDoorbell = 82,
-    /// Async-I/O submission/completion state (`wal/aio.rs`).
-    Aio = 85,
     /// Runtime shared control state: worker-thread registry, hooks
     /// (`runtime/runtime.rs`).
     RuntimeShared = 88,
@@ -123,7 +121,7 @@ impl Rank {
     /// (`cargo xtask lint-kernel`) resolves `Rank::<Name>` tokens it finds
     /// at construction sites against this table, so rank values are never
     /// duplicated outside this file.
-    pub const ALL: [Rank; 22] = [
+    pub const ALL: [Rank; 21] = [
         Rank::Db,
         Rank::Catalog,
         Rank::FrameMeta,
@@ -139,7 +137,6 @@ impl Rank {
         Rank::WalHub,
         Rank::WalSlot,
         Rank::WalDoorbell,
-        Rank::Aio,
         Rank::RuntimeShared,
         Rank::RuntimeQueue,
         Rank::Timer,
@@ -173,7 +170,6 @@ impl Rank {
             Rank::WalHub => "WalHub",
             Rank::WalSlot => "WalSlot",
             Rank::WalDoorbell => "WalDoorbell",
-            Rank::Aio => "Aio",
             Rank::RuntimeShared => "RuntimeShared",
             Rank::RuntimeQueue => "RuntimeQueue",
             Rank::Timer => "Timer",
@@ -607,7 +603,7 @@ impl<T> DerefMut for RankedMutexGuard<'_, T> {
 impl<T> RankedMutexGuard<'_, T> {
     /// Block on `cv`, releasing and re-acquiring the mutex. The lock
     /// stays on the held stack across the wait: the only kernel condvar
-    /// sites (timer, AIO completion, join handles) hold exactly this one
+    /// sites (timer, WAL doorbell, join handles) hold exactly this one
     /// lock, so the approximation cannot mask an ordering bug.
     pub fn wait(&mut self, cv: &Condvar) {
         cv.wait(&mut self.inner);

@@ -173,7 +173,7 @@ impl Database {
     /// Recovery protocol (crash-safe at every step):
     ///
     /// 1. If `wal/` holds records, it is renamed to `wal.recovering/`
-    ///    *before* the new hub truncates the segment files. If
+    ///    *before* the new hub truncates the log file. If
     ///    `wal.recovering/` already exists, a previous recovery itself
     ///    crashed — that directory wins and any half-rebuilt `wal/` is
     ///    discarded, which makes recovery idempotent.
@@ -265,14 +265,11 @@ impl Database {
             fs.as_ref(),
         )?;
         let total_slots = cfg.total_slots() + EXTERNAL_SLOTS;
-        // One segment file (one sync per round) per worker; the external
-        // slots start on a segment boundary, so they never share a file
-        // with a worker's.
+        // Every slot, the external ones included, logs into one file: a
+        // group-commit round is one write and one sync.
         let wal = WalHub::with_fs(
             &wal_dir,
             total_slots,
-            cfg.slots_per_worker,
-            2,
             Duration::from_micros(cfg.wal_group_commit_us),
             cfg.wal_sync,
             Arc::clone(&metrics),

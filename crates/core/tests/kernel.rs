@@ -41,6 +41,31 @@ fn insert_commit_read_roundtrip() {
     db.shutdown();
 }
 
+/// After shutdown no WAL round runs again: a durable commit from an
+/// external slot must fail with a non-retryable error instead of parking
+/// forever. The commit runs on its own thread behind a bounded receive,
+/// so a hang fails the test rather than stalling the suite.
+#[test]
+fn commit_after_shutdown_errors_instead_of_hanging() {
+    let db = open_db();
+    let t = make_accounts(&db);
+    db.shutdown();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let (db2, t2) = (Arc::clone(&db), Arc::clone(&t));
+    std::thread::spawn(move || {
+        let result = block_on(async {
+            let mut txn = db2.begin(IsolationLevel::ReadCommitted);
+            txn.insert(&t2, row(1, "alice", 100)).await?;
+            txn.commit().await
+        });
+        let _ = tx.send(result);
+    });
+    let result = rx.recv_timeout(std::time::Duration::from_secs(10));
+    let err = result.expect("commit after shutdown hung").unwrap_err();
+    assert!(matches!(err, PhoebeError::WalClosed), "got {err:?}");
+    assert!(!err.is_retryable());
+}
+
 #[test]
 fn uncommitted_writes_are_invisible_and_own_writes_visible() {
     let db = open_db();

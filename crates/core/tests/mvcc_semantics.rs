@@ -149,13 +149,22 @@ fn cross_slot_writes_trigger_remote_flush_waits() {
     let r = seed(&db, &t, 1, 0);
     // Two external threads (distinct slots) ping-pong the same row with
     // wal_sync on: the second writer builds on the first's unflushed page.
+    // They start together and keep going (within a bound) until that has
+    // happened, so a loaded host that runs one thread's batch before the
+    // other starts cannot starve the interleaving.
+    let start = Arc::new(std::sync::Barrier::new(2));
     let mut handles = Vec::new();
     for i in 0..2i64 {
         let db = db.clone();
         let t = t.clone();
+        let start = Arc::clone(&start);
         handles.push(std::thread::spawn(move || {
+            start.wait();
             block_on(async {
-                for j in 0..10 {
+                for j in 0..500 {
+                    if j >= 10 && db.metrics.snapshot().counter(Counter::RemoteFlushWaits) > 0 {
+                        break;
+                    }
                     loop {
                         let mut tx = db.begin(IsolationLevel::ReadCommitted);
                         match tx.update(&t, r, &[(1, Value::I64(i * 100 + j))]).await {
@@ -173,9 +182,8 @@ fn cross_slot_writes_trigger_remote_flush_waits() {
     for h in handles {
         h.join().unwrap();
     }
-    let snap = db.metrics.snapshot();
     assert!(
-        snap.counter(Counter::RemoteFlushWaits) > 0,
+        db.metrics.snapshot().counter(Counter::RemoteFlushWaits) > 0,
         "interleaved cross-slot writers must hit the remote path sometimes"
     );
     db.shutdown();

@@ -354,8 +354,13 @@ impl BufferPool {
     /// The returned frame contains `Page::Free` and belongs to the caller,
     /// who must install content under an exclusive latch.
     pub fn allocate(&self) -> Result<FrameId> {
+        self.allocate_in(self.home_partition())
+    }
+
+    /// [`BufferPool::allocate`] with `home` as the partition to take from
+    /// and evict in first.
+    fn allocate_in(&self, home: usize) -> Result<FrameId> {
         let _t = self.metrics.timer(Component::Buffer);
-        let home = self.home_partition();
         if let Some(f) = self.partitions[home].free.lock().pop() {
             return Ok(f);
         }
@@ -437,7 +442,17 @@ impl BufferPool {
     /// the parent latch, so eviction (which needs parent latches) is never
     /// starved by a loader.
     pub fn load_cold(&self, page: PageId, parent: FrameId) -> Result<FrameId> {
-        let fid = self.allocate()?;
+        self.load_cold_in(self.home_partition(), page, parent)
+    }
+
+    /// [`BufferPool::load_cold`] into a frame of partition `home`.
+    pub(crate) fn load_cold_in(
+        &self,
+        home: usize,
+        page: PageId,
+        parent: FrameId,
+    ) -> Result<FrameId> {
+        let fid = self.allocate_in(home)?;
         if let Err(e) = self.read_into_frame(fid, page, parent) {
             self.release(fid);
             return Err(e);
@@ -470,7 +485,9 @@ impl BufferPool {
     /// return its ticket. The background loader runs the allocate-and-read
     /// half of [`BufferPool::load_cold`]; the caller performs the swizzle
     /// install under the parent latch once the ticket completes, exactly
-    /// as the blocking path does. If the loader thread is gone (pool
+    /// as the blocking path does — and the frame comes from the caller's
+    /// home partition, as the blocking path's would, not from one picked
+    /// by the loader thread's id. If the loader thread is gone (pool
     /// shutting down) the load happens inline and the ticket returns
     /// already complete.
     pub fn start_fault(
@@ -480,7 +497,9 @@ impl BufferPool {
     ) -> Arc<crate::fault_service::FaultTicket> {
         self.faults_inflight.fetch_add(1, Ordering::Relaxed);
         let ticket = crate::fault_service::FaultTicket::counted(Arc::downgrade(self));
-        let req = crate::fault_service::FaultRequest { page, parent, ticket: Arc::clone(&ticket) };
+        let home = self.home_partition();
+        let req =
+            crate::fault_service::FaultRequest { home, page, parent, ticket: Arc::clone(&ticket) };
         let mut tx = self.fault_tx.lock();
         let sender = tx.get_or_insert_with(|| {
             let (s, r) = std::sync::mpsc::channel();
@@ -977,6 +996,60 @@ mod tests {
         let g = p.frame(back).latch.read();
         let Page::TableLeaf(l) = &*g else { panic!("expected leaf") };
         assert_eq!(l.read_col(&layout, 0, 0), Value::I64(42));
+    }
+
+    /// An asynchronous fault's frame comes from the requester's home
+    /// partition, as a blocking fault's would — not from whichever
+    /// partition the loader thread's id happens to hash to.
+    #[test]
+    fn async_fault_allocates_in_the_requesters_partition() {
+        use crate::node::InnerNode;
+
+        let p = pool(32, 2);
+        // A cold leaf under a resident parent, both first placed in `part`.
+        let cold_leaf = |part: usize| {
+            let parent = p.allocate_in(part).unwrap();
+            let leaf = p.allocate_in(part).unwrap();
+            *p.frame(leaf).latch.write() = Page::TableLeaf(crate::pax::PaxLeaf::new());
+            let mut inner = InnerNode::default();
+            inner.children[0] = Swip::hot(leaf).raw();
+            *p.frame(parent).latch.write() = Page::Inner(inner);
+            p.frame(leaf).meta.parent.store(parent, Ordering::Relaxed);
+            p.frame(leaf).meta.dirty.store(true, Ordering::Relaxed);
+            p.stage_cooling(part, 8);
+            assert!(p.evict_one(part).unwrap());
+            let SwipState::Cold(pid) = child_state(&p, parent, 0) else { panic!("leaf not cold") };
+            (parent, pid)
+        };
+        let pages: Vec<_> = (0..8).map(|i| cold_leaf(i % 2)).collect();
+        for part in 0..2 {
+            let free = || [p.free_frames(0), p.free_frames(1)];
+            // Fault from a thread whose home partition is `part`; thread
+            // ids hash at random, so a few tries find one.
+            let (before, after) = loop {
+                let run = std::thread::scope(|s| {
+                    s.spawn(|| {
+                        if p.home_partition() != part {
+                            return None;
+                        }
+                        let before = free();
+                        let tickets: Vec<_> =
+                            pages.iter().map(|&(parent, pid)| p.start_fault(pid, parent)).collect();
+                        while !tickets.iter().all(|t| t.is_done()) {
+                            std::thread::yield_now();
+                        }
+                        Some((before, free()))
+                    })
+                    .join()
+                    .unwrap()
+                });
+                if let Some(run) = run {
+                    break run;
+                }
+            };
+            assert_eq!(after[part], before[part] - pages.len(), "home partition {part}");
+            assert_eq!(after[1 - part], before[1 - part], "home partition {part}: foreign frames");
+        }
     }
 
     /// A cooling candidate that loses its eviction attempt to a latch

@@ -175,6 +175,8 @@ impl Drop for FaultTicket {
 
 /// One queued fault request.
 pub(crate) struct FaultRequest {
+    /// The requester's home partition, which the frame is allocated from.
+    pub home: usize,
     pub page: PageId,
     pub parent: FrameId,
     pub ticket: Arc<FaultTicket>,
@@ -202,6 +204,6 @@ pub(crate) fn loader_loop(
         };
         let Ok(req) = req else { return };
         let Some(pool) = pool.upgrade() else { return };
-        req.ticket.complete(pool.load_cold(req.page, req.parent));
+        req.ticket.complete(pool.load_cold_in(req.home, req.page, req.parent));
     }
 }

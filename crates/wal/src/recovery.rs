@@ -1,13 +1,14 @@
-//! Recovery: merge the WAL segment files by GSN and replay committed
-//! transactions (§8).
+//! Recovery: merge the WAL files by GSN and replay committed transactions
+//! (§8).
 //!
 //! Distributed logging orders recovery with the GSN: a transaction's
-//! records sit in one file in LSN order (its slot appends to one segment),
+//! records sit in one file in LSN order (its slot appends to one file),
 //! and records are merged across files by `(gsn, lsn)`. Records are
 //! self-describing, so the scan does not care how slots were mapped to
-//! files — a per-worker `wal_seg_*` directory and a legacy per-slot
-//! `wal_slot_*` one recover through the same code. Because PhoebeDB's
-//! records are logical, replay
+//! files — today's single `wal_seg_0000.log`, the per-worker `wal_seg_*`
+//! files and the per-slot `wal_slot_*` ones of older directories all
+//! recover through the same code. Because PhoebeDB's records are logical,
+//! replay
 //! groups each committed transaction's operations and re-applies the
 //! transactions in commit-timestamp order, which reproduces the serial
 //! history the MVCC engine admitted. Transactions without a commit record
@@ -47,7 +48,7 @@ pub struct WalScanStats {
 
 /// True for the file names the log scan reads: `wal_seg_NNNN.log`, and
 /// the per-slot `wal_slot_NNNN.log` of directories written before slots
-/// shared segments.
+/// shared a file.
 pub fn is_wal_file(name: &str) -> bool {
     name.starts_with("wal_") && name.ends_with(".log")
 }
@@ -167,14 +168,14 @@ mod tests {
         Xid::from_start_ts(n)
     }
 
-    /// The single log file of a one-segment hub's directory.
+    /// The hub's one log file.
     fn only_wal_file(dir: &Path) -> std::path::PathBuf {
         let mut files = std::fs::read_dir(dir)
             .unwrap()
             .map(|e| e.unwrap().path())
             .filter(|p| is_wal_file(p.file_name().unwrap().to_str().unwrap()));
         let path = files.next().expect("a WAL file");
-        assert!(files.next().is_none(), "one segment expected");
+        assert!(files.next().is_none(), "one log file expected");
         path
     }
 
@@ -303,40 +304,27 @@ mod tests {
         use rand::seq::SliceRandom;
         use rand::{RngExt, SeedableRng};
 
-        // Nor of how slots map to files: one file per slot (the layout
-        // before segments) is the reference; all four slots gathered into
-        // one segment must recover bit-identically.
-        let canonical: Vec<RecoveredTxn> = emit_interleaved(0, 1);
+        // Nor of how slots map to files: the hub's one log file and a
+        // hand-built directory of one `wal_slot_*` file per slot (the
+        // layout before slots shared a file) must recover bit-identically,
+        // which keeps the scan's multi-file merge covered.
+        let canonical: Vec<RecoveredTxn> = emit_interleaved(0).0;
         assert_eq!(canonical.len(), 6, "all six committed transactions recovered");
         for seed in 0..12u64 {
-            for slots_per_segment in [1, 4] {
-                let got = emit_interleaved(seed, slots_per_segment);
-                assert_eq!(
-                    got, canonical,
-                    "seed {seed}, {slots_per_segment} slots per segment: committed set depends \
-                     on interleaving or file layout"
-                );
-            }
+            let (one_file, per_slot) = emit_interleaved(seed);
+            assert_eq!(one_file, canonical, "seed {seed}: committed set depends on interleaving");
+            assert_eq!(per_slot, canonical, "seed {seed}: committed set depends on file layout");
         }
 
         /// Log 8 transactions (6 commit, 1 aborts, 1 stays in flight)
         /// with seed-driven slot assignment and round-robin shuffling,
-        /// then recover. Returns committed txns with per-run fields
-        /// (gsn) normalised away.
-        fn emit_interleaved(seed: u64, slots_per_segment: usize) -> Vec<RecoveredTxn> {
+        /// then recover the hub's directory and its per-slot split.
+        /// Returns committed txns with per-run fields (gsn) normalised
+        /// away.
+        fn emit_interleaved(seed: u64) -> (Vec<RecoveredTxn>, Vec<RecoveredTxn>) {
             let mut rng = StdRng::seed_from_u64(seed);
             let dir = KernelConfig::for_tests().data_dir;
-            let h = WalHub::with_fs(
-                &dir,
-                4,
-                slots_per_segment,
-                2,
-                Duration::from_micros(100),
-                true,
-                Arc::new(Metrics::new(1)),
-                Arc::new(phoebe_common::fault::OsFs),
-            )
-            .unwrap();
+            let h = hub_in(&dir, 4);
             let slots: Vec<usize> = (0..8).map(|_| rng.random_range(0..4usize)).collect();
             // Each txn runs three phases: Begin, one Insert, then
             // Commit/Abort/nothing. Shuffling the txn order inside each
@@ -385,11 +373,24 @@ mod tests {
             }
             h.flush_all().unwrap();
             h.shutdown();
-            let mut got = recover_dir(&dir).unwrap();
-            for t in &mut got {
-                t.max_gsn = 0; // GSNs differ run to run; the *set* must not
+            // Split the one file by slot, each slot's records in file order.
+            let split = KernelConfig::for_tests().data_dir;
+            std::fs::create_dir_all(&split).unwrap();
+            let mut files = vec![Vec::new(); 4];
+            for rec in read_wal_file(&only_wal_file(&dir)).unwrap() {
+                rec.encode_into(&mut files[slots[rec.xid.start_ts() as usize - 1]]);
             }
-            got
+            for (slot, bytes) in files.iter().enumerate() {
+                std::fs::write(split.join(format!("wal_slot_{slot:04}.log")), bytes).unwrap();
+            }
+            let recovered = |dir: &Path| {
+                let mut got = recover_dir(dir).unwrap();
+                for t in &mut got {
+                    t.max_gsn = 0; // GSNs differ run to run; the *set* must not
+                }
+                got
+            };
+            (recovered(&dir), recovered(&split))
         }
     }
 

@@ -3,16 +3,15 @@
 //!
 //! Every task slot owns a [`WalWriter`]: an in-memory buffer plus its own
 //! LSN sequence and durable horizons, so log *appends* never contend
-//! across slots. The slots of one worker share one append-only segment
-//! file (`wal_seg_NNNN.log`); records are self-describing (xid, GSN, LSN),
-//! so nothing about ordering or RFA depends on which file holds them. A
+//! across slots. All slots share one append-only log file
+//! (`wal_seg_0000.log`); records are self-describing (xid, GSN, LSN), so
+//! nothing about ordering or RFA depends on which file holds them. A
 //! background flusher runs group-commit rounds: a round steals every
-//! pending slot buffer, gathers each segment's bytes into **one write
-//! linked to one `fdatasync`** (the segments proceed in parallel through
-//! the AIO pool, the io_uring stand-in), and then publishes each
-//! contributing slot's horizons. Rounds never overlap, so a segment has at
-//! most one write→sync in flight and its CRC-valid prefix is always a
-//! prefix of acknowledged rounds.
+//! pending slot buffer into one reusable buffer, makes it durable with
+//! **one write and one `fdatasync`** made by the flusher itself, and
+//! then publishes each contributing slot's horizons. Rounds never
+//! overlap, so the file has at most one write→sync in flight and its
+//! CRC-valid prefix is always a prefix of acknowledged rounds.
 //!
 //! GSN/LSN: every record carries the slot-local, strictly monotonic LSN
 //! and a GSN that only advances on *cross-slot* modifications — touching a
@@ -25,7 +24,6 @@
 //! * otherwise the commit waits until every writer's durable horizon
 //!   passes the transaction's max GSN.
 
-use crate::aio::{AioPool, AioRequest};
 use crate::record::{RecordBody, WalRecord};
 use phoebe_common::error::{PhoebeError, Result};
 use phoebe_common::fault::{FaultFile, FaultFs, OsFs};
@@ -36,7 +34,7 @@ use phoebe_common::sync::{Condvar, Rank, RankedMutex};
 use phoebe_common::trace::EventKind;
 use phoebe_runtime::{block_on, Notify};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -91,11 +89,55 @@ impl Doorbell {
     }
 }
 
+/// Whether the hub still acknowledges durability. Shared by the hub and
+/// every writer so each durability wait can check it; it only rises.
+#[derive(Default)]
+struct Liveness(AtomicU8);
+
+impl Liveness {
+    /// Shut down: the flusher ran its final round and no other follows.
+    const CLOSED: u8 = 1;
+    /// A log write or fsync failed: nothing more can be proven durable.
+    const HALTED: u8 = 2;
+
+    fn stop(&self, why: u8) {
+        self.0.fetch_max(why, Ordering::AcqRel);
+    }
+
+    fn halted(&self) -> bool {
+        self.0.load(Ordering::Acquire) == Self::HALTED
+    }
+
+    /// `Ok` while rounds still run; afterwards the terminal,
+    /// non-retryable error that says why they stopped.
+    fn check(&self) -> Result<()> {
+        match self.0.load(Ordering::Acquire) {
+            0 => Ok(()),
+            Self::CLOSED => Err(PhoebeError::WalClosed),
+            _ => Err(PhoebeError::WalHalted),
+        }
+    }
+}
+
+/// The condition of every durability wait: `Ok` once the horizon reached
+/// the target, the stop error once no round will run again, else keep
+/// waiting.
+fn durable_or_stopped(durable: bool, live: &Liveness) -> Option<Result<()>> {
+    if durable {
+        Some(Ok(()))
+    } else {
+        live.check().err().map(Err)
+    }
+}
+
 /// Initial capacity of a slot's append buffer.
 const SLOT_BUF_BYTES: usize = 16 * 1024;
 
+/// The one log file every slot's records go to.
+const LOG_FILE: &str = "wal_seg_0000.log";
+
 /// One slot's WAL writer: the append buffer and the slot's horizons. The
-/// bytes reach disk through the slot's [`Segment`].
+/// bytes reach disk through the hub's group-commit rounds.
 pub struct WalWriter {
     pub slot: usize,
     buf: RankedMutex<Vec<u8>>,
@@ -106,14 +148,14 @@ pub struct WalWriter {
     flushed_gsn: AtomicU64,
     bytes_flushed: AtomicU64,
     durable: Notify,
-    /// The hub's halt flag (log device failed): durability waiters check
-    /// it so they error out instead of parking forever.
-    halted: Arc<AtomicBool>,
+    /// The hub's liveness: durability waiters check it so they error out
+    /// instead of parking forever once no round will run again.
+    live: Arc<Liveness>,
 }
 
 /// What one slot contributed to a round: the append marks its stolen
 /// bytes end at, published as the slot's durable horizons once the
-/// segment's write→sync landed.
+/// round's write→sync landed.
 struct Stolen {
     len: u64,
     lsn_mark: u64,
@@ -121,7 +163,7 @@ struct Stolen {
 }
 
 impl WalWriter {
-    fn new(slot: usize, halted: Arc<AtomicBool>) -> Arc<Self> {
+    fn new(slot: usize, live: Arc<Liveness>) -> Arc<Self> {
         Arc::new(WalWriter {
             slot,
             buf: RankedMutex::new(
@@ -136,7 +178,7 @@ impl WalWriter {
             flushed_gsn: AtomicU64::new(0),
             bytes_flushed: AtomicU64::new(0),
             durable: Notify::new(),
-            halted,
+            live,
         })
     }
 
@@ -156,10 +198,10 @@ impl WalWriter {
         (lsn, n)
     }
 
-    /// Move the pending bytes onto the end of `out` (the segment's
-    /// gathered write). `None` when nothing was pending — and then, rounds
-    /// being serial and a failed one halting the hub for good, everything
-    /// this slot ever appended is already durable and published.
+    /// Move the pending bytes onto the end of `out` (the round's gathered
+    /// write). `None` when nothing was pending — and then, rounds being
+    /// serial and a failed one halting the hub for good, everything this
+    /// slot ever appended is already durable and published.
     fn steal_into(&self, out: &mut Vec<u8>) -> Option<Stolen> {
         let mut buf = self.buf.lock();
         if buf.is_empty() {
@@ -180,7 +222,7 @@ impl WalWriter {
         })
     }
 
-    /// Publish durability once the segment's write (and fsync) landed.
+    /// Publish durability once the round's write (and fsync) landed.
     fn publish(&self, s: &Stolen) {
         self.flushed_lsn.fetch_max(s.lsn_mark, Ordering::AcqRel);
         self.flushed_gsn.fetch_max(s.gsn_mark, Ordering::AcqRel);
@@ -223,32 +265,15 @@ impl WalWriter {
     /// a loaded machine a spinning committer competes with the flusher for
     /// CPU, which is exactly backwards.
     ///
-    /// Errs with [`PhoebeError::WalHalted`] if the log device failed
-    /// before `lsn` became durable: the commit must NOT be acknowledged.
+    /// Errs with [`PhoebeError::WalHalted`] if the log device failed, or
+    /// [`PhoebeError::WalClosed`] if the hub shut down, before `lsn`
+    /// became durable: the commit must NOT be acknowledged.
     pub async fn wait_lsn(&self, lsn: Lsn) -> Result<()> {
         self.durable
-            .wait_until(|| durable_or_halted(self.flushed_lsn() >= lsn.raw(), &self.halted), None)
+            .wait_until(|| durable_or_stopped(self.flushed_lsn() >= lsn.raw(), &self.live), None)
             .await
             .expect("a wait without a deadline ends on its condition")
     }
-}
-
-/// The condition of every durability wait: `Ok` once the horizon reached
-/// the target, `WalHalted` once the log device failed, else keep waiting.
-fn durable_or_halted(durable: bool, halted: &AtomicBool) -> Option<Result<()>> {
-    if durable {
-        Some(Ok(()))
-    } else if halted.load(Ordering::Acquire) {
-        Some(Err(PhoebeError::WalHalted))
-    } else {
-        None
-    }
-}
-
-/// One append-only log file shared by a contiguous range of slots.
-struct Segment {
-    file: Arc<dyn FaultFile>,
-    slots: std::ops::Range<usize>,
 }
 
 /// Per-transaction RFA state (§8 "decoupled dependencies").
@@ -261,26 +286,34 @@ pub struct RfaState {
     pub max_gsn: u64,
 }
 
+/// The state a round works on, under the hub's `round` lock.
+#[derive(Default)]
+struct Round {
+    /// The log file's append offset.
+    offset: u64,
+    /// The gathered write, reused round after round (empty between rounds).
+    buf: Vec<u8>,
+}
+
 /// The WAL hub: all slot writers, the GSN clock, and the group-commit
 /// flusher.
 pub struct WalHub {
     writers: Vec<Arc<WalWriter>>,
-    segments: Vec<Segment>,
+    file: Arc<dyn FaultFile>,
     gsn: AtomicU64,
-    aio: Arc<AioPool>,
     metrics: Arc<Metrics>,
     sync: bool,
-    shutdown: Arc<AtomicBool>,
-    /// Raised when a log write or fsync fails: the hub stops acknowledging
-    /// durability and every waiter errors with [`PhoebeError::WalHalted`].
-    halted: Arc<AtomicBool>,
+    /// Asks the flusher to run its final round and exit.
+    shutdown: AtomicBool,
+    /// Closed after the flusher's final round; halted when a log write or
+    /// fsync fails. Either way every waiter errors instead of sleeping.
+    live: Arc<Liveness>,
     flusher: RankedMutex<Option<std::thread::JoinHandle<()>>>,
     /// Commit-side wakeup for the flusher thread.
     doorbell: Doorbell,
-    /// Each segment file's append offset. Holding this lock *is* running
-    /// a round: rounds never overlap, which keeps at most one write→sync
-    /// in flight per segment.
-    round: RankedMutex<Vec<u64>>,
+    /// Holding this lock *is* running a round: rounds never overlap, which
+    /// keeps at most one write→sync in flight on the log file.
+    round: RankedMutex<Round>,
     /// Rounds completed so far (empty and failed ones included).
     rounds: AtomicU64,
     /// Notified after every flush round, failed ones included: what
@@ -302,63 +335,48 @@ struct HorizonProbe {
 }
 
 impl WalHub {
-    /// Create writers for `slots` task slots sharing one segment file
-    /// under `dir` on the real filesystem and start the group-commit
-    /// flusher.
+    /// Create writers for `slots` task slots over one log file under
+    /// `dir` on the real filesystem and start the group-commit flusher.
+    ///
+    /// `_io_threads` is ignored: the flusher makes each round's write
+    /// and sync itself. It stays only because `benchmark/src/probes.rs`
+    /// passes it, and goes with the next change to that crate.
     pub fn new(
         dir: &Path,
         slots: usize,
-        aio_threads: usize,
+        _io_threads: usize,
         group_commit: Duration,
         sync: bool,
         metrics: Arc<Metrics>,
     ) -> Result<Arc<Self>> {
-        Self::with_fs(dir, slots, slots, aio_threads, group_commit, sync, metrics, Arc::new(OsFs))
+        Self::with_fs(dir, slots, group_commit, sync, metrics, Arc::new(OsFs))
     }
 
     /// [`WalHub::new`] over an injected filesystem — the seam the
     /// crash-torture harness uses to put a [`phoebe_common::fault::SimFs`]
-    /// under every log file — with every `slots_per_segment` consecutive
-    /// slots sharing one `wal_seg_NNNN.log` (the kernel passes its slots
-    /// per worker: one file, and one sync per round, per worker).
-    #[allow(clippy::too_many_arguments)]
+    /// under the log file.
     pub fn with_fs(
         dir: &Path,
         slots: usize,
-        slots_per_segment: usize,
-        aio_threads: usize,
         group_commit: Duration,
         sync: bool,
         metrics: Arc<Metrics>,
         fs: Arc<dyn FaultFs>,
     ) -> Result<Arc<Self>> {
         std::fs::create_dir_all(dir)?;
-        let halted = Arc::new(AtomicBool::new(false));
-        let writers = (0..slots).map(|s| WalWriter::new(s, Arc::clone(&halted))).collect();
-        let per = slots_per_segment.max(1);
-        let segments = (0..slots)
-            .step_by(per)
-            .enumerate()
-            .map(|(i, first)| {
-                Ok(Segment {
-                    file: fs.create(&dir.join(format!("wal_seg_{i:04}.log")))?,
-                    slots: first..(first + per).min(slots),
-                })
-            })
-            .collect::<Result<Vec<_>>>()?;
+        let live = Arc::new(Liveness::default());
         let hub = Arc::new(WalHub {
-            writers,
+            writers: (0..slots).map(|s| WalWriter::new(s, Arc::clone(&live))).collect(),
+            file: fs.create(&dir.join(LOG_FILE))?,
             gsn: AtomicU64::new(1),
-            aio: AioPool::new(aio_threads),
             metrics,
             sync,
-            shutdown: Arc::new(AtomicBool::new(false)),
-            halted,
+            shutdown: AtomicBool::new(false),
+            live,
             flusher: RankedMutex::new(Rank::WalHub, "wal.hub_flusher", None),
             doorbell: Doorbell::default(),
-            round: RankedMutex::new(Rank::WalHub, "wal.hub_round", vec![0; segments.len()]),
+            round: RankedMutex::new(Rank::WalHub, "wal.hub_round", Round::default()),
             rounds: AtomicU64::new(0),
-            segments,
             round_done: Notify::new(),
             horizon_probe: RankedMutex::new(
                 Rank::WalHub,
@@ -399,6 +417,10 @@ impl WalHub {
                         };
                     }
                     let _ = h.flush_all();
+                    // No round runs after this one: whoever still waits
+                    // (a commit racing shutdown, or one begun after it)
+                    // must error out, not sleep forever.
+                    h.stop(Liveness::CLOSED);
                 })
                 .expect("spawn wal flusher"),
         );
@@ -515,39 +537,32 @@ impl WalHub {
 
     /// True once the hub refused further durability after a log I/O error.
     pub fn is_halted(&self) -> bool {
-        self.halted.load(Ordering::Acquire)
+        self.live.halted()
     }
 
-    /// Stop acknowledging durability: a log write or fsync failed, so no
-    /// later commit can be proven durable. Wakes every parked own-slot
-    /// waiter so they observe the flag and error out instead of sleeping
-    /// forever on a disk that will never answer (`flush_all` wakes the
-    /// per-round waiters after every round anyway).
-    fn halt(&self) {
-        self.halted.store(true, Ordering::Release);
+    /// Stop acknowledging durability — a log write or fsync failed, or the
+    /// flusher ran its final round — and wake every parked waiter so it
+    /// observes why and errors out instead of sleeping on a round that
+    /// will never come.
+    fn stop(&self, why: u8) {
+        self.live.stop(why);
         for w in &self.writers {
             w.durable.notify_all();
         }
+        self.round_done.notify_all();
     }
 
-    /// Run one group-commit round: flush every writer's pending bytes,
-    /// one gathered write→sync per segment, the segments in parallel.
-    /// Returns total bytes flushed. A concurrent caller waits its turn, so
-    /// on return everything appended before the call is durable.
+    /// Run one group-commit round on the calling thread: steal every
+    /// writer's pending bytes into one write and make it durable with one
+    /// `fdatasync`. Returns bytes flushed. A concurrent caller waits its
+    /// turn, so on return everything appended before the call is durable.
     pub fn flush_all(&self) -> Result<u64> {
-        let flushed = {
-            let mut offsets = self.round.lock();
-            let flushed = self.run_round(&mut offsets);
-            if flushed.is_err() {
-                self.halt();
-            }
-            flushed
-        };
+        let flushed = self.run_round(&mut self.round.lock());
         // ORDERING: statistic counter; waiters synchronize through the
         // horizons and `round_done`, never through this count.
         self.rounds.fetch_add(1, Ordering::Relaxed);
         // Wake remote-dependency waiters and the write barrier after
-        // every round, failed ones included (they re-check `halted`).
+        // every round, failed ones included (they re-check liveness).
         self.round_done.notify_all();
         flushed
     }
@@ -559,76 +574,49 @@ impl WalHub {
         self.rounds.load(Ordering::Relaxed)
     }
 
-    /// The body of a round, under the `round` lock. Any error leaves the
-    /// stolen bytes unacknowledged; the caller halts the hub.
-    fn run_round(&self, offsets: &mut [u64]) -> Result<u64> {
-        if self.halted.load(Ordering::Acquire) {
-            // After a log I/O failure no later flush can prove anything
-            // durable; stealing more bytes would only widen the loss.
-            return Err(PhoebeError::WalHalted);
-        }
+    /// The body of a round, under the `round` lock. An I/O error leaves
+    /// the stolen bytes unacknowledged and halts the hub.
+    fn run_round(&self, round: &mut Round) -> Result<u64> {
+        // After a log I/O failure no later flush can prove anything
+        // durable; stealing more bytes would only widen the loss. After
+        // the final round nobody is left to be told.
+        self.live.check()?;
         let round_start = Instant::now();
-        // Gather: one slot lock at a time, one write per segment.
-        let mut gathered = Vec::new();
-        for (i, (seg, offset)) in self.segments.iter().zip(offsets).enumerate() {
-            let mut data = Vec::new();
-            let stolen: Vec<_> = self.writers[seg.slots.clone()]
-                .iter()
-                .filter_map(|w| w.steal_into(&mut data).map(|s| (w, s)))
-                .collect();
-            if stolen.is_empty() {
-                continue;
-            }
-            let req =
-                AioRequest { file: Arc::clone(&seg.file), offset: *offset, data, sync: self.sync };
-            *offset += req.data.len() as u64;
-            gathered.push((i as u32, stolen, req));
-        }
-        // Submit: every segment's write→sync to the pool, except the last,
-        // which this thread runs itself instead of sleeping on it — one
-        // busy worker costs no hand-off at all.
-        let last = gathered.pop();
-        let submitted: Vec<_> = gathered
-            .into_iter()
-            .map(|(i, stolen, req)| (i, stolen, self.aio.submit(req)))
+        // Gather: one slot lock at a time, in slot order.
+        let stolen: Vec<_> = self
+            .writers
+            .iter()
+            .filter_map(|w| w.steal_into(&mut round.buf).map(|s| (w, s)))
             .collect();
-        let mut done = Vec::with_capacity(submitted.len() + 1);
-        let mut first_err = None;
-        let mut reap = |i, stolen, result: std::io::Result<usize>| match result {
-            Ok(n) => {
-                // Per-file durability latency, as the committers saw it.
-                self.metrics.probe_since(LatencySite::WalFlush, i, n as u64, round_start).finish();
-                done.push((stolen, n as u64));
-            }
-            Err(e) => {
-                first_err.get_or_insert(e);
-            }
-        };
-        if let Some((i, stolen, req)) = last {
-            reap(i, stolen, req.run());
+        if stolen.is_empty() {
+            return Ok(0);
         }
-        // Reap every completion before judging the round: nothing may
-        // still be in flight when the next round is allowed to start.
-        for (i, stolen, completion) in submitted {
-            reap(i, stolen, completion.wait());
-        }
-        if let Some(e) = first_err {
+        let n = round.buf.len() as u64;
+        let written = self.file.write_all_at(round.offset, &round.buf).and_then(|()| {
+            if self.sync {
+                self.file.sync_data()
+            } else {
+                Ok(())
+            }
+        });
+        // Keep the buffer warm, but not a bulk load's high-water mark.
+        round.buf.clear();
+        round.buf.shrink_to(16 * SLOT_BUF_BYTES);
+        if let Err(e) = written {
+            self.stop(Liveness::HALTED);
             return Err(e.into());
         }
-        let mut total = 0;
-        for (stolen, n) in &done {
-            for (w, s) in stolen {
-                w.publish(s);
-            }
-            total += n;
+        round.offset += n;
+        // Durability latency as the committers saw it.
+        self.metrics.probe_since(LatencySite::WalFlush, 0, n, round_start).finish();
+        for (w, s) in &stolen {
+            w.publish(s);
         }
-        if total > 0 {
-            self.metrics.incr(Counter::WalFlushes);
-            self.metrics.add(Counter::WalFlushedBytes, total);
-            // The whole round is one group-commit window's worth of work.
-            self.metrics.probe_since(LatencySite::GroupCommit, 0, total, round_start).finish();
-        }
-        Ok(total)
+        self.metrics.incr(Counter::WalFlushes);
+        self.metrics.add(Counter::WalFlushedBytes, n);
+        // The whole round is one group-commit window's worth of work.
+        self.metrics.probe_since(LatencySite::GroupCommit, 0, n, round_start).finish();
+        Ok(n)
     }
 
     /// The global durable horizon: every writer has flushed at least this
@@ -641,11 +629,11 @@ impl WalHub {
     /// sleep on the per-round notification; spinning at high urgency here
     /// starved the flusher of CPU on small machines.
     ///
-    /// Errs with [`PhoebeError::WalHalted`] if the log device failed
-    /// before the horizon reached `gsn`.
+    /// Errs with [`PhoebeError::WalHalted`] or [`PhoebeError::WalClosed`]
+    /// if rounds stopped before the horizon reached `gsn`.
     pub async fn ensure_durable_gsn_async(&self, gsn: u64) -> Result<()> {
         self.round_done
-            .wait_until(|| durable_or_halted(self.durable_gsn() >= gsn, &self.halted), None)
+            .wait_until(|| durable_or_stopped(self.durable_gsn() >= gsn, &self.live), None)
             .await
             .expect("a wait without a deadline ends on its condition")
     }
@@ -664,15 +652,15 @@ impl WalHub {
 
     /// Blocking variant of the write barrier, for the buffer pool's
     /// last-resort allocation pass (called with no latch held). Returns
-    /// early (without reaching `gsn`) when the hub halted; the caller
+    /// early (without reaching `gsn`) once rounds stopped; the caller
     /// re-checks with [`WalHub::try_ensure_durable_gsn`] before any page
-    /// write, so a halted log fails the allocation instead of breaking
-    /// WAL-before-page.
+    /// write, so a halted or closed log fails the allocation instead of
+    /// breaking WAL-before-page.
     pub fn ensure_durable_gsn_blocking(&self, gsn: u64) {
         // The async barrier's wait, on the calling thread; the condition
         // rings once per round it still needs.
         let cond = || {
-            let done = durable_or_halted(self.durable_gsn() >= gsn, &self.halted);
+            let done = durable_or_stopped(self.durable_gsn() >= gsn, &self.live);
             if done.is_none() {
                 self.doorbell.ring();
             }
@@ -724,7 +712,8 @@ impl WalHub {
         self.metrics.snapshot()
     }
 
-    /// Stop the flusher (final flush included).
+    /// Stop the flusher (final flush included); afterwards every
+    /// durability wait errs with [`PhoebeError::WalClosed`].
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::Release);
         // Wake the flusher out of its doorbell wait so shutdown does not
@@ -962,6 +951,36 @@ mod tests {
         assert!(h.durable_gsn() >= rfa0.max_gsn);
         assert!(t0.elapsed() < Duration::from_secs(1), "remote wait took {:?}", t0.elapsed());
         h.shutdown();
+    }
+
+    #[test]
+    fn durability_waits_err_after_shutdown_instead_of_hanging() {
+        // No round runs after shutdown. Each wait runs on its own thread
+        // behind a bounded receive, so a hang fails the test instead of
+        // stalling the suite.
+        fn bounded<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let _ = tx.send(f());
+            });
+            rx.recv_timeout(Duration::from_secs(10)).expect("durability wait hung after shutdown")
+        }
+        let h = hub(2);
+        h.shutdown();
+        // Never flushed now: holds the global horizon below GSN 1.
+        h.log_op(1, xid(1), 1, RecordBody::Begin);
+        let own = Arc::clone(&h);
+        let err = bounded(move || block_on(own.commit(0, xid(2), 2, &RfaState::default())));
+        let err = err.unwrap_err();
+        assert!(matches!(err, PhoebeError::WalClosed), "got {err:?}");
+        assert!(!err.is_retryable());
+        let remote = Arc::clone(&h);
+        let err = bounded(move || block_on(remote.ensure_durable_gsn_async(1))).unwrap_err();
+        assert!(matches!(err, PhoebeError::WalClosed), "got {err:?}");
+        let barrier = Arc::clone(&h);
+        bounded(move || barrier.ensure_durable_gsn_blocking(1));
+        assert!(!h.is_halted(), "a clean shutdown is not a device failure");
+        assert!(matches!(h.flush_all(), Err(PhoebeError::WalClosed)));
     }
 
     #[test]

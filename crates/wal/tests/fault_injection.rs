@@ -18,20 +18,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// All `slots` in one segment, flusher on a 50 us window.
+/// The kernel's slot count: 2 workers × 16 slots plus 8 external slots.
+const KERNEL_SLOTS: usize = 2 * 16 + 8;
+
+/// A hub over `fs`, flusher on a 50 us window.
 fn hub_over(fs: Arc<SimFs>, dir: &std::path::Path, slots: usize) -> Arc<WalHub> {
-    segmented_hub(fs, dir, slots, slots, Duration::from_micros(50))
+    hub_with_window(fs, dir, slots, Duration::from_micros(50))
 }
 
-fn segmented_hub(
+fn hub_with_window(
     fs: Arc<SimFs>,
     dir: &std::path::Path,
     slots: usize,
-    slots_per_segment: usize,
     group_commit: Duration,
 ) -> Arc<WalHub> {
-    let metrics = Arc::new(Metrics::new(1));
-    WalHub::with_fs(dir, slots, slots_per_segment, 2, group_commit, true, metrics, fs).unwrap()
+    WalHub::with_fs(dir, slots, group_commit, true, Arc::new(Metrics::new(1)), fs).unwrap()
 }
 
 /// Log one single-insert transaction on `slot`, commit record included,
@@ -186,15 +187,16 @@ fn durable_gsn_barrier_survives_crash() {
     }
 }
 
-/// A round costs one write and one sync per segment with pending bytes —
-/// never one per slot — and nothing when nothing is pending.
+/// A round costs one write and one sync whichever slots contributed —
+/// both workers' and the external ones alike — and nothing when nothing
+/// is pending.
 #[test]
-fn a_round_syncs_once_per_busy_segment() {
+fn a_round_is_one_write_and_one_sync_whichever_slots_contributed() {
     let dir = KernelConfig::for_tests().data_dir;
     let sim = SimFs::new(FaultConfig::crash_only(1));
-    // Two segments of four slots; a 5 s window keeps the flusher asleep
-    // (log_op does not ring the doorbell), so every round is ours.
-    let hub = segmented_hub(Arc::clone(&sim), &dir, 8, 4, Duration::from_secs(5));
+    // A 5 s window keeps the flusher asleep (log_op does not ring the
+    // doorbell), so every round is ours.
+    let hub = hub_with_window(Arc::clone(&sim), &dir, KERNEL_SLOTS, Duration::from_secs(5));
     let io_of = |f: &dyn Fn()| {
         let (w0, s0) = sim.io_counts();
         f();
@@ -202,18 +204,22 @@ fn a_round_syncs_once_per_busy_segment() {
         let (w1, s1) = sim.io_counts();
         (w1 - w0, s1 - s0)
     };
-    // One busy worker: three of its slots have records.
-    assert_eq!(io_of(&|| (0..3).for_each(|slot| log_txn(&hub, slot, 1 + slot as u64))), (1, 1));
-    // Both workers busy, every slot.
-    assert_eq!(io_of(&|| (0..8).for_each(|slot| log_txn(&hub, slot, 10 + slot as u64))), (2, 2));
+    // Worker 0's first slot, worker 1's second, the last external slot.
+    let slots = [0, 17, 39];
+    assert_eq!(
+        io_of(&|| slots.iter().for_each(|&slot| log_txn(&hub, slot, 1 + slot as u64))),
+        (1, 1)
+    );
     assert_eq!(io_of(&|| ()), (0, 0), "an empty round touches no file");
     hub.shutdown();
-    assert_eq!(recover_dir(&dir).unwrap().len(), 11);
+    assert_eq!(recover_dir(&dir).unwrap().len(), 3);
+    let files = std::fs::read_dir(&dir).unwrap().count();
+    assert_eq!(files, 1, "every slot logs into one file");
 }
 
-/// A gathered round torn mid-write: three slots' bytes travel in one
-/// write, the disk dies under it and keeps a seeded prefix (or nothing, or
-/// all of it). Whatever landed, the earlier acknowledged round survives,
+/// A gathered round torn mid-write: three slots' bytes — one of each
+/// worker's, one external — travel in one write, the disk dies under it
+/// and keeps a seeded prefix (or nothing, or all of it). Whatever landed, the earlier acknowledged round survives,
 /// nothing from the torn round was acknowledged, only an intact prefix of
 /// the gathered bytes is replayed, and the scan accounts for the rest.
 #[test]
@@ -222,16 +228,17 @@ fn torn_gathered_round_keeps_the_acked_prefix_and_acks_nothing_past_the_tear() {
     for seed in 0..48u64 {
         let dir = KernelConfig::for_tests().data_dir;
         let sim = SimFs::new(FaultConfig::crash_only(seed));
-        let hub = segmented_hub(Arc::clone(&sim), &dir, 4, 4, Duration::from_secs(5));
-        // Round 1: slots 0..3 each commit; flushed and acknowledged.
-        (0..3).for_each(|slot| log_txn(&hub, slot, 1 + slot as u64));
+        let hub = hub_with_window(Arc::clone(&sim), &dir, KERNEL_SLOTS, Duration::from_secs(5));
+        let slots = [1, 17, 33];
+        // Round 1: each of the three slots commits; flushed and acknowledged.
+        (0..3).for_each(|i| log_txn(&hub, slots[i], 1 + i as u64));
         hub.flush_all().unwrap();
         let flushed_lsns =
-            || (0..3).map(|slot| hub.writer(slot).flushed_lsn()).collect::<Vec<u64>>();
+            || slots.iter().map(|&slot| hub.writer(slot).flushed_lsn()).collect::<Vec<u64>>();
         assert_eq!(flushed_lsns(), [3, 3, 3]);
         // Round 2: the same three slots again, gathered in slot order; the
         // disk freezes on that one write.
-        (0..3).for_each(|slot| log_txn(&hub, slot, 11 + slot as u64));
+        (0..3).for_each(|i| log_txn(&hub, slots[i], 11 + i as u64));
         sim.arm_crash_after_writes(1);
         assert!(hub.flush_all().is_err(), "seed {seed}: the torn round must fail");
         assert!(hub.is_halted());

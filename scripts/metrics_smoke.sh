@@ -6,6 +6,9 @@
 #     grammar) with every latency site and worker time-in-state present,
 #   * counter monotonicity between the two scrapes,
 #   * histogram consistency (cumulative buckets, +Inf == _count),
+#   * one write→sync per group-commit round: the wal_flush histogram's
+#     _count equals the wal_flushes counter (non-empty rounds), +-1 for a
+#     round in flight between the two bumps,
 #   * /stats returns the kernel JSON document,
 #   * /trace?ms=200 returns a Perfetto-loadable trace-event JSON.
 set -euo pipefail
@@ -113,6 +116,15 @@ for scrape in (first, second):
         sum_ns = scrape[("phoebe_latency_ns_sum", f'{{site="{site}"}}')]
         assert count == 0 or sum_ns > 0, f"{site}: count {count} but zero sum"
 
+# One sync per round, by counts: the wal_flush site books one sample per
+# write→sync, wal_flushes one per non-empty round. A round in flight
+# between its two bumps may put them one apart, never more.
+for scrape in (first, second):
+    syncs = scrape[("phoebe_latency_ns_count", '{site="wal_flush"}')]
+    rounds = scrape[("phoebe_counter_total", '{counter="wal_flushes"}')]
+    assert abs(syncs - rounds) <= 1, \
+        f"wal_flush samples {syncs} vs wal_flushes {rounds}: a round is not one write→sync"
+
 commits1 = first[("phoebe_counter_total", '{counter="commits"}')]
 commits2 = second[("phoebe_counter_total", '{counter="commits"}')]
 assert commits2 > commits1, "no commits between scrapes: burst not running?"
@@ -131,7 +143,8 @@ with open(os.path.join(out, "live_trace.json"), "w") as f:
     json.dump(trace, f)
 
 print(f"metrics-smoke: {len(first)} samples/scrape, {len(sites)} latency sites, "
-      f"commits {int(commits1)} -> {int(commits2)}, live trace {len(events)} events")
+      f"commits {int(commits1)} -> {int(commits2)}, "
+      f"wal_flush {int(syncs)} / wal_flushes {int(rounds)}, live trace {len(events)} events")
 print("metrics-smoke: OK")
 PY
 
