@@ -22,7 +22,7 @@ use phoebe_txn::{ActiveTxnTable, GcEngine, GcStats, TwinRegistry, UndoArena, Und
 use phoebe_wal::{recover_dir, recover_dir_stats, RecordBody, RecoveredTxn, WalHub, WalScanStats};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
@@ -30,6 +30,18 @@ use std::time::{Duration, Instant};
 /// pool (loaders, tests, maintenance). They get their own UNDO arenas and
 /// WAL writers so the slot-serial invariants hold for them too.
 pub const EXTERNAL_SLOTS: usize = 8;
+
+/// One worker's GC duty state (§7.3), touched only by that worker's tick
+/// and by commits on slots it owns.
+struct GcDuty {
+    /// Transactions finished on the worker's slots since its last GC tick.
+    txns_since: AtomicU64,
+    /// The registry shard its next tick retires. Each worker walks every
+    /// shard round-robin, starting `worker / workers` of the way round, so
+    /// the registry drains even when only one worker's GC is due (a single
+    /// external thread's commits all count toward one worker).
+    next_shard: AtomicUsize,
+}
 
 /// What `Database::open` found and replayed from a previous incarnation's
 /// WAL (all zeros on a fresh directory).
@@ -88,7 +100,7 @@ pub struct Database {
     recovery: RecoveryInfo,
     next_table_id: AtomicU32,
     external_free: RankedMutex<Vec<usize>>,
-    txns_since_gc: Vec<AtomicU64>,
+    gc_duty: Vec<GcDuty>,
     runtime: RankedRwLock<Option<Arc<Runtime>>>,
     /// The live telemetry HTTP server, when `cfg.telemetry` or
     /// `PHOEBE_TELEMETRY` enabled it. Stopped first at shutdown so no
@@ -113,7 +125,8 @@ impl phoebe_storage::WalBarrier for HubBarrier {
 
 /// Per-worker background duties (§7.1, Figure 6): page swaps when the
 /// partition's free frames fall below the watermark, and GC after every
-/// `gc_every_txns` transactions — run on the worker that owns the data.
+/// `gc_every_txns` transactions on slots the worker owns — run on the
+/// worker that owns the data.
 struct KernelHook {
     db: Weak<Database>,
 }
@@ -138,17 +151,7 @@ impl WorkerHook for KernelHook {
                 }
             }
         }
-        // GC duty for this worker's slots.
-        let due = db.txns_since_gc[worker].load(Ordering::Relaxed) >= db.cfg.gc_every_txns;
-        if due {
-            db.txns_since_gc[worker].store(0, Ordering::Relaxed);
-            let _t = db.metrics.timer(Component::Gc);
-            let min_active = db.active.min_active_start(db.clock.current());
-            let spw = db.cfg.slots_per_worker;
-            for slot in worker * spw..(worker + 1) * spw {
-                db.collect_slot(slot, min_active);
-            }
-        }
+        db.gc_tick(worker);
     }
 }
 
@@ -279,6 +282,7 @@ impl Database {
         let arenas: Vec<_> = (0..total_slots).map(|_| Arc::new(UndoArena::new())).collect();
         let twins = Arc::new(TwinRegistry::new());
         let gc = GcEngine::new(arenas.clone(), Arc::clone(&twins));
+        let registry_shards = twins.shard_count();
         let db = Arc::new(Database {
             active: ActiveTxnTable::new(total_slots),
             tuple_locks: (0..total_slots).map(|_| Default::default()).collect(),
@@ -298,7 +302,12 @@ impl Database {
                 "db.external_free",
                 (cfg.total_slots()..total_slots).rev().collect(),
             ),
-            txns_since_gc: (0..cfg.workers).map(|_| AtomicU64::new(0)).collect(),
+            gc_duty: (0..cfg.workers)
+                .map(|w| GcDuty {
+                    txns_since: AtomicU64::new(0),
+                    next_shard: AtomicUsize::new(w * registry_shards / cfg.workers),
+                })
+                .collect(),
             runtime: RankedRwLock::new(Rank::Db, "db.runtime", None),
             telemetry: RankedMutex::new(Rank::Db, "db.telemetry", None),
             watchdog: RankedMutex::new(Rank::Db, "db.watchdog", None),
@@ -451,12 +460,13 @@ impl Database {
         self.external_free.lock().push(slot);
     }
 
-    pub(crate) fn note_txn_done(&self) {
-        if let Some(w) = phoebe_common::metrics::current_worker() {
-            if w < self.txns_since_gc.len() {
-                self.txns_since_gc[w].fetch_add(1, Ordering::Relaxed);
-            }
-        }
+    /// Count a finished transaction toward the GC duty of the worker that
+    /// owns `slot`'s arena, external slots included: a kernel used only
+    /// from outside the pool still collects.
+    pub(crate) fn note_txn_done(&self, slot: usize) {
+        // ORDERING: a trigger count; the tick it gates re-reads every
+        // arena under its queue lock.
+        self.gc_duty[self.gc_owner(slot)].txns_since.fetch_add(1, Ordering::Relaxed);
     }
 
     // ------------------------------------------------------------------
@@ -621,19 +631,47 @@ impl Database {
     // Garbage collection (§7.3)
     // ------------------------------------------------------------------
 
-    /// Reclaim one slot's UNDO arena, physically deleting tuples whose
-    /// deletion became globally visible.
-    pub fn collect_slot(&self, slot: usize, min_active: Timestamp) -> GcStats {
-        let stats = self.gc.collect_slot(slot, min_active, |log| {
+    /// The worker whose GC tick collects `slot`'s arena — every arena has
+    /// exactly one: a pool slot belongs to the worker that runs it, and
+    /// external slot `i` (flat index `workers × slots_per_worker + i`) to
+    /// worker `i % workers`.
+    fn gc_owner(&self, slot: usize) -> usize {
+        let pool = self.cfg.total_slots();
+        if slot < pool {
+            slot / self.cfg.slots_per_worker
+        } else {
+            (slot - pool) % self.cfg.workers
+        }
+    }
+
+    /// A worker's GC duty, once `gc_every_txns` transactions finished on
+    /// slots it owns: one `GcEngine::collect_step` over its arenas (see
+    /// [`Database::gc_owner`]) and its next registry shard.
+    fn gc_tick(&self, worker: usize) {
+        let duty = &self.gc_duty[worker];
+        // ORDERING: a trigger count and a cursor only this worker moves;
+        // nothing is published through either. External commits add to the
+        // count concurrently, so the tick subtracts what it consumes rather
+        // than storing 0 over a count that landed after the check.
+        let every = self.cfg.gc_every_txns;
+        if duty.txns_since.load(Ordering::Relaxed) < every {
+            return;
+        }
+        duty.txns_since.fetch_sub(every, Ordering::Relaxed);
+        let _t = self.metrics.timer(Component::Gc);
+        let slots = (0..self.arenas.len()).filter(|&slot| self.gc_owner(slot) == worker);
+        let shard = duty.next_shard.load(Ordering::Relaxed);
+        duty.next_shard.store((shard + 1) % self.twins.shard_count(), Ordering::Relaxed);
+        let min_active = self.active.min_active_start(self.clock.current());
+        let stats = self.gc.collect_step(slots, [shard], min_active, |log| {
             self.physically_delete(log);
         });
         if stats.undo_reclaimed > 0 {
             self.metrics.add(Counter::UndoReclaimed, stats.undo_reclaimed as u64);
         }
-        stats
     }
 
-    /// Full GC round across all slots + twin-table reclamation.
+    /// Full GC: the tick's step over every arena and registry shard.
     pub fn collect_all(&self) -> GcStats {
         let min_active = self.active.min_active_start(self.clock.current());
         let stats = self.gc.collect_all(min_active, |log| {
@@ -641,6 +679,11 @@ impl Database {
         });
         self.metrics.add(Counter::UndoReclaimed, stats.undo_reclaimed as u64);
         stats
+    }
+
+    /// Unreclaimed UNDO logs across every arena (sampling path only).
+    pub fn undo_backlog(&self) -> usize {
+        self.gc.undo_backlog()
     }
 
     /// Physically remove a deleted tuple (and its index entries) once its

@@ -128,6 +128,14 @@ pub struct KernelStats {
     /// Flight-recorder events emitted since boot (0 while disabled).
     #[serde(default)]
     pub trace_events_emitted: u64,
+    /// UNDO logs not yet reclaimed, across every arena (gauge). A backlog
+    /// that only grows means some arena has no collector.
+    #[serde(default)]
+    pub undo_backlog: u64,
+    /// Twin tables in the registry (gauge): pages with live versions, plus
+    /// drained ones GC has not retired yet.
+    #[serde(default)]
+    pub twin_tables: u64,
 }
 
 impl KernelStats {
@@ -252,6 +260,12 @@ impl KernelStats {
                     .with("fault_budget_limit", self.fault_budget_limit),
             )
             .with("trace", Json::obj().with("events_emitted", self.trace_events_emitted))
+            .with(
+                "gc",
+                Json::obj()
+                    .with("undo_backlog", self.undo_backlog)
+                    .with("twin_tables", self.twin_tables),
+            )
     }
 }
 
@@ -266,7 +280,7 @@ impl Database {
     /// Decorate a (possibly delta'd) metrics snapshot with the kernel's
     /// live gauges: counters, component time and histograms cover what
     /// `snap` covers, everything else is read now. The only reader of the
-    /// runtime, WAL and buffer-pool gauges: `/metrics`, `/stats` and the
+    /// runtime, WAL, buffer-pool and GC gauges: `/metrics`, `/stats` and the
     /// watchdog all see the kernel through the `KernelStats` built here.
     pub fn stats_from_metrics(&self, snap: &MetricsSnapshot) -> KernelStats {
         let mut out = KernelStats::from_metrics(snap);
@@ -312,6 +326,8 @@ impl Database {
         out.fault_tickets_inflight = self.pool.faults_inflight() as u64;
         out.fault_budget_limit = self.pool.fault_budget_limit() as u64;
         out.trace_events_emitted = self.tracer().total_emitted();
+        out.undo_backlog = self.undo_backlog() as u64;
+        out.twin_tables = self.twins.len() as u64;
         out
     }
 }

@@ -54,8 +54,9 @@ impl TelemetryProvider for KernelTelemetry {
 /// Render the full Prometheus text exposition for one kernel: every
 /// operational counter, every Figure-12 component, every latency-site
 /// histogram (cumulative octave buckets + sum/count), per-worker
-/// scheduler time-in-state and progress heartbeats, and the WAL /
-/// buffer-pool / fault-budget gauges the watchdog also judges. One metrics
+/// scheduler time-in-state and progress heartbeats, the WAL /
+/// buffer-pool / fault-budget gauges the watchdog also judges, and the GC
+/// backlog gauges. One metrics
 /// snapshot feeds it: the histograms render from its buckets, everything
 /// else from the [`KernelStats`](crate::KernelStats) built over it.
 pub fn prometheus_text(db: &Database) -> String {
@@ -215,6 +216,11 @@ pub fn prometheus_text(db: &Database) -> String {
         "gauge",
     );
     w.sample("phoebe_fault_budget_limit", &[], stats.fault_budget_limit);
+
+    w.header("phoebe_undo_backlog", "UNDO logs not yet reclaimed, across all arenas.", "gauge");
+    w.sample("phoebe_undo_backlog", &[], stats.undo_backlog);
+    w.header("phoebe_twin_tables", "Twin tables in the registry.", "gauge");
+    w.sample("phoebe_twin_tables", &[], stats.twin_tables);
 
     w.header(
         "phoebe_trace_events_emitted_total",

@@ -811,7 +811,7 @@ impl Transaction {
         }
         self.finished = true;
         self.db.active.end(self.slot);
-        self.db.note_txn_done();
+        self.db.note_txn_done(self.slot);
         if self.external {
             self.db.return_external_slot(self.slot);
         }

@@ -2,6 +2,7 @@
 //! tiered storage engine, exercised both from external threads and from
 //! co-routines in the pool.
 
+use phoebe_common::ids::RowId;
 use phoebe_core::prelude::*;
 use phoebe_runtime::block_on;
 use std::sync::Arc;
@@ -638,5 +639,94 @@ fn warm_table_appends_in_order_against_concurrent_inserts() {
         assert_eq!(tx.read(&t, rid).unwrap().as_ref(), Some(&row));
     }
     block_on(tx.commit()).unwrap();
+    db.shutdown();
+}
+
+/// Insert `n` accounts from a thread outside the co-routine pool, in
+/// several transactions, as a bulk loader does.
+fn load_from_external_thread(db: &Arc<Database>, t: &Arc<TableEntry>, n: i64) -> Vec<RowId> {
+    let (db, t) = (Arc::clone(db), Arc::clone(t));
+    std::thread::spawn(move || {
+        block_on(async {
+            let mut rids = Vec::new();
+            for batch in (0..n).collect::<Vec<_>>().chunks(500) {
+                let mut tx = db.begin(IsolationLevel::ReadCommitted);
+                for &i in batch {
+                    rids.push(tx.insert(&t, row(i, "loaded", i)).await.unwrap());
+                }
+                tx.commit().await.unwrap();
+            }
+            rids
+        })
+    })
+    .join()
+    .unwrap()
+}
+
+/// Run `step` until GC has drained every UNDO arena and retired every
+/// twin table, or fail after a bounded wait.
+fn until_gc_drains(db: &Arc<Database>, mut step: impl FnMut()) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while db.undo_backlog() > 0 || !db.twins.is_empty() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "GC never drained: {} UNDO logs, {} twin tables left",
+            db.undo_backlog(),
+            db.twins.len()
+        );
+        step();
+    }
+}
+
+fn assert_rows_read_back(db: &Arc<Database>, t: &Arc<TableEntry>, rids: &[RowId]) {
+    let mut tx = db.begin(IsolationLevel::ReadCommitted);
+    for (i, rid) in rids.iter().enumerate() {
+        assert_eq!(tx.read(t, *rid).unwrap().unwrap(), row(i as i64, "loaded", i as i64));
+    }
+    block_on(tx.commit()).unwrap();
+}
+
+/// Rows bulk-loaded from outside the pool stop costing a twin lookup: the
+/// external slot's arena has a collector (a worker), so once pool
+/// transactions make that worker's GC due, the load's UNDO is reclaimed and
+/// every twin table retires.
+#[test]
+fn rows_loaded_outside_the_pool_are_collected_by_pool_gc() {
+    let db = open_db();
+    let t = make_accounts(&db);
+    let rids = load_from_external_thread(&db, &t, 3_000);
+    assert!(db.undo_backlog() >= 3_000, "the load leaves one UNDO log per row");
+    assert!(!db.twins.is_empty(), "loaded pages carry twin tables");
+    let rt = db.runtime();
+    until_gc_drains(&db, || {
+        let handles: Vec<_> = (0..256)
+            .map(|_| {
+                let db = Arc::clone(&db);
+                rt.spawn(async move {
+                    let tx = db.begin(IsolationLevel::ReadCommitted);
+                    tx.commit().await.unwrap();
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join();
+        }
+    });
+    assert_rows_read_back(&db, &t, &rids);
+    db.shutdown();
+}
+
+/// A kernel used only from external threads collects too: their commits
+/// count toward the owning worker's GC duty.
+#[test]
+fn external_only_use_drains_gc() {
+    let db = open_db();
+    let t = make_accounts(&db);
+    let rids = load_from_external_thread(&db, &t, 3_000);
+    assert!(db.undo_backlog() >= 3_000, "the load leaves one UNDO log per row");
+    until_gc_drains(&db, || {
+        block_on(db.begin(IsolationLevel::ReadCommitted).commit()).unwrap();
+    });
+    assert_rows_read_back(&db, &t, &rids);
     db.shutdown();
 }

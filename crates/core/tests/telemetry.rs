@@ -229,15 +229,15 @@ fn wedged_wal_flush_produces_incident_with_evidence() {
     assert!(db.wal.is_halted(), "failed flush must halt the hub");
 
     // Within the threshold window (40 ms stall + 10 ms sampling, plus
-    // slack for the capture itself) an incident directory must appear.
+    // slack for the capture itself) an incident must be recorded. The
+    // directory appears before its files; `incident.json` is written last.
     let deadline = Instant::now() + Duration::from_secs(10);
     let incident = loop {
         if let Ok(rd) = std::fs::read_dir(&incident_root) {
-            if let Some(dir) = rd
-                .filter_map(|e| e.ok())
-                .map(|e| e.path())
-                .find(|p| p.file_name().is_some_and(|n| n.to_string_lossy().contains("wal_")))
-            {
+            if let Some(dir) = rd.filter_map(|e| e.ok()).map(|e| e.path()).find(|p| {
+                p.file_name().is_some_and(|n| n.to_string_lossy().contains("wal_"))
+                    && p.join("incident.json").exists()
+            }) {
                 break dir;
             }
         }

@@ -14,6 +14,12 @@
 //! Deleted tuples are physically removed when the deleting UNDO log is
 //! reclaimed (i.e. the deletion became globally visible): the engine calls
 //! back into the kernel to drop the row from the table and its indexes.
+//!
+//! There is one GC step, [`GcEngine::collect_step`]: reclaim a set of
+//! arenas, then retire stale twin tables from a set of registry shards
+//! against the max-frozen watermark over *all* arenas. A worker's GC tick
+//! runs it over the arenas it owns and its next registry shard;
+//! [`GcEngine::collect_all`] runs it once over everything.
 
 use crate::twin::TwinRegistry;
 use crate::undo::{UndoArena, UndoLog, UndoOp};
@@ -88,18 +94,17 @@ impl GcEngine {
         &self.registry
     }
 
-    /// Reclaim one slot's arena (the worker that generated the logs runs
-    /// this, §7.1). `on_delete` physically removes a deleted tuple from
-    /// table + indexes.
-    pub fn collect_slot(
+    /// Reclaim one slot's arena. `on_delete` physically removes a deleted tuple from table + indexes.
+    fn collect_slot(
         &self,
         slot: usize,
         min_active_start: Timestamp,
-        mut on_delete: impl FnMut(&Arc<UndoLog>),
-    ) -> GcStats {
-        let mut stats = GcStats::default();
+        stats: &mut GcStats,
+        on_delete: &mut impl FnMut(&Arc<UndoLog>),
+    ) {
         let registry = &self.registry;
-        stats.undo_reclaimed = self.arenas[slot].reclaim_until(min_active_start, |log| {
+        let mut deleted = 0;
+        stats.undo_reclaimed += self.arenas[slot].reclaim_until(min_active_start, |log| {
             // Twin cleanup: if this log is still the chain head, the base
             // tuple alone now serves every snapshot.
             if let Some(twin) = registry.get((log.table, log.page_key)) {
@@ -107,10 +112,16 @@ impl GcEngine {
             }
             if matches!(log.op, UndoOp::Delete { .. }) {
                 on_delete(log);
-                stats.tuples_deleted += 1;
+                deleted += 1;
             }
         });
-        stats
+        stats.tuples_deleted += deleted;
+    }
+
+    /// Unreclaimed UNDO logs across every arena (a sampling-path gauge:
+    /// it takes each arena's queue lock once).
+    pub fn undo_backlog(&self) -> usize {
+        self.arenas.iter().map(|a| a.len()).sum()
     }
 
     /// Max-frozen watermark: the minimum over slots of "everything this
@@ -123,21 +134,38 @@ impl GcEngine {
             .unwrap_or(min_active_start)
     }
 
-    /// Full GC round over every slot plus twin-table reclamation.
-    pub fn collect_all(
+    /// The one GC step (§7.3): reclaim each of `slots`' arenas, then retire stale twin tables from each of the registry `shards`
+    /// against the max-frozen watermark over every arena.
+    pub fn collect_step(
         &self,
+        slots: impl IntoIterator<Item = usize>,
+        shards: impl IntoIterator<Item = usize>,
         min_active_start: Timestamp,
         mut on_delete: impl FnMut(&Arc<UndoLog>),
     ) -> GcStats {
-        let mut total = GcStats::default();
-        for slot in 0..self.arenas.len() {
-            let s = self.collect_slot(slot, min_active_start, &mut on_delete);
-            total.undo_reclaimed += s.undo_reclaimed;
-            total.tuples_deleted += s.tuples_deleted;
+        let mut stats = GcStats::default();
+        for slot in slots {
+            self.collect_slot(slot, min_active_start, &mut stats, &mut on_delete);
         }
-        total.max_frozen = self.max_frozen(min_active_start);
-        total.twins_reclaimed = self.registry.reclaim_stale(total.max_frozen);
-        total
+        stats.max_frozen = self.max_frozen(min_active_start);
+        for shard in shards {
+            stats.twins_reclaimed += self.registry.reclaim_shard(shard, stats.max_frozen);
+        }
+        stats
+    }
+
+    /// [`GcEngine::collect_step`] over every arena and every registry shard.
+    pub fn collect_all(
+        &self,
+        min_active_start: Timestamp,
+        on_delete: impl FnMut(&Arc<UndoLog>),
+    ) -> GcStats {
+        self.collect_step(
+            0..self.arenas.len(),
+            0..self.registry.shard_count(),
+            min_active_start,
+            on_delete,
+        )
     }
 }
 

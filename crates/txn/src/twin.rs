@@ -269,25 +269,29 @@ impl TwinRegistry {
         t
     }
 
-    /// Twin-table GC (§7.3): reclaim tables with no live entries whose
-    /// largest writer is at or below the max-frozen watermark. Returns the
-    /// number reclaimed.
-    pub fn reclaim_stale(&self, max_frozen_start: Timestamp) -> usize {
-        let mut reclaimed = 0;
-        for shard in self.shards.iter() {
-            let mut map = shard.map.lock();
-            let before = map.len();
-            map.retain(|_, t| !t.try_retire(max_frozen_start));
-            reclaimed += before - map.len();
-            if before != map.len() {
-                // Rebuild the summary from the survivors (still under the
-                // shard lock, so no insert can race the recomputation).
-                let mut summary = 0u64;
-                for key in map.keys() {
-                    summary |= key_bloom_bit(key_hash(key));
-                }
-                shard.summary.store(summary, Ordering::Release);
+    /// Lock shards in the registry: the unit of one GC tick's twin-table
+    /// retirement ([`TwinRegistry::reclaim_shard`]).
+    pub fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Twin-table GC (§7.3) over one registry shard: retire tables with no
+    /// live entries whose largest writer is at or below the max-frozen
+    /// watermark. Returns the number retired.
+    pub fn reclaim_shard(&self, shard: usize, max_frozen_start: Timestamp) -> usize {
+        let shard = &self.shards[shard];
+        let mut map = shard.map.lock();
+        let before = map.len();
+        map.retain(|_, t| !t.try_retire(max_frozen_start));
+        let reclaimed = before - map.len();
+        if reclaimed > 0 {
+            // Rebuild the summary from the survivors (still under the
+            // shard lock, so no insert can race the recomputation).
+            let mut summary = 0u64;
+            for key in map.keys() {
+                summary |= key_bloom_bit(key_hash(key));
             }
+            shard.summary.store(summary, Ordering::Release);
         }
         reclaimed
     }
@@ -383,6 +387,11 @@ mod tests {
         assert!(t.head(RowId(5)).is_none());
     }
 
+    /// Twin-table GC over every registry shard.
+    fn reclaim_stale(reg: &TwinRegistry, max_frozen_start: Timestamp) -> usize {
+        (0..reg.shard_count()).map(|s| reg.reclaim_shard(s, max_frozen_start)).sum()
+    }
+
     #[test]
     fn reclaim_stale_respects_watermark_and_liveness() {
         let reg = TwinRegistry::new();
@@ -393,7 +402,7 @@ mod tests {
         let live = reg.get_or_create((TableId(1), RowId(2000)));
         assert!(live.set_head(RowId(2000), mklog(2000, 7), 7));
 
-        let n = reg.reclaim_stale(10);
+        let n = reclaim_stale(&reg, 10);
         assert_eq!(n, 1, "only the empty old table goes");
         assert!(reg.get((TableId(1), RowId(0))).is_none());
         assert!(reg.get((TableId(1), RowId(1000))).is_some());
@@ -405,7 +414,7 @@ mod tests {
         let reg = TwinRegistry::new();
         let key = (TableId(1), RowId(0));
         let t = reg.get_or_create(key);
-        assert_eq!(reg.reclaim_stale(u64::MAX >> 2), 1);
+        assert_eq!(reclaim_stale(&reg, u64::MAX >> 2), 1);
         assert!(!t.set_head(RowId(1), mklog(1, 1), 1), "dead table rejects");
         // A fresh table from the registry works.
         let t2 = reg.get_or_create(key);
@@ -446,7 +455,7 @@ mod tests {
         let _stale = reg.get_or_create((TableId(1), RowId(0)));
         let live = reg.get_or_create((TableId(1), RowId(64)));
         assert!(live.set_head(RowId(64), mklog(64, 9), 9));
-        assert_eq!(reg.reclaim_stale(u64::MAX >> 2), 1);
+        assert_eq!(reclaim_stale(&reg, u64::MAX >> 2), 1);
         assert!(reg.get((TableId(1), RowId(0))).is_none());
         assert!(reg.get((TableId(1), RowId(64))).is_some());
     }

@@ -21,11 +21,10 @@
 
 use crate::locks::TxnHandle;
 use phoebe_common::ids::{RowId, TableId, Timestamp, Xid};
-use phoebe_common::sync::{Rank, RankedMutex};
+use phoebe_common::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use phoebe_common::sync::{Arc, Rank, RankedMutex};
 use phoebe_storage::schema::Value;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// What the transaction did to the tuple — stored as the information needed
 /// to *undo* it (the before image).
@@ -203,6 +202,11 @@ impl UndoArena {
     /// reclaimed *valid* log is passed to `on_reclaim` (twin cleanup,
     /// deleted-tuple removal) before being invalidated.
     ///
+    /// Safe with several collectors on one arena: a collector pops only
+    /// the log it examined (address-checked under the queue lock) and only
+    /// the one that popped it reclaims it, so every log is reclaimed
+    /// exactly once and none is popped unchecked.
+    ///
     /// Returns the number of logs reclaimed.
     pub fn reclaim_until(
         &self,
@@ -211,23 +215,27 @@ impl UndoArena {
     ) -> usize {
         let mut reclaimed = 0;
         loop {
-            let front = {
-                let q = self.queue.lock();
-                match q.front() {
-                    Some(f) => Arc::clone(f),
-                    None => break,
-                }
+            let Some(front) = self.queue.lock().front().cloned() else {
+                break;
             };
-            if front.is_valid() {
-                let ets = front.ets();
-                if Xid::is_xid(ets) || ets >= min_active_start {
-                    break; // in flight, or still needed by some snapshot
+            // Only GC invalidates a committed log, and only after popping
+            // it: what is checked here still holds once the pop succeeds.
+            let (valid, ets) = (front.is_valid(), front.ets());
+            if valid && (Xid::is_xid(ets) || ets >= min_active_start) {
+                break; // in flight, or still needed by some snapshot
+            }
+            {
+                let mut q = self.queue.lock();
+                if !q.front().is_some_and(|f| Arc::ptr_eq(f, &front)) {
+                    continue; // another collector took it; look again
                 }
+                q.pop_front();
+            }
+            if valid {
                 on_reclaim(&front);
                 self.last_reclaimed_cts.fetch_max(ets, Ordering::AcqRel);
                 front.invalidate();
             }
-            self.queue.lock().pop_front();
             reclaimed += 1;
         }
         reclaimed

@@ -64,7 +64,7 @@ fn set_head_vs_reclaim_never_loses_a_write() {
             let log = Arc::clone(&log);
             loom::thread::spawn(move || table.set_head(RowId(0), log, 5))
         };
-        let reclaimed = reg.reclaim_stale(10);
+        let reclaimed: usize = (0..reg.shard_count()).map(|s| reg.reclaim_shard(s, 10)).sum();
         let installed = writer.join().unwrap();
         if installed {
             assert_eq!(reclaimed, 0, "a table with an installed head must not be reclaimed");

@@ -6,7 +6,7 @@ use phoebe_common::ids::{RowId, TableId, Xid};
 use phoebe_storage::schema::Value;
 use phoebe_txn::locks::{TxnHandle, TxnOutcome};
 use phoebe_txn::visibility::{check_visibility, VisibleVersion};
-use phoebe_txn::{Snapshot, UndoLog, UndoOp};
+use phoebe_txn::{Snapshot, TwinRegistry, UndoLog, UndoOp};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -35,6 +35,11 @@ fn build_chain(gaps: &[u64]) -> (Arc<UndoLog>, Vec<u64>, i64) {
         prev = Some(log);
     }
     (prev.unwrap(), ctss, gaps.len() as i64)
+}
+
+/// Twin-table GC over every registry shard.
+fn reclaim_stale(reg: &TwinRegistry, max_frozen_start: u64) -> usize {
+    (0..reg.shard_count()).map(|s| reg.reclaim_shard(s, max_frozen_start)).sum()
 }
 
 proptest! {
@@ -93,7 +98,6 @@ proptest! {
         rows in proptest::collection::btree_set(0u64..64, 1..8),
         watermark in 10u64..100,
     ) {
-        use phoebe_txn::TwinRegistry;
         let reg = TwinRegistry::new();
         let key = (TableId(3), RowId(7));
         let tw = reg.get_or_create(key);
@@ -106,11 +110,11 @@ proptest! {
             logs.push((r, log));
         }
         // Not reclaimable while entries are live.
-        prop_assert_eq!(reg.reclaim_stale(watermark), 0);
+        prop_assert_eq!(reclaim_stale(&reg, watermark), 0);
         for (r, log) in &logs {
             tw.clear_if_head(RowId(*r), log);
         }
-        prop_assert_eq!(reg.reclaim_stale(watermark), 1);
+        prop_assert_eq!(reclaim_stale(&reg, watermark), 1);
         // The dead table refuses new heads forever...
         let h = TxnHandle::new(Xid::from_start_ts(watermark + 1));
         let log = UndoLog::new(TableId(3), RowId(1), RowId(7), UndoOp::Insert, h, None);
@@ -162,7 +166,6 @@ proptest! {
         iters in 10usize..40,
         writer_threads in 2usize..4,
     ) {
-        use phoebe_txn::TwinRegistry;
         use std::sync::atomic::{AtomicBool, Ordering};
 
         let reg = Arc::new(TwinRegistry::new());
@@ -175,7 +178,7 @@ proptest! {
                 let mut dead = Vec::new();
                 while !stop.load(Ordering::Acquire) {
                     let seen = reg.get(key);
-                    if reg.reclaim_stale(u64::MAX) > 0 {
+                    if reclaim_stale(&reg, u64::MAX) > 0 {
                         // The table we saw just before is the one retired.
                         if let Some(t) = seen {
                             dead.push(t);

@@ -19,5 +19,5 @@ export RUSTFLAGS="--cfg loom ${RUSTFLAGS:-}"
 # the wrappers themselves are tracking-free pass-throughs under loom.
 cargo test -p phoebe-common --features lockdep --test loom_trace_ring --test loom_snapshot --test loom_lockdep "$@"
 cargo test -p phoebe-storage --test loom_latch --test loom_fault_ticket "$@"
-cargo test -p phoebe-txn --test loom_twin "$@"
+cargo test -p phoebe-txn --test loom_twin --test loom_undo "$@"
 cargo test -p phoebe-runtime --test loom_notify "$@"
