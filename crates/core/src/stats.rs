@@ -100,8 +100,8 @@ pub struct KernelStats {
     pub worker_states: Vec<WorkerStateSummary>,
     /// Bytes physically flushed across all slot WAL writers.
     pub wal_bytes_flushed: u64,
-    /// The global durable GSN horizon, clamped to the current GSN (an
-    /// idle WAL is fully durable, not infinitely durable).
+    /// Every WAL record stamped at or below this GSN is durable (the last
+    /// group-commit round's tick minus one; it rises with every round).
     pub wal_durable_gsn: u64,
     /// How long the WAL flush horizon has been stuck behind the append
     /// horizon (gauge; 0 while the flusher keeps up).
@@ -313,7 +313,7 @@ impl Database {
                 .collect();
         }
         out.wal_bytes_flushed = self.wal.total_bytes_flushed();
-        out.wal_durable_gsn = self.wal.durable_gsn().min(self.wal.current_gsn());
+        out.wal_durable_gsn = self.wal.durable_gsn();
         out.wal_flush_horizon_age_ns = self.wal.flush_horizon_age_ns();
         out.wal_backlog_records = self.wal.backlog_records();
         out.wal_halted = self.wal.is_halted();

@@ -183,7 +183,7 @@ pub fn prometheus_text(db: &Database) -> String {
 
     w.header("phoebe_wal_bytes_flushed_total", "Bytes physically flushed to WAL files.", "counter");
     w.sample("phoebe_wal_bytes_flushed_total", &[], stats.wal_bytes_flushed);
-    w.header("phoebe_wal_durable_gsn", "Globally durable GSN horizon.", "gauge");
+    w.header("phoebe_wal_durable_gsn", "WAL records stamped up to this GSN are durable.", "gauge");
     w.sample("phoebe_wal_durable_gsn", &[], stats.wal_durable_gsn);
     w.header(
         "phoebe_wal_flush_horizon_age_ns",

@@ -30,7 +30,6 @@ use phoebe_txn::undo::{UndoLog, UndoOp};
 use phoebe_txn::visibility::{resolve_visibility, Visibility};
 use phoebe_wal::writer::RfaState;
 use phoebe_wal::RecordBody;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::task::Poll;
 use std::time::{Duration, Instant};
@@ -132,8 +131,7 @@ impl Transaction {
 
     fn ensure_wal_begin(&mut self) {
         if !self.wal_begun {
-            let gsn = self.db.wal.current_gsn();
-            self.db.wal.log_op(self.slot, self.xid, gsn, RecordBody::Begin);
+            self.db.wal.log_op(self.slot, self.xid, 0, RecordBody::Begin);
             self.wal_begun = true;
         }
     }
@@ -380,19 +378,13 @@ impl Transaction {
                     }
                 }
                 // WAL + RFA stamping (§8).
-                let meta = &db.pool.frame(fid).meta;
-                let page_gsn = meta.page_gsn.load(Ordering::Relaxed);
-                let lw = meta.last_writer_slot.load(Ordering::Relaxed);
-                let last_writer = (lw != u64::MAX).then_some(lw as usize);
-                let gsn = db.wal.stamp_write(rfa, page_gsn, last_writer, slot);
-                db.wal.log_op(
+                db.wal.log_page_write(
+                    &db.pool.frame(fid).meta,
+                    rfa,
                     slot,
                     xid,
-                    gsn,
                     RecordBody::Insert { table: table.id, row, tuple: tuple.clone() },
                 );
-                meta.page_gsn.fetch_max(gsn, Ordering::Relaxed);
-                meta.last_writer_slot.store(slot as u64, Ordering::Relaxed);
                 new_log = Some(log);
             },
         )?;
@@ -425,13 +417,7 @@ impl Transaction {
                 twin.pop_head_if(row, &log);
             }
             log.invalidate();
-            let gsn = self.db.wal.current_gsn();
-            self.db.wal.log_op(
-                self.slot,
-                self.xid,
-                gsn,
-                RecordBody::Delete { table: table.id, row },
-            );
+            self.db.wal.log_op(self.slot, self.xid, 0, RecordBody::Delete { table: table.id, row });
             return Err(e);
         }
         self.db.arena(self.slot).push(Arc::clone(&log));
@@ -677,9 +663,7 @@ impl Transaction {
             Arc::clone(&self.handle),
             None,
         );
-        let gsn = self.db.wal.current_gsn();
-        self.db.wal.log_op(self.slot, self.xid, gsn, RecordBody::Delete { table: table.id, row });
-        self.rfa.max_gsn = self.rfa.max_gsn.max(gsn);
+        self.db.wal.log_op(self.slot, self.xid, 0, RecordBody::Delete { table: table.id, row });
         self.db.arena(self.slot).push(Arc::clone(&log));
         self.undo.push(log);
         match f {
@@ -789,8 +773,7 @@ impl Transaction {
             log.invalidate();
         }
         if self.wal_begun {
-            let gsn = self.db.wal.current_gsn();
-            self.db.wal.log_op(self.slot, self.xid, gsn, RecordBody::Abort);
+            self.db.wal.log_op(self.slot, self.xid, 0, RecordBody::Abort);
         }
         self.finish_common(TxnOutcome::Aborted);
         self.db.metrics.incr(Counter::Aborts);
@@ -911,14 +894,7 @@ fn write_under_latch(
     }
     drop(_mvcc);
     // WAL + RFA (§8).
-    let meta = &db.pool.frame(fid).meta;
-    let page_gsn = meta.page_gsn.load(Ordering::Relaxed);
-    let lw = meta.last_writer_slot.load(Ordering::Relaxed);
-    let last_writer = (lw != u64::MAX).then_some(lw as usize);
-    let gsn = db.wal.stamp_write(ctx.rfa, page_gsn, last_writer, ctx.slot);
-    db.wal.log_op(ctx.slot, ctx.xid, gsn, wal_body);
-    meta.page_gsn.fetch_max(gsn, Ordering::Relaxed);
-    meta.last_writer_slot.store(ctx.slot as u64, Ordering::Relaxed);
+    db.wal.log_page_write(&db.pool.frame(fid).meta, ctx.rfa, ctx.slot, ctx.xid, wal_body);
     // In-place update (§5.2).
     for (c, v) in &apply {
         leaf.write_col(&table.layout, idx, *c, v);

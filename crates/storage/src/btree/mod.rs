@@ -138,12 +138,6 @@ impl BTree {
         self.pool.frame(fid).meta.dirty.store(true, Ordering::Relaxed);
     }
 
-    /// Record `gsn` as the newest WAL touching the leaf holding `fid`
-    /// (write-barrier input for Steal eviction, §8).
-    pub fn stamp_gsn(&self, fid: FrameId, gsn: u64) {
-        self.pool.frame(fid).meta.page_gsn.fetch_max(gsn, Ordering::Relaxed);
-    }
-
     /// Run `op` on the leaf responsible for `key`: optimistically while
     /// the leaf has room, on the crab once it does not.
     fn insert<O: LeafOp>(&self, key: &[u8], mut op: O) -> Result<O::Out> {

@@ -4,8 +4,8 @@
 //! pages, and dirty pages of uncommitted transactions may reach disk (the
 //! buffer pool's write barrier keeps WAL ahead of data). The flushing
 //! bottleneck of a single serialized log is removed by giving **each task
-//! slot its own WAL writer** — its own buffer, LSNs and durable horizons
-//! ([`writer`]) — while a group-commit round gathers every slot's bytes
+//! slot its own WAL writer** — its own buffer, LSNs and flushed-LSN
+//! horizon ([`writer`]) — while a group-commit round gathers every slot's bytes
 //! into one write and one `fdatasync` on one log file; recovery re-orders
 //! the records by GSN ([`recovery`]).
 //!
@@ -13,8 +13,9 @@
 //! last written by its own slot waits only for *its own* writer to flush —
 //! no rendezvous with unrelated loggers. Only transactions that built a
 //! cross-slot dependency (they modified a tuple/page whose previous writer
-//! on another slot is not yet durable) wait for the global flush horizon
-//! ([`writer::WalHub::ensure_durable_gsn_async`]).
+//! on another slot is not yet durable) wait for the hub's durable GSN — one
+//! atomic, published by every group-commit round as its GSN tick minus one —
+//! to reach their Commit record ([`writer::WalHub::ensure_durable_gsn_async`]).
 
 pub mod record;
 pub mod recovery;

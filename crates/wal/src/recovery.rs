@@ -184,34 +184,31 @@ mod tests {
         let dir = KernelConfig::for_tests().data_dir;
         let h = hub_in(&dir, 2);
         // Txn A on slot 0: insert + update, commit @20.
-        let mut rfa = RfaState::default();
-        let g = h.stamp_write(&mut rfa, 0, None, 0);
-        h.log_op(0, xid(1), g, RecordBody::Begin);
+        let rfa = RfaState::default();
+        h.log_op(0, xid(1), 1, RecordBody::Begin);
         h.log_op(
             0,
             xid(1),
-            g,
+            1,
             RecordBody::Insert { table: TableId(1), row: RowId(1), tuple: vec![Value::I64(1)] },
         );
         block_on(h.commit(0, xid(1), 20, &rfa)).unwrap();
         // Txn B on slot 1 commits earlier (@10).
-        let mut rfa2 = RfaState::default();
-        let g2 = h.stamp_write(&mut rfa2, 0, None, 1);
-        h.log_op(1, xid(2), g2, RecordBody::Begin);
+        h.log_op(1, xid(2), 1, RecordBody::Begin);
         h.log_op(
             1,
             xid(2),
-            g2,
+            1,
             RecordBody::Update {
                 table: TableId(1),
                 row: RowId(9),
                 delta: vec![(0, Value::I64(5))],
             },
         );
-        block_on(h.commit(1, xid(2), 10, &rfa2)).unwrap();
+        block_on(h.commit(1, xid(2), 10, &rfa)).unwrap();
         // Txn C never commits.
-        h.log_op(0, xid(3), g, RecordBody::Begin);
-        h.log_op(0, xid(3), g, RecordBody::Delete { table: TableId(1), row: RowId(2) });
+        h.log_op(0, xid(3), 1, RecordBody::Begin);
+        h.log_op(0, xid(3), 1, RecordBody::Delete { table: TableId(1), row: RowId(2) });
         h.flush_all().unwrap();
         h.shutdown();
 
@@ -343,15 +340,13 @@ mod tests {
                 let x = xid(t as u64 + 1);
                 match phase {
                     0 => {
-                        let mut rfa = RfaState::default();
-                        let g = h.stamp_write(&mut rfa, 0, None, slot);
-                        h.log_op(slot, x, g, RecordBody::Begin);
+                        h.log_op(slot, x, 1, RecordBody::Begin);
                     }
                     1 => {
                         h.log_op(
                             slot,
                             x,
-                            h.current_gsn(),
+                            1,
                             RecordBody::Insert {
                                 table: TableId(1),
                                 row: RowId(t as u64 + 1),
@@ -361,7 +356,7 @@ mod tests {
                     }
                     _ => match t {
                         6 => {
-                            h.log_op(slot, x, h.current_gsn(), RecordBody::Abort);
+                            h.log_op(slot, x, 1, RecordBody::Abort);
                         }
                         7 => {} // stays in flight; discarded at recovery
                         _ => {

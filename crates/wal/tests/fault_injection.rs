@@ -14,7 +14,9 @@ use phoebe_common::KernelConfig;
 use phoebe_runtime::block_on;
 use phoebe_storage::schema::Value;
 use phoebe_wal::{recover_dir, recover_dir_stats, RecordBody, RfaState, WalHub};
-use std::sync::atomic::{AtomicU64, Ordering};
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -39,15 +41,14 @@ fn hub_with_window(
 /// without waiting for durability (the caller drives `flush_all`).
 fn log_txn(hub: &WalHub, slot: usize, x: u64) {
     let xid = Xid::from_start_ts(x);
-    let gsn = hub.stamp_write(&mut RfaState::default(), 0, None, slot);
-    hub.log_op(slot, xid, gsn, RecordBody::Begin);
+    hub.log_op(slot, xid, 1, RecordBody::Begin);
     hub.log_op(
         slot,
         xid,
-        gsn,
+        1,
         RecordBody::Insert { table: TableId(1), row: RowId(x), tuple: vec![Value::I64(x as i64)] },
     );
-    hub.log_op(slot, xid, gsn, RecordBody::Commit { cts: x });
+    hub.log_op(slot, xid, 1, RecordBody::Commit { cts: x });
 }
 
 /// Acked commits survive a crash: hammer the hub from several slots,
@@ -74,20 +75,14 @@ fn acked_commits_survive_crash() {
                             return;
                         }
                         let xid = Xid::from_start_ts(x);
-                        let mut rfa = RfaState::default();
-                        let gsn = hub.stamp_write(&mut rfa, 0, None, slot);
                         // Odd transactions also claim a cross-slot
-                        // dependency on the current global GSN, driving
-                        // the remote-wait commit path.
-                        if x % 2 == 1 {
-                            rfa.needs_remote = true;
-                            rfa.max_gsn = rfa.max_gsn.max(hub.current_gsn());
-                        }
-                        hub.log_op(slot, xid, gsn, RecordBody::Begin);
+                        // dependency, driving the remote-wait commit path.
+                        let rfa = RfaState { needs_remote: x % 2 == 1 };
+                        hub.log_op(slot, xid, 1, RecordBody::Begin);
                         hub.log_op(
                             slot,
                             xid,
-                            gsn,
+                            1,
                             RecordBody::Insert {
                                 table: TableId(1),
                                 row: RowId(x),
@@ -160,12 +155,10 @@ fn durable_gsn_barrier_survives_crash() {
         let hub = hub_over(Arc::clone(&sim), &dir, 2);
 
         // Two committed transactions on different slots.
-        for (slot, x) in [(0u64, 1u64), (1, 2)] {
+        for (slot, x) in [(0usize, 1u64), (1, 2)] {
             let xid = Xid::from_start_ts(x);
-            let mut rfa = RfaState::default();
-            let gsn = hub.stamp_write(&mut rfa, 0, None, slot as usize);
-            hub.log_op(slot as usize, xid, gsn, RecordBody::Begin);
-            block_on(hub.commit(slot as usize, xid, x * 10, &rfa)).unwrap();
+            hub.log_op(slot, xid, 1, RecordBody::Begin);
+            block_on(hub.commit(slot, xid, x * 10, &RfaState::default())).unwrap();
         }
         let barrier_gsn = hub.current_gsn();
         hub.ensure_durable_gsn_blocking(barrier_gsn);
@@ -184,6 +177,136 @@ fn durable_gsn_barrier_survives_crash() {
             "seed {seed}: both barrier-covered transactions must survive"
         );
         assert!(recovered.iter().all(|t| t.max_gsn <= barrier_gsn));
+    }
+}
+
+/// `(slot, lsn, gsn)` of one appended record.
+type Stamped = (usize, u64, u64);
+
+/// Four slots append with random cross-slot floors — each record either
+/// rides the clock or is stamped above another slot's last record — until
+/// `stop` is set or `per_slot` records each. Joining a handle yields what
+/// its slot appended.
+fn stamp_storm(
+    hub: &Arc<WalHub>,
+    seed: u64,
+    per_slot: u64,
+    stop: &Arc<AtomicBool>,
+) -> Vec<std::thread::JoinHandle<Vec<Stamped>>> {
+    let last: Arc<[AtomicU64; 4]> = Arc::new(Default::default());
+    (0..4usize)
+        .map(|slot| {
+            let (hub, last, stop) = (Arc::clone(hub), Arc::clone(&last), Arc::clone(stop));
+            std::thread::spawn(move || {
+                let mut rng = StdRng::seed_from_u64(seed * 4 + slot as u64);
+                let mut stamped = Vec::new();
+                for n in 1..=per_slot {
+                    if stop.load(Ordering::Acquire) {
+                        break;
+                    }
+                    let other = rng.random_range(0..4usize);
+                    let floor = match other == slot {
+                        true => 0,
+                        false => last[other].load(Ordering::Acquire) + 1,
+                    };
+                    let x = Xid::from_start_ts((slot as u64) << 32 | n);
+                    let (lsn, gsn) = hub.log_op(slot, x, floor, RecordBody::Begin);
+                    assert!(gsn >= floor);
+                    last[slot].fetch_max(gsn, Ordering::AcqRel);
+                    stamped.push((slot, lsn.raw(), gsn));
+                }
+                stamped
+            })
+        })
+        .collect()
+}
+
+fn join_storm(appenders: Vec<std::thread::JoinHandle<Vec<Stamped>>>) -> Vec<Stamped> {
+    appenders.into_iter().flat_map(|a| a.join().unwrap()).collect()
+}
+
+/// The round-tick invariant: after every round, each record stamped at or
+/// below `durable_gsn()` is at or below its slot's flushed LSN — whatever
+/// the appenders' floors and however their appends interleave with the
+/// steals. The rounds are this test's alone (the flusher is never rung),
+/// so reading the horizons right after one reads exactly what it
+/// published; the records are checked against every round afterwards.
+#[test]
+fn every_record_stamped_at_or_below_durable_gsn_is_flushed() {
+    let dir = KernelConfig::for_tests().data_dir;
+    let sim = SimFs::new(FaultConfig::crash_only(3));
+    let hub = hub_with_window(sim, &dir, 4, Duration::from_secs(5));
+    let appenders = stamp_storm(&hub, 3, 20_000, &Arc::new(AtomicBool::new(false)));
+    let round = || {
+        hub.flush_all().unwrap();
+        let flushed: Vec<u64> = (0..4).map(|slot| hub.writer(slot).flushed_lsn()).collect();
+        (hub.durable_gsn(), flushed)
+    };
+    let mut published = Vec::new();
+    while !appenders.iter().all(|a| a.is_finished()) {
+        published.push(round());
+    }
+    let stamped = join_storm(appenders);
+    published.push(round());
+    for (slot, lsn, gsn) in stamped {
+        // The first round whose horizon covers the record (horizons only
+        // rise, so it is the strictest check).
+        let first = published.partition_point(|(durable, _)| *durable < gsn);
+        let (durable, flushed) =
+            published.get(first).expect("a round after the last append covers every record");
+        assert!(
+            flushed[slot] >= lsn,
+            "slot {slot} lsn {lsn} stamped {gsn} <= durable {durable} but not flushed"
+        );
+    }
+    hub.shutdown();
+}
+
+/// The same invariant across a crash: the recovered image holds every
+/// record stamped at or below the last `durable_gsn()` read before the
+/// plug was pulled.
+#[test]
+fn records_stamped_at_or_below_durable_gsn_survive_crash() {
+    for seed in 0..8u64 {
+        let dir = KernelConfig::for_tests().data_dir;
+        let sim = SimFs::new(FaultConfig::crash_only(seed));
+        let hub = hub_with_window(Arc::clone(&sim), &dir, 4, Duration::from_secs(5));
+        let stop = Arc::new(AtomicBool::new(false));
+        let appenders = stamp_storm(&hub, seed, 50_000, &stop);
+        let flusher =
+            {
+                let hub = Arc::clone(&hub);
+                let stop = Arc::clone(&stop);
+                std::thread::spawn(move || {
+                    while !stop.load(Ordering::Acquire) && hub.flush_all().is_ok() {}
+                })
+            };
+        // A few rounds in, pull the plug.
+        while hub.rounds() < 3 + seed {
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        let durable = hub.durable_gsn();
+        sim.crash();
+        stop.store(true, Ordering::Release);
+        flusher.join().unwrap();
+        let stamped = join_storm(appenders);
+        hub.shutdown();
+
+        let path = std::fs::read_dir(&dir).unwrap().next().unwrap().unwrap().path();
+        let recovered: std::collections::HashSet<(u64, u64)> =
+            phoebe_wal::recovery::read_wal_file(&path)
+                .unwrap()
+                .iter()
+                .map(|rec| (rec.xid.start_ts() >> 32, rec.lsn.raw()))
+                .collect();
+        let covered: Vec<_> = stamped.iter().filter(|&&(_, _, gsn)| gsn <= durable).collect();
+        assert!(!covered.is_empty(), "seed {seed}: no record covered before the crash");
+        for &&(slot, lsn, gsn) in &covered {
+            assert!(
+                recovered.contains(&(slot as u64, lsn)),
+                "seed {seed}: slot {slot} lsn {lsn} stamped {gsn} <= durable {durable} lost"
+            );
+        }
     }
 }
 

@@ -17,6 +17,9 @@
 #     external-slot arenas left uncollected, the backlog held the whole
 #     TPC-C load: 13 650. The bound, 8 000, is about 3x the largest
 #     measured value and well below 13 650,
+#   * the durable-GSN gauge (phoebe_wal_durable_gsn) rises strictly
+#     between the scrapes: every group-commit round ticks it, so a burst
+#     that commits moves it,
 #   * /stats returns the kernel JSON document (with its "gc" gauges),
 #   * /trace?ms=200 returns a Perfetto-loadable trace-event JSON.
 set -euo pipefail
@@ -138,6 +141,13 @@ commits1 = first[("phoebe_counter_total", '{counter="commits"}')]
 commits2 = second[("phoebe_counter_total", '{counter="commits"}')]
 assert commits2 > commits1, "no commits between scrapes: burst not running?"
 
+# The durability clock: every round publishes its tick minus one, so the
+# gauge rises whenever rounds run.
+durable1 = first[("phoebe_wal_durable_gsn", "")]
+durable2 = second[("phoebe_wal_durable_gsn", "")]
+assert types.get("phoebe_wal_durable_gsn") == "gauge", "phoebe_wal_durable_gsn not a gauge"
+assert durable2 > durable1, f"phoebe_wal_durable_gsn did not rise: {durable1} -> {durable2}"
+
 # GC gauges: both exported, and GC keeps up (the bound's measurements are
 # in the header).
 for name in ("phoebe_undo_backlog", "phoebe_twin_tables"):
@@ -162,6 +172,7 @@ with open(os.path.join(out, "live_trace.json"), "w") as f:
 
 print(f"metrics-smoke: {len(first)} samples/scrape, {len(sites)} latency sites, "
       f"commits {int(commits1)} -> {int(commits2)}, "
+      f"durable GSN {int(durable1)} -> {int(durable2)}, "
       f"wal_flush {int(syncs)} / wal_flushes {int(rounds)}, "
       f"undo backlog {int(backlog)}, twin tables {int(twins)}, live trace {len(events)} events")
 print("metrics-smoke: OK")
