@@ -4,6 +4,11 @@
 //! row id and stores PAX tuples; every user-defined index is a secondary
 //! index tree mapping an order-preserving key encoding to the row id. The
 //! table also owns its frozen store (Data Block File).
+//!
+//! A row is its tuple plus one entry per index, and [`TableEntry`] owns
+//! that rule: insert and its unique-violation compensation, rollback, GC,
+//! warming and recovery all add and remove a row's index entries through
+//! its methods, never through an index tree directly.
 
 use crate::keys::KeyBuilder;
 use phoebe_common::error::{PhoebeError, Result};
@@ -86,7 +91,10 @@ pub struct TableEntry {
     next_row_id: AtomicU64,
     /// Index list as an immutable snapshot: every insert/delete walks it,
     /// so readers get a lock-free borrow instead of an `RwLock` + clone.
-    pub indexes: SnapshotList<Arc<IndexEntry>>,
+    indexes: SnapshotList<Arc<IndexEntry>>,
+    /// `indexed_cols[c]`: some index reads column `c`, so an update may
+    /// not change it (the index would keep the old key).
+    indexed_cols: SnapshotList<bool>,
 }
 
 impl TableEntry {
@@ -98,6 +106,7 @@ impl TableEntry {
         frozen: FrozenStore,
     ) -> Self {
         let layout = PaxLayout::for_schema(&schema);
+        let indexed_cols = SnapshotList::new(vec![false; schema.num_cols()]);
         TableEntry {
             id,
             name,
@@ -107,6 +116,7 @@ impl TableEntry {
             frozen,
             next_row_id: AtomicU64::new(1),
             indexes: SnapshotList::default(),
+            indexed_cols,
         }
     }
 
@@ -139,5 +149,95 @@ impl TableEntry {
     /// no per-operation `Vec` clone.
     pub fn all_indexes(&self) -> &[Arc<IndexEntry>] {
         self.indexes.load()
+    }
+
+    /// Register a new index (DDL).
+    pub(crate) fn add_index(&self, index: Arc<IndexEntry>) {
+        self.indexed_cols.update(|cols| index.def.key_cols.iter().for_each(|&c| cols[c] = true));
+        self.indexes.push(index);
+    }
+
+    /// Refuse a `delta` that writes a column some index reads.
+    pub(crate) fn check_update(&self, delta: &[(usize, Value)]) -> Result<()> {
+        let indexed = self.indexed_cols.load();
+        match delta.iter().find(|(c, _)| indexed.get(*c) == Some(&true)) {
+            Some((c, _)) => Err(PhoebeError::SchemaMismatch {
+                table: self.id,
+                detail: format!(
+                    "column '{}' is indexed and cannot be updated",
+                    self.schema.col_name(*c)
+                ),
+            }),
+            None => Ok(()),
+        }
+    }
+
+    /// Add `row`'s entry, keyed from `tuple`, to every index. All or
+    /// nothing: if one insert fails (a unique key already taken), the
+    /// entries added before it are removed and its error returned.
+    pub(crate) fn add_index_entries(&self, tuple: &[Value], row: RowId) -> Result<()> {
+        let indexes = self.all_indexes();
+        for (i, index) in indexes.iter().enumerate() {
+            if let Err(e) = index.tree.index_insert(&index.key_for(&self.schema, tuple, row), row) {
+                remove_entries(&indexes[..i], &self.schema, tuple, row);
+                return Err(e);
+            }
+        }
+        Ok(())
+    }
+
+    /// Remove `row`'s entry, keyed from `tuple`, from every index. Alone
+    /// only for a row whose tuple is not in the hot tree (a frozen row);
+    /// a hot row goes through [`TableEntry::remove_row`].
+    pub(crate) fn remove_index_entries(&self, tuple: &[Value], row: RowId) {
+        remove_entries(self.all_indexes(), &self.schema, tuple, row);
+    }
+
+    /// Write `delta`'s columns of `row` in place under one exclusive leaf
+    /// latch (rollback and replay; a transaction's own update writes
+    /// inside its latched write). Index keys never change this way:
+    /// updates of indexed columns are refused.
+    pub(crate) fn write_cols<'v>(
+        &self,
+        row: RowId,
+        delta: impl IntoIterator<Item = (usize, &'v Value)>,
+    ) -> Result<()> {
+        self.tree.table_modify(row, |leaf, idx, _, _| {
+            for (c, v) in delta {
+                leaf.write_col(&self.layout, idx, c, v);
+            }
+        })?;
+        Ok(())
+    }
+
+    /// Tombstone `row`'s tuple under one exclusive leaf latch and return
+    /// the image it held; `None` if no live tuple has that id. Its index
+    /// entries stay: alone this only retracts a tuple that never got
+    /// them (a compensated insert).
+    pub(crate) fn remove_tuple(&self, row: RowId) -> Result<Option<Vec<Value>>> {
+        self.tree.table_modify(row, |leaf, idx, _, _| {
+            let image = leaf.read_row(&self.layout, idx);
+            leaf.mark_deleted(idx);
+            image
+        })
+    }
+
+    /// Remove `row`: its tuple, then every index entry keyed from the
+    /// image the tuple held. A row that is already gone is left alone, so
+    /// a key it once held and another row now holds is never touched.
+    pub(crate) fn remove_row(&self, row: RowId) -> Result<()> {
+        if let Some(image) = self.remove_tuple(row)? {
+            self.remove_index_entries(&image, row);
+        }
+        Ok(())
+    }
+}
+
+/// Remove `row`'s entry from each of `indexes`. A removal that fails
+/// (an I/O error) is not retried: the entry it leaves points at a missing
+/// tuple, which every reader treats as no match.
+fn remove_entries(indexes: &[Arc<IndexEntry>], schema: &Schema, tuple: &[Value], row: RowId) {
+    for index in indexes {
+        let _ = index.tree.index_remove(&index.key_for(schema, tuple, row));
     }
 }

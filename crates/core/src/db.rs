@@ -20,7 +20,7 @@ use phoebe_storage::{BTree, BufferPool, FrozenStore, TreeKind};
 use phoebe_txn::locks::IsolationLevel;
 use phoebe_txn::{ActiveTxnTable, GcEngine, GcStats, TwinRegistry, UndoArena, UndoLog, UndoOp};
 use phoebe_wal::{recover_dir, recover_dir_stats, RecordBody, RecoveredTxn, WalHub, WalScanStats};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
@@ -560,7 +560,7 @@ impl Database {
             def: IndexDef { name: name.to_owned(), key_cols: key_cols.clone(), unique },
             tree,
         });
-        table.indexes.push(Arc::clone(&entry));
+        table.add_index(Arc::clone(&entry));
         if persist {
             self.persist_ddl(ManifestEntry::Index {
                 table: table.name.clone(),
@@ -686,28 +686,19 @@ impl Database {
         self.gc.undo_backlog()
     }
 
-    /// Physically remove a deleted tuple (and its index entries) once its
-    /// deletion is globally visible (§7.3 "GC for deleted tuples").
+    /// Physically remove a deleted row once its deletion is globally
+    /// visible (§7.3 "GC for deleted tuples"): a hot row's tuple and index
+    /// entries, a frozen row's index entries (its block keeps the
+    /// tombstone).
     fn physically_delete(&self, log: &Arc<UndoLog>) {
         let Ok(table) = self.table_by_id(log.table) else {
             return;
         };
         match &log.op {
-            UndoOp::Delete { row_image } => {
-                let _ = table.tree.table_modify(log.row, |leaf, idx, _, _| {
-                    leaf.mark_deleted(idx);
-                });
-                for index in table.all_indexes() {
-                    let key = index.key_for(&table.schema, row_image, log.row);
-                    let _ = index.tree.index_remove(&key);
-                }
+            UndoOp::Delete { .. } => {
+                let _ = table.remove_row(log.row);
             }
-            UndoOp::FrozenDelete { row_image } => {
-                for index in table.all_indexes() {
-                    let key = index.key_for(&table.schema, row_image, log.row);
-                    let _ = index.tree.index_remove(&key);
-                }
-            }
+            UndoOp::FrozenDelete { row_image } => table.remove_index_entries(row_image, log.row),
             _ => {}
         }
     }
@@ -733,15 +724,33 @@ impl Database {
     /// Apply recovered transactions (already filtered to committed ones,
     /// sorted by cts) to the live tables.
     ///
-    /// Two passes. Inserts go first, sorted by `(table, row)`: the PAX
-    /// leaves require ascending row-id appends, and commit-timestamp order
-    /// across concurrent writers does not follow row-id allocation order
-    /// (a later-allocated row can commit first). Reordering inserts is
-    /// safe — row ids are never reused and MVCC guarantees any update or
-    /// delete of a row commits after the insert that created it — so the
-    /// second pass replays updates/deletes in cts order on top and
-    /// reproduces the admitted serial history exactly.
+    /// Two passes. Pass 1 appends the tuples of every logged insert,
+    /// sorted by `(table, row)`: PAX leaves require ascending row-id
+    /// appends, and cts order across concurrent writers does not follow
+    /// row-id allocation order (a later-allocated row can commit first).
+    /// Pass 2 replays each transaction's net effect in cts order through
+    /// the row lifecycle of [`TableEntry`]: index entries for its inserts,
+    /// column writes for its updates, tuple and index removal for its
+    /// deletes. Index keys, unlike row ids, are reused — a unique key
+    /// freed by a delete can be taken again — so index entries must follow
+    /// the commit order that admitted them. A row one transaction both
+    /// inserted and deleted (a compensated unique violation, or a delete
+    /// of its own insert) was never seen by anyone else: it gets no tuple
+    /// and no entries, only its row id.
     fn apply_recovered(self: &Arc<Self>, txns: &[RecoveredTxn]) -> Result<()> {
+        let (mut born, mut stillborn) = (HashSet::new(), HashSet::new());
+        for txn in txns {
+            born.clear();
+            for op in &txn.ops {
+                match op {
+                    RecordBody::Insert { table, row, .. } => _ = born.insert((*table, *row)),
+                    RecordBody::Delete { table, row } if born.contains(&(*table, *row)) => {
+                        stillborn.insert((*table, *row));
+                    }
+                    _ => {}
+                }
+            }
+        }
         let mut inserts: Vec<_> = txns
             .iter()
             .flat_map(|t| t.ops.iter())
@@ -754,46 +763,26 @@ impl Database {
         for (table, row, tuple) in inserts {
             let t = self.table_by_id(table)?;
             t.bump_row_id(row);
-            t.tree.table_append(&t.layout, row, tuple, |_, _, _, _| {})?;
-            for index in t.all_indexes() {
-                let key = index.key_for(&t.schema, tuple, row);
-                index.tree.index_insert(&key, row)?;
+            if !stillborn.contains(&(table, row)) {
+                t.tree.table_append(&t.layout, row, tuple, |_, _, _, _| {})?;
             }
         }
-        for txn in txns {
-            for op in txn.ops.iter().cloned() {
-                match op {
-                    RecordBody::Insert { .. } => {}
-                    RecordBody::Update { table, row, delta } => {
-                        let t = self.table_by_id(table)?;
-                        t.tree.table_modify(row, |leaf, idx, _, _| {
-                            for (col, v) in &delta {
-                                leaf.write_col(&t.layout, idx, *col as usize, v);
-                            }
-                        })?;
-                    }
-                    RecordBody::Delete { table, row } => {
-                        let t = self.table_by_id(table)?;
-                        // Frozen rows: tombstone; hot rows: physical remove.
-                        if row.raw() <= t.frozen.max_frozen_row_id() {
-                            t.frozen.mark_deleted(row);
-                            continue;
-                        }
-                        let image = t
-                            .tree
-                            .table_read(row, |leaf, idx, _, _| leaf.read_row(&t.layout, idx))?;
-                        if let Some(image) = image {
-                            t.tree.table_modify(row, |leaf, idx, _, _| {
-                                leaf.mark_deleted(idx);
-                            })?;
-                            for index in t.all_indexes() {
-                                let key = index.key_for(&t.schema, &image, row);
-                                let _ = index.tree.index_remove(&key);
-                            }
-                        }
-                    }
-                    RecordBody::Begin | RecordBody::Commit { .. } | RecordBody::Abort => {}
+        for op in txns.iter().flat_map(|t| t.ops.iter()) {
+            match op {
+                RecordBody::Insert { table, row, tuple }
+                    if !stillborn.contains(&(*table, *row)) =>
+                {
+                    self.table_by_id(*table)?.add_index_entries(tuple, *row)?;
                 }
+                RecordBody::Update { table, row, delta } => {
+                    let delta = delta.iter().map(|(c, v)| (*c as usize, v));
+                    self.table_by_id(*table)?.write_cols(*row, delta)?;
+                }
+                RecordBody::Delete { table, row } if !stillborn.contains(&(*table, *row)) => {
+                    self.table_by_id(*table)?.remove_row(*row)?;
+                }
+                RecordBody::Insert { .. } | RecordBody::Delete { .. } => {} // stillborn
+                RecordBody::Begin | RecordBody::Commit { .. } | RecordBody::Abort => {}
             }
         }
         Ok(())

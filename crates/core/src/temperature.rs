@@ -118,10 +118,7 @@ impl Database {
             let (old_ids, tuples) = table.frozen.take_block(block.index)?;
             for (old_row, tuple) in old_ids.into_iter().zip(tuples) {
                 // Retire the frozen row's index entries, then re-insert hot.
-                for index in table.all_indexes() {
-                    let key = index.key_for(&table.schema, &tuple, old_row);
-                    let _ = index.tree.index_remove(&key);
-                }
+                table.remove_index_entries(&tuple, old_row);
                 // The id is drawn under the leaf latch: drawn out here, a
                 // concurrent insert could append a larger one first.
                 let (new_row, _, _) = table.tree.table_append_alloc(
@@ -130,10 +127,7 @@ impl Database {
                     &tuple,
                     |_, _, _, _| {},
                 )?;
-                for index in table.all_indexes() {
-                    let key = index.key_for(&table.schema, &tuple, new_row);
-                    index.tree.index_insert(&key, new_row)?;
-                }
+                table.add_index_entries(&tuple, new_row)?;
                 stats.rows_warmed += 1;
             }
             stats.blocks_warmed += 1;

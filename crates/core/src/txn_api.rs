@@ -22,8 +22,8 @@ use phoebe_common::ids::{RowId, Timestamp, Xid};
 use phoebe_common::metrics::{Component, Counter};
 use phoebe_common::trace::EventKind;
 use phoebe_runtime::Urgency;
-use phoebe_storage::row_key;
 use phoebe_storage::schema::Value;
+use phoebe_storage::{row_key, FrameId, PaxLayout, PaxLeaf};
 use phoebe_txn::clock::Snapshot;
 use phoebe_txn::locks::{IsolationLevel, TxnHandle, TxnOutcome};
 use phoebe_txn::undo::{UndoLog, UndoOp};
@@ -44,9 +44,17 @@ pub type BatchRmwFn<'a> = dyn Fn(usize, &[Value]) -> Vec<(usize, Value)> + Sync 
 /// row image, produce the `(column, new_value)` pairs to apply.
 pub type DeltaFn<'a> = dyn Fn(&[Value]) -> Vec<(usize, Value)> + Sync + 'a;
 
+/// A latched write's content, built from the row under the latch: its
+/// UNDO op, its WAL record, and the column writes to apply in place.
+type BuiltWrite = (UndoOp, RecordBody, Vec<(usize, Value)>);
+
+/// The tuple and chain head a read copies under the leaf latch.
+type LatchedVersion = (Vec<Value>, Option<Arc<UndoLog>>);
+
 /// Outcome of one latched write attempt.
 enum WriteAttempt {
-    Done,
+    /// The write landed; its UNDO log.
+    Done(Arc<UndoLog>),
     /// Another transaction holds the tuple: wait on its ID lock.
     Wait(Arc<TxnHandle>),
     /// Repeatable read lost a write-write race to a committed writer.
@@ -161,21 +169,35 @@ impl Transaction {
         if row.raw() <= table.frozen.max_frozen_row_id() {
             return table.frozen.get(row);
         }
-        let pair = table.tree.table_read(row, |leaf, idx, first, _| {
+        let version = table.tree.table_read(row, self.latched_version(table, row))?;
+        Ok(self.visible(version, snapshot))
+    }
+
+    /// The latched half of a row read: copy the tuple and load its chain
+    /// head under the leaf latch the caller's descent holds.
+    fn latched_version<'a>(
+        &'a self,
+        table: &'a TableEntry,
+        row: RowId,
+    ) -> impl FnOnce(&PaxLeaf, usize, RowId, FrameId) -> LatchedVersion + 'a {
+        move |leaf, idx, first, _| {
             let tuple = leaf.read_row(&table.layout, idx);
             let head = self.db.twins.get((table.id, first)).and_then(|t| t.head(row));
             (tuple, head)
-        })?;
-        let Some((mut tuple, head)) = pair else {
-            return Ok(None);
-        };
+        }
+    }
+
+    /// The version of a [`Transaction::latched_version`] read that
+    /// `snapshot` sees, resolved after the latch is gone. In-place
+    /// Algorithm 1: rebuilds reassemble the before image inside the row
+    /// buffer already materialized — no second allocation.
+    fn visible(&self, version: Option<LatchedVersion>, snapshot: Snapshot) -> Option<Vec<Value>> {
+        let (mut tuple, head) = version?;
         let _t = self.db.metrics.timer(Component::Mvcc);
-        // In-place Algorithm 1: rebuilds reassemble the before image inside
-        // the row buffer we already materialized — no second allocation.
-        Ok(match resolve_visibility(&mut tuple, head.as_ref(), self.xid, snapshot) {
+        match resolve_visibility(&mut tuple, head.as_ref(), self.xid, snapshot) {
             Visibility::Invisible => None,
             Visibility::Current | Visibility::Rebuilt => Some(tuple),
-        })
+        }
     }
 
     /// Point lookup through a unique index, returning the row id and the
@@ -311,20 +333,8 @@ impl Transaction {
         }
         let results_ref = &mut results;
         drive_reads(pending, |i, leaf| {
-            let row = rows[i];
-            let pair = leaf.table_read(row, |leaf, idx, first, _| {
-                let tuple = leaf.read_row(&table.layout, idx);
-                let head = self.db.twins.get((table.id, first)).and_then(|t| t.head(row));
-                (tuple, head)
-            })?;
-            if let Some((mut tuple, head)) = pair {
-                let _t = self.db.metrics.timer(Component::Mvcc);
-                results_ref[i] =
-                    match resolve_visibility(&mut tuple, head.as_ref(), self.xid, snapshot) {
-                        Visibility::Invisible => None,
-                        Visibility::Current | Visibility::Rebuilt => Some(tuple),
-                    };
-            }
+            let version = leaf.table_read(rows[i], self.latched_version(table, rows[i]))?;
+            results_ref[i] = self.visible(version, snapshot);
             Ok(())
         })
         .await?;
@@ -389,30 +399,12 @@ impl Transaction {
             },
         )?;
         let log = new_log.expect("append ran the callback");
-        // Index maintenance; a unique violation compensates the append so
-        // the transaction can continue (statement-level atomicity).
-        let indexes = table.all_indexes();
-        let mut added: Vec<(usize, Vec<u8>)> = Vec::new();
-        let mut failure = None;
-        for (i, index) in indexes.iter().enumerate() {
-            let key = index.key_for(&table.schema, &tuple, row);
-            match index.tree.index_insert(&key, row) {
-                Ok(()) => added.push((i, key)),
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
-            }
-        }
-        if let Some(e) = failure {
-            for (i, key) in added {
-                let _ = indexes[i].tree.index_remove(&key);
-            }
+        // A unique violation compensates the append so the transaction can
+        // continue (statement-level atomicity).
+        if let Err(e) = table.add_index_entries(&tuple, row) {
             // Physically retract the tuple and compensate in the WAL so
             // replay nets out.
-            let _ = table.tree.table_modify(row, |leaf, idx, _, _| {
-                leaf.mark_deleted(idx);
-            });
+            let _ = table.remove_tuple(row);
             if let Some(twin) = self.db.twins.get((table.id, log.page_key)) {
                 twin.pop_head_if(row, &log);
             }
@@ -440,7 +432,9 @@ impl Transaction {
     /// Atomic read-modify-write: `f` computes the delta from the row's
     /// current (conflict-resolved) version *under the leaf latch*, so
     /// counter increments like `d_next_o_id` never lose updates. Returns
-    /// the new version's row id and the row `f` observed.
+    /// the new version's row id and the row `f` observed. A delta that
+    /// writes a column an index reads is refused with `SchemaMismatch`
+    /// before anything is written; the transaction stays usable.
     pub async fn update_rmw(
         &mut self,
         table: &Arc<TableEntry>,
@@ -450,51 +444,22 @@ impl Transaction {
         if row.raw() <= table.frozen.max_frozen_row_id() {
             return self.write_frozen_rmw(table, row, Some(f)).await;
         }
-        self.ensure_wal_begin();
-        loop {
-            let snapshot = self.stmt_snapshot();
-            let mut new_log = None;
-            let mut observed: Option<Vec<Value>> = None;
-            let observed_ref = &mut observed;
-            let attempt = self.latched_write(
-                table,
+        let mut observed = None;
+        self.write_row(table, row, |leaf, idx, layout| {
+            let current = leaf.read_row(layout, idx);
+            let delta = f(&current);
+            table.check_update(&delta)?;
+            let before = delta.iter().map(|(c, _)| (*c, current[*c].clone())).collect();
+            let body = RecordBody::Update {
+                table: table.id,
                 row,
-                snapshot,
-                |leaf, idx, layout| {
-                    let current = leaf.read_row(layout, idx);
-                    let delta = f(&current);
-                    let before = delta.iter().map(|(c, _)| (*c, current[*c].clone())).collect();
-                    let body = RecordBody::Update {
-                        table: table.id,
-                        row,
-                        delta: delta.iter().map(|(c, v)| (*c as u16, v.clone())).collect(),
-                    };
-                    *observed_ref = Some(current);
-                    (UndoOp::Update { delta: before }, body, delta)
-                },
-                &mut new_log,
-            )?;
-            match attempt {
-                None => return Err(PhoebeError::RowNotFound { table: table.id, row }),
-                Some(WriteAttempt::Done) => {
-                    let log = new_log.expect("write produced a log");
-                    self.db.arena(self.slot).push(Arc::clone(&log));
-                    self.undo.push(log);
-                    return Ok((row, observed.expect("observed row")));
-                }
-                Some(WriteAttempt::Retry) => continue,
-                Some(WriteAttempt::Gone) => {
-                    return Err(PhoebeError::RowNotFound { table: table.id, row })
-                }
-                Some(WriteAttempt::Conflict(holder)) => {
-                    return Err(PhoebeError::WriteConflict { table: table.id, row, holder })
-                }
-                Some(WriteAttempt::Wait(holder)) => {
-                    self.wait_on_writer(table, row, holder).await?;
-                    // Read committed: retry against the newest version.
-                }
-            }
-        }
+                delta: delta.iter().map(|(c, v)| (*c as u16, v.clone())).collect(),
+            };
+            observed = Some(current);
+            Ok((UndoOp::Update { delta: before }, body, delta))
+        })
+        .await?;
+        Ok((row, observed.expect("a finished write observed the row")))
     }
 
     /// N read-modify-writes as one statement: `f(i, current)` computes key
@@ -547,68 +512,60 @@ impl Transaction {
             self.write_frozen_rmw(table, row, None).await?;
             return Ok(());
         }
+        self.write_row(table, row, |leaf, idx, layout| {
+            let image = leaf.read_row(layout, idx);
+            Ok((
+                UndoOp::Delete { row_image: image },
+                RecordBody::Delete { table: table.id, row },
+                Vec::new(),
+            ))
+        })
+        .await
+    }
+
+    /// The latched write of `row` that [`Transaction::update_rmw`] and
+    /// [`Transaction::delete`] share, retried until it lands or fails:
+    /// each attempt runs [`write_under_latch`] with `build` under the
+    /// leaf's exclusive latch, and an in-flight holder is waited out. The
+    /// UNDO log of the write that lands joins the transaction.
+    async fn write_row(
+        &mut self,
+        table: &Arc<TableEntry>,
+        row: RowId,
+        mut build: impl FnMut(&PaxLeaf, usize, &PaxLayout) -> Result<BuiltWrite>,
+    ) -> Result<()> {
         self.ensure_wal_begin();
         loop {
-            let snapshot = self.stmt_snapshot();
-            let mut new_log = None;
-            let attempt = self.latched_write(
-                table,
-                row,
-                snapshot,
-                |leaf, idx, layout| {
-                    let image = leaf.read_row(layout, idx);
-                    (
-                        UndoOp::Delete { row_image: image },
-                        RecordBody::Delete { table: table.id, row },
-                        Vec::new(),
-                    )
-                },
-                &mut new_log,
-            )?;
+            let mut ctx = self.write_ctx();
+            let attempt = table
+                .tree
+                .table_modify(row, |leaf, idx, first, fid| {
+                    write_under_latch(&mut ctx, table, row, leaf, idx, first, fid, &mut build)
+                })?
+                .transpose()?;
             match attempt {
-                None => return Err(PhoebeError::RowNotFound { table: table.id, row }),
-                Some(WriteAttempt::Done) => {
-                    let log = new_log.expect("write produced a log");
+                Some(WriteAttempt::Done(log)) => {
                     self.db.arena(self.slot).push(Arc::clone(&log));
                     self.undo.push(log);
                     return Ok(());
                 }
-                Some(WriteAttempt::Retry) => continue,
-                Some(WriteAttempt::Gone) => {
+                Some(WriteAttempt::Retry) => {}
+                None | Some(WriteAttempt::Gone) => {
                     return Err(PhoebeError::RowNotFound { table: table.id, row })
                 }
                 Some(WriteAttempt::Conflict(holder)) => {
                     return Err(PhoebeError::WriteConflict { table: table.id, row, holder })
                 }
-                Some(WriteAttempt::Wait(holder)) => {
-                    self.wait_on_writer(table, row, holder).await?;
-                }
+                // Read committed retries against the newest version.
+                Some(WriteAttempt::Wait(holder)) => self.wait_on_writer(table, row, holder).await?,
             }
         }
     }
 
-    /// The shared latched write path: conflict check, UNDO creation, twin
-    /// install, WAL/RFA stamping, optional in-place column writes.
-    fn latched_write(
-        &mut self,
-        table: &Arc<TableEntry>,
-        row: RowId,
-        snapshot: Snapshot,
-        build: impl FnOnce(
-            &phoebe_storage::PaxLeaf,
-            usize,
-            &phoebe_storage::PaxLayout,
-        ) -> (UndoOp, RecordBody, Vec<(usize, Value)>),
-        new_log: &mut Option<Arc<UndoLog>>,
-    ) -> Result<Option<WriteAttempt>> {
-        let mut ctx = self.write_ctx(snapshot);
-        table.tree.table_modify(row, |leaf, idx, first, fid| {
-            write_under_latch(&mut ctx, table, row, leaf, idx, first, fid, build, new_log)
-        })
-    }
-
-    /// Snapshot of the per-transaction state [`write_under_latch`] needs.
-    fn write_ctx(&mut self, snapshot: Snapshot) -> WriteCtx<'_> {
+    /// The per-transaction state [`write_under_latch`] needs, under this
+    /// statement's snapshot.
+    fn write_ctx(&mut self) -> WriteCtx<'_> {
+        let snapshot = self.stmt_snapshot();
         WriteCtx {
             db: &self.db,
             xid: self.xid,
@@ -654,6 +611,10 @@ impl Transaction {
         let Some(image) = table.frozen.get(row)? else {
             return Err(PhoebeError::RowNotFound { table: table.id, row });
         };
+        let delta = f.map(|f| f(&image));
+        if let Some(delta) = &delta {
+            table.check_update(delta)?;
+        }
         table.frozen.mark_deleted(row);
         let log = UndoLog::new(
             table.id,
@@ -666,9 +627,8 @@ impl Transaction {
         self.db.wal.log_op(self.slot, self.xid, 0, RecordBody::Delete { table: table.id, row });
         self.db.arena(self.slot).push(Arc::clone(&log));
         self.undo.push(log);
-        match f {
-            Some(f) => {
-                let delta = f(&image);
+        match delta {
+            Some(delta) => {
                 let mut new_tuple = image.clone();
                 for (c, v) in &delta {
                     new_tuple[*c] = v.clone();
@@ -736,29 +696,10 @@ impl Transaction {
             };
             match &log.op {
                 UndoOp::Update { delta } => {
-                    let delta = delta.clone();
-                    let _ = table.tree.table_modify(log.row, |leaf, idx, _, _| {
-                        for (c, v) in &delta {
-                            leaf.write_col(&table.layout, idx, *c, v);
-                        }
-                    });
+                    let _ = table.write_cols(log.row, delta.iter().map(|(c, v)| (*c, v)));
                 }
                 UndoOp::Insert => {
-                    // Remove the tuple and its index entries.
-                    let image = table
-                        .tree
-                        .table_read(log.row, |leaf, idx, _, _| leaf.read_row(&table.layout, idx))
-                        .ok()
-                        .flatten();
-                    let _ = table.tree.table_modify(log.row, |leaf, idx, _, _| {
-                        leaf.mark_deleted(idx);
-                    });
-                    if let Some(image) = image {
-                        for index in table.all_indexes() {
-                            let key = index.key_for(&table.schema, &image, log.row);
-                            let _ = index.tree.index_remove(&key);
-                        }
-                    }
+                    let _ = table.remove_row(log.row);
                 }
                 UndoOp::Delete { .. } => {
                     // Logical delete: nothing physical happened yet.
@@ -809,10 +750,8 @@ impl Drop for Transaction {
     }
 }
 
-/// The transaction-side inputs of one latched write, split out of
-/// [`Transaction::latched_write`] so the blocking descent and the batch
-/// cursors ([`Transaction::multi_update_rmw`]) share a single
-/// implementation of the conflict/UNDO/WAL protocol.
+/// The transaction-side inputs of one latched write: the [`Transaction`]
+/// fields [`write_under_latch`] uses, and the statement's snapshot.
 struct WriteCtx<'a> {
     db: &'a Arc<Database>,
     xid: Xid,
@@ -826,23 +765,19 @@ struct WriteCtx<'a> {
 
 /// The write body that runs under the leaf's exclusive latch: ets
 /// handshake, tuple-lock claim, UNDO + twin install, WAL/RFA stamping and
-/// the in-place column writes (§6.2, §8).
+/// the in-place column writes (§6.2, §8). An error from `build` (a
+/// refused update) releases the tuple lock before anything is written.
 #[allow(clippy::too_many_arguments)]
 fn write_under_latch(
     ctx: &mut WriteCtx<'_>,
     table: &Arc<TableEntry>,
     row: RowId,
-    leaf: &mut phoebe_storage::PaxLeaf,
+    leaf: &mut PaxLeaf,
     idx: usize,
     first: RowId,
-    fid: phoebe_storage::FrameId,
-    build: impl FnOnce(
-        &phoebe_storage::PaxLeaf,
-        usize,
-        &phoebe_storage::PaxLayout,
-    ) -> (UndoOp, RecordBody, Vec<(usize, Value)>),
-    new_log: &mut Option<Arc<UndoLog>>,
-) -> WriteAttempt {
+    fid: FrameId,
+    build: impl FnOnce(&PaxLeaf, usize, &PaxLayout) -> Result<BuiltWrite>,
+) -> Result<WriteAttempt> {
     let db = ctx.db;
     // Lock-management work (Figure 12 "locking"): the ets
     // handshake, tuple-lock claim and outcome dispatch.
@@ -857,27 +792,27 @@ fn write_under_latch(
                 None | Some(TxnOutcome::Aborted) => {
                     // In flight (or aborted but not yet rolled
                     // back): wait on the holder's ID lock.
-                    return WriteAttempt::Wait(Arc::clone(&h.writer));
+                    return Ok(WriteAttempt::Wait(Arc::clone(&h.writer)));
                 }
                 Some(TxnOutcome::Committed(cts)) => {
                     if ctx.iso == IsolationLevel::RepeatableRead && !ctx.snapshot.sees(cts) {
-                        return WriteAttempt::Conflict(h.writer.xid);
+                        return Ok(WriteAttempt::Conflict(h.writer.xid));
                     }
                     if matches!(h.op, UndoOp::Delete { .. }) {
-                        return WriteAttempt::Gone;
+                        return Ok(WriteAttempt::Gone);
                     }
                 }
             }
         } else if !Xid::is_xid(ets) {
             if ctx.iso == IsolationLevel::RepeatableRead && !ctx.snapshot.sees(ets) {
-                return WriteAttempt::Conflict(h.writer.xid);
+                return Ok(WriteAttempt::Conflict(h.writer.xid));
             }
             if matches!(h.op, UndoOp::Delete { .. }) {
-                return WriteAttempt::Gone;
+                return Ok(WriteAttempt::Gone);
             }
         } else if matches!(h.op, UndoOp::Delete { .. }) {
             // Our own earlier delete of this row.
-            return WriteAttempt::Gone;
+            return Ok(WriteAttempt::Gone);
         }
     }
     // Tuple lock: claimed for the operation, released right after
@@ -886,11 +821,17 @@ fn write_under_latch(
     twin.record_lock_grant();
     drop(lock_timer);
     let _mvcc = db.metrics.timer(Component::Mvcc);
-    let (op, wal_body, apply) = build(leaf, idx, &table.layout);
+    let (op, wal_body, apply) = match build(leaf, idx, &table.layout) {
+        Ok(built) => built,
+        Err(e) => {
+            db.tuple_locks[ctx.slot].release();
+            return Err(e);
+        }
+    };
     let log = UndoLog::new(table.id, row, first, op, Arc::clone(ctx.handle), head.clone());
     if !twin.set_head(row, Arc::clone(&log), ctx.start_ts) {
         db.tuple_locks[ctx.slot].release();
-        return WriteAttempt::Retry;
+        return Ok(WriteAttempt::Retry);
     }
     drop(_mvcc);
     // WAL + RFA (§8).
@@ -900,8 +841,7 @@ fn write_under_latch(
         leaf.write_col(&table.layout, idx, *c, v);
     }
     db.tuple_locks[ctx.slot].release();
-    *new_log = Some(log);
-    WriteAttempt::Done
+    Ok(WriteAttempt::Done(log))
 }
 
 /// Round-robin driver for a set of read-mode descent cursors: step each

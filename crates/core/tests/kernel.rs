@@ -730,3 +730,144 @@ fn external_only_use_drains_gc() {
     assert_rows_read_back(&db, &t, &rids);
     db.shutdown();
 }
+
+/// An update that would change a column an index reads is refused before
+/// anything is written: the index would otherwise keep the old key. The
+/// refusal releases the tuple lock and leaves the transaction usable.
+#[test]
+fn update_of_an_indexed_column_is_rejected() {
+    let db = open_db();
+    let t = make_accounts(&db);
+    let pk = t.index("accounts_pk").unwrap();
+    block_on(async {
+        let mut tx = db.begin(IsolationLevel::ReadCommitted);
+        let rid = tx.insert(&t, row(1, "alice", 100)).await.unwrap();
+        tx.commit().await.unwrap();
+        let mut tx = db.begin(IsolationLevel::ReadCommitted);
+        let err = tx.update(&t, rid, &[(0, Value::I64(9))]).await.unwrap_err();
+        assert!(matches!(err, PhoebeError::SchemaMismatch { .. }), "got {err:?}");
+        let err = tx
+            .update_rmw(&t, rid, &|cur| vec![(2, Value::I64(0)), (0, cur[0].clone())])
+            .await
+            .unwrap_err();
+        assert!(matches!(err, PhoebeError::SchemaMismatch { .. }), "got {err:?}");
+        assert!(!db.tuple_locks[tx.slot()].is_held(), "the refusal released the tuple lock");
+        tx.update(&t, rid, &[(2, Value::I64(150))]).await.unwrap();
+        tx.commit().await.unwrap();
+        let mut check = db.begin(IsolationLevel::ReadCommitted);
+        let (found, got) = check.lookup_unique(&t, &pk, &[Value::I64(1)]).unwrap().unwrap();
+        assert_eq!((found, got.into_values()), (rid, row(1, "alice", 150)));
+        assert!(check.lookup_unique(&t, &pk, &[Value::I64(9)]).unwrap().is_none());
+        check.commit().await.unwrap();
+    });
+    db.shutdown();
+}
+
+/// Shut `db` down and open its data directory again: the manifest
+/// rebuilds the catalog and the WAL replays into it.
+fn reopen(db: Arc<Database>, cfg: &KernelConfig) -> (Arc<Database>, Arc<TableEntry>) {
+    db.shutdown();
+    drop(db);
+    let db = Database::open(cfg.clone()).unwrap();
+    let t = db.table("accounts").unwrap();
+    (db, t)
+}
+
+/// The visible row whose primary key is `id`.
+fn lookup_pk(db: &Arc<Database>, t: &Arc<TableEntry>, id: i64) -> Option<Vec<Value>> {
+    let pk = t.index("accounts_pk").unwrap();
+    let mut tx = db.begin(IsolationLevel::ReadCommitted);
+    let found = tx.lookup_unique(t, &pk, &[Value::I64(id)]).unwrap();
+    block_on(tx.commit()).unwrap();
+    found.map(|(_, r)| r.into_values())
+}
+
+/// A committed transaction that caught a unique violation and went on
+/// logged an insert and its compensating delete of the same row; replay
+/// must net the pair out instead of re-adding the violating key.
+#[test]
+fn caught_duplicate_key_survives_reopen() {
+    let cfg = KernelConfig::for_tests();
+    let db = Database::open(cfg.clone()).unwrap();
+    let t = make_accounts(&db);
+    block_on(async {
+        let mut tx = db.begin(IsolationLevel::ReadCommitted);
+        tx.insert(&t, row(1, "alice", 100)).await.unwrap();
+        tx.commit().await.unwrap();
+        let mut tx = db.begin(IsolationLevel::ReadCommitted);
+        let err = tx.insert(&t, row(1, "impostor", 0)).await.unwrap_err();
+        assert!(matches!(err, PhoebeError::DuplicateKey { .. }), "got {err:?}");
+        tx.insert(&t, row(2, "bob", 50)).await.unwrap();
+        tx.commit().await.unwrap();
+    });
+    let (db, t) = reopen(db, &cfg);
+    assert_eq!(lookup_pk(&db, &t, 1), Some(row(1, "alice", 100)));
+    assert_eq!(lookup_pk(&db, &t, 2), Some(row(2, "bob", 50)));
+    db.shutdown();
+}
+
+/// A unique key freed by a collected delete and taken again: replay must
+/// remove the old row's entry before the new row adds its own.
+#[test]
+fn key_reinserted_after_gc_survives_reopen() {
+    let cfg = KernelConfig::for_tests();
+    let db = Database::open(cfg.clone()).unwrap();
+    let t = make_accounts(&db);
+    block_on(async {
+        let mut tx = db.begin(IsolationLevel::ReadCommitted);
+        let rid = tx.insert(&t, row(7, "old", 1)).await.unwrap();
+        tx.commit().await.unwrap();
+        let mut tx = db.begin(IsolationLevel::ReadCommitted);
+        tx.delete(&t, rid).await.unwrap();
+        tx.commit().await.unwrap();
+    });
+    assert!(db.collect_all().tuples_deleted >= 1, "GC frees the key");
+    block_on(async {
+        let mut tx = db.begin(IsolationLevel::ReadCommitted);
+        tx.insert(&t, row(7, "new", 2)).await.unwrap();
+        tx.commit().await.unwrap();
+    });
+    let (db, t) = reopen(db, &cfg);
+    assert_eq!(lookup_pk(&db, &t, 7), Some(row(7, "new", 2)));
+    db.shutdown();
+}
+
+/// An insert that the second of two unique indexes rejects leaves no
+/// entry in the first and no visible tuple, the transaction still
+/// commits, and a reopen reproduces exactly that.
+#[test]
+fn insert_rejected_by_second_unique_index_leaves_nothing() {
+    let cfg = KernelConfig::for_tests();
+    let db = Database::open(cfg.clone()).unwrap();
+    let t = make_accounts(&db);
+    db.create_index(&t, "accounts_owner", vec![1], true).unwrap();
+    let rejected = block_on(async {
+        let mut tx = db.begin(IsolationLevel::ReadCommitted);
+        tx.insert(&t, row(1, "alice", 100)).await.unwrap();
+        tx.commit().await.unwrap();
+        let mut tx = db.begin(IsolationLevel::ReadCommitted);
+        let err = tx.insert(&t, row(2, "alice", 5)).await.unwrap_err();
+        assert!(matches!(err, PhoebeError::DuplicateKey { .. }), "got {err:?}");
+        // The rejected tuple holds the last row id drawn.
+        let rejected = RowId(t.row_id_high_water() - 1);
+        assert!(tx.read(&t, rejected).unwrap().is_none());
+        tx.commit().await.unwrap();
+        rejected
+    });
+    let check = |db: &Arc<Database>, t: &Arc<TableEntry>| {
+        let pk = t.index("accounts_pk").unwrap();
+        let owner = t.index("accounts_owner").unwrap();
+        let key = pk.prefix_for(&t.schema, &[Value::I64(2)]);
+        assert_eq!(pk.tree.index_get(&key).unwrap(), None, "no primary-key entry for 2");
+        let mut tx = db.begin(IsolationLevel::ReadCommitted);
+        assert!(tx.read(t, rejected).unwrap().is_none(), "rejected tuple invisible");
+        let (_, got) = tx.lookup_unique(t, &owner, &[Value::Str("alice".into())]).unwrap().unwrap();
+        assert_eq!(got, row(1, "alice", 100));
+        block_on(tx.commit()).unwrap();
+        assert_eq!(lookup_pk(db, t, 2), None);
+    };
+    check(&db, &t);
+    let (db, t) = reopen(db, &cfg);
+    check(&db, &t);
+    db.shutdown();
+}
