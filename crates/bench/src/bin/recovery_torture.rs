@@ -176,11 +176,9 @@ fn run_seed(seed: u64) -> Result<String> {
     db.shutdown();
     drop(db);
 
-    // Keep a post-mortem copy of the crash image: recovery consumes the
-    // original (re-log + delete), so on failure this is the only evidence.
-    let image = dir.with_extension("crashimage");
-    let _ = std::fs::remove_dir_all(&image);
-    copy_dir(&dir, &image)?;
+    // Recovery does not consume the crash image: it only reads the WAL
+    // segments and logs into a new one, so on failure `dir` itself holds
+    // the evidence (`recovery_torture --dump <dir>`).
 
     // ---- Phase 2: reopen (automatic recovery) + oracle checks ----------
     let cfg2 = KernelConfig::builder()
@@ -285,7 +283,6 @@ fn run_seed(seed: u64) -> Result<String> {
         Ok(summary) => {
             db.shutdown();
             let _ = std::fs::remove_dir_all(&dir);
-            let _ = std::fs::remove_dir_all(&image);
             Ok(summary)
         }
         Err(e) => {
@@ -303,20 +300,6 @@ fn run_seed(seed: u64) -> Result<String> {
             Err(e)
         }
     }
-}
-
-fn copy_dir(from: &std::path::Path, to: &std::path::Path) -> Result<()> {
-    std::fs::create_dir_all(to)?;
-    for e in std::fs::read_dir(from)? {
-        let e = e?;
-        let dst = to.join(e.file_name());
-        if e.file_type()?.is_dir() {
-            copy_dir(&e.path(), &dst)?;
-        } else {
-            std::fs::copy(e.path(), &dst)?;
-        }
-    }
-    Ok(())
 }
 
 /// Post-mortem: decode a saved crash image's WAL and print every committed

@@ -46,8 +46,8 @@ pub enum LatencySite {
     BtreeRestart = 6,
     /// Time a transaction spent blocked on another writer's tuple lock.
     LockWait = 7,
-    /// End-to-end WAL recovery replay in `Database::open` (scan + apply
-    /// + re-log). At most one observation per crash-recovering open.
+    /// End-to-end WAL recovery replay in `Database::open` (scan + sync +
+    /// apply). At most one observation per open that found records.
     RecoveryReplay = 8,
     /// One `Transaction::multi_get`/`multi_lookup`/`multi_update_rmw`
     /// batch end-to-end (interleaved descents, including any fault-suspend

@@ -19,7 +19,9 @@ use phoebe_storage::schema::{ColType, Schema};
 use phoebe_storage::{BTree, BufferPool, FrozenStore, TreeKind};
 use phoebe_txn::locks::IsolationLevel;
 use phoebe_txn::{ActiveTxnTable, GcEngine, GcStats, TwinRegistry, UndoArena, UndoLog, UndoOp};
-use phoebe_wal::{recover_dir, recover_dir_stats, RecordBody, RecoveredTxn, WalHub, WalScanStats};
+use phoebe_wal::{
+    recover_dir, recover_dir_stats, sync_wal_files, RecordBody, RecoveredTxn, WalHub,
+};
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -52,8 +54,9 @@ pub struct RecoveryInfo {
     /// Highest recovered commit timestamp; the global clock resumes
     /// strictly after it.
     pub max_cts: Timestamp,
-    /// Highest GSN seen on any recovered record (must never exceed the
-    /// durable GSN the crashed incarnation acknowledged).
+    /// Highest GSN on any scanned record, committed or not (must never
+    /// exceed the last GSN the crashed incarnation issued); the new
+    /// incarnation's GSNs start past it.
     pub max_gsn: u64,
     /// CRC-valid WAL records the recovery scan decoded (also surfaced as
     /// the `recovery_records_replayed` counter in [`crate::KernelStats`]).
@@ -155,39 +158,25 @@ impl WorkerHook for KernelHook {
     }
 }
 
-/// True when `dir` holds at least one non-empty WAL file — i.e. a
-/// previous incarnation left durable history behind.
-fn wal_dir_has_records(dir: &Path) -> bool {
-    let Ok(rd) = std::fs::read_dir(dir) else {
-        return false;
-    };
-    rd.filter_map(|e| e.ok()).any(|e| {
-        e.file_name().to_str().is_some_and(phoebe_wal::is_wal_file)
-            && e.metadata().map(|m| m.len() > 0).unwrap_or(false)
-    })
-}
-
 impl Database {
     /// Open a kernel: build the buffer pool, WAL hub, runtime and GC, wire
     /// the cross-layer hooks (write barrier, worker duties) — and, when the
     /// data directory holds a previous incarnation's WAL, replay every
     /// committed transaction before accepting new work.
     ///
-    /// Recovery protocol (crash-safe at every step):
+    /// Recovery reads the log once and writes nothing to it:
     ///
-    /// 1. If `wal/` holds records, it is renamed to `wal.recovering/`
-    ///    *before* the new hub truncates the log file. If
-    ///    `wal.recovering/` already exists, a previous recovery itself
-    ///    crashed — that directory wins and any half-rebuilt `wal/` is
-    ///    discarded, which makes recovery idempotent.
-    /// 2. The catalog is rebuilt from the manifest (creation order ⇒ same
-    ///    table ids), then committed transactions are replayed in commit-
-    ///    timestamp order.
-    /// 3. The recovered history is re-logged into the fresh WAL and
-    ///    flushed (there is no checkpoint: the log is the only durable
-    ///    copy of hot data), the global clock is advanced past the highest
-    ///    recovered commit timestamp, and only then is
-    ///    `wal.recovering/` deleted.
+    /// 1. Scan every WAL file under `wal/` in file order and reassemble
+    ///    the committed transactions.
+    /// 2. Sync every scanned file.
+    /// 3. Rebuild the catalog from the manifest (creation order ⇒ same
+    ///    table ids), replay the committed transactions in commit-timestamp
+    ///    order, and advance the global clock past every scanned
+    ///    timestamp.
+    /// 4. Log into a new segment, its GSN clock past every scanned GSN.
+    ///    The scanned files stay as they were: there is no checkpoint, so
+    ///    they are the only durable copy of the history, and the next
+    ///    recovery reads them again.
     pub fn open(cfg: KernelConfig) -> Result<Arc<Self>> {
         cfg.validate()?;
         std::fs::create_dir_all(&cfg.data_dir)?;
@@ -231,30 +220,20 @@ impl Database {
             None => (Arc::new(OsFs), None),
         };
 
-        // Step 1: secure the previous incarnation's log before the new
-        // writers truncate it.
-        let wal_dir = cfg.data_dir.join("wal");
-        let rec_dir = cfg.data_dir.join("wal.recovering");
-        if rec_dir.exists() {
-            if wal_dir.exists() {
-                std::fs::remove_dir_all(&wal_dir)?;
-            }
-        } else if wal_dir_has_records(&wal_dir) {
-            std::fs::rename(&wal_dir, &rec_dir)?;
-        }
         // The durable image is plain files (even under SimFs the durable
         // layer is a real file), so recovery always reads the real fs.
-        let had_recovery = rec_dir.exists();
+        let wal_dir = cfg.data_dir.join("wal");
+        std::fs::create_dir_all(&wal_dir)?;
         let recovery_start = Instant::now();
-        let (recovered, scan) = if had_recovery {
-            recover_dir_stats(&rec_dir)?
-        } else {
-            (Vec::new(), WalScanStats::default())
-        };
+        let (recovered, scan) = recover_dir_stats(&wal_dir)?;
+        // After a process crash the files can hold rounds that were written
+        // but never synced. Replay builds on them, so they must be durable
+        // before any new work depends on them.
+        sync_wal_files(&wal_dir)?;
         let recovery = RecoveryInfo {
             txns: recovered.len(),
             max_cts: recovered.iter().map(|t| t.cts).max().unwrap_or(0),
-            max_gsn: recovered.iter().map(|t| t.max_gsn).max().unwrap_or(0),
+            max_gsn: scan.max_gsn,
             records: scan.records,
             tail_bytes_discarded: scan.tail_bytes_discarded,
         };
@@ -268,8 +247,10 @@ impl Database {
             fs.as_ref(),
         )?;
         let total_slots = cfg.total_slots() + EXTERNAL_SLOTS;
-        // Every slot, the external ones included, logs into one file: a
-        // group-commit round is one write and one sync.
+        // Every slot, the external ones included, logs into one new
+        // segment: a group-commit round is one write and one sync. Its GSNs
+        // start past the scanned ones, so they keep rising across
+        // incarnations.
         let wal = WalHub::with_fs(
             &wal_dir,
             total_slots,
@@ -277,6 +258,7 @@ impl Database {
             cfg.wal_sync,
             Arc::clone(&metrics),
             fs,
+            recovery.max_gsn + 1,
         )?;
         pool.set_wal_barrier(Arc::new(HubBarrier(Arc::clone(&wal))));
         let arenas: Vec<_> = (0..total_slots).map(|_| Arc::new(UndoArena::new())).collect();
@@ -318,21 +300,17 @@ impl Database {
             cfg,
         });
 
-        // Step 2: rebuild the catalog with the original creation order,
-        // then replay committed history in cts order.
+        // Rebuild the catalog with the original creation order, then
+        // replay committed history in cts order.
         db.load_manifest()?;
-        if !recovered.is_empty() {
-            db.apply_recovered(&recovered)?;
-            // Step 3: the fresh WAL must carry the full history again.
-            db.relog_recovered(&recovered)?;
-            db.clock.advance_to(recovery.max_cts);
-        }
-        if rec_dir.exists() {
-            std::fs::remove_dir_all(&rec_dir)?;
-        }
-        if had_recovery {
+        db.apply_recovered(&recovered)?;
+        // Past every start timestamp too, not just every cts: orphaned
+        // records stay in the log, and a new transaction that reused an
+        // orphan's xid would adopt its records at the next recovery.
+        db.clock.advance_to(recovery.max_cts.max(scan.max_start_ts));
+        if recovery.records > 0 {
             // Recovery is the one open-path latency a user actually waits
-            // behind; book the end-to-end scan + apply + re-log cost.
+            // behind; book the end-to-end scan + sync + apply cost.
             db.metrics.add(Counter::RecoveryRecordsReplayed, recovery.records);
             db.metrics.add(Counter::RecoveryTailBytesDiscarded, recovery.tail_bytes_discarded);
             db.metrics
@@ -785,26 +763,6 @@ impl Database {
                 RecordBody::Begin | RecordBody::Commit { .. } | RecordBody::Abort => {}
             }
         }
-        Ok(())
-    }
-
-    /// Re-log recovered history into the fresh WAL and flush it durable
-    /// (recovery step 3). Without this, deleting `wal.recovering/` would
-    /// leave the recovered rows with no durable copy anywhere — the kernel
-    /// has no checkpoint, the log *is* the database.
-    ///
-    /// Everything goes to slot 0 with a constant GSN: within one writer
-    /// the LSN preserves append order, and we append in cts order, so a
-    /// subsequent recovery reassembles the same history.
-    fn relog_recovered(&self, txns: &[RecoveredTxn]) -> Result<()> {
-        for t in txns {
-            self.wal.log_op(0, t.xid, 1, RecordBody::Begin);
-            for op in &t.ops {
-                self.wal.log_op(0, t.xid, 1, op.clone());
-            }
-            self.wal.log_op(0, t.xid, 1, RecordBody::Commit { cts: t.cts });
-        }
-        self.wal.flush_all()?;
         Ok(())
     }
 

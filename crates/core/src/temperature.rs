@@ -13,14 +13,18 @@
 //!
 //! Warming takes blocks whose OLTP read count crossed the threshold,
 //! tombstones their rows and re-inserts them into hot storage under fresh
-//! row ids, updating every secondary index (§5.2 case 3).
+//! row ids, updating every secondary index (§5.2 case 3). Freezing only
+//! changes where a row lives and is not logged; warming changes row ids,
+//! so it logs its moves.
 
 use crate::catalog::TableEntry;
 use crate::db::Database;
 use phoebe_common::error::Result;
 use phoebe_common::ids::RowId;
 use phoebe_common::metrics::Counter;
+use phoebe_runtime::block_on;
 use phoebe_storage::schema::Value;
+use phoebe_wal::{RecordBody, RfaState};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -112,26 +116,60 @@ impl Database {
     /// One warming pass (§5.2 case 3): every block whose read count
     /// crossed `warm_read_threshold` is dissolved back into hot storage
     /// under fresh row ids, with index maintenance.
+    ///
+    /// The moves are one logged system transaction on an external slot:
+    /// per row `Delete{old}` then `Insert{new, tuple}`, then a `Commit`
+    /// that is durable before the first new index entry exists. Replay
+    /// makes the same moves; unlogged, a later update that found a row
+    /// under its new id would replay onto no row.
     pub fn warm_table(&self, table: &Arc<TableEntry>) -> Result<WarmStats> {
         let mut stats = WarmStats::default();
-        for block in table.frozen.hot_blocks(self.cfg.warm_read_threshold) {
-            let (old_ids, tuples) = table.frozen.take_block(block.index)?;
-            for (old_row, tuple) in old_ids.into_iter().zip(tuples) {
-                // Retire the frozen row's index entries, then re-insert hot.
-                table.remove_index_entries(&tuple, old_row);
-                // The id is drawn under the leaf latch: drawn out here, a
-                // concurrent insert could append a larger one first.
-                let (new_row, _, _) = table.tree.table_append_alloc(
-                    &table.layout,
-                    &|| table.next_row_id(),
-                    &tuple,
-                    |_, _, _, _| {},
-                )?;
-                table.add_index_entries(&tuple, new_row)?;
-                stats.rows_warmed += 1;
+        let mut moved = Vec::new();
+        let slot = self.checkout_external_slot();
+        let (xid, _) = self.clock.begin();
+        let mut rfa = RfaState::default();
+        let logged = (|| -> Result<()> {
+            for block in table.frozen.hot_blocks(self.cfg.warm_read_threshold) {
+                let (old_ids, tuples) = table.frozen.take_block(block.index)?;
+                for (old_row, tuple) in old_ids.into_iter().zip(tuples) {
+                    let delete = RecordBody::Delete { table: table.id, row: old_row };
+                    self.wal.log_op(slot, xid, 0, delete);
+                    // The id is drawn under the leaf latch: drawn out here,
+                    // a concurrent insert could append a larger one first.
+                    let (new_row, _, _) = table.tree.table_append_alloc(
+                        &table.layout,
+                        &|| table.next_row_id(),
+                        &tuple,
+                        |leaf, idx, _, fid| {
+                            let row = leaf.row_id_at(idx);
+                            let insert =
+                                RecordBody::Insert { table: table.id, row, tuple: tuple.clone() };
+                            self.wal.log_page_write(
+                                &self.pool.frame(fid).meta,
+                                &mut rfa,
+                                slot,
+                                xid,
+                                insert,
+                            );
+                        },
+                    )?;
+                    moved.push((old_row, new_row, tuple));
+                }
+                stats.blocks_warmed += 1;
             }
-            stats.blocks_warmed += 1;
+            if !moved.is_empty() {
+                block_on(self.wal.commit(slot, xid, self.clock.commit_ts(), &rfa))?;
+            }
+            Ok(())
+        })();
+        self.return_external_slot(slot);
+        logged?;
+        for (old_row, new_row, tuple) in &moved {
+            // Retire the frozen row's index entries, then re-point them hot.
+            table.remove_index_entries(tuple, *old_row);
+            table.add_index_entries(tuple, *new_row)?;
         }
+        stats.rows_warmed = moved.len();
         self.metrics.add(Counter::RowsWarmed, stats.rows_warmed as u64);
         Ok(stats)
     }

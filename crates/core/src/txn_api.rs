@@ -815,10 +815,8 @@ fn write_under_latch(
             return Ok(WriteAttempt::Gone);
         }
     }
-    // Tuple lock: claimed for the operation, released right after
-    // (§7.2); grant accounting lives in the twin table.
+    // Tuple lock: claimed for the operation, released right after (§7.2).
     db.tuple_locks[ctx.slot].claim(table.id, row);
-    twin.record_lock_grant();
     drop(lock_timer);
     let _mvcc = db.metrics.timer(Component::Mvcc);
     let (op, wal_body, apply) = match build(leaf, idx, &table.layout) {

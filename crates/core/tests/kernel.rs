@@ -871,3 +871,181 @@ fn insert_rejected_by_second_unique_index_leaves_nothing() {
     check(&db, &t);
     db.shutdown();
 }
+
+/// Warming moves frozen rows to fresh row ids. The moves are logged, so
+/// an update that found a row under its new id survives a reopen instead
+/// of replaying onto no row.
+#[test]
+fn update_of_a_warmed_row_survives_reopen() {
+    let mut cfg = KernelConfig::for_tests();
+    cfg.freeze_access_threshold = u64::MAX; // everything qualifies as cold
+    cfg.freeze_batch_pages = 1;
+    cfg.warm_read_threshold = 3;
+    let db = Database::open(cfg.clone()).unwrap();
+    let schema = Schema::new(vec![("id", ColType::I64), ("v", ColType::I64)]);
+    let t = db.create_table("events", schema).unwrap();
+    let pk = db.create_index(&t, "events_pk", vec![0], true).unwrap();
+    let n: i64 = 4_000;
+    block_on(async {
+        let mut tx = db.begin(IsolationLevel::ReadCommitted);
+        for i in 0..n {
+            tx.insert(&t, vec![Value::I64(i), Value::I64(0)]).await.unwrap();
+        }
+        tx.commit().await.unwrap();
+    });
+    assert!(db.freeze_table(&t).unwrap().rows_frozen > 0);
+    let mut tx = db.begin(IsolationLevel::ReadCommitted);
+    for _ in 0..5 {
+        assert!(tx.read(&t, RowId(1)).unwrap().is_some());
+    }
+    block_on(tx.commit()).unwrap();
+    assert!(db.warm_table(&t).unwrap().rows_warmed > 0);
+    block_on(async {
+        let mut tx = db.begin(IsolationLevel::ReadCommitted);
+        let (rid, _) = tx.lookup_unique(&t, &pk, &[Value::I64(0)]).unwrap().unwrap();
+        assert_ne!(rid, RowId(1), "warming moved key 0 to a fresh row id");
+        tx.update(&t, rid, &[(1, Value::I64(42))]).await.unwrap();
+        tx.commit().await.unwrap();
+    });
+    db.shutdown();
+    drop(db);
+
+    let db = Database::open(cfg).unwrap();
+    let t = db.table("events").unwrap();
+    let pk = t.index("events_pk").unwrap();
+    let mut tx = db.begin(IsolationLevel::ReadCommitted);
+    let (rid, row) = tx.lookup_unique(&t, &pk, &[Value::I64(0)]).unwrap().unwrap();
+    assert_eq!(row.into_values(), vec![Value::I64(0), Value::I64(42)], "row id {rid:?}");
+    assert!(tx.read(&t, RowId(1)).unwrap().is_none(), "the moved-from row stays gone");
+    block_on(tx.commit()).unwrap();
+    assert_eq!(db.approximate_row_count(&t).unwrap(), n as usize, "no row lost or doubled");
+    db.shutdown();
+}
+
+/// Insert one `accounts` row in its own transaction and commit it.
+fn commit_row(db: &Arc<Database>, t: &Arc<TableEntry>, id: i64, owner: &str) {
+    block_on(async {
+        let mut tx = db.begin(IsolationLevel::ReadCommitted);
+        tx.insert(t, row(id, owner, id)).await.unwrap();
+        tx.commit().await.unwrap();
+    });
+}
+
+/// Pull the simulated plug on a kernel opened with `cfg.fault` set.
+fn crash(db: &Database) {
+    db.fault_sim().expect("fault injection enabled").crash();
+    db.shutdown();
+}
+
+/// The WAL segment files of a data directory, by name.
+fn wal_segments(cfg: &KernelConfig) -> std::collections::BTreeMap<String, Vec<u8>> {
+    std::fs::read_dir(cfg.data_dir.join("wal"))
+        .unwrap()
+        .map(|e| e.unwrap())
+        .map(|e| (e.file_name().into_string().unwrap(), std::fs::read(e.path()).unwrap()))
+        .collect()
+}
+
+/// A transaction in flight at a crash leaves its records in the log for
+/// good. The clock resumes past its start timestamp, so no later
+/// transaction reuses its xid and adopts those records at the next
+/// recovery.
+#[test]
+fn orphaned_records_stay_orphaned_across_reopens() {
+    let mut cfg = KernelConfig::for_tests();
+    cfg.fault = Some(phoebe_common::fault::FaultConfig::crash_only(11));
+    let db = Database::open(cfg.clone()).unwrap();
+    let t = make_accounts(&db);
+    commit_row(&db, &t, 1, "tx1");
+    let mut tx2 = db.begin(IsolationLevel::ReadCommitted);
+    block_on(tx2.insert(&t, row(2, "orphan", 2))).unwrap();
+    db.wal.flush_all().unwrap();
+    crash(&db);
+    assert!(block_on(tx2.commit()).is_err(), "a commit after the crash must not ack");
+    drop(db);
+
+    let db = Database::open(cfg.clone()).unwrap();
+    let t = db.table("accounts").unwrap();
+    // The new incarnation's first transaction.
+    commit_row(&db, &t, 3, "new");
+    let (db, t) = reopen(db, &cfg);
+    assert_eq!(lookup_pk(&db, &t, 1), Some(row(1, "tx1", 1)));
+    assert_eq!(lookup_pk(&db, &t, 2), None, "the orphan's insert stays uncommitted");
+    assert_eq!(lookup_pk(&db, &t, 3), Some(row(3, "new", 3)));
+    db.shutdown();
+}
+
+/// Three incarnations, each crashed: every acknowledged commit is
+/// recovered, each incarnation logs into its own segment, and GSNs keep
+/// rising across them.
+#[test]
+fn acked_commits_survive_three_crashed_incarnations() {
+    let mut cfg = KernelConfig::for_tests();
+    cfg.fault = Some(phoebe_common::fault::FaultConfig::crash_only(5));
+    let mut acked = Vec::new();
+    for incarnation in 0..4i64 {
+        let db = Database::open(cfg.clone()).unwrap();
+        let info = db.recovery_info();
+        assert!(
+            db.wal.current_gsn() > info.max_gsn,
+            "incarnation {incarnation}: GSN {} not past the recovered {}",
+            db.wal.current_gsn(),
+            info.max_gsn
+        );
+        let t = if incarnation == 0 { make_accounts(&db) } else { db.table("accounts").unwrap() };
+        for &id in &acked {
+            assert_eq!(
+                lookup_pk(&db, &t, id),
+                Some(row(id, "acked", id)),
+                "incarnation {incarnation}"
+            );
+        }
+        if incarnation == 3 {
+            db.shutdown();
+            break;
+        }
+        for k in 0..3 {
+            let id = incarnation * 10 + k;
+            commit_row(&db, &t, id, "acked");
+            acked.push(id);
+        }
+        crash(&db);
+    }
+    let segments = wal_segments(&cfg);
+    assert_eq!(segments.len(), 4, "one segment per incarnation: {:?}", segments.keys());
+}
+
+/// Recovery reads the log and writes nothing to it: reopening a directory
+/// with history and running nothing leaves every earlier segment
+/// byte-identical and the new one empty; the next open reuses that empty
+/// segment instead of adding another.
+#[test]
+fn recovery_writes_nothing_to_the_log() {
+    let cfg = KernelConfig::for_tests();
+    let db = Database::open(cfg.clone()).unwrap();
+    let t = make_accounts(&db);
+    commit_row(&db, &t, 1, "first");
+    let (db, t) = reopen(db, &cfg);
+    commit_row(&db, &t, 2, "second");
+    db.shutdown();
+    drop(db);
+    let history = wal_segments(&cfg);
+    assert_eq!(history.len(), 2);
+
+    let db = Database::open(cfg.clone()).unwrap();
+    assert_eq!(db.recovery_info().txns, 2);
+    db.shutdown();
+    drop(db);
+    let after = wal_segments(&cfg);
+    assert_eq!(after.len(), 3, "the reopen logs into a new segment: {:?}", after.keys());
+    for (name, bytes) in &history {
+        assert!(after[name] == *bytes, "{name} changed");
+    }
+    assert_eq!(after["wal_seg_0002.log"], Vec::<u8>::new());
+
+    let (db, t) = reopen(Database::open(cfg.clone()).unwrap(), &cfg);
+    assert_eq!(lookup_pk(&db, &t, 2), Some(row(2, "second", 2)));
+    db.shutdown();
+    drop(db);
+    assert_eq!(wal_segments(&cfg).len(), 3, "an empty highest segment is reused");
+}

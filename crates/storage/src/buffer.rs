@@ -32,7 +32,6 @@ use std::collections::VecDeque;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Sentinel for "no parent": the frame is a tree root and never evictable.
 pub const NO_PARENT: u64 = u64::MAX;
@@ -52,9 +51,6 @@ pub struct FrameMeta {
     pub dirty: AtomicBool,
     /// OLTP access counter for temperature classification (§5.2).
     pub access_count: AtomicU64,
-    /// Milliseconds-since-pool-start of the last access (§5.2 "last OLTP
-    /// access time").
-    pub last_access: AtomicU64,
     /// Frame id of the (probable) parent; validated under the parent latch.
     pub parent: AtomicU64,
     /// Disk slot this page occupies in the Data Page File, if any.
@@ -78,7 +74,6 @@ impl Default for FrameMeta {
         FrameMeta {
             dirty: AtomicBool::new(false),
             access_count: AtomicU64::new(0),
-            last_access: AtomicU64::new(0),
             parent: AtomicU64::new(NO_PARENT),
             disk_page: AtomicU64::new(NO_DISK),
             page_gsn: AtomicU64::new(0),
@@ -112,7 +107,6 @@ impl FrameMeta {
     fn reset(&self) {
         self.dirty.store(false, Ordering::Relaxed);
         self.access_count.store(0, Ordering::Relaxed);
-        self.last_access.store(0, Ordering::Relaxed);
         self.parent.store(NO_PARENT, Ordering::Relaxed);
         self.disk_page.store(NO_DISK, Ordering::Relaxed);
         self.page_gsn.store(0, Ordering::Relaxed);
@@ -202,7 +196,6 @@ pub struct BufferPool {
     page_file: PageFile,
     barrier: RankedRwLock<Option<Arc<dyn WalBarrier>>>,
     metrics: Arc<Metrics>,
-    start: Instant,
     /// Lazily-started background loader for asynchronous page faults
     /// (interleaved batch descents, see [`crate::fault_service`]). The
     /// sender drops with the pool, which ends the loader thread.
@@ -280,7 +273,6 @@ impl BufferPool {
             faults_inflight: AtomicUsize::new(0),
             barrier: RankedRwLock::new(Rank::BufferPool, "buffer.wal_barrier", None),
             metrics,
-            start: Instant::now(),
             fault_tx: RankedMutex::new(Rank::BufferPool, "buffer.fault_tx", None),
             fault_epochs: (0..FAULT_EPOCH_SHARDS).map(|_| AtomicU64::new(0)).collect(),
         }))
@@ -316,18 +308,10 @@ impl BufferPool {
         self.page_file.io_counts()
     }
 
-    /// Coarse monotonic clock for temperature bookkeeping, in ms.
-    #[inline]
-    pub fn now_ms(&self) -> u64 {
-        self.start.elapsed().as_millis() as u64
-    }
-
     /// Record an OLTP access on a frame (temperature tracking, §5.2).
     #[inline]
     pub fn touch(&self, fid: FrameId) {
-        let meta = &self.frames[fid as usize].meta;
-        meta.access_count.fetch_add(1, Ordering::Relaxed);
-        meta.last_access.store(self.now_ms(), Ordering::Relaxed);
+        self.frames[fid as usize].meta.access_count.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The partition the calling thread allocates from: its worker's own
@@ -476,7 +460,6 @@ impl BufferPool {
         meta.parent.store(parent, Ordering::Relaxed);
         meta.disk_page.store(page.raw(), Ordering::Relaxed);
         meta.dirty.store(false, Ordering::Relaxed);
-        meta.last_access.store(self.now_ms(), Ordering::Relaxed);
         self.metrics.incr(Counter::PageReads);
         Ok(())
     }

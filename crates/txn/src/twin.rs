@@ -65,16 +65,12 @@ fn row_bloom_bit(row: u64) -> u64 {
     1u64 << (row.wrapping_mul(MIX) >> 58)
 }
 
-/// Per-page mapping from row id to version-chain head, plus the metadata
-/// the paper hangs off it: the largest writer XID (twin GC watermark) and
-/// tuple-lock grant accounting (§7.2 "tuple lock metadata ... stored in the
-/// twin table").
+/// Per-page mapping from row id to version-chain head, plus the largest
+/// writer XID (the twin GC watermark) the paper hangs off it.
 pub struct TwinTable {
     shards: [EntryShard; ENTRY_SHARDS],
     /// Largest start-ts among writers that modified this page (§7.3).
     max_writer_start: AtomicU64,
-    /// Tuple-lock grants recorded against tuples of this page.
-    lock_grants: AtomicU64,
     /// Set by registry GC after removal; writers that raced fetch a fresh
     /// table from the registry.
     dead: AtomicBool,
@@ -85,7 +81,6 @@ impl TwinTable {
         Arc::new(TwinTable {
             shards: std::array::from_fn(|_| EntryShard::new()),
             max_writer_start: AtomicU64::new(0),
-            lock_grants: AtomicU64::new(0),
             dead: AtomicBool::new(false),
         })
     }
@@ -158,19 +153,6 @@ impl TwinTable {
         if map.is_empty() {
             shard.summary.store(0, Ordering::Release);
         }
-    }
-
-    /// Record a tuple-lock grant against this page (§7.2).
-    pub fn record_lock_grant(&self) {
-        // ORDERING: pure statistic — nothing is published under this
-        // counter, so relaxed increments suffice.
-        self.lock_grants.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn lock_grants(&self) -> u64 {
-        // ORDERING: diagnostic read of a monotonic counter; staleness is
-        // acceptable and no other memory hangs off it.
-        self.lock_grants.load(Ordering::Relaxed)
     }
 
     pub fn max_writer_start(&self) -> Timestamp {
@@ -419,14 +401,6 @@ mod tests {
         // A fresh table from the registry works.
         let t2 = reg.get_or_create(key);
         assert!(t2.set_head(RowId(1), mklog(1, 1), 1));
-    }
-
-    #[test]
-    fn lock_grant_accounting() {
-        let t = TwinTable::new();
-        t.record_lock_grant();
-        t.record_lock_grant();
-        assert_eq!(t.lock_grants(), 2);
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! bottleneck of a single serialized log is removed by giving **each task
 //! slot its own WAL writer** — its own buffer, LSNs and flushed-LSN
 //! horizon ([`writer`]) — while a group-commit round gathers every slot's bytes
-//! into one write and one `fdatasync` on one log file; recovery re-orders
-//! the records by GSN ([`recovery`]).
+//! into one write and one `fdatasync` on one log file; recovery reads the
+//! files in order and replays committed transactions by commit timestamp
+//! ([`recovery`]).
 //!
 //! Remote Flush Avoidance: a committing transaction that only touched data
 //! last written by its own slot waits only for *its own* writer to flush —
@@ -22,5 +23,7 @@ pub mod recovery;
 pub mod writer;
 
 pub use record::{crc32, RecordBody, WalRecord};
-pub use recovery::{is_wal_file, recover_dir, recover_dir_stats, RecoveredTxn, WalScanStats};
+pub use recovery::{
+    is_wal_file, recover_dir, recover_dir_stats, sync_wal_files, RecoveredTxn, WalScanStats,
+};
 pub use writer::{RfaState, WalHub, WalWriter};

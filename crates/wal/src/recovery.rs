@@ -1,26 +1,26 @@
-//! Recovery: merge the WAL files by GSN and replay committed transactions
+//! Recovery: read the WAL files and reassemble committed transactions
 //! (§8).
 //!
-//! Distributed logging orders recovery with the GSN: a transaction's
-//! records sit in one file in LSN order (its slot appends to one file),
-//! and records are merged across files by `(gsn, lsn)`. Records are
-//! self-describing, so the scan does not care how slots were mapped to
-//! files — today's single `wal_seg_0000.log`, the per-worker `wal_seg_*`
+//! The scan reads every WAL file once, in file order, and never writes.
+//! File order is enough: a transaction logs only on its own slot, so all
+//! its records sit in one file, in LSN order; records are grouped by xid,
+//! and committed transactions come back sorted by commit timestamp, so
+//! the order across files never matters. Records are self-describing, so
+//! the scan does not care how slots were mapped to files — one
+//! `wal_seg_NNNN.log` per incarnation today, the per-worker `wal_seg_*`
 //! files and the per-slot `wal_slot_*` ones of older directories all
 //! recover through the same code. Because PhoebeDB's records are logical,
-//! replay
-//! groups each committed transaction's operations and re-applies the
-//! transactions in commit-timestamp order, which reproduces the serial
-//! history the MVCC engine admitted. Transactions without a commit record
-//! (in flight at the crash, or aborted) are discarded — their in-place
-//! page effects were never checkpointed, and UNDO was memory-only, exactly
-//! the "Non-Force" contract.
+//! replay re-applies the transactions in commit-timestamp order, which
+//! reproduces the serial history the MVCC engine admitted. Transactions
+//! without a commit record (in flight at the crash, or aborted) are
+//! discarded — their in-place page effects were never checkpointed, and
+//! UNDO was memory-only, exactly the "Non-Force" contract.
 
 use crate::record::{RecordBody, WalRecord};
 use phoebe_common::error::Result;
 use phoebe_common::ids::{Timestamp, Xid};
 use std::collections::HashMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// One committed transaction reassembled from the logs.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,6 +44,11 @@ pub struct WalScanStats {
     /// Bytes past the last CRC-valid record, summed across files (torn
     /// or partial trailing writes the crash left behind).
     pub tail_bytes_discarded: u64,
+    /// Highest GSN on any scanned record, committed or not.
+    pub max_gsn: u64,
+    /// Highest start timestamp of any scanned record's xid, committed or
+    /// not.
+    pub max_start_ts: Timestamp,
 }
 
 /// True for the file names the log scan reads: `wal_seg_NNNN.log`, and
@@ -64,34 +69,43 @@ pub fn read_wal_file_stats(path: &Path, stats: &mut WalScanStats) -> Result<Vec<
     let mut out = Vec::new();
     let mut at = 0;
     while let Some((rec, next)) = WalRecord::decode_at(&buf, at)? {
+        stats.max_gsn = stats.max_gsn.max(rec.gsn.raw());
+        stats.max_start_ts = stats.max_start_ts.max(rec.xid.start_ts());
         out.push(rec);
         at = next;
     }
+    // A file interleaves several slots' LSN sequences; what replay relies
+    // on is each transaction's own records being in order.
+    debug_assert!(
+        {
+            let mut last = HashMap::new();
+            out.iter().all(|r| last.insert(r.xid.raw(), r.lsn).is_none_or(|prev| prev < r.lsn))
+        },
+        "{}: a transaction's records must be LSN-ordered",
+        path.display()
+    );
     stats.records += out.len() as u64;
     stats.tail_bytes_discarded += (buf.len() - at) as u64;
     Ok(out)
 }
 
-/// Merge per-file record streams by `(gsn, lsn)` — the global recovery
-/// order.
-pub fn merge_by_gsn(mut streams: Vec<Vec<WalRecord>>) -> Vec<WalRecord> {
-    let mut merged = Vec::with_capacity(streams.iter().map(Vec::len).sum());
-    for (file, s) in streams.iter_mut().enumerate() {
-        // A file interleaves several slots' LSN sequences; what replay
-        // relies on is each transaction's own records being in order.
-        debug_assert!(
-            {
-                let mut last = HashMap::new();
-                s.iter().all(|r| last.insert(r.xid.raw(), r.lsn).is_none_or(|prev| prev < r.lsn))
-            },
-            "file {file}: a transaction's records must be LSN-ordered"
-        );
-        merged.append(s);
+/// Every [`is_wal_file`] in `dir`, in name order.
+fn wal_files(dir: &Path) -> Result<Vec<PathBuf>> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)?
+        .filter_map(|e| e.ok())
+        .map(|e| e.path())
+        .filter(|p| p.file_name().and_then(|n| n.to_str()).is_some_and(is_wal_file))
+        .collect();
+    files.sort();
+    Ok(files)
+}
+
+/// `fdatasync` every WAL file in `dir`.
+pub fn sync_wal_files(dir: &Path) -> Result<()> {
+    for path in wal_files(dir)? {
+        std::fs::File::open(path)?.sync_data()?;
     }
-    // A k-way merge would also work; a sort by the same key is simpler and
-    // recovery is not a hot path.
-    merged.sort_by_key(|r| (r.gsn, r.lsn));
-    merged
+    Ok(())
 }
 
 /// Scan a WAL directory (every [`is_wal_file`]) and reassemble every
@@ -103,43 +117,33 @@ pub fn recover_dir(dir: &Path) -> Result<Vec<RecoveredTxn>> {
 /// [`recover_dir`], additionally returning scan volume accounting.
 pub fn recover_dir_stats(dir: &Path) -> Result<(Vec<RecoveredTxn>, WalScanStats)> {
     let mut stats = WalScanStats::default();
-    let mut streams = Vec::new();
-    let mut entries: Vec<_> = std::fs::read_dir(dir)?
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.file_name().and_then(|n| n.to_str()).is_some_and(is_wal_file))
-        .collect();
-    entries.sort();
-    for path in entries {
-        streams.push(read_wal_file_stats(&path, &mut stats)?);
-    }
-    let merged = merge_by_gsn(streams);
-
     let mut txns: HashMap<u64, RecoveredTxn> = HashMap::new();
     let mut committed: Vec<RecoveredTxn> = Vec::new();
     let fresh = |xid: Xid| RecoveredTxn { xid, cts: 0, max_gsn: 0, ops: Vec::new() };
-    for rec in merged {
-        match rec.body {
-            RecordBody::Begin => {
-                let t = txns.entry(rec.xid.raw()).or_insert_with(|| fresh(rec.xid));
-                t.max_gsn = t.max_gsn.max(rec.gsn.raw());
-            }
-            RecordBody::Commit { cts } => {
-                if let Some(mut t) = txns.remove(&rec.xid.raw()) {
-                    t.cts = cts;
+    for path in wal_files(dir)? {
+        for rec in read_wal_file_stats(&path, &mut stats)? {
+            match rec.body {
+                RecordBody::Begin => {
+                    let t = txns.entry(rec.xid.raw()).or_insert_with(|| fresh(rec.xid));
                     t.max_gsn = t.max_gsn.max(rec.gsn.raw());
-                    committed.push(t);
                 }
-            }
-            RecordBody::Abort => {
-                txns.remove(&rec.xid.raw());
-            }
-            op => {
-                // Ops may arrive before Begin in the merged order only if
-                // Begin was optimized away; tolerate by creating the entry.
-                let t = txns.entry(rec.xid.raw()).or_insert_with(|| fresh(rec.xid));
-                t.max_gsn = t.max_gsn.max(rec.gsn.raw());
-                t.ops.push(op);
+                RecordBody::Commit { cts } => {
+                    if let Some(mut t) = txns.remove(&rec.xid.raw()) {
+                        t.cts = cts;
+                        t.max_gsn = t.max_gsn.max(rec.gsn.raw());
+                        committed.push(t);
+                    }
+                }
+                RecordBody::Abort => {
+                    txns.remove(&rec.xid.raw());
+                }
+                op => {
+                    // A transaction that logs no Begin (a system move) starts
+                    // with its first op.
+                    let t = txns.entry(rec.xid.raw()).or_insert_with(|| fresh(rec.xid));
+                    t.max_gsn = t.max_gsn.max(rec.gsn.raw());
+                    t.ops.push(op);
+                }
             }
         }
     }
@@ -233,20 +237,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_orders_across_streams_by_gsn() {
-        let mk = |slot: u64, gsn: u64, lsn: u64| WalRecord {
-            xid: xid(slot),
-            gsn: phoebe_common::ids::Gsn(gsn),
-            lsn: phoebe_common::ids::Lsn(lsn),
-            body: RecordBody::Begin,
-        };
-        let merged =
-            merge_by_gsn(vec![vec![mk(0, 1, 1), mk(0, 5, 2)], vec![mk(1, 2, 1), mk(1, 3, 2)]]);
-        let gsns: Vec<u64> = merged.iter().map(|r| r.gsn.raw()).collect();
-        assert_eq!(gsns, vec![1, 2, 3, 5]);
-    }
-
-    #[test]
     fn checksum_failing_garbage_tail_is_end_of_log() {
         // A crashed device can leave arbitrary junk after the last good
         // record (torn sector, recycled block). The CRC must classify any
@@ -304,7 +294,7 @@ mod tests {
         // Nor of how slots map to files: the hub's one log file and a
         // hand-built directory of one `wal_slot_*` file per slot (the
         // layout before slots shared a file) must recover bit-identically,
-        // which keeps the scan's multi-file merge covered.
+        // which keeps the scan's multi-file path covered.
         let canonical: Vec<RecoveredTxn> = emit_interleaved(0).0;
         assert_eq!(canonical.len(), 6, "all six committed transactions recovered");
         for seed in 0..12u64 {
@@ -434,6 +424,8 @@ mod tests {
         std::fs::write(dir.join("not_a_wal.txt"), b"ignored").unwrap();
         let (recovered, stats) = recover_dir_stats(&dir).unwrap();
         assert_eq!(stats.records, 7);
+        assert_eq!(stats.max_gsn, 2);
+        assert_eq!(stats.max_start_ts, 3, "the in-flight transaction's xid counts too");
         assert_eq!(recovered.iter().map(|t| t.cts).collect::<Vec<_>>(), vec![10, 20]);
         assert_eq!(recovered[0].ops, vec![ins(2)]);
         assert_eq!(recovered[1].ops, vec![ins(1)]);

@@ -3,8 +3,10 @@
 //!
 //! Every task slot owns a [`WalWriter`]: an in-memory buffer plus its own
 //! LSN sequence and flushed-LSN horizon, so log *appends* never contend
-//! across slots. All slots share one append-only log file
-//! (`wal_seg_0000.log`); records are self-describing (xid, GSN, LSN), so
+//! across slots. All slots share one append-only segment file per
+//! incarnation: a fresh directory starts at `wal_seg_0000.log`, and each
+//! reopen logs into the next number, leaving the segments it recovered
+//! from untouched. Records are self-describing (xid, GSN, LSN), so
 //! nothing about ordering or RFA depends on which file holds them. A
 //! background flusher runs group-commit rounds: a round steals every
 //! pending slot buffer into one reusable buffer, makes it durable with
@@ -15,8 +17,9 @@
 //!
 //! GSN/LSN: every record carries the slot-local, strictly monotonic LSN
 //! and a GSN stamped under the slot's buffer lock, strictly above the
-//! page's GSN on a cross-slot write. Recovery merges all records by GSN.
-//! The group-commit round is also the GSN's clock: before its first steal
+//! page's GSN on a cross-slot write; the clock starts past every GSN the
+//! recovered segments hold, so GSNs rise across incarnations. The
+//! group-commit round is also the GSN's clock: before its first steal
 //! a round advances the GSN by one (its *tick* T), and once its write and
 //! sync landed it publishes `durable_gsn = T − 1`. A record stamped below
 //! round k's tick is in round k or an earlier one — one appended after
@@ -39,7 +42,7 @@ use phoebe_common::sync::{Condvar, Rank, RankedMutex};
 use phoebe_common::trace::EventKind;
 use phoebe_runtime::{block_on, Notify};
 use phoebe_storage::buffer::FrameMeta;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -139,8 +142,29 @@ fn durable_or_stopped(durable: bool, live: &Liveness) -> Option<Result<()>> {
 /// Initial capacity of a slot's append buffer.
 const SLOT_BUF_BYTES: usize = 16 * 1024;
 
-/// The one log file every slot's records go to.
-const LOG_FILE: &str = "wal_seg_0000.log";
+/// The segment this incarnation logs into: `wal_seg_0000.log` in a fresh
+/// directory, else one past the highest `wal_seg_NNNN.log` — which is
+/// reused instead when it is empty (an open that crashed before its first
+/// round). A segment holding records is never truncated.
+fn next_segment(dir: &Path) -> Result<PathBuf> {
+    let mut highest: Option<(u64, u64)> = None;
+    for entry in std::fs::read_dir(dir)? {
+        let entry = entry?;
+        let name = entry.file_name();
+        let n = name.to_str().and_then(|n| n.strip_prefix("wal_seg_")?.strip_suffix(".log"));
+        if let Some(n) = n.and_then(|n| n.parse::<u64>().ok()) {
+            if highest.is_none_or(|(h, _)| n > h) {
+                highest = Some((n, entry.metadata()?.len()));
+            }
+        }
+    }
+    let n = match highest {
+        None => 0,
+        Some((n, 0)) => n,
+        Some((n, _)) => n + 1,
+    };
+    Ok(dir.join(format!("wal_seg_{n:04}.log")))
+}
 
 /// One slot's WAL writer: the append buffer and the slot's LSN horizons.
 /// The bytes reach disk through the hub's group-commit rounds.
@@ -335,7 +359,7 @@ struct HorizonProbe {
 }
 
 impl WalHub {
-    /// Create writers for `slots` task slots over one log file under
+    /// Create writers for `slots` task slots over a new segment under
     /// `dir` on the real filesystem and start the group-commit flusher.
     ///
     /// `_io_threads` is ignored: the flusher makes each round's write
@@ -349,12 +373,13 @@ impl WalHub {
         sync: bool,
         metrics: Arc<Metrics>,
     ) -> Result<Arc<Self>> {
-        Self::with_fs(dir, slots, group_commit, sync, metrics, Arc::new(OsFs))
+        Self::with_fs(dir, slots, group_commit, sync, metrics, Arc::new(OsFs), 1)
     }
 
     /// [`WalHub::new`] over an injected filesystem — the seam the
     /// crash-torture harness uses to put a [`phoebe_common::fault::SimFs`]
-    /// under the log file.
+    /// under the log file — with the GSN clock starting at `first_gsn`
+    /// (at least 1): everything stamped below it is taken as durable.
     pub fn with_fs(
         dir: &Path,
         slots: usize,
@@ -362,14 +387,19 @@ impl WalHub {
         sync: bool,
         metrics: Arc<Metrics>,
         fs: Arc<dyn FaultFs>,
+        first_gsn: u64,
     ) -> Result<Arc<Self>> {
         std::fs::create_dir_all(dir)?;
+        let file = fs.create(&next_segment(dir)?)?;
+        // Rounds sync the segment's data, not its directory entry; without
+        // this a power cut could drop a new segment with its acked commits.
+        std::fs::File::open(dir)?.sync_all()?;
         let live = Arc::new(Liveness::default());
         let hub = Arc::new(WalHub {
             writers: (0..slots).map(|s| WalWriter::new(s, Arc::clone(&live))).collect(),
-            file: fs.create(&dir.join(LOG_FILE))?,
-            gsn: AtomicU64::new(1),
-            durable_gsn: AtomicU64::new(0),
+            file,
+            gsn: AtomicU64::new(first_gsn),
+            durable_gsn: AtomicU64::new(first_gsn - 1),
             metrics,
             sync,
             shutdown: AtomicBool::new(false),

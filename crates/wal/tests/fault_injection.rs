@@ -34,7 +34,7 @@ fn hub_with_window(
     slots: usize,
     group_commit: Duration,
 ) -> Arc<WalHub> {
-    WalHub::with_fs(dir, slots, group_commit, true, Arc::new(Metrics::new(1)), fs).unwrap()
+    WalHub::with_fs(dir, slots, group_commit, true, Arc::new(Metrics::new(1)), fs, 1).unwrap()
 }
 
 /// Log one single-insert transaction on `slot`, commit record included,
