@@ -210,7 +210,14 @@ impl Metrics {
     /// Start a scoped timer attributing elapsed time to `component`.
     #[inline]
     pub fn timer(&self, component: Component) -> ScopedTimer<'_> {
-        ScopedTimer { metrics: self, component, start: Instant::now() }
+        self.timer_since(component, Instant::now())
+    }
+
+    /// [`Metrics::timer`] for work that began at `start`, a clock read the
+    /// caller already made.
+    #[inline]
+    pub fn timer_since(&self, component: Component, start: Instant) -> ScopedTimer<'_> {
+        ScopedTimer { metrics: self, component, start }
     }
 
     /// Record `ns` nanoseconds and one operation against `component`.

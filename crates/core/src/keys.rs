@@ -65,8 +65,8 @@ impl KeyBuilder {
         }
     }
 
-    pub fn finish(&self) -> Vec<u8> {
-        self.buf.clone()
+    pub fn finish(self) -> Vec<u8> {
+        self.buf
     }
 
     pub fn as_bytes(&self) -> &[u8] {

@@ -193,8 +193,9 @@ impl Transaction {
     /// buffer already materialized — no second allocation.
     fn visible(&self, version: Option<LatchedVersion>, snapshot: Snapshot) -> Option<Vec<Value>> {
         let (mut tuple, head) = version?;
+        let Some(head) = head else { return Some(tuple) };
         let _t = self.db.metrics.timer(Component::Mvcc);
-        match resolve_visibility(&mut tuple, head.as_ref(), self.xid, snapshot) {
+        match resolve_visibility(&mut tuple, Some(&head), self.xid, snapshot) {
             Visibility::Invisible => None,
             Visibility::Current | Visibility::Rebuilt => Some(tuple),
         }

@@ -258,7 +258,7 @@ impl<'t, K: Deref<Target = [u8]>> DescentCursor<'t, K> {
     /// the rightmost leaf).
     pub(super) fn run(mut self) -> Result<(LatchedLeaf<'t>, Option<SmallKey>)> {
         // Figure 12's "latching" component: traversal latch work.
-        let _t = self.tree.metrics.timer(Component::Latch);
+        let _t = self.tree.metrics.timer_since(Component::Latch, self.attempt);
         match self.drive(false)? {
             DescentStep::Leaf(leaf) => Ok((leaf, self.fence.take())),
             _ => unreachable!("the blocking policy stops at the leaf only"),

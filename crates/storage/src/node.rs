@@ -15,10 +15,17 @@
 //! never a dangling pointer (see the latch module's contract). Keys are
 //! byte strings compared lexicographically; callers encode typed keys
 //! order-preservingly (big-endian ints etc.).
+//!
+//! Inner and index nodes keep each key's head (`key_head`) beside its slot, and
+//! a search compares heads — one machine word each, in one dense array —
+//! and reads a key slot only when its head ties with the search key's.
+//! Heads live only in memory: a page image carries the keys, and decoding
+//! rebuilds the heads from them.
 
 use crate::pax::PaxLeaf;
 use phoebe_common::config::PAGE_SIZE;
 use phoebe_common::error::{PhoebeError, Result};
+use std::cmp::Ordering;
 
 /// Maximum key length storable inline in inner and index nodes.
 pub const MAX_KEY: usize = 56;
@@ -26,8 +33,41 @@ pub const MAX_KEY: usize = 56;
 /// Separator keys per inner node (fanout = FANOUT + 1 children).
 pub const FANOUT: usize = 200;
 
-/// Entries per index leaf.
-pub const INDEX_LEAF_CAP: usize = 224;
+/// Entries per index leaf: as many as fit beside their heads without
+/// making the leaf larger than a table leaf, so the frame does not grow.
+pub const INDEX_LEAF_CAP: usize = 212;
+
+// Every frame holds a `Page`, sized by its largest variant: a table leaf.
+const _: () = assert!(
+    std::mem::size_of::<IndexLeaf>() <= std::mem::size_of::<PaxLeaf>()
+        && std::mem::size_of::<InnerNode>() <= std::mem::size_of::<PaxLeaf>()
+);
+
+/// A key's head: its first 8 bytes, zero-padded, as a big-endian integer.
+/// Where two keys' heads differ they order the keys exactly as the byte
+/// slices do — a key shorter than 8 bytes pads with the smallest byte, so
+/// it stays below every longer key it is a prefix of. Only equal heads
+/// leave the order to the slices.
+#[inline]
+fn key_head(key: &[u8]) -> u64 {
+    let mut head = [0u8; 8];
+    let n = key.len().min(8);
+    head[..n].copy_from_slice(&key[..n]);
+    u64::from_be_bytes(head)
+}
+
+/// Order of two keys whose heads are equal. A key of at most 8 bytes is
+/// then a prefix of the other key (its padding matched the other's
+/// bytes), so the lengths decide; two longer keys share their first 8
+/// bytes and differ in the rest.
+#[inline]
+fn order_on_tie(stored: &[u8], key: &[u8]) -> Ordering {
+    if stored.len() <= 8 || key.len() <= 8 {
+        stored.len().cmp(&key.len())
+    } else {
+        stored[8..].cmp(&key[8..])
+    }
+}
 
 /// An inner node: `count` separator keys and `count + 1` children.
 /// `children[i]` holds keys `k` with `keys[i-1] <= k < keys[i]`
@@ -36,6 +76,8 @@ pub struct InnerNode {
     pub count: u16,
     pub key_lens: [u8; FANOUT],
     pub keys: [[u8; MAX_KEY]; FANOUT],
+    /// `heads[i]` is `key_head(key(i))`.
+    heads: [u64; FANOUT],
     /// Raw [`crate::swip::Swip`] encodings.
     pub children: [u64; FANOUT + 1],
 }
@@ -46,6 +88,7 @@ impl Default for InnerNode {
             count: 0,
             key_lens: [0; FANOUT],
             keys: [[0; MAX_KEY]; FANOUT],
+            heads: [0; FANOUT],
             children: [crate::swip::Swip::NULL.raw(); FANOUT + 1],
         }
     }
@@ -60,6 +103,13 @@ impl InnerNode {
         assert!(key.len() <= MAX_KEY, "key exceeds {MAX_KEY} bytes");
         self.key_lens[i] = key.len() as u8;
         self.keys[i][..key.len()].copy_from_slice(key);
+        self.heads[i] = key_head(key);
+    }
+
+    fn rebuild_heads(&mut self) {
+        for i in 0..self.count as usize {
+            self.heads[i] = key_head(self.key(i));
+        }
     }
 
     pub fn is_full(&self) -> bool {
@@ -69,11 +119,13 @@ impl InnerNode {
     /// Child index to descend into for `key`: the first separator greater
     /// than `key` bounds the subtree on the right.
     pub fn child_index(&self, key: &[u8]) -> usize {
-        let n = self.count as usize;
-        let (mut lo, mut hi) = (0usize, n);
+        let h = key_head(key);
+        let (mut lo, mut hi) = (0usize, self.count as usize);
         while lo < hi {
             let mid = (lo + hi) / 2;
-            if key < self.key(mid) {
+            if self.heads[mid].cmp(&h).then_with(|| order_on_tie(self.key(mid), key))
+                == Ordering::Greater
+            {
                 hi = mid;
             } else {
                 lo = mid + 1;
@@ -88,13 +140,10 @@ impl InnerNode {
         let n = self.count as usize;
         assert!(n < FANOUT, "insert into a full inner node");
         assert!(pos <= n);
-        for i in (pos..n).rev() {
-            self.keys[i + 1] = self.keys[i];
-            self.key_lens[i + 1] = self.key_lens[i];
-        }
-        for i in (pos + 1..=n + 1).rev() {
-            self.children[i] = self.children[i - 1];
-        }
+        self.keys.copy_within(pos..n, pos + 1);
+        self.key_lens.copy_within(pos..n, pos + 1);
+        self.heads.copy_within(pos..n, pos + 1);
+        self.children.copy_within(pos + 1..n + 1, pos + 2);
         self.set_key(pos, key);
         self.children[pos + 1] = right;
         self.count += 1;
@@ -108,14 +157,10 @@ impl InnerNode {
         let sep = self.key(mid).to_vec();
         let mut right = InnerNode::default();
         let moved = n - mid - 1;
-        for i in 0..moved {
-            let src = mid + 1 + i;
-            right.keys[i] = self.keys[src];
-            right.key_lens[i] = self.key_lens[src];
-        }
-        for i in 0..=moved {
-            right.children[i] = self.children[mid + 1 + i];
-        }
+        right.keys[..moved].copy_from_slice(&self.keys[mid + 1..n]);
+        right.key_lens[..moved].copy_from_slice(&self.key_lens[mid + 1..n]);
+        right.heads[..moved].copy_from_slice(&self.heads[mid + 1..n]);
+        right.children[..=moved].copy_from_slice(&self.children[mid + 1..=n]);
         right.count = moved as u16;
         self.count = mid as u16;
         (right, sep)
@@ -134,6 +179,8 @@ pub struct IndexLeaf {
     pub count: u16,
     pub key_lens: [u8; INDEX_LEAF_CAP],
     pub keys: [[u8; MAX_KEY]; INDEX_LEAF_CAP],
+    /// `heads[i]` is `key_head(key(i))`.
+    heads: [u64; INDEX_LEAF_CAP],
     pub row_ids: [u64; INDEX_LEAF_CAP],
 }
 
@@ -143,6 +190,7 @@ impl Default for IndexLeaf {
             count: 0,
             key_lens: [0; INDEX_LEAF_CAP],
             keys: [[0; MAX_KEY]; INDEX_LEAF_CAP],
+            heads: [0; INDEX_LEAF_CAP],
             row_ids: [0; INDEX_LEAF_CAP],
         }
     }
@@ -157,25 +205,36 @@ impl IndexLeaf {
         self.count as usize >= INDEX_LEAF_CAP
     }
 
-    /// First position with `key(pos) >= key`.
-    pub fn lower_bound(&self, key: &[u8]) -> usize {
-        let n = self.count as usize;
-        let (mut lo, mut hi) = (0usize, n);
+    fn rebuild_heads(&mut self) {
+        for i in 0..self.count as usize {
+            self.heads[i] = key_head(self.key(i));
+        }
+    }
+
+    /// `Ok(pos)` if `key(pos) == key`, else `Err(pos)` with `pos` the
+    /// first position whose key is greater.
+    fn search(&self, key: &[u8]) -> std::result::Result<usize, usize> {
+        let h = key_head(key);
+        let (mut lo, mut hi) = (0usize, self.count as usize);
         while lo < hi {
             let mid = (lo + hi) / 2;
-            if self.key(mid) < key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
+            match self.heads[mid].cmp(&h).then_with(|| order_on_tie(self.key(mid), key)) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return Ok(mid),
             }
         }
-        lo
+        Err(lo)
+    }
+
+    /// First position with `key(pos) >= key`.
+    pub fn lower_bound(&self, key: &[u8]) -> usize {
+        self.search(key).unwrap_or_else(|pos| pos)
     }
 
     /// Exact-match lookup.
     pub fn get(&self, key: &[u8]) -> Option<u64> {
-        let pos = self.lower_bound(key);
-        (pos < self.count as usize && self.key(pos) == key).then(|| self.row_ids[pos])
+        self.search(key).ok().map(|pos| self.row_ids[pos])
     }
 
     /// Insert `(key, row_id)`; returns false if the key already exists.
@@ -183,18 +242,17 @@ impl IndexLeaf {
         assert!(key.len() <= MAX_KEY, "key exceeds {MAX_KEY} bytes");
         let n = self.count as usize;
         assert!(n < INDEX_LEAF_CAP, "insert into a full index leaf");
-        let pos = self.lower_bound(key);
-        if pos < n && self.key(pos) == key {
+        let Err(pos) = self.search(key) else {
             return false;
-        }
-        for i in (pos..n).rev() {
-            self.keys[i + 1] = self.keys[i];
-            self.key_lens[i + 1] = self.key_lens[i];
-            self.row_ids[i + 1] = self.row_ids[i];
-        }
+        };
+        self.keys.copy_within(pos..n, pos + 1);
+        self.key_lens.copy_within(pos..n, pos + 1);
+        self.heads.copy_within(pos..n, pos + 1);
+        self.row_ids.copy_within(pos..n, pos + 1);
         self.key_lens[pos] = key.len() as u8;
         self.keys[pos] = [0; MAX_KEY];
         self.keys[pos][..key.len()].copy_from_slice(key);
+        self.heads[pos] = key_head(key);
         self.row_ids[pos] = row_id;
         self.count += 1;
         true
@@ -203,16 +261,12 @@ impl IndexLeaf {
     /// Remove `key`; returns the row id it mapped to, if present.
     pub fn remove(&mut self, key: &[u8]) -> Option<u64> {
         let n = self.count as usize;
-        let pos = self.lower_bound(key);
-        if pos >= n || self.key(pos) != key {
-            return None;
-        }
+        let pos = self.search(key).ok()?;
         let row = self.row_ids[pos];
-        for i in pos..n - 1 {
-            self.keys[i] = self.keys[i + 1];
-            self.key_lens[i] = self.key_lens[i + 1];
-            self.row_ids[i] = self.row_ids[i + 1];
-        }
+        self.keys.copy_within(pos + 1..n, pos);
+        self.key_lens.copy_within(pos + 1..n, pos);
+        self.heads.copy_within(pos + 1..n, pos);
+        self.row_ids.copy_within(pos + 1..n, pos);
         self.count -= 1;
         Some(row)
     }
@@ -225,11 +279,10 @@ impl IndexLeaf {
         let mid = n / 2;
         let mut right = IndexLeaf::default();
         let moved = n - mid;
-        for i in 0..moved {
-            right.keys[i] = self.keys[mid + i];
-            right.key_lens[i] = self.key_lens[mid + i];
-            right.row_ids[i] = self.row_ids[mid + i];
-        }
+        right.keys[..moved].copy_from_slice(&self.keys[mid..n]);
+        right.key_lens[..moved].copy_from_slice(&self.key_lens[mid..n]);
+        right.heads[..moved].copy_from_slice(&self.heads[mid..n]);
+        right.row_ids[..moved].copy_from_slice(&self.row_ids[mid..n]);
         right.count = moved as u16;
         self.count = mid as u16;
         let sep = right.key(0).to_vec();
@@ -335,6 +388,7 @@ impl Page {
                 for c in &mut n.children[..=count as usize] {
                     *c = r.u64();
                 }
+                n.rebuild_heads();
             }
             2 => {
                 *self = Page::TableLeaf(PaxLeaf::new());
@@ -360,6 +414,7 @@ impl Page {
                 for id in &mut l.row_ids[..count as usize] {
                     *id = r.u64();
                 }
+                l.rebuild_heads();
             }
             t => return Err(PhoebeError::corruption(format!("unknown page kind {t}"))),
         }

@@ -9,7 +9,9 @@
 //! support in-place updates").
 //!
 //! Row ids are monotonically increasing and rows are appended in order, so
-//! the row-id minipage is sorted and point lookups are binary searches. A
+//! the row-id minipage is sorted; a point lookup goes straight to the slot
+//! a consecutive run of ids would put the row in, and binary-searches only
+//! when that slot holds another id. A
 //! leaf's row-id range is immutable once written: the table B-Tree grows by
 //! adding fresh rightmost leaves rather than redistributing rows, which is
 //! what makes (table, first_row_id) a stable page identity for twin tables
@@ -122,18 +124,31 @@ impl PaxLeaf {
         (self.count > 0).then(|| self.row_id_at(self.len() - 1))
     }
 
-    /// Binary-search the sorted row-id minipage.
+    /// Position of live row `row_id`. Ids are drawn in ascending order
+    /// under the rightmost leaf's latch, so a leaf's ids are consecutive
+    /// and the row sits at `row_id - first_row_id`; only a leaf where
+    /// recovery skipped ids misses that slot and falls back to a binary
+    /// search of the sorted row-id minipage.
     pub fn find(&self, row_id: RowId) -> Option<usize> {
         let n = self.len();
-        let (mut lo, mut hi) = (0usize, n);
+        let direct = row_id.raw().wrapping_sub(self.first_row_id()?.raw());
+        let pos = if direct < n as u64 && self.row_id_at(direct as usize) == row_id {
+            direct as usize
+        } else {
+            self.search(row_id)?
+        };
+        self.is_valid(pos).then_some(pos)
+    }
+
+    /// Binary-search the sorted row-id minipage for `row_id`'s position.
+    fn search(&self, row_id: RowId) -> Option<usize> {
+        let (mut lo, mut hi) = (0usize, self.len());
         while lo < hi {
             let mid = (lo + hi) / 2;
             match self.row_id_at(mid).cmp(&row_id) {
                 std::cmp::Ordering::Less => lo = mid + 1,
                 std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => {
-                    return self.is_valid(mid).then_some(mid);
-                }
+                std::cmp::Ordering::Equal => return Some(mid),
             }
         }
         None
@@ -175,7 +190,13 @@ impl PaxLeaf {
             ColType::Str(max) => {
                 let len = u16::from_le_bytes(bytes[..2].try_into().expect("2")) as usize;
                 let len = len.min(max as usize); // robust to torn optimistic reads
-                Value::Str(String::from_utf8_lossy(&bytes[2..2 + len]).into_owned())
+                let bytes = &bytes[2..2 + len];
+                // A torn optimistic read can also hold invalid UTF-8: the
+                // lossy copy is for that case only.
+                Value::Str(match std::str::from_utf8(bytes) {
+                    Ok(s) => s.to_owned(),
+                    Err(_) => String::from_utf8_lossy(bytes).into_owned(),
+                })
             }
         }
     }
@@ -300,6 +321,24 @@ mod tests {
         assert_eq!(leaf.find(RowId(5)), None);
         assert!(leaf.find(RowId(6)).is_some());
         assert_eq!(leaf.live_rows(), 1);
+    }
+
+    #[test]
+    fn find_on_a_gapped_leaf() {
+        // Recovery appends the ids it replays, skipping any it never saw.
+        let (_, l) = test_layout();
+        let mut leaf = PaxLeaf::new();
+        let ids = [1u64, 2, 3, 7, 8, 20];
+        for (i, &id) in ids.iter().enumerate() {
+            leaf.append(&l, RowId(id), &tuple(i as i64));
+        }
+        leaf.mark_deleted(leaf.find(RowId(7)).unwrap());
+        for (slot, &id) in ids.iter().enumerate().filter(|&(_, &id)| id != 7) {
+            assert_eq!(leaf.find(RowId(id)), Some(slot), "id {id}");
+        }
+        for id in [0, 4, 5, 6, 7, 9, 19, 21, u64::MAX] {
+            assert_eq!(leaf.find(RowId(id)), None, "id {id}");
+        }
     }
 
     #[test]

@@ -281,8 +281,16 @@ fn records_stamped_at_or_below_durable_gsn_survive_crash() {
                     while !stop.load(Ordering::Acquire) && hub.flush_all().is_ok() {}
                 })
             };
-        // A few rounds in, pull the plug.
-        while hub.rounds() < 3 + seed {
+        // A few rounds in, pull the plug — but not before some record is
+        // covered. Under load every early round can run before any
+        // appender stamps. Once a round has flushed a record, the round
+        // after it ticks above that record's stamp; at most two more
+        // completed rounds include that one.
+        while (0..4).all(|slot| hub.writer(slot).flushed_lsn() == 0) {
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        let covering = hub.rounds() + 2;
+        while hub.rounds() < covering.max(3 + seed) {
             std::thread::sleep(Duration::from_micros(100));
         }
         let durable = hub.durable_gsn();
