@@ -93,7 +93,8 @@ pub enum Rank {
     /// WAL hub control state: flusher handle, horizon probe
     /// (`wal/writer.rs`).
     WalHub = 75,
-    /// Per-slot WAL writer buffers (`wal/writer.rs`).
+    /// Per-slot WAL writer buffers (`wal/writer.rs`). Self-nesting: a
+    /// group-commit round holds every slot's buffer at once.
     WalSlot = 80,
     /// WAL flusher doorbell — rung while a slot buffer may be held
     /// (`wal/writer.rs`).
@@ -149,7 +150,7 @@ impl Rank {
     /// held on the same thread.
     #[must_use]
     pub const fn allows_self_nesting(self) -> bool {
-        matches!(self, Rank::TwinShard | Rank::FrameMeta)
+        matches!(self, Rank::TwinShard | Rank::FrameMeta | Rank::WalSlot)
     }
 
     #[must_use]

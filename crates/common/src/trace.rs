@@ -71,13 +71,11 @@ pub enum EventKind {
     /// One segment's gathered write→fdatasync, from the start of its round
     /// (span; `slot` = segment index, `b` = bytes).
     FlushWave = 16,
-    /// RFA remote-dependency wait at commit (span; `b` = waited-for GSN).
-    RfaRemoteWait = 17,
     /// WAL replay at `Database::open` (span; `b` = records replayed).
-    RecoveryReplay = 18,
+    RecoveryReplay = 17,
     /// One interleaved multi-key batch (span; `a` = duration ns,
     /// `b` = key count).
-    BatchGet = 19,
+    BatchGet = 18,
 }
 
 /// The four per-worker tracks in the exported timeline.
@@ -99,7 +97,7 @@ const INSTANT: bool = false;
 /// Every kind's stable display name (the Chrome trace event `name`),
 /// Perfetto track and shape. Row `i` describes discriminant `i + 1`
 /// (checked at compile time below).
-const KINDS: [(EventKind, &str, Track, bool); 19] = [
+const KINDS: [(EventKind, &str, Track, bool); 18] = [
     (EventKind::TaskSpawn, "spawn", Track::Sched, INSTANT),
     (EventKind::TaskPoll, "poll", Track::Sched, SPAN),
     (EventKind::TaskDone, "task_done", Track::Sched, INSTANT),
@@ -116,7 +114,6 @@ const KINDS: [(EventKind, &str, Track, bool); 19] = [
     (EventKind::LatchRestart, "latch_restart", Track::Storage, INSTANT),
     (EventKind::GroupCommitBatch, "group_commit", Track::Wal, SPAN),
     (EventKind::FlushWave, "flush_wave", Track::Wal, SPAN),
-    (EventKind::RfaRemoteWait, "rfa_remote_wait", Track::Wal, SPAN),
     (EventKind::RecoveryReplay, "recovery_replay", Track::Wal, SPAN),
     (EventKind::BatchGet, "batch_get", Track::Storage, SPAN),
 ];

@@ -14,6 +14,7 @@ use crate::keys::KeyBuilder;
 use phoebe_common::error::{PhoebeError, Result};
 use phoebe_common::ids::{RowId, TableId};
 use phoebe_common::snapshot::SnapshotList;
+use phoebe_storage::node::MAX_KEY;
 use phoebe_storage::schema::{ColType, Schema, Value};
 use phoebe_storage::{BTree, FrozenStore, PaxLayout};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,6 +31,40 @@ pub struct IndexDef {
     pub unique: bool,
 }
 
+impl IndexDef {
+    /// Refuse a key layout the index B-tree cannot hold: a key column
+    /// past the end of `schema`, or an encoded key longer than
+    /// [`MAX_KEY`], the row-id suffix of a non-unique index included.
+    pub(crate) fn check(&self, table: TableId, schema: &Schema) -> Result<()> {
+        let refuse = |why| Err(PhoebeError::SchemaMismatch { table, detail: why });
+        let (name, n) = (&self.name, schema.num_cols());
+        if let Some(c) = self.key_cols.iter().find(|&&c| c >= n) {
+            return refuse(format!("index '{name}': no column {c} in {n} columns"));
+        }
+        let suffix = if self.unique { 0 } else { 8 };
+        let width = self.key_cols.iter().map(|&c| key_width(schema.col_type(c))).sum::<usize>();
+        match width + suffix {
+            w if w > MAX_KEY => refuse(format!("index '{name}': {w}-byte keys, limit {MAX_KEY}")),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// Bytes a key column takes in an encoded index key: a string is padded to
+/// its column's maximum length.
+fn key_width(ty: ColType) -> usize {
+    match ty {
+        ColType::Str(max) => max as usize,
+        fixed => fixed.slot_width(),
+    }
+}
+
+/// True for a string holding a NUL byte: keys zero-pad strings, so its key
+/// would equal the key of the string cut at the NUL.
+fn has_nul(v: &Value) -> bool {
+    matches!(v, Value::Str(s) if s.contains('\0'))
+}
+
 /// A live secondary index.
 pub struct IndexEntry {
     pub id: TableId,
@@ -42,11 +77,7 @@ impl IndexEntry {
     pub fn key_for(&self, schema: &Schema, tuple: &[Value], row: RowId) -> Vec<u8> {
         let mut b = KeyBuilder::new();
         for &c in &self.def.key_cols {
-            let width = match schema.col_type(c) {
-                ColType::Str(m) => m as usize,
-                _ => 0,
-            };
-            b.push_value(&tuple[c], width);
+            b.push_value(&tuple[c], key_width(schema.col_type(c)));
         }
         if !self.def.unique {
             b.push_row_id(row);
@@ -54,29 +85,39 @@ impl IndexEntry {
         b.finish()
     }
 
-    /// Encode a (possibly partial) user-key prefix for lookups and scans.
-    pub fn prefix_for(&self, schema: &Schema, values: &[Value]) -> Vec<u8> {
-        assert!(values.len() <= self.def.key_cols.len(), "prefix too long");
-        let mut b = KeyBuilder::new();
-        for (&c, v) in self.def.key_cols.iter().zip(values) {
-            let width = match schema.col_type(c) {
-                ColType::Str(m) => m as usize,
-                _ => 0,
-            };
-            b.push_value(v, width);
+    /// Encode a (possibly partial) user-key prefix for lookups and scans,
+    /// checked as an inserted row's key columns are: more values than key
+    /// columns, a value of the wrong type, a string longer than its column
+    /// or a string holding a NUL byte is refused with `SchemaMismatch`
+    /// (naming this index's id).
+    pub fn prefix_for(&self, schema: &Schema, values: &[Value]) -> Result<Vec<u8>> {
+        let refuse = |detail| Err(PhoebeError::SchemaMismatch { table: self.id, detail });
+        let cols = &self.def.key_cols;
+        if values.len() > cols.len() {
+            let (n, name) = (values.len(), &self.def.name);
+            return refuse(format!("index '{name}': {n} key values for {} columns", cols.len()));
         }
-        b.finish()
+        let mut b = KeyBuilder::new();
+        for (&c, v) in cols.iter().zip(values) {
+            let ty = schema.col_type(c);
+            if !v.matches(ty) || has_nul(v) {
+                let col = schema.col_name(c);
+                return refuse(format!("index '{}': column '{col}' rejects {v:?}", self.def.name));
+            }
+            b.push_value(v, key_width(ty));
+        }
+        Ok(b.finish())
     }
 
     /// Inclusive scan bounds for entries whose user key starts with
-    /// `values`.
-    pub fn range_for(&self, schema: &Schema, values: &[Value]) -> (Vec<u8>, Vec<u8>) {
-        let prefix = self.prefix_for(schema, values);
+    /// `values`, checked as [`IndexEntry::prefix_for`] checks them.
+    pub fn range_for(&self, schema: &Schema, values: &[Value]) -> Result<(Vec<u8>, Vec<u8>)> {
+        let prefix = self.prefix_for(schema, values)?;
         let mut high = prefix.clone();
         // Pad to the maximum stored key length with 0xff: every stored key
         // with this prefix compares <= high.
-        high.resize(phoebe_storage::node::MAX_KEY, 0xff);
-        (prefix, high)
+        high.resize(MAX_KEY, 0xff);
+        Ok((prefix, high))
     }
 }
 
@@ -155,6 +196,21 @@ impl TableEntry {
     pub(crate) fn add_index(&self, index: Arc<IndexEntry>) {
         self.indexed_cols.update(|cols| index.def.key_cols.iter().for_each(|&c| cols[c] = true));
         self.indexes.push(index);
+    }
+
+    /// Refuse a tuple the table cannot take: one that does not fit the
+    /// schema, or an indexed string holding a NUL byte, whose key would
+    /// equal the key of the string cut at the NUL.
+    pub(crate) fn check_insert(&self, tuple: &[Value]) -> Result<()> {
+        self.schema.check(self.id, tuple)?;
+        let indexed = self.indexed_cols.load();
+        match tuple.iter().zip(indexed).position(|(v, &ix)| ix && has_nul(v)) {
+            Some(c) => Err(PhoebeError::SchemaMismatch {
+                table: self.id,
+                detail: format!("indexed column '{}' holds a NUL byte", self.schema.col_name(c)),
+            }),
+            None => Ok(()),
+        }
     }
 
     /// Refuse a `delta` that writes a column some index reads.

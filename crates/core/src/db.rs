@@ -530,14 +530,12 @@ impl Database {
                 )))
             };
         }
+        let def = IndexDef { name: name.to_owned(), key_cols: key_cols.clone(), unique };
+        def.check(table.id, &table.schema)?;
         let id = TableId(self.next_table_id.fetch_add(1, Ordering::Relaxed));
         let tree =
             BTree::create(Arc::clone(&self.pool), id, TreeKind::Index, Arc::clone(&self.metrics))?;
-        let entry = Arc::new(IndexEntry {
-            id,
-            def: IndexDef { name: name.to_owned(), key_cols: key_cols.clone(), unique },
-            tree,
-        });
+        let entry = Arc::new(IndexEntry { id, def, tree });
         table.add_index(Arc::clone(&entry));
         if persist {
             self.persist_ddl(ManifestEntry::Index {
@@ -760,7 +758,7 @@ impl Database {
                     self.table_by_id(*table)?.remove_row(*row)?;
                 }
                 RecordBody::Insert { .. } | RecordBody::Delete { .. } => {} // stillborn
-                RecordBody::Begin | RecordBody::Commit { .. } | RecordBody::Abort => {}
+                _ => {} // Begin, Commit, Abort and RoundEnd are not ops
             }
         }
         Ok(())

@@ -24,7 +24,7 @@ use phoebe_common::ids::RowId;
 use phoebe_common::metrics::Counter;
 use phoebe_runtime::block_on;
 use phoebe_storage::schema::Value;
-use phoebe_wal::{RecordBody, RfaState};
+use phoebe_wal::RecordBody;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -127,7 +127,6 @@ impl Database {
         let mut moved = Vec::new();
         let slot = self.checkout_external_slot();
         let (xid, _) = self.clock.begin();
-        let mut rfa = RfaState::default();
         let logged = (|| -> Result<()> {
             for block in table.frozen.hot_blocks(self.cfg.warm_read_threshold) {
                 let (old_ids, tuples) = table.frozen.take_block(block.index)?;
@@ -144,13 +143,7 @@ impl Database {
                             let row = leaf.row_id_at(idx);
                             let insert =
                                 RecordBody::Insert { table: table.id, row, tuple: tuple.clone() };
-                            self.wal.log_page_write(
-                                &self.pool.frame(fid).meta,
-                                &mut rfa,
-                                slot,
-                                xid,
-                                insert,
-                            );
+                            self.wal.log_page_write(&self.pool.frame(fid).meta, slot, xid, insert);
                         },
                     )?;
                     moved.push((old_row, new_row, tuple));
@@ -158,7 +151,7 @@ impl Database {
                 stats.blocks_warmed += 1;
             }
             if !moved.is_empty() {
-                block_on(self.wal.commit(slot, xid, self.clock.commit_ts(), &rfa))?;
+                block_on(self.wal.commit(slot, xid, self.clock.commit_ts()))?;
             }
             Ok(())
         })();

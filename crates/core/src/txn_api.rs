@@ -28,7 +28,6 @@ use phoebe_txn::clock::Snapshot;
 use phoebe_txn::locks::{IsolationLevel, TxnHandle, TxnOutcome};
 use phoebe_txn::undo::{UndoLog, UndoOp};
 use phoebe_txn::visibility::{resolve_visibility, Visibility};
-use phoebe_wal::writer::RfaState;
 use phoebe_wal::RecordBody;
 use std::sync::Arc;
 use std::task::Poll;
@@ -78,7 +77,6 @@ pub struct Transaction {
     snapshot: Snapshot,
     handle: Arc<TxnHandle>,
     undo: Vec<Arc<UndoLog>>,
-    rfa: RfaState,
     wal_begun: bool,
     finished: bool,
     /// Reusable row-id buffer for index scans: one transaction runs many
@@ -109,7 +107,6 @@ impl Transaction {
             snapshot,
             handle,
             undo: Vec::new(),
-            rfa: RfaState::default(),
             wal_begun: false,
             finished: false,
             scan_scratch: Vec::new(),
@@ -210,7 +207,7 @@ impl Transaction {
         key: &[Value],
     ) -> Result<Option<(RowId, Row)>> {
         debug_assert!(index.def.unique, "lookup_unique on a non-unique index");
-        let encoded = index.prefix_for(&table.schema, key);
+        let encoded = index.prefix_for(&table.schema, key)?;
         let Some(row) = index.tree.index_get(&encoded)? else {
             return Ok(None);
         };
@@ -226,7 +223,7 @@ impl Transaction {
         prefix: &[Value],
         limit: usize,
     ) -> Result<Vec<(RowId, Row)>> {
-        let (low, high) = index.range_for(&table.schema, prefix);
+        let (low, high) = index.range_for(&table.schema, prefix)?;
         let mut candidates = std::mem::take(&mut self.scan_scratch);
         candidates.clear();
         index.tree.index_range(&low, &high, |_, row| {
@@ -289,7 +286,7 @@ impl Transaction {
         let t0 = Instant::now();
         let snapshot = self.stmt_snapshot();
         let encoded: Vec<Vec<u8>> =
-            keys.iter().map(|k| index.prefix_for(&table.schema, k)).collect();
+            keys.iter().map(|k| index.prefix_for(&table.schema, k)).collect::<Result<_>>()?;
         let mut row_ids: Vec<Option<RowId>> = vec![None; keys.len()];
         drive_reads(
             encoded.iter().map(|k| index.tree.batch_cursor(k, false)).enumerate().collect(),
@@ -364,12 +361,11 @@ impl Transaction {
     /// twin entry installed before the tuple becomes readable. Index
     /// entries follow; a unique violation compensates the append.
     pub async fn insert(&mut self, table: &Arc<TableEntry>, tuple: Vec<Value>) -> Result<RowId> {
-        table.schema.check(table.id, &tuple)?;
+        table.check_insert(&tuple)?;
         self.ensure_wal_begin();
         let db = Arc::clone(&self.db);
         let (xid, start_ts, slot) = (self.xid, self.start_ts, self.slot);
         let handle = Arc::clone(&self.handle);
-        let rfa = &mut self.rfa;
         let mut new_log = None;
         let alloc = || table.next_row_id();
         let (row, _fid, _first) = table.tree.table_append_alloc(
@@ -388,10 +384,9 @@ impl Transaction {
                         break;
                     }
                 }
-                // WAL + RFA stamping (§8).
+                // WAL stamping (§8).
                 db.wal.log_page_write(
                     &db.pool.frame(fid).meta,
-                    rfa,
                     slot,
                     xid,
                     RecordBody::Insert { table: table.id, row, tuple: tuple.clone() },
@@ -575,7 +570,6 @@ impl Transaction {
             iso: self.iso,
             snapshot,
             handle: &self.handle,
-            rfa: &mut self.rfa,
         }
     }
 
@@ -645,8 +639,8 @@ impl Transaction {
     // Finish
     // ------------------------------------------------------------------
 
-    /// Commit. Returns the commit timestamp. Waits for WAL durability per
-    /// the RFA rules when `wal_sync` is on (§8).
+    /// Commit. Returns the commit timestamp. Waits for WAL durability when
+    /// `wal_sync` is on (§8).
     pub async fn commit(mut self) -> Result<Timestamp> {
         debug_assert!(!self.finished);
         let t0 = Instant::now();
@@ -656,8 +650,12 @@ impl Transaction {
             Ok(self.start_ts)
         } else {
             let cts = self.db.clock.commit_ts();
-            // Publish the outcome first: readers that catch an unstamped
-            // ets learn the cts through the handle (mid-commit bridge).
+            // Log, then publish: whoever sees this transaction committed
+            // stamps its own records at or above the Commit record, so a
+            // crash that keeps their commit keeps this one too. Readers
+            // that catch an unstamped ets learn the cts through the handle
+            // (mid-commit bridge).
+            let (_, gsn) = self.db.wal.log_op(self.slot, self.xid, 0, RecordBody::Commit { cts });
             self.handle.finish(TxnOutcome::Committed(cts));
             // Single scan over the grouped UNDO logs (§6.2).
             {
@@ -666,7 +664,7 @@ impl Transaction {
                     log.stamp_commit(cts);
                 }
             }
-            let wal_result = self.db.wal.commit(self.slot, self.xid, cts, &self.rfa).await;
+            let wal_result = self.db.wal.wait_commit(gsn).await;
             self.finish_slot_state();
             wal_result.map(|_| cts)
         };
@@ -761,11 +759,10 @@ struct WriteCtx<'a> {
     iso: IsolationLevel,
     snapshot: Snapshot,
     handle: &'a Arc<TxnHandle>,
-    rfa: &'a mut RfaState,
 }
 
 /// The write body that runs under the leaf's exclusive latch: ets
-/// handshake, tuple-lock claim, UNDO + twin install, WAL/RFA stamping and
+/// handshake, tuple-lock claim, UNDO + twin install, WAL stamping and
 /// the in-place column writes (§6.2, §8). An error from `build` (a
 /// refused update) releases the tuple lock before anything is written.
 #[allow(clippy::too_many_arguments)]
@@ -834,7 +831,7 @@ fn write_under_latch(
     }
     drop(_mvcc);
     // WAL + RFA (§8).
-    db.wal.log_page_write(&db.pool.frame(fid).meta, ctx.rfa, ctx.slot, ctx.xid, wal_body);
+    db.wal.log_page_write(&db.pool.frame(fid).meta, ctx.slot, ctx.xid, wal_body);
     // In-place update (§5.2).
     for (c, v) in &apply {
         leaf.write_col(&table.layout, idx, *c, v);

@@ -549,9 +549,10 @@ fn metrics_report_commits_and_wal_traffic() {
     use phoebe_common::metrics::Counter;
     assert_eq!(snap.counter(Counter::Commits), 10);
     assert!(snap.counter(Counter::WalBytes) > 0);
-    assert!(
-        snap.counter(Counter::RfaEarlyCommits) >= 9,
-        "single-slot writes must commit via the RFA fast path"
+    assert_eq!(
+        snap.counter(Counter::RemoteFlushWaits),
+        10,
+        "every durable commit waits on the round"
     );
     db.shutdown();
 }
@@ -857,7 +858,7 @@ fn insert_rejected_by_second_unique_index_leaves_nothing() {
     let check = |db: &Arc<Database>, t: &Arc<TableEntry>| {
         let pk = t.index("accounts_pk").unwrap();
         let owner = t.index("accounts_owner").unwrap();
-        let key = pk.prefix_for(&t.schema, &[Value::I64(2)]);
+        let key = pk.prefix_for(&t.schema, &[Value::I64(2)]).unwrap();
         assert_eq!(pk.tree.index_get(&key).unwrap(), None, "no primary-key entry for 2");
         let mut tx = db.begin(IsolationLevel::ReadCommitted);
         assert!(tx.read(t, rejected).unwrap().is_none(), "rejected tuple invisible");
@@ -1017,8 +1018,8 @@ fn acked_commits_survive_three_crashed_incarnations() {
 
 /// Recovery reads the log and writes nothing to it: reopening a directory
 /// with history and running nothing leaves every earlier segment
-/// byte-identical and the new one empty; the next open reuses that empty
-/// segment instead of adding another.
+/// byte-identical and the new one holding only its leading round marker;
+/// the next open reuses that segment instead of adding another.
 #[test]
 fn recovery_writes_nothing_to_the_log() {
     let cfg = KernelConfig::for_tests();
@@ -1041,11 +1042,12 @@ fn recovery_writes_nothing_to_the_log() {
     for (name, bytes) in &history {
         assert!(after[name] == *bytes, "{name} changed");
     }
-    assert_eq!(after["wal_seg_0002.log"], Vec::<u8>::new());
+    let marker = phoebe_wal::WalRecord::round_end(0).encode_into(&mut Vec::new());
+    assert_eq!(after["wal_seg_0002.log"].len(), marker, "the new segment holds its marker only");
 
     let (db, t) = reopen(Database::open(cfg.clone()).unwrap(), &cfg);
     assert_eq!(lookup_pk(&db, &t, 2), Some(row(2, "second", 2)));
     db.shutdown();
     drop(db);
-    assert_eq!(wal_segments(&cfg).len(), 3, "an empty highest segment is reused");
+    assert_eq!(wal_segments(&cfg).len(), 3, "a highest segment with no round is reused");
 }

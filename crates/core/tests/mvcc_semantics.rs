@@ -124,7 +124,7 @@ fn gc_reclaims_undo_and_twin_tables_end_to_end() {
 }
 
 #[test]
-fn rfa_accounts_same_slot_commits_as_early() {
+fn every_durable_commit_waits_on_the_round() {
     let db = open_db();
     let t = kv(&db);
     block_on(async {
@@ -135,10 +135,8 @@ fn rfa_accounts_same_slot_commits_as_early() {
         }
     });
     let snap = db.metrics.snapshot();
-    assert!(
-        snap.counter(Counter::RfaEarlyCommits) >= 11,
-        "single-threaded writes never build remote dependencies"
-    );
+    assert_eq!(snap.counter(Counter::RemoteFlushWaits), 12, "one durable-GSN wait per commit");
+    assert_eq!(snap.counter(Counter::RfaEarlyCommits), 0, "no commit waits on its slot alone");
     db.shutdown();
 }
 
@@ -147,11 +145,10 @@ fn cross_slot_writes_trigger_remote_flush_waits() {
     let db = open_db();
     let t = kv(&db);
     let r = seed(&db, &t, 1, 0);
+    let before = db.metrics.snapshot().counter(Counter::RemoteFlushWaits);
     // Two external threads (distinct slots) ping-pong the same row with
-    // wal_sync on: the second writer builds on the first's unflushed page.
-    // They start together and keep going (within a bound) until that has
-    // happened, so a loaded host that runs one thread's batch before the
-    // other starts cannot starve the interleaving.
+    // wal_sync on, each building on the other's unflushed page. Every
+    // commit that lands waits on the durable GSN; nothing else does.
     let start = Arc::new(std::sync::Barrier::new(2));
     let mut handles = Vec::new();
     for i in 0..2i64 {
@@ -161,10 +158,7 @@ fn cross_slot_writes_trigger_remote_flush_waits() {
         handles.push(std::thread::spawn(move || {
             start.wait();
             block_on(async {
-                for j in 0..500 {
-                    if j >= 10 && db.metrics.snapshot().counter(Counter::RemoteFlushWaits) > 0 {
-                        break;
-                    }
+                for j in 0..20 {
                     loop {
                         let mut tx = db.begin(IsolationLevel::ReadCommitted);
                         match tx.update(&t, r, &[(1, Value::I64(i * 100 + j))]).await {
@@ -182,10 +176,8 @@ fn cross_slot_writes_trigger_remote_flush_waits() {
     for h in handles {
         h.join().unwrap();
     }
-    assert!(
-        db.metrics.snapshot().counter(Counter::RemoteFlushWaits) > 0,
-        "interleaved cross-slot writers must hit the remote path sometimes"
-    );
+    let waits = db.metrics.snapshot().counter(Counter::RemoteFlushWaits) - before;
+    assert_eq!(waits, 40, "each of the 40 write commits waits once on the round");
     db.shutdown();
 }
 

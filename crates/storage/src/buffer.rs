@@ -58,9 +58,6 @@ pub struct FrameMeta {
     /// GSN of the newest WAL record touching this page — the write barrier
     /// ensures WAL reaches disk before the page does (Steal, §8).
     pub page_gsn: AtomicU64,
-    /// Flat slot index of the last transaction that modified this page
-    /// (RFA dependency tracking, §8). `u64::MAX` = never written.
-    pub last_writer_slot: AtomicU64,
     /// Bumped every time the frame is recycled (release or eviction), so
     /// a suspended batch descent can detect that a frame id it captured
     /// no longer names the node it validated — see
@@ -77,7 +74,6 @@ impl Default for FrameMeta {
             parent: AtomicU64::new(NO_PARENT),
             disk_page: AtomicU64::new(NO_DISK),
             page_gsn: AtomicU64::new(0),
-            last_writer_slot: AtomicU64::new(u64::MAX),
             reuse_epoch: AtomicU64::new(0),
         }
     }
@@ -110,7 +106,6 @@ impl FrameMeta {
         self.parent.store(NO_PARENT, Ordering::Relaxed);
         self.disk_page.store(NO_DISK, Ordering::Relaxed);
         self.page_gsn.store(0, Ordering::Relaxed);
-        self.last_writer_slot.store(u64::MAX, Ordering::Relaxed);
         // ORDERING: release pairs with the acquire in `reuse_epoch`.
         self.reuse_epoch.fetch_add(1, Ordering::Release);
     }

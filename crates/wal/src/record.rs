@@ -20,11 +20,28 @@ use phoebe_storage::schema::Value;
 #[derive(Debug, Clone, PartialEq)]
 pub enum RecordBody {
     Begin,
-    Insert { table: TableId, row: RowId, tuple: Vec<Value> },
-    Update { table: TableId, row: RowId, delta: Vec<(u16, Value)> },
-    Delete { table: TableId, row: RowId },
-    Commit { cts: Timestamp },
+    Insert {
+        table: TableId,
+        row: RowId,
+        tuple: Vec<Value>,
+    },
+    Update {
+        table: TableId,
+        row: RowId,
+        delta: Vec<(u16, Value)>,
+    },
+    Delete {
+        table: TableId,
+        row: RowId,
+    },
+    Commit {
+        cts: Timestamp,
+    },
     Abort,
+    /// The end of a group-commit round, stamped with the round's tick;
+    /// also the first record of every segment, stamped with the clock's
+    /// first value. See [`WalRecord::round_end`].
+    RoundEnd,
 }
 
 /// One WAL record.
@@ -34,6 +51,22 @@ pub struct WalRecord {
     pub gsn: Gsn,
     pub lsn: Lsn,
     pub body: RecordBody,
+}
+
+impl WalRecord {
+    /// The marker that closes a round whose tick is `tick`: every record
+    /// before it in the segment is stamped below `tick`, every record
+    /// after it at or above. Its GSN and LSN are both the tick, which
+    /// rises from marker to marker; its xid (start timestamp 0) is no
+    /// transaction's.
+    pub fn round_end(tick: u64) -> WalRecord {
+        WalRecord {
+            xid: Xid::from_start_ts(0),
+            gsn: Gsn(tick),
+            lsn: Lsn(tick),
+            body: RecordBody::RoundEnd,
+        }
+    }
 }
 
 // --- CRC32 (IEEE), table-driven; self-contained. ---
@@ -167,6 +200,7 @@ impl WalRecord {
                 payload.extend_from_slice(&cts.to_le_bytes());
             }
             RecordBody::Abort => payload.push(5),
+            RecordBody::RoundEnd => payload.push(6),
         }
         out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         out.extend_from_slice(&crc32(&payload).to_le_bytes());
@@ -217,6 +251,7 @@ impl WalRecord {
             3 => RecordBody::Delete { table: TableId(c.u32()?), row: RowId(c.u64()?) },
             4 => RecordBody::Commit { cts: c.u64()? },
             5 => RecordBody::Abort,
+            6 => RecordBody::RoundEnd,
             t => return Err(PhoebeError::corruption(format!("bad record tag {t}"))),
         };
         Ok(Some((WalRecord { xid, gsn, lsn, body }, at + 8 + len)))
@@ -259,6 +294,7 @@ mod tests {
             rec(RecordBody::Delete { table: TableId(3), row: RowId(44) }),
             rec(RecordBody::Commit { cts: 77 }),
             rec(RecordBody::Abort),
+            WalRecord::round_end(6),
         ];
         let mut buf = Vec::new();
         for r in &records {

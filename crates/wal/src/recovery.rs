@@ -15,6 +15,19 @@
 //! without a commit record (in flight at the crash, or aborted) are
 //! discarded — their in-place page effects were never checkpointed, and
 //! UNDO was memory-only, exactly the "Non-Force" contract.
+//!
+//! Recovery keeps whole group-commit rounds. A segment that starts with a
+//! round marker ([`RecordBody::RoundEnd`]) ends every round with one, and
+//! the scan keeps it only up to its last marker:
+//!
+//! * a commit is acknowledged only after its round, marker included, was
+//!   synced, so the cut drops nothing that was acknowledged;
+//! * whoever saw a commit's outcome stamped at or above its Commit record,
+//!   so its own commit is in the same round or a later one, and is cut
+//!   with it.
+//!
+//! A segment without a leading marker, written before markers existed,
+//! keeps its whole CRC-valid prefix.
 
 use crate::record::{RecordBody, WalRecord};
 use phoebe_common::error::Result;
@@ -39,15 +52,17 @@ pub struct RecoveredTxn {
 /// and how much torn tail it discarded (surfaced as kernel counters).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct WalScanStats {
-    /// CRC-valid records decoded across all scanned files.
+    /// Records kept across all scanned files: the CRC-valid prefix, cut
+    /// at the last round marker in a marked segment.
     pub records: u64,
-    /// Bytes past the last CRC-valid record, summed across files (torn
-    /// or partial trailing writes the crash left behind).
+    /// Bytes past the last record kept, summed across files (torn or
+    /// partial trailing writes the crash left behind, and a marked
+    /// segment's records after its last marker).
     pub tail_bytes_discarded: u64,
-    /// Highest GSN on any scanned record, committed or not.
+    /// Highest GSN on any CRC-valid record, committed, cut or not.
     pub max_gsn: u64,
-    /// Highest start timestamp of any scanned record's xid, committed or
-    /// not.
+    /// Highest start timestamp of any CRC-valid record's xid, committed,
+    /// cut or not.
     pub max_start_ts: Timestamp,
 }
 
@@ -58,7 +73,8 @@ pub fn is_wal_file(name: &str) -> bool {
     name.starts_with("wal_") && name.ends_with(".log")
 }
 
-/// Read one WAL file into records (stopping at a torn tail).
+/// Read one WAL file into records: its CRC-valid prefix, and in a marked
+/// segment only up to the last round marker (markers included).
 pub fn read_wal_file(path: &Path) -> Result<Vec<WalRecord>> {
     read_wal_file_stats(path, &mut WalScanStats::default())
 }
@@ -68,11 +84,21 @@ pub fn read_wal_file_stats(path: &Path, stats: &mut WalScanStats) -> Result<Vec<
     let buf = std::fs::read(path)?;
     let mut out = Vec::new();
     let mut at = 0;
+    // (records, bytes) up to and including the last round marker.
+    let mut whole_rounds = (0, 0);
     while let Some((rec, next)) = WalRecord::decode_at(&buf, at)? {
         stats.max_gsn = stats.max_gsn.max(rec.gsn.raw());
         stats.max_start_ts = stats.max_start_ts.max(rec.xid.start_ts());
+        let marker = rec.body == RecordBody::RoundEnd;
         out.push(rec);
         at = next;
+        if marker {
+            whole_rounds = (out.len(), at);
+        }
+    }
+    if out.first().is_some_and(|r| r.body == RecordBody::RoundEnd) {
+        out.truncate(whole_rounds.0);
+        at = whole_rounds.1;
     }
     // A file interleaves several slots' LSN sequences; what replay relies
     // on is each transaction's own records being in order.
@@ -137,6 +163,7 @@ pub fn recover_dir_stats(dir: &Path) -> Result<(Vec<RecoveredTxn>, WalScanStats)
                 RecordBody::Abort => {
                     txns.remove(&rec.xid.raw());
                 }
+                RecordBody::RoundEnd => {}
                 op => {
                     // A transaction that logs no Begin (a system move) starts
                     // with its first op.
@@ -154,7 +181,7 @@ pub fn recover_dir_stats(dir: &Path) -> Result<(Vec<RecoveredTxn>, WalScanStats)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::writer::{RfaState, WalHub};
+    use crate::writer::WalHub;
     use phoebe_common::ids::{RowId, TableId};
     use phoebe_common::metrics::Metrics;
     use phoebe_common::KernelConfig;
@@ -188,7 +215,6 @@ mod tests {
         let dir = KernelConfig::for_tests().data_dir;
         let h = hub_in(&dir, 2);
         // Txn A on slot 0: insert + update, commit @20.
-        let rfa = RfaState::default();
         h.log_op(0, xid(1), 1, RecordBody::Begin);
         h.log_op(
             0,
@@ -196,7 +222,7 @@ mod tests {
             1,
             RecordBody::Insert { table: TableId(1), row: RowId(1), tuple: vec![Value::I64(1)] },
         );
-        block_on(h.commit(0, xid(1), 20, &rfa)).unwrap();
+        block_on(h.commit(0, xid(1), 20)).unwrap();
         // Txn B on slot 1 commits earlier (@10).
         h.log_op(1, xid(2), 1, RecordBody::Begin);
         h.log_op(
@@ -209,7 +235,7 @@ mod tests {
                 delta: vec![(0, Value::I64(5))],
             },
         );
-        block_on(h.commit(1, xid(2), 10, &rfa)).unwrap();
+        block_on(h.commit(1, xid(2), 10)).unwrap();
         // Txn C never commits.
         h.log_op(0, xid(3), 1, RecordBody::Begin);
         h.log_op(0, xid(3), 1, RecordBody::Delete { table: TableId(1), row: RowId(2) });
@@ -250,7 +276,7 @@ mod tests {
             1,
             RecordBody::Insert { table: TableId(1), row: RowId(1), tuple: vec![Value::I64(7)] },
         );
-        block_on(h.commit(0, xid(1), 9, &RfaState::default())).unwrap();
+        block_on(h.commit(0, xid(1), 9)).unwrap();
         h.flush_all().unwrap();
         h.shutdown();
         let path = only_wal_file(&dir);
@@ -350,19 +376,20 @@ mod tests {
                         }
                         7 => {} // stays in flight; discarded at recovery
                         _ => {
-                            block_on(h.commit(slot, x, (t as u64 + 1) * 10, &RfaState::default()))
-                                .unwrap();
+                            block_on(h.commit(slot, x, (t as u64 + 1) * 10)).unwrap();
                         }
                     },
                 }
             }
             h.flush_all().unwrap();
             h.shutdown();
-            // Split the one file by slot, each slot's records in file order.
+            // Split the one file by slot, each slot's records in file order
+            // and without round markers, as that layout was written.
             let split = KernelConfig::for_tests().data_dir;
             std::fs::create_dir_all(&split).unwrap();
             let mut files = vec![Vec::new(); 4];
-            for rec in read_wal_file(&only_wal_file(&dir)).unwrap() {
+            let records = read_wal_file(&only_wal_file(&dir)).unwrap();
+            for rec in records.iter().filter(|r| r.body != RecordBody::RoundEnd) {
                 rec.encode_into(&mut files[slots[rec.xid.start_ts() as usize - 1]]);
             }
             for (slot, bytes) in files.iter().enumerate() {
@@ -436,7 +463,7 @@ mod tests {
         let dir = KernelConfig::for_tests().data_dir;
         let h = hub_in(&dir, 1);
         h.log_op(0, xid(1), 1, RecordBody::Begin);
-        block_on(h.commit(0, xid(1), 5, &RfaState::default())).unwrap();
+        block_on(h.commit(0, xid(1), 5)).unwrap();
         h.flush_all().unwrap();
         h.shutdown();
         // Corrupt the file tail.
@@ -447,6 +474,40 @@ mod tests {
         let (recovered, stats) = recover_dir_stats(&dir).unwrap();
         assert_eq!(recovered.len(), 1, "intact prefix survives a torn tail");
         assert_eq!(stats.tail_bytes_discarded, 3, "the torn tail is accounted");
-        assert_eq!(stats.records, 2, "Begin + Commit records scanned");
+        assert_eq!(stats.records, 4, "the segment's marker, Begin, Commit, the round's marker");
+    }
+
+    #[test]
+    fn torn_round_never_keeps_a_later_commit_without_an_earlier_one() {
+        // T1 commits on slot 1, then T2 on slot 0: T2 may have built on
+        // T1, since T1's outcome was public once its Commit was appended.
+        // One round gathers both, slot 0's bytes first, and the crash
+        // keeps the write only up to the end of T2's Commit record.
+        let dir = KernelConfig::for_tests().data_dir;
+        let h = WalHub::new(&dir, 2, 2, Duration::from_secs(5), true, Arc::new(Metrics::new(1)))
+            .unwrap();
+        for (slot, x) in [(1, 1), (0, 2)] {
+            h.log_op(slot, xid(x), 0, RecordBody::Begin);
+            h.log_op(slot, xid(x), 0, RecordBody::Commit { cts: 10 * x });
+        }
+        h.flush_all().unwrap();
+        h.shutdown();
+        let path = only_wal_file(&dir);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let mut at = 0;
+        let cut = loop {
+            let (rec, next) = WalRecord::decode_at(&bytes, at).unwrap().expect("T2's Commit");
+            if rec.xid == xid(2) && matches!(rec.body, RecordBody::Commit { .. }) {
+                break next;
+            }
+            at = next;
+        };
+        bytes.truncate(cut);
+        std::fs::write(&path, &bytes).unwrap();
+        let (recovered, stats) = recover_dir_stats(&dir).unwrap();
+        let xids: Vec<u64> = recovered.iter().map(|t| t.xid.start_ts()).collect();
+        assert!(!xids.contains(&2) || xids.contains(&1), "T2 recovered without T1: {xids:?}");
+        let marker = WalRecord::round_end(1).encode_into(&mut Vec::new());
+        assert_eq!(stats.tail_bytes_discarded, (cut - marker) as u64, "the torn round is cut");
     }
 }

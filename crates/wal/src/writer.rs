@@ -1,36 +1,42 @@
-//! Per-task-slot WAL writers, group commit, and Remote Flush Avoidance
-//! (§8 "Phoebe's Parallel WAL Design").
+//! Per-task-slot WAL writers and group commit (§8 "Phoebe's Parallel WAL
+//! Design").
 //!
 //! Every task slot owns a [`WalWriter`]: an in-memory buffer plus its own
-//! LSN sequence and flushed-LSN horizon, so log *appends* never contend
-//! across slots. All slots share one append-only segment file per
-//! incarnation: a fresh directory starts at `wal_seg_0000.log`, and each
-//! reopen logs into the next number, leaving the segments it recovered
-//! from untouched. Records are self-describing (xid, GSN, LSN), so
-//! nothing about ordering or RFA depends on which file holds them. A
-//! background flusher runs group-commit rounds: a round steals every
-//! pending slot buffer into one reusable buffer, makes it durable with
-//! **one write and one `fdatasync`** made by the flusher itself, and
-//! then publishes each contributing slot's flushed LSN. Rounds never
-//! overlap, so the file has at most one write→sync in flight and its
-//! CRC-valid prefix is always a prefix of acknowledged rounds.
+//! LSN sequence, so log *appends* never contend across slots. All slots
+//! share one append-only segment file per incarnation: a fresh directory
+//! starts at `wal_seg_0000.log`, and each reopen logs into the next number,
+//! leaving the segments it recovered from untouched. Records are
+//! self-describing (xid, GSN, LSN), so nothing about ordering depends on
+//! which file holds them. A background flusher runs group-commit rounds,
+//! one at a time; a round makes its bytes durable with **one write and one
+//! `fdatasync`** made by the flusher itself.
 //!
-//! GSN/LSN: every record carries the slot-local, strictly monotonic LSN
-//! and a GSN stamped under the slot's buffer lock, strictly above the
-//! page's GSN on a cross-slot write; the clock starts past every GSN the
-//! recovered segments hold, so GSNs rise across incarnations. The
-//! group-commit round is also the GSN's clock: before its first steal
-//! a round advances the GSN by one (its *tick* T), and once its write and
-//! sync landed it publishes `durable_gsn = T − 1`. A record stamped below
-//! round k's tick is in round k or an earlier one — one appended after
-//! round k stole its slot was stamped after the tick — so "is every
-//! record stamped ≤ g durable?" is one atomic load. Commit-time RFA:
+//! The GSN clock orders everything. A record is stamped under its slot's
+//! buffer lock with the clock's value, raised first to the caller's floor
+//! when that is higher; the clock starts past every GSN the recovered
+//! segments hold, so GSNs rise across incarnations. A round takes every
+//! slot's buffer lock at once, in slot order, advances the clock by one
+//! (its *tick*), swaps each non-empty buffer for a spare and lets the locks
+//! go; only then does it concatenate and write. No record is stamped while
+//! the locks are held, so round k holds exactly the records stamped in
+//! [T(k−1), T(k)). Once its write and sync landed the round publishes
+//! `durable_gsn = T(k) − 1`, so "is every record stamped ≤ g durable?" is
+//! one atomic load.
 //!
-//! * no cross-slot dependency, or the page's GSN is already durable ⇒
-//!   commit waits only for the *own* slot's writer (the RFA early commit);
-//! * otherwise the commit waits until `durable_gsn()` reaches its Commit
-//!   record's stamp, which covers every record an earlier writer of its
-//!   pages stamped: at most the round after the Commit append.
+//! Each non-empty round ends with a [`RecordBody::RoundEnd`] stamped with
+//! its tick, in the same write; empty rounds write nothing. A new segment
+//! starts with a marker stamped with the clock's first value, written and
+//! synced when the segment is created. Recovery keeps a marked segment only
+//! up to its last marker, so it replays whole rounds or nothing of them.
+//!
+//! A commit appends its Commit record, then publishes its outcome, then
+//! waits until `durable_gsn()` reaches the record's stamp: one wait for
+//! every commit. Whoever saw the outcome stamps at or above that record, so
+//! its own commit lands in the same round or a later one, and a crash that
+//! keeps the dependent's round keeps the dependency's too. This deviates
+//! from the paper's RFA, where a commit that built on no other slot's
+//! unflushed write waits for its own slot's log alone: here every slot's
+//! bytes share one write and one sync, so that wait could end no earlier.
 
 use crate::record::{RecordBody, WalRecord};
 use phoebe_common::error::{PhoebeError, Result};
@@ -39,7 +45,6 @@ use phoebe_common::hist::LatencySite;
 use phoebe_common::ids::{Gsn, Lsn, Timestamp, Xid};
 use phoebe_common::metrics::{Component, Counter, Metrics};
 use phoebe_common::sync::{Condvar, Rank, RankedMutex};
-use phoebe_common::trace::EventKind;
 use phoebe_runtime::{block_on, Notify};
 use phoebe_storage::buffer::FrameMeta;
 use std::path::{Path, PathBuf};
@@ -98,8 +103,7 @@ impl Doorbell {
     }
 }
 
-/// Whether the hub still acknowledges durability. Shared by the hub and
-/// every writer so each durability wait can check it; it only rises.
+/// Whether the hub still acknowledges durability; it only rises.
 #[derive(Default)]
 struct Liveness(AtomicU8);
 
@@ -111,10 +115,6 @@ impl Liveness {
 
     fn stop(&self, why: u8) {
         self.0.fetch_max(why, Ordering::AcqRel);
-    }
-
-    fn halted(&self) -> bool {
-        self.0.load(Ordering::Acquire) == Self::HALTED
     }
 
     /// `Ok` while rounds still run; afterwards the terminal,
@@ -144,9 +144,11 @@ const SLOT_BUF_BYTES: usize = 16 * 1024;
 
 /// The segment this incarnation logs into: `wal_seg_0000.log` in a fresh
 /// directory, else one past the highest `wal_seg_NNNN.log` — which is
-/// reused instead when it is empty (an open that crashed before its first
-/// round). A segment holding records is never truncated.
+/// reused instead when it holds nothing past its leading round marker (an
+/// open that logged nothing, or crashed before its first round). A segment
+/// holding records is never truncated.
 fn next_segment(dir: &Path) -> Result<PathBuf> {
+    let marker_only = WalRecord::round_end(0).encode_into(&mut Vec::new()) as u64;
     let mut highest: Option<(u64, u64)> = None;
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
@@ -160,59 +162,42 @@ fn next_segment(dir: &Path) -> Result<PathBuf> {
     }
     let n = match highest {
         None => 0,
-        Some((n, 0)) => n,
+        Some((n, len)) if len <= marker_only => n,
         Some((n, _)) => n + 1,
     };
     Ok(dir.join(format!("wal_seg_{n:04}.log")))
 }
 
-/// One slot's WAL writer: the append buffer and the slot's LSN horizons.
+/// One slot's WAL writer: the append buffer and the slot's LSN marks.
 /// The bytes reach disk through the hub's group-commit rounds.
 pub struct WalWriter {
-    pub slot: usize,
     buf: RankedMutex<Vec<u8>>,
     next_lsn: AtomicU64,
-    appended_lsn: AtomicU64,
+    /// The append mark of the last round that landed: a statistic
+    /// ([`WalHub::backlog_records`]), never a durability condition.
     flushed_lsn: AtomicU64,
-    bytes_flushed: AtomicU64,
-    durable: Notify,
-    /// The hub's liveness: durability waiters check it so they error out
-    /// instead of parking forever once no round will run again.
-    live: Arc<Liveness>,
-}
-
-/// What one slot contributed to a round: the append mark its stolen
-/// bytes end at, published as the slot's flushed LSN once the round's
-/// write→sync landed.
-struct Stolen {
-    len: u64,
-    lsn_mark: u64,
 }
 
 impl WalWriter {
-    fn new(slot: usize, live: Arc<Liveness>) -> Arc<Self> {
+    fn new() -> Arc<Self> {
         Arc::new(WalWriter {
-            slot,
             buf: RankedMutex::new(
                 Rank::WalSlot,
                 "wal.slot_buf",
                 Vec::with_capacity(SLOT_BUF_BYTES),
             ),
             next_lsn: AtomicU64::new(1),
-            appended_lsn: AtomicU64::new(0),
             flushed_lsn: AtomicU64::new(0),
-            bytes_flushed: AtomicU64::new(0),
-            durable: Notify::new(),
-            live,
         })
     }
 
     /// Append a record to the in-memory buffer, stamped
     /// `max(floor, clock)` with the clock raised to the stamp; returns
     /// the record's LSN, GSN and size. Stamping under the buffer lock is
-    /// what makes the round tick a durability line: a steal that precedes
-    /// this append also precedes the stamp, so the stamp is at least the
-    /// tick of the round that stole.
+    /// what makes the round tick a durability line: a round ticks while it
+    /// holds every slot's lock, so a record stamped below the tick was
+    /// appended before the steal, and one appended after it stamps at or
+    /// above the tick.
     fn append(
         &self,
         xid: Xid,
@@ -221,9 +206,8 @@ impl WalWriter {
         body: RecordBody,
     ) -> (Lsn, u64, usize) {
         let mut buf = self.buf.lock();
-        // ORDERING: the counter only needs unique, monotone values; all
-        // inter-thread publication happens via the release store below,
-        // under the buffer lock.
+        // ORDERING: the counter only needs unique, monotone values; the
+        // flusher reads it under this lock.
         let lsn = Lsn(self.next_lsn.fetch_add(1, Ordering::Relaxed));
         // The lock orders this load after any earlier steal's tick, so
         // only a floor above the clock needs the read-modify-write.
@@ -232,77 +216,20 @@ impl WalWriter {
             if floor > now { clock.fetch_max(floor, Ordering::AcqRel).max(floor) } else { now };
         let rec = WalRecord { xid, gsn: Gsn(gsn), lsn, body };
         let n = rec.encode_into(&mut buf);
-        // Publish the append mark under the buffer lock so the flusher's
-        // snapshot (also under the lock) is consistent.
-        self.appended_lsn.store(lsn.raw(), Ordering::Release);
         (lsn, gsn, n)
     }
 
-    /// Move the pending bytes onto the end of `out` (the round's gathered
-    /// write). `None` when nothing was pending — and then, rounds being
-    /// serial and a failed one halting the hub for good, everything this
-    /// slot ever appended is already durable and published.
-    fn steal_into(&self, out: &mut Vec<u8>) -> Option<Stolen> {
-        let mut buf = self.buf.lock();
-        if buf.is_empty() {
-            return None;
-        }
-        out.extend_from_slice(&buf);
-        let len = buf.len() as u64;
-        // Keep the capacity, so the append path stops allocating once
-        // warm — but a burst (a bulk load) must not pin its high-water mark.
-        buf.clear();
-        if buf.capacity() > 16 * SLOT_BUF_BYTES {
-            buf.shrink_to(SLOT_BUF_BYTES);
-        }
-        Some(Stolen { len, lsn_mark: self.appended_lsn.load(Ordering::Acquire) })
-    }
-
-    /// Publish durability once the round's write (and fsync) landed.
-    fn publish(&self, s: &Stolen) {
-        self.flushed_lsn.fetch_max(s.lsn_mark, Ordering::AcqRel);
-        // ORDERING: statistic counter; durability is published by the
-        // AcqRel horizon bump above plus the notify below.
-        self.bytes_flushed.fetch_add(s.len, Ordering::Relaxed);
-        self.durable.notify_all();
-    }
-
+    /// The LSN of the last record appended.
     pub fn appended_lsn(&self) -> u64 {
-        self.appended_lsn.load(Ordering::Acquire)
+        // ORDERING: exact under the buffer lock (the steal); elsewhere a
+        // statistic.
+        self.next_lsn.load(Ordering::Relaxed) - 1
     }
 
     pub fn flushed_lsn(&self) -> u64 {
-        self.flushed_lsn.load(Ordering::Acquire)
-    }
-
-    pub fn bytes_flushed(&self) -> u64 {
         // ORDERING: diagnostic read of a monotonic statistic.
-        self.bytes_flushed.load(Ordering::Relaxed)
+        self.flushed_lsn.load(Ordering::Relaxed)
     }
-
-    /// Await durability of `lsn` (own-slot commit wait): sleep on the
-    /// writer's durable [`Notify`], which every round that publishes this
-    /// slot's horizon fires. Parking rather than spin-yielding matters: on
-    /// a loaded machine a spinning committer competes with the flusher for
-    /// CPU, which is exactly backwards.
-    ///
-    /// Errs with [`PhoebeError::WalHalted`] if the log device failed, or
-    /// [`PhoebeError::WalClosed`] if the hub shut down, before `lsn`
-    /// became durable: the commit must NOT be acknowledged.
-    pub async fn wait_lsn(&self, lsn: Lsn) -> Result<()> {
-        self.durable
-            .wait_until(|| durable_or_stopped(self.flushed_lsn() >= lsn.raw(), &self.live), None)
-            .await
-            .expect("a wait without a deadline ends on its condition")
-    }
-}
-
-/// Per-transaction RFA state (§8 "decoupled dependencies").
-#[derive(Debug, Default, Clone)]
-pub struct RfaState {
-    /// Set when this transaction built on an unflushed version written by
-    /// another slot.
-    pub needs_remote: bool,
 }
 
 /// The state a round works on, under the hub's `round` lock.
@@ -312,6 +239,12 @@ struct Round {
     offset: u64,
     /// The gathered write, reused round after round (empty between rounds).
     buf: Vec<u8>,
+    /// One buffer per slot, swapped with the slot's own at the steal: the
+    /// stolen bytes wait here while the slot appends into the spare.
+    spares: Vec<Vec<u8>>,
+    /// The slots this round stole from, each with the append mark its
+    /// stolen bytes end at (empty between rounds).
+    stolen: Vec<(usize, u64)>,
 }
 
 /// The WAL hub: all slot writers, the GSN clock, and the group-commit
@@ -325,13 +258,15 @@ pub struct WalHub {
     /// Every record stamped at or below this is durable: the last
     /// completed round's tick minus one.
     durable_gsn: AtomicU64,
+    /// Bytes written by rounds that landed, markers included (statistic).
+    bytes_flushed: AtomicU64,
     metrics: Arc<Metrics>,
     sync: bool,
     /// Asks the flusher to run its final round and exit.
     shutdown: AtomicBool,
     /// Closed after the flusher's final round; halted when a log write or
     /// fsync fails. Either way every waiter errors instead of sleeping.
-    live: Arc<Liveness>,
+    live: Liveness,
     flusher: RankedMutex<Option<std::thread::JoinHandle<()>>>,
     /// Commit-side wakeup for the flusher thread.
     doorbell: Doorbell,
@@ -341,7 +276,7 @@ pub struct WalHub {
     /// Rounds completed so far (empty and failed ones included).
     rounds: AtomicU64,
     /// Notified after every flush round, failed ones included: what
-    /// remote-dependency commits and the blocking write barrier sleep on.
+    /// commits and the blocking write barrier sleep on.
     round_done: Notify,
     /// Watchdog probe: tracks how long the durable GSN has been stuck
     /// while records are pending. Off the commit/flush paths — only the
@@ -391,22 +326,29 @@ impl WalHub {
     ) -> Result<Arc<Self>> {
         std::fs::create_dir_all(dir)?;
         let file = fs.create(&next_segment(dir)?)?;
+        // The leading marker tells recovery that this segment ends every
+        // round with one, so only whole rounds are replayed from it.
+        let mut marker = Vec::new();
+        let offset = WalRecord::round_end(first_gsn).encode_into(&mut marker) as u64;
+        file.write_all_at(0, &marker)?;
+        file.sync_data()?;
         // Rounds sync the segment's data, not its directory entry; without
         // this a power cut could drop a new segment with its acked commits.
         std::fs::File::open(dir)?.sync_all()?;
-        let live = Arc::new(Liveness::default());
+        let round = Round { offset, spares: vec![Vec::new(); slots], ..Round::default() };
         let hub = Arc::new(WalHub {
-            writers: (0..slots).map(|s| WalWriter::new(s, Arc::clone(&live))).collect(),
+            writers: (0..slots).map(|_| WalWriter::new()).collect(),
             file,
             gsn: AtomicU64::new(first_gsn),
             durable_gsn: AtomicU64::new(first_gsn - 1),
+            bytes_flushed: AtomicU64::new(0),
             metrics,
             sync,
             shutdown: AtomicBool::new(false),
-            live,
+            live: Liveness::default(),
             flusher: RankedMutex::new(Rank::WalHub, "wal.hub_flusher", None),
             doorbell: Doorbell::default(),
-            round: RankedMutex::new(Rank::WalHub, "wal.hub_round", Round::default()),
+            round: RankedMutex::new(Rank::WalHub, "wal.hub_round", round),
             rounds: AtomicU64::new(0),
             round_done: Notify::new(),
             horizon_probe: RankedMutex::new(
@@ -481,70 +423,45 @@ impl WalHub {
 
     /// Log a write to the page whose frame metadata is `meta` (the caller
     /// holds the page's exclusive latch) and make the page carry it: the
-    /// record is stamped at or above the page's GSN — strictly above on a
-    /// cross-slot write, so recovery orders it after the other slot's —
-    /// and the transaction takes a remote dependency when another slot
-    /// wrote the page last and that write is not yet durable.
-    pub fn log_page_write(
-        &self,
-        meta: &FrameMeta,
-        rfa: &mut RfaState,
-        slot: usize,
-        xid: Xid,
-        body: RecordBody,
-    ) {
+    /// page's GSN rises to the record's stamp, which eviction's
+    /// WAL-before-data barrier waits on. The page's GSN is some earlier
+    /// stamp and the clock never falls, so the record needs no floor to
+    /// stamp at or above it.
+    pub fn log_page_write(&self, meta: &FrameMeta, slot: usize, xid: Xid, body: RecordBody) {
+        let (_, gsn) = self.log_op(slot, xid, 0, body);
         // ORDERING: the page's exclusive latch orders every access to
-        // these two fields; relaxed is enough under it.
-        let page_gsn = meta.page_gsn.load(Ordering::Relaxed);
-        let last = meta.last_writer_slot.load(Ordering::Relaxed);
-        let cross = last != u64::MAX && last != slot as u64;
-        if cross && page_gsn > self.durable_gsn() {
-            rfa.needs_remote = true;
-        }
-        let (_, gsn) = self.log_op(slot, xid, page_gsn + cross as u64, body);
+        // this field; relaxed is enough under it.
         meta.page_gsn.fetch_max(gsn, Ordering::Relaxed);
-        meta.last_writer_slot.store(slot as u64, Ordering::Relaxed);
     }
 
-    /// Append the commit record and wait per RFA rules (when `wal_sync`).
-    pub async fn commit(
-        &self,
-        slot: usize,
-        xid: Xid,
-        cts: Timestamp,
-        rfa: &RfaState,
-    ) -> Result<()> {
-        // The clock is at or above every stamp this transaction made, so
-        // the Commit record's stamp is too: floor 0 is enough.
-        let (lsn, gsn) = self.log_op(slot, xid, 0, RecordBody::Commit { cts });
+    /// The commit wait (when `wal_sync`): until every record stamped at
+    /// or below `gsn`, a Commit record's stamp, is durable — at most the
+    /// round after the one running when the record was appended. The
+    /// Commit record takes floor 0: the clock is at or above every stamp
+    /// its transaction made. A transaction publishes its outcome between
+    /// the append and this wait, so whoever sees it committed stamps at or
+    /// above its Commit record.
+    pub async fn wait_commit(&self, gsn: u64) -> Result<()> {
         if !self.sync {
             return Ok(());
         }
         // Ring the doorbell *before* parking so the flusher starts a round
         // for this commit rather than waiting out the group-commit window.
         self.doorbell.ring();
-        if rfa.needs_remote {
-            self.metrics.incr(Counter::RemoteFlushWaits);
-            // One condition covers the Commit record itself and every
-            // record an earlier writer of our pages stamped (all below our
-            // stamp); it holds once the round after this append completes.
-            let tracer = self.metrics.tracer();
-            let before = tracer.enabled().then(|| (Instant::now(), self.rounds()));
-            let waited = self.ensure_durable_gsn_async(gsn).await;
-            if let Some((start, rounds)) = before {
-                let slept = self.rounds() - rounds;
-                tracer.span(EventKind::RfaRemoteWait, slot as u32, start, Instant::now(), slept);
-            }
-            waited
-        } else {
-            self.metrics.incr(Counter::RfaEarlyCommits);
-            self.writers[slot].wait_lsn(lsn).await
-        }
+        self.metrics.incr(Counter::RemoteFlushWaits);
+        self.ensure_durable_gsn_async(gsn).await
+    }
+
+    /// Append a Commit record and [`WalHub::wait_commit`] for it, for a
+    /// caller with no outcome to publish in between.
+    pub async fn commit(&self, slot: usize, xid: Xid, cts: Timestamp) -> Result<()> {
+        let (_, gsn) = self.log_op(slot, xid, 0, RecordBody::Commit { cts });
+        self.wait_commit(gsn).await
     }
 
     /// True once the hub refused further durability after a log I/O error.
     pub fn is_halted(&self) -> bool {
-        self.live.halted()
+        self.live.0.load(Ordering::Acquire) == Liveness::HALTED
     }
 
     /// Stop acknowledging durability — a log write or fsync failed, or the
@@ -553,23 +470,20 @@ impl WalHub {
     /// will never come.
     fn stop(&self, why: u8) {
         self.live.stop(why);
-        for w in &self.writers {
-            w.durable.notify_all();
-        }
         self.round_done.notify_all();
     }
 
     /// Run one group-commit round on the calling thread: steal every
-    /// writer's pending bytes into one write and make it durable with one
-    /// `fdatasync`. Returns bytes flushed. A concurrent caller waits its
+    /// writer's pending bytes into one write, closed by a round marker, and
+    /// make it durable with one `fdatasync`. Returns bytes flushed. A concurrent caller waits its
     /// turn, so on return everything appended before the call is durable.
     pub fn flush_all(&self) -> Result<u64> {
         let flushed = self.run_round(&mut self.round.lock());
         // ORDERING: statistic counter; waiters synchronize through the
         // horizons and `round_done`, never through this count.
         self.rounds.fetch_add(1, Ordering::Relaxed);
-        // Wake remote-dependency waiters and the write barrier after
-        // every round, failed ones included (they re-check liveness).
+        // Wake committers and the write barrier after every round, failed
+        // ones included (they re-check liveness).
         self.round_done.notify_all();
         flushed
     }
@@ -589,20 +503,38 @@ impl WalHub {
         // the final round nobody is left to be told.
         self.live.check()?;
         let round_start = Instant::now();
-        // The tick: every record stamped below it was appended before its
-        // slot's steal below (or in an earlier round), so it is in this
-        // round's write or already durable.
-        let tick = self.gsn.fetch_add(1, Ordering::AcqRel) + 1;
-        // Gather: one slot lock at a time, in slot order.
-        let stolen: Vec<_> = self
-            .writers
-            .iter()
-            .filter_map(|w| w.steal_into(&mut round.buf).map(|s| (w, s)))
-            .collect();
-        if stolen.is_empty() {
+        // The steal: every slot's lock at once, in slot order. No record is
+        // stamped while they are held, so the tick splits the log cleanly:
+        // every record stamped below it is in this round or an earlier
+        // one, every later record stamps at or above it. The swaps are
+        // O(1); the copying waits until the locks are gone.
+        let tick = {
+            let mut bufs: Vec<_> = self.writers.iter().map(|w| w.buf.lock()).collect();
+            let tick = self.gsn.fetch_add(1, Ordering::AcqRel) + 1;
+            for ((slot, w), buf) in self.writers.iter().enumerate().zip(&mut bufs) {
+                if !buf.is_empty() {
+                    std::mem::swap(&mut **buf, &mut round.spares[slot]);
+                    round.stolen.push((slot, w.appended_lsn()));
+                }
+            }
+            tick
+        };
+        if round.stolen.is_empty() {
             self.durable_gsn.store(tick - 1, Ordering::Release);
             return Ok(0);
         }
+        for &(slot, _) in &round.stolen {
+            let spare = &mut round.spares[slot];
+            round.buf.extend_from_slice(spare);
+            // Keep the capacity, so the append path stops allocating once
+            // warm — but a burst (a bulk load) must not pin its high-water
+            // mark.
+            spare.clear();
+            if spare.capacity() > 16 * SLOT_BUF_BYTES {
+                spare.shrink_to(SLOT_BUF_BYTES);
+            }
+        }
+        WalRecord::round_end(tick).encode_into(&mut round.buf);
         let n = round.buf.len() as u64;
         let written = self.file.write_all_at(round.offset, &round.buf).and_then(|()| {
             if self.sync {
@@ -615,6 +547,7 @@ impl WalHub {
         round.buf.clear();
         round.buf.shrink_to(16 * SLOT_BUF_BYTES);
         if let Err(e) = written {
+            round.stolen.clear();
             self.stop(Liveness::HALTED);
             return Err(e.into());
         }
@@ -622,9 +555,12 @@ impl WalHub {
         // Durability latency as the committers saw it.
         self.metrics.probe_since(LatencySite::WalFlush, 0, n, round_start).finish();
         self.durable_gsn.store(tick - 1, Ordering::Release);
-        for (w, s) in &stolen {
-            w.publish(s);
+        // ORDERING: statistics; durability is published by the release
+        // store above, never through these.
+        for (slot, mark) in round.stolen.drain(..) {
+            self.writers[slot].flushed_lsn.fetch_max(mark, Ordering::Relaxed);
         }
+        self.bytes_flushed.fetch_add(n, Ordering::Relaxed);
         self.metrics.incr(Counter::WalFlushes);
         self.metrics.add(Counter::WalFlushedBytes, n);
         // The whole round is one group-commit window's worth of work.
@@ -638,8 +574,8 @@ impl WalHub {
         self.durable_gsn.load(Ordering::Acquire)
     }
 
-    /// Await durability of every record stamped ≤ `gsn` (remote-dependency
-    /// commits): sleep on the per-round notification; spinning at high
+    /// Await durability of every record stamped ≤ `gsn` (the commit
+    /// wait): sleep on the per-round notification; spinning at high
     /// urgency here starved the flusher of CPU on small machines.
     ///
     /// Errs with [`PhoebeError::WalHalted`] or [`PhoebeError::WalClosed`]
@@ -715,9 +651,10 @@ impl WalHub {
         probe.since.map_or(0, |s| s.elapsed().as_nanos() as u64)
     }
 
-    /// Total bytes physically flushed across writers.
+    /// Bytes written by rounds that landed, round markers included.
     pub fn total_bytes_flushed(&self) -> u64 {
-        self.writers.iter().map(|w| w.bytes_flushed()).sum()
+        // ORDERING: diagnostic read of a monotonic statistic.
+        self.bytes_flushed.load(Ordering::Relaxed)
     }
 
     /// Snapshot of the hub's metrics registry (tests/diagnostics).
@@ -767,10 +704,8 @@ mod tests {
         Xid::from_start_ts(n)
     }
 
-    fn write(h: &WalHub, page: &FrameMeta, slot: usize, x: u64) -> RfaState {
-        let mut rfa = RfaState::default();
-        h.log_page_write(page, &mut rfa, slot, xid(x), RecordBody::Begin);
-        rfa
+    fn write(h: &WalHub, page: &FrameMeta, slot: usize, x: u64) {
+        h.log_page_write(page, slot, xid(x), RecordBody::Begin);
     }
 
     fn page_gsn(page: &FrameMeta) -> u64 {
@@ -789,50 +724,48 @@ mod tests {
     }
 
     #[test]
-    fn same_slot_writes_never_need_remote_flush() {
-        let h = quiet_hub(2);
-        let page = FrameMeta::default();
-        assert!(!write(&h, &page, 0, 1).needs_remote);
-        let g1 = page_gsn(&page);
-        assert!(!write(&h, &page, 0, 1).needs_remote);
-        assert_eq!(page_gsn(&page), g1, "a same-slot write stays on the page's GSN");
-        h.shutdown();
-    }
-
-    #[test]
-    fn cross_slot_unflushed_dependency_sets_remote() {
-        let h = quiet_hub(2);
-        let page = FrameMeta::default();
-        // Slot 1 writes the page (stamped, not yet flushed).
-        write(&h, &page, 1, 1);
-        let g1 = page_gsn(&page);
-        // Slot 0 then modifies the same page before slot 1 flushed.
-        assert!(write(&h, &page, 0, 2).needs_remote);
-        assert!(page_gsn(&page) > g1, "a cross-slot write stamps above the page");
-        assert_eq!(page.last_writer_slot.load(Ordering::Acquire), 0);
-        h.shutdown();
-    }
-
-    #[test]
-    fn cross_slot_flushed_dependency_avoids_remote_wait() {
-        let h = quiet_hub(2);
-        let page = FrameMeta::default();
-        write(&h, &page, 1, 1);
+    fn each_round_ends_with_a_marker_stamped_with_its_tick() {
+        let dir = phoebe_common::KernelConfig::for_tests().data_dir;
+        let h = WalHub::with_fs(
+            &dir,
+            2,
+            Duration::from_secs(5),
+            true,
+            Arc::new(Metrics::new(1)),
+            Arc::new(OsFs),
+            7,
+        )
+        .unwrap();
+        h.log_op(1, xid(1), 0, RecordBody::Begin);
+        h.log_op(0, xid(2), 0, RecordBody::Begin);
         h.flush_all().unwrap();
-        // Now slot 1's version is durable: no remote dependency.
-        assert!(!write(&h, &page, 0, 2).needs_remote, "RFA: durable remote writes don't block");
+        assert_eq!(h.flush_all().unwrap(), 0, "an empty round writes nothing");
+        h.log_op(0, xid(3), 0, RecordBody::Begin);
+        h.flush_all().unwrap();
         h.shutdown();
+        let path = std::fs::read_dir(&dir).unwrap().next().unwrap().unwrap().path();
+        let got: Vec<_> = crate::recovery::read_wal_file(&path)
+            .unwrap()
+            .into_iter()
+            .map(|r| (r.xid.start_ts(), r.gsn.raw(), r.body == RecordBody::RoundEnd))
+            .collect();
+        // The segment's marker, then round one in slot order and its
+        // marker; the empty round ticks the clock but leaves no trace.
+        let want = [(0, 7, true), (2, 7, false), (1, 7, false), (0, 8, true)];
+        assert_eq!(got[..4], want);
+        assert_eq!(got[4..], [(3, 9, false), (0, 10, true)]);
     }
 
     #[test]
-    fn commit_waits_for_own_flush_only_without_remote_deps() {
-        let h = hub(2);
-        let rfa = write(&h, &FrameMeta::default(), 0, 5);
-        block_on(h.commit(0, xid(5), 9, &rfa)).unwrap();
-        assert!(h.writer(0).flushed_lsn() >= 2, "commit record durable");
-        let snap = h.metrics_snapshot();
-        assert_eq!(snap.counter(Counter::RfaEarlyCommits), 1);
-        assert_eq!(snap.counter(Counter::RemoteFlushWaits), 0);
+    fn page_write_stamps_at_or_above_the_page_and_raises_it() {
+        let h = quiet_hub(2);
+        let page = FrameMeta::default();
+        write(&h, &page, 1, 1);
+        let g1 = page_gsn(&page);
+        assert_eq!(g1, h.current_gsn(), "the page carries its newest stamp");
+        h.flush_all().unwrap();
+        write(&h, &page, 0, 2);
+        assert!(page_gsn(&page) > g1, "a write after a round stamps above the tick");
         h.shutdown();
     }
 
@@ -841,21 +774,22 @@ mod tests {
         let h = quiet_hub(2);
         let page = FrameMeta::default();
         write(&h, &page, 1, 1);
-        let rfa0 = write(&h, &page, 0, 2);
-        assert!(rfa0.needs_remote);
-        block_on(h.commit(0, xid(2), 9, &rfa0)).unwrap();
+        write(&h, &page, 0, 2);
+        block_on(h.commit(0, xid(2), 9)).unwrap();
         assert!(h.durable_gsn() >= page_gsn(&page), "every record on the page is durable");
         assert_eq!(h.writer(1).flushed_lsn(), 1, "the earlier writer's record is durable");
         assert_eq!(h.writer(0).flushed_lsn(), 2, "the Commit record is durable");
-        assert_eq!(h.metrics_snapshot().counter(Counter::RemoteFlushWaits), 1);
+        let snap = h.metrics_snapshot();
+        assert_eq!(snap.counter(Counter::RemoteFlushWaits), 1, "every commit waits on rounds");
+        assert_eq!(snap.counter(Counter::RfaEarlyCommits), 0, "no commit takes an early path");
         h.shutdown();
     }
 
     #[test]
     fn remote_commit_returns_within_two_rounds_while_another_slot_appends() {
         // Slot 1 appends without pause, each record stamped above
-        // everything before it — a stream of cross-slot writes that keeps
-        // the GSN moving and slot 1's buffer never empty. The commit's one
+        // everything before it — a stream of writes that keeps the GSN
+        // moving and slot 1's buffer never empty. The commit's one
         // condition is fixed at its Commit append, so the stream cannot
         // make it chase. Only the commit rings this quiet hub's doorbell,
         // so every round counted here is one the commit could have needed.
@@ -874,10 +808,9 @@ mod tests {
         for x in 0..20 {
             let page = FrameMeta::default();
             write(&h, &page, 1, 1);
-            let rfa = write(&h, &page, 0, 2 + x);
-            assert!(rfa.needs_remote);
+            write(&h, &page, 0, 2 + x);
             let before = h.rounds();
-            block_on(h.commit(0, xid(2 + x), 9, &rfa)).unwrap();
+            block_on(h.commit(0, xid(2 + x), 9)).unwrap();
             let slept = h.rounds() - before;
             assert!(slept <= 2, "remote commit slept {slept} rounds");
         }
@@ -927,9 +860,9 @@ mod tests {
         // sync commit for seconds; the doorbell must make it ~one flush.
         let h = quiet_hub(1);
         let commit = |n: u64| {
-            let rfa = write(&h, &FrameMeta::default(), 0, n);
+            write(&h, &FrameMeta::default(), 0, n);
             let t0 = Instant::now();
-            block_on(h.commit(0, xid(n), n, &rfa)).unwrap();
+            block_on(h.commit(0, xid(n), n)).unwrap();
             t0.elapsed()
         };
         let first = commit(7);
@@ -992,10 +925,9 @@ mod tests {
         let h = quiet_hub(2);
         let page = FrameMeta::default();
         write(&h, &page, 1, 1);
-        let rfa0 = write(&h, &page, 0, 2);
-        assert!(rfa0.needs_remote);
+        write(&h, &page, 0, 2);
         let t0 = std::time::Instant::now();
-        block_on(h.commit(0, xid(2), 9, &rfa0)).unwrap();
+        block_on(h.commit(0, xid(2), 9)).unwrap();
         assert!(h.durable_gsn() >= page_gsn(&page));
         assert!(t0.elapsed() < Duration::from_secs(1), "remote wait took {:?}", t0.elapsed());
         h.shutdown();
@@ -1018,13 +950,13 @@ mod tests {
         // Never flushed now: stamped above the final round's tick.
         let (_, g) = h.log_op(1, xid(1), 1, RecordBody::Begin);
         assert!(h.durable_gsn() < g);
-        let own = Arc::clone(&h);
-        let err = bounded(move || block_on(own.commit(0, xid(2), 2, &RfaState::default())));
+        let commit = Arc::clone(&h);
+        let err = bounded(move || block_on(commit.commit(0, xid(2), 2)));
         let err = err.unwrap_err();
         assert!(matches!(err, PhoebeError::WalClosed), "got {err:?}");
         assert!(!err.is_retryable());
-        let remote = Arc::clone(&h);
-        let err = bounded(move || block_on(remote.ensure_durable_gsn_async(g))).unwrap_err();
+        let wait = Arc::clone(&h);
+        let err = bounded(move || block_on(wait.ensure_durable_gsn_async(g))).unwrap_err();
         assert!(matches!(err, PhoebeError::WalClosed), "got {err:?}");
         let barrier = Arc::clone(&h);
         bounded(move || barrier.ensure_durable_gsn_blocking(g));

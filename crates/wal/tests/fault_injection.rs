@@ -13,7 +13,8 @@ use phoebe_common::metrics::Metrics;
 use phoebe_common::KernelConfig;
 use phoebe_runtime::block_on;
 use phoebe_storage::schema::Value;
-use phoebe_wal::{recover_dir, recover_dir_stats, RecordBody, RfaState, WalHub};
+use phoebe_wal::recovery::read_wal_file;
+use phoebe_wal::{recover_dir, recover_dir_stats, RecordBody, WalHub};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -68,31 +69,26 @@ fn acked_commits_survive_crash() {
                 let hub = Arc::clone(&hub);
                 let acked = Arc::clone(&acked);
                 let next_xid = Arc::clone(&next_xid);
-                std::thread::spawn(move || {
-                    loop {
-                        let x = next_xid.fetch_add(1, Ordering::Relaxed);
-                        if x > 10_000 {
-                            return;
-                        }
-                        let xid = Xid::from_start_ts(x);
-                        // Odd transactions also claim a cross-slot
-                        // dependency, driving the remote-wait commit path.
-                        let rfa = RfaState { needs_remote: x % 2 == 1 };
-                        hub.log_op(slot, xid, 1, RecordBody::Begin);
-                        hub.log_op(
-                            slot,
-                            xid,
-                            1,
-                            RecordBody::Insert {
-                                table: TableId(1),
-                                row: RowId(x),
-                                tuple: vec![Value::I64(x as i64)],
-                            },
-                        );
-                        match block_on(hub.commit(slot, xid, x, &rfa)) {
-                            Ok(()) => acked.lock().unwrap().push(x),
-                            Err(_) => return,
-                        }
+                std::thread::spawn(move || loop {
+                    let x = next_xid.fetch_add(1, Ordering::Relaxed);
+                    if x > 10_000 {
+                        return;
+                    }
+                    let xid = Xid::from_start_ts(x);
+                    hub.log_op(slot, xid, 1, RecordBody::Begin);
+                    hub.log_op(
+                        slot,
+                        xid,
+                        1,
+                        RecordBody::Insert {
+                            table: TableId(1),
+                            row: RowId(x),
+                            tuple: vec![Value::I64(x as i64)],
+                        },
+                    );
+                    match block_on(hub.commit(slot, xid, x)) {
+                        Ok(()) => acked.lock().unwrap().push(x),
+                        Err(_) => return,
                     }
                 })
             })
@@ -131,12 +127,12 @@ fn commit_after_crash_returns_wal_halted() {
 
     let xid = Xid::from_start_ts(1);
     hub.log_op(0, xid, 1, RecordBody::Begin);
-    block_on(hub.commit(0, xid, 1, &RfaState::default())).unwrap();
+    block_on(hub.commit(0, xid, 1)).unwrap();
 
     sim.crash();
     let xid2 = Xid::from_start_ts(2);
     hub.log_op(0, xid2, 2, RecordBody::Begin);
-    let err = block_on(hub.commit(0, xid2, 2, &RfaState::default())).unwrap_err();
+    let err = block_on(hub.commit(0, xid2, 2)).unwrap_err();
     assert!(matches!(err, PhoebeError::WalHalted), "got {err:?}");
     assert!(hub.is_halted());
     // The pre-crash commit is still in the durable image.
@@ -158,7 +154,7 @@ fn durable_gsn_barrier_survives_crash() {
         for (slot, x) in [(0usize, 1u64), (1, 2)] {
             let xid = Xid::from_start_ts(x);
             hub.log_op(slot, xid, 1, RecordBody::Begin);
-            block_on(hub.commit(slot, xid, x * 10, &RfaState::default())).unwrap();
+            block_on(hub.commit(slot, xid, x * 10)).unwrap();
         }
         let barrier_gsn = hub.current_gsn();
         hub.ensure_durable_gsn_blocking(barrier_gsn);
@@ -231,6 +227,9 @@ fn join_storm(appenders: Vec<std::thread::JoinHandle<Vec<Stamped>>>) -> Vec<Stam
 /// steals. The rounds are this test's alone (the flusher is never rung),
 /// so reading the horizons right after one reads exactly what it
 /// published; the records are checked against every round afterwards.
+/// Read back from the log, each round holds exactly the records stamped
+/// between the previous round's tick and its own: the steal takes every
+/// slot at one instant.
 #[test]
 fn every_record_stamped_at_or_below_durable_gsn_is_flushed() {
     let dir = KernelConfig::for_tests().data_dir;
@@ -248,7 +247,7 @@ fn every_record_stamped_at_or_below_durable_gsn_is_flushed() {
     }
     let stamped = join_storm(appenders);
     published.push(round());
-    for (slot, lsn, gsn) in stamped {
+    for &(slot, lsn, gsn) in &stamped {
         // The first round whose horizon covers the record (horizons only
         // rise, so it is the strictest check).
         let first = published.partition_point(|(durable, _)| *durable < gsn);
@@ -260,6 +259,30 @@ fn every_record_stamped_at_or_below_durable_gsn_is_flushed() {
         );
     }
     hub.shutdown();
+    let path = std::fs::read_dir(&dir).unwrap().next().unwrap().unwrap().path();
+    let (mut round, mut tick, mut rounds, mut records) = (Vec::new(), None, 0, 0);
+    for rec in read_wal_file(&path).unwrap() {
+        if rec.body != RecordBody::RoundEnd {
+            round.push(rec.gsn.raw());
+            continue;
+        }
+        let next = rec.gsn.raw();
+        match tick {
+            // The segment's leading marker: nothing before it.
+            None => assert!(round.is_empty()),
+            Some(prev) => {
+                let outside = round.iter().find(|&&g| g < prev || g >= next);
+                assert!(outside.is_none(), "round [{prev}, {next}) holds stamp {outside:?}");
+                rounds += 1;
+            }
+        }
+        records += round.len();
+        round.clear();
+        tick = Some(next);
+    }
+    assert!(round.is_empty(), "a synced round without its marker");
+    assert_eq!(records, stamped.len(), "every record is in exactly one round");
+    assert!(rounds > 1, "the storm spanned one round");
 }
 
 /// The same invariant across a crash: the recovered image holds every
@@ -301,12 +324,11 @@ fn records_stamped_at_or_below_durable_gsn_survive_crash() {
         hub.shutdown();
 
         let path = std::fs::read_dir(&dir).unwrap().next().unwrap().unwrap().path();
-        let recovered: std::collections::HashSet<(u64, u64)> =
-            phoebe_wal::recovery::read_wal_file(&path)
-                .unwrap()
-                .iter()
-                .map(|rec| (rec.xid.start_ts() >> 32, rec.lsn.raw()))
-                .collect();
+        let recovered: std::collections::HashSet<(u64, u64)> = read_wal_file(&path)
+            .unwrap()
+            .iter()
+            .map(|rec| (rec.xid.start_ts() >> 32, rec.lsn.raw()))
+            .collect();
         let covered: Vec<_> = stamped.iter().filter(|&&(_, _, gsn)| gsn <= durable).collect();
         assert!(!covered.is_empty(), "seed {seed}: no record covered before the crash");
         for &&(slot, lsn, gsn) in &covered {
@@ -350,12 +372,13 @@ fn a_round_is_one_write_and_one_sync_whichever_slots_contributed() {
 
 /// A gathered round torn mid-write: three slots' bytes — one of each
 /// worker's, one external — travel in one write, the disk dies under it
-/// and keeps a seeded prefix (or nothing, or all of it). Whatever landed, the earlier acknowledged round survives,
-/// nothing from the torn round was acknowledged, only an intact prefix of
-/// the gathered bytes is replayed, and the scan accounts for the rest.
+/// and keeps a seeded prefix (or nothing, or all of it). Whatever landed,
+/// the earlier acknowledged round survives, nothing from the torn round
+/// was acknowledged, the torn round is replayed whole or not at all, and
+/// the scan accounts for every byte it cut.
 #[test]
 fn torn_gathered_round_keeps_the_acked_prefix_and_acks_nothing_past_the_tear() {
-    let (mut torn, mut partial) = (0, 0);
+    let (mut torn, mut whole) = (0, 0);
     for seed in 0..48u64 {
         let dir = KernelConfig::for_tests().data_dir;
         let sim = SimFs::new(FaultConfig::crash_only(seed));
@@ -381,22 +404,20 @@ fn torn_gathered_round_keeps_the_acked_prefix_and_acks_nothing_past_the_tear() {
         let survivors = xids.iter().filter(|&&x| x > 10).count();
         assert_eq!(xids[..3], [1, 2, 3], "seed {seed}: acknowledged round lost");
         assert_eq!(xids[3..], [11, 12, 13][..survivors], "seed {seed}: replay went past the tear");
+        assert!(survivors == 0 || survivors == 3, "seed {seed}: a part of a round was replayed");
         // Every byte in the file is either a CRC-valid record or counted
         // as discarded tail.
         let path = std::fs::read_dir(&dir).unwrap().next().unwrap().unwrap().path();
-        let valid_bytes: usize = phoebe_wal::recovery::read_wal_file(&path)
-            .unwrap()
-            .iter()
-            .map(|rec| rec.encode_into(&mut Vec::new()))
-            .sum();
+        let valid_bytes: usize =
+            read_wal_file(&path).unwrap().iter().map(|rec| rec.encode_into(&mut Vec::new())).sum();
         assert_eq!(
             valid_bytes as u64 + stats.tail_bytes_discarded,
             std::fs::metadata(&path).unwrap().len(),
             "seed {seed}: torn tail not accounted"
         );
         torn += (stats.tail_bytes_discarded > 0) as u32;
-        partial += (survivors > 0 && survivors < 3) as u32;
+        whole += (survivors == 3) as u32;
     }
-    assert!(torn > 0, "no seed tore the write mid-record");
-    assert!(partial > 0, "no seed kept a strict prefix of the gathered slots");
+    assert!(torn > 0, "no seed tore the write mid-round");
+    assert!(whole > 0, "no seed landed the whole round");
 }

@@ -7,8 +7,10 @@
 #   PHOEBE_TORTURE_SEEDS=200 ./scripts/recovery_torture.sh
 #   PHOEBE_TORTURE_START=1000 PHOEBE_TORTURE_SEEDS=16 ./scripts/recovery_torture.sh
 #
-# Every fault decision derives from the seed, so a failing run prints the
-# seed to replay it: `recovery_torture --seed N`.
+# The crash point and each unsynced write's fate derive from the seed; what
+# the crash catches in flight also depends on thread timing, so a failing
+# seed (`recovery_torture --seed N`) may not fail again on its own. Sweep
+# wide: a failure that shows in under 1 % of runs needs hundreds of seeds.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

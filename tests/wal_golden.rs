@@ -62,6 +62,8 @@ fn golden_records() -> Vec<WalRecord> {
         // Degenerate shapes: empty tuple insert and empty delta update.
         rec(3, 16, 7, RecordBody::Insert { table: TableId(0), row: RowId(0), tuple: vec![] }),
         rec(3, 17, 8, RecordBody::Update { table: TableId(0), row: RowId(0), delta: vec![] }),
+        // A group-commit round's closing marker.
+        WalRecord::round_end(18),
     ]
 }
 

@@ -11,7 +11,21 @@ use phoebe_tpcc::schema::{cols, Idx};
 use phoebe_tpcc::txns::{self, Params};
 use phoebe_tpcc::{gen::TpccRng, load, PhoebeEngine, TpccEngine, TpccScale};
 
-fn fresh(tag: &str) -> KernelConfig {
+/// A test's data directory, removed when the test body returns; a test
+/// that panics leaves it behind as evidence.
+struct DataDir(std::path::PathBuf);
+
+impl Drop for DataDir {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+}
+
+/// A kernel config over a new data directory, and the guard that removes
+/// the directory after the test.
+fn fresh(tag: &str) -> (KernelConfig, DataDir) {
     let mut cfg = KernelConfig::for_tests();
     cfg.workers = 2;
     cfg.slots_per_worker = 8;
@@ -21,12 +35,13 @@ fn fresh(tag: &str) -> KernelConfig {
         std::process::id(),
         std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).unwrap().as_nanos()
     ));
-    cfg
+    let dir = DataDir(cfg.data_dir.clone());
+    (cfg, dir)
 }
 
 #[test]
 fn tpcc_workload_survives_restart_via_wal_replay() {
-    let cfg = fresh("restart");
+    let (cfg, _dir) = fresh("restart");
     let wal_dir = cfg.data_dir.join("wal");
     let scale = TpccScale::micro();
     let params = Params { warehouses: 1, scale };
@@ -66,7 +81,7 @@ fn tpcc_workload_survives_restart_via_wal_replay() {
     };
 
     // Phase 2: fresh kernel + schema, replay the WAL, verify the counters.
-    let cfg2 = fresh("restart-recovered");
+    let (cfg2, _dir2) = fresh("restart-recovered");
     let db = Database::open(cfg2).unwrap();
     let engine = PhoebeEngine::create(db).unwrap();
     let replayed = engine.db.replay_wal(&wal_dir).unwrap();
@@ -100,12 +115,11 @@ fn reopen_after_crash_recovers_automatically() {
     use phoebe_common::ids::RowId;
     use phoebe_core::prelude::{row, ColType, IsolationLevel, Schema};
 
-    let mut cfg = fresh("auto-recover");
+    let (mut cfg, _dir) = fresh("auto-recover");
     cfg.fault = Some(FaultConfig::crash_only(42));
-    let dir = cfg.data_dir.clone();
 
     {
-        let db = Database::open(cfg).unwrap();
+        let db = Database::open(cfg.clone()).unwrap();
         let t = db
             .create_table("events", Schema::new(vec![("id", ColType::I64), ("v", ColType::I64)]))
             .unwrap();
@@ -124,9 +138,8 @@ fn reopen_after_crash_recovers_automatically() {
     }
 
     // Reopen the same directory, no fault layer: `Database::open` recovers.
-    let mut cfg2 = fresh("auto-recover-2");
-    cfg2.data_dir = dir;
-    let db = Database::open(cfg2).unwrap();
+    cfg.fault = None;
+    let db = Database::open(cfg).unwrap();
     assert!(db.recovery_info().txns > 0, "recovery replayed the committed txn");
     let t = db.table("events").expect("catalog restored from manifest");
     let mut tx = db.begin(IsolationLevel::ReadCommitted);
@@ -141,7 +154,7 @@ fn reopen_after_crash_recovers_automatically() {
 #[test]
 fn metrics_breakdown_accounts_all_components() {
     use phoebe_common::metrics::{Component, COMPONENTS};
-    let cfg = fresh("metrics");
+    let (cfg, _dir) = fresh("metrics");
     let db = Database::open(cfg).unwrap();
     let engine = PhoebeEngine::create(db).unwrap();
     let scale = TpccScale::micro();
