@@ -35,11 +35,6 @@ pub struct KernelConfig {
     pub wal_sync: bool,
     /// Group-commit window for each slot WAL writer, in microseconds.
     pub wal_group_commit_us: u64,
-    /// Fraction of a partition's frames kept free; dropping below it
-    /// triggers page swaps on the dedicated task slot (§7.1).
-    pub free_frame_watermark: f64,
-    /// Run GC after this many transactions complete on a worker (§7.1).
-    pub gc_every_txns: u64,
     /// Leaf pages whose OLTP access count over the sampling window stays
     /// below this threshold are candidates for freezing (§5.2).
     pub freeze_access_threshold: u64,
@@ -49,8 +44,6 @@ pub struct KernelConfig {
     /// Read count above which a frozen block's rows are warmed back into
     /// hot storage (§5.2 case 3).
     pub warm_read_threshold: u64,
-    /// Lock wait budget before a transaction gives up with `LockTimeout`.
-    pub lock_timeout_ms: u64,
     /// Deterministic fault injection for the persistence layer. `None`
     /// (production) runs on [`crate::fault::OsFs`]; `Some` routes every
     /// WAL/page-file byte through a seeded [`crate::fault::SimFs`] torture
@@ -165,12 +158,9 @@ impl Default for KernelConfig {
             data_dir: std::env::temp_dir().join("phoebedb"),
             wal_sync: true,
             wal_group_commit_us: 200,
-            free_frame_watermark: 0.10,
-            gc_every_txns: 64,
             freeze_access_threshold: 2,
             freeze_batch_pages: 8,
             warm_read_threshold: 16,
-            lock_timeout_ms: 2_000,
             fault: None,
             trace: None,
             telemetry: None,
@@ -229,15 +219,6 @@ impl KernelConfig {
         }
         if self.buffer_frames == 0 {
             return fail("buffer_frames must be at least 1");
-        }
-        if !(0.0..1.0).contains(&self.free_frame_watermark) {
-            return fail(format!(
-                "free_frame_watermark must be in [0, 1), got {}",
-                self.free_frame_watermark
-            ));
-        }
-        if self.gc_every_txns == 0 {
-            return fail("gc_every_txns must be at least 1");
         }
         if self.freeze_batch_pages == 0 {
             return fail("freeze_batch_pages must be at least 1");
@@ -299,18 +280,12 @@ impl KernelConfigBuilder {
         wal_sync: bool,
         /// Group-commit window per slot WAL writer, microseconds.
         wal_group_commit_us: u64,
-        /// Free-frame fraction that triggers page swaps, in `[0, 1)`.
-        free_frame_watermark: f64,
-        /// Run GC after this many transactions per worker.
-        gc_every_txns: u64,
         /// Access-count threshold below which leaves freeze (§5.2).
         freeze_access_threshold: u64,
         /// Cold leaves compressed per frozen block (§5.2).
         freeze_batch_pages: usize,
         /// Reads that warm a frozen block back into hot storage.
         warm_read_threshold: u64,
-        /// Lock wait budget before `LockTimeout`, milliseconds.
-        lock_timeout_ms: u64,
     }
 
     /// Directory for the Data Page File, Data Block File, and WAL.
@@ -402,12 +377,9 @@ mod tests {
             .data_dir("/tmp/phoebe-builder")
             .wal_sync(false)
             .wal_group_commit_us(99)
-            .free_frame_watermark(0.25)
-            .gc_every_txns(11)
             .freeze_access_threshold(5)
             .freeze_batch_pages(4)
             .warm_read_threshold(9)
-            .lock_timeout_ms(123)
             .build()
             .unwrap();
         assert_eq!(c.workers, 3);
@@ -417,12 +389,9 @@ mod tests {
         assert_eq!(c.data_dir, PathBuf::from("/tmp/phoebe-builder"));
         assert!(!c.wal_sync);
         assert_eq!(c.wal_group_commit_us, 99);
-        assert_eq!(c.free_frame_watermark, 0.25);
-        assert_eq!(c.gc_every_txns, 11);
         assert_eq!(c.freeze_access_threshold, 5);
         assert_eq!(c.freeze_batch_pages, 4);
         assert_eq!(c.warm_read_threshold, 9);
-        assert_eq!(c.lock_timeout_ms, 123);
     }
 
     #[test]
@@ -436,9 +405,6 @@ mod tests {
     fn builder_rejects_degenerate_shapes() {
         assert!(KernelConfig::builder().workers(0).build().is_err());
         assert!(KernelConfig::builder().buffer_frames(0).build().is_err());
-        assert!(KernelConfig::builder().free_frame_watermark(1.5).build().is_err());
-        assert!(KernelConfig::builder().free_frame_watermark(-0.1).build().is_err());
-        assert!(KernelConfig::builder().gc_every_txns(0).build().is_err());
         assert!(KernelConfig::builder().freeze_batch_pages(0).build().is_err());
         assert!(KernelConfig::builder().data_dir("").build().is_err());
     }

@@ -96,8 +96,9 @@ pub enum Rank {
     /// Per-slot WAL writer buffers (`wal/writer.rs`). Self-nesting: a
     /// group-commit round holds every slot's buffer at once.
     WalSlot = 80,
-    /// WAL flusher doorbell — rung while a slot buffer may be held
-    /// (`wal/writer.rs`).
+    /// WAL commit bell: the flusher's ring count and the parked
+    /// durability waits; rung under frame latches by eviction, drained
+    /// under the hub's round lock by a failed round (`wal/writer.rs`).
     WalDoorbell = 82,
     /// Runtime shared control state: worker-thread registry, hooks
     /// (`runtime/runtime.rs`).
@@ -604,7 +605,7 @@ impl<T> DerefMut for RankedMutexGuard<'_, T> {
 impl<T> RankedMutexGuard<'_, T> {
     /// Block on `cv`, releasing and re-acquiring the mutex. The lock
     /// stays on the held stack across the wait: the only kernel condvar
-    /// sites (timer, WAL doorbell, join handles) hold exactly this one
+    /// sites (timer, WAL commit bell, join handles) hold exactly this one
     /// lock, so the approximation cannot mask an ordering bug.
     pub fn wait(&mut self, cv: &Condvar) {
         cv.wait(&mut self.inner);

@@ -19,9 +19,7 @@ use phoebe_storage::schema::{ColType, Schema};
 use phoebe_storage::{BTree, BufferPool, FrozenStore, TreeKind};
 use phoebe_txn::locks::IsolationLevel;
 use phoebe_txn::{ActiveTxnTable, GcEngine, GcStats, TwinRegistry, UndoArena, UndoLog, UndoOp};
-use phoebe_wal::{
-    recover_dir, recover_dir_stats, sync_wal_files, RecordBody, RecoveredTxn, WalHub,
-};
+use phoebe_wal::{recover_dir_stats, sync_wal_files, RecordBody, RecoveredTxn, WalHub};
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -126,10 +124,14 @@ impl phoebe_storage::WalBarrier for HubBarrier {
     }
 }
 
+/// Fraction of a partition's frames kept free: dropping below it triggers
+/// the worker's page swaps (§7.1).
+const FREE_FRAME_WATERMARK: f64 = 0.10;
+
 /// Per-worker background duties (§7.1, Figure 6): page swaps when the
-/// partition's free frames fall below the watermark, and GC after every
-/// `gc_every_txns` transactions on slots the worker owns — run on the
-/// worker that owns the data.
+/// partition's free frames fall below [`FREE_FRAME_WATERMARK`], and GC
+/// after every `Database::GC_EVERY_TXNS` transactions on slots the worker
+/// owns — run on the worker that owns the data.
 struct KernelHook {
     db: Weak<Database>,
 }
@@ -141,7 +143,7 @@ impl WorkerHook for KernelHook {
         };
         // Page-swap duty.
         let fpp = db.pool.total_frames() / db.pool.partition_count();
-        let watermark = ((fpp as f64) * db.cfg.free_frame_watermark) as usize;
+        let watermark = ((fpp as f64) * FREE_FRAME_WATERMARK) as usize;
         if db.pool.free_frames(worker) < watermark {
             let _t = db.metrics.timer(Component::Buffer);
             db.pool.stage_cooling(worker, 8);
@@ -620,7 +622,11 @@ impl Database {
         }
     }
 
-    /// A worker's GC duty, once `gc_every_txns` transactions finished on
+    /// Transactions finished on a worker's slots between its GC steps
+    /// (§7.1).
+    const GC_EVERY_TXNS: u64 = 64;
+
+    /// A worker's GC duty, once `GC_EVERY_TXNS` transactions finished on
     /// slots it owns: one `GcEngine::collect_step` over its arenas (see
     /// [`Database::gc_owner`]) and its next registry shard.
     fn gc_tick(&self, worker: usize) {
@@ -629,11 +635,10 @@ impl Database {
         // nothing is published through either. External commits add to the
         // count concurrently, so the tick subtracts what it consumes rather
         // than storing 0 over a count that landed after the check.
-        let every = self.cfg.gc_every_txns;
-        if duty.txns_since.load(Ordering::Relaxed) < every {
+        if duty.txns_since.load(Ordering::Relaxed) < Self::GC_EVERY_TXNS {
             return;
         }
-        duty.txns_since.fetch_sub(every, Ordering::Relaxed);
+        duty.txns_since.fetch_sub(Self::GC_EVERY_TXNS, Ordering::Relaxed);
         let _t = self.metrics.timer(Component::Gc);
         let slots = (0..self.arenas.len()).filter(|&slot| self.gc_owner(slot) == worker);
         let shard = duty.next_shard.load(Ordering::Relaxed);
@@ -682,20 +687,6 @@ impl Database {
     // ------------------------------------------------------------------
     // Recovery (§8)
     // ------------------------------------------------------------------
-
-    /// Replay a WAL directory into this kernel. The catalog must already
-    /// contain the tables with the same creation order (catalog operations
-    /// are not logged — the schema is application-defined, as with the
-    /// paper's UDF-driven deployments). Returns replayed transaction count.
-    ///
-    /// `Database::open` runs this automatically on a directory with
-    /// history; the public method remains for replaying a foreign log into
-    /// a fresh kernel (diagnostics, log shipping).
-    pub fn replay_wal(self: &Arc<Self>, dir: &std::path::Path) -> Result<usize> {
-        let txns = recover_dir(dir)?;
-        self.apply_recovered(&txns)?;
-        Ok(txns.len())
-    }
 
     /// Apply recovered transactions (already filtered to committed ones,
     /// sorted by cts) to the live tables.

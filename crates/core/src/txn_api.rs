@@ -141,10 +141,6 @@ impl Transaction {
         }
     }
 
-    fn lock_timeout(&self) -> Duration {
-        Duration::from_millis(self.db.cfg.lock_timeout_ms)
-    }
-
     // ------------------------------------------------------------------
     // Reads
     // ------------------------------------------------------------------
@@ -573,6 +569,9 @@ impl Transaction {
         }
     }
 
+    /// How long a lock wait lasts before it gives up with `LockTimeout`.
+    const LOCK_TIMEOUT: Duration = Duration::from_secs(2);
+
     /// Wait on a conflicting writer's transaction-ID lock, applying the
     /// isolation level's outcome rules (§6.2).
     async fn wait_on_writer(
@@ -584,7 +583,7 @@ impl Transaction {
         // The sleep is idle time, not lock-management instructions, so no
         // Figure-12 component is charged; the probe carries the full stall.
         let wait = self.db.metrics.probe(LatencySite::LockWait, self.slot as u32, holder.xid.raw());
-        let outcome = holder.wait(self.lock_timeout()).await;
+        let outcome = holder.wait(Self::LOCK_TIMEOUT).await;
         wait.finish();
         match (self.iso, outcome?) {
             (IsolationLevel::RepeatableRead, TxnOutcome::Committed(_)) => {

@@ -486,7 +486,6 @@ fn frozen_rows_update_out_of_place() {
 #[test]
 fn wal_replay_rebuilds_committed_state() {
     let cfg = KernelConfig::for_tests();
-    let wal_dir = cfg.data_dir.join("wal");
     let (rid_keep, rid_dead) = {
         let db = Database::open(cfg.clone()).unwrap();
         let t = make_accounts(&db);
@@ -506,13 +505,10 @@ fn wal_replay_rebuilds_committed_state() {
         db.shutdown();
         out
     };
-    // "Restart": fresh kernel over a fresh data dir, same WAL directory.
-    let mut cfg2 = KernelConfig::for_tests();
-    cfg2.data_dir = cfg.data_dir.join("recovered");
-    let db2 = Database::open(cfg2).unwrap();
+    // Restart over the same directory: `Database::open` replays the WAL.
+    let db2 = Database::open(cfg).unwrap();
+    assert!(db2.recovery_info().txns >= 2);
     let t2 = make_accounts(&db2);
-    let replayed = db2.replay_wal(&wal_dir).unwrap();
-    assert!(replayed >= 2);
     let mut tx = db2.begin(IsolationLevel::ReadCommitted);
     let got = tx.read(&t2, rid_keep).unwrap().unwrap();
     assert_eq!(got, row(1, "alice", 175), "insert + update replayed");
@@ -1050,4 +1046,125 @@ fn recovery_writes_nothing_to_the_log() {
     db.shutdown();
     drop(db);
     assert_eq!(wal_segments(&cfg).len(), 3, "a highest segment with no round is reused");
+}
+
+/// A collected delete of a frozen row frees its unique key: the block
+/// keeps the tombstone, GC removes the index entries, and the key can be
+/// taken again without a restart.
+#[test]
+fn collected_frozen_delete_frees_its_unique_key() {
+    let mut cfg = KernelConfig::for_tests();
+    cfg.freeze_access_threshold = u64::MAX; // everything qualifies as cold
+    cfg.freeze_batch_pages = 2;
+    let db = Database::open(cfg).unwrap();
+    let t = make_accounts(&db);
+    block_on(async {
+        let mut tx = db.begin(IsolationLevel::ReadCommitted);
+        for id in 0..2500 {
+            tx.insert(&t, row(id, "cold", id)).await.unwrap();
+        }
+        tx.commit().await.unwrap();
+    });
+    assert!(db.freeze_table(&t).unwrap().rows_frozen > 0);
+    let pk = t.index("accounts_pk").unwrap();
+    block_on(async {
+        let mut tx = db.begin(IsolationLevel::ReadCommitted);
+        let (rid, _) = tx.lookup_unique(&t, &pk, &[Value::I64(1)]).unwrap().unwrap();
+        tx.delete(&t, rid).await.unwrap();
+        tx.commit().await.unwrap();
+    });
+    let stats = db.collect_all();
+    block_on(async {
+        let mut tx = db.begin(IsolationLevel::ReadCommitted);
+        tx.insert(&t, row(1, "again", 1)).await.unwrap();
+        tx.commit().await.unwrap();
+    });
+    assert_eq!(stats.tuples_deleted, 1, "GC counts the frozen delete");
+    assert_eq!(lookup_pk(&db, &t, 1), Some(row(1, "again", 1)));
+    db.shutdown();
+}
+
+/// One run of the read-only dependency: T1 updates row 1 and commits; T2,
+/// on another slot, reads row 1, sees T1 committed, updates row 2 and
+/// commits — at once, or (`later`) only after T1's round wrote, so that
+/// T2's records go to a later round. The disk freezes at the `crash_at`-th
+/// write after the setup. Returns the writes the run made and what a
+/// reopen recovers of rows 1 and 2.
+fn dependent_commit_run(
+    crash_at: u64,
+    seed: u64,
+    later: bool,
+) -> (u64, Option<Vec<Value>>, Option<Vec<Value>>) {
+    use std::future::Future;
+    use std::task::{Context, Waker};
+    let mut cfg = KernelConfig::for_tests();
+    cfg.fault = Some(phoebe_common::fault::FaultConfig::crash_only(seed));
+    let db = Database::open(cfg.clone()).unwrap();
+    let t = make_accounts(&db);
+    commit_row(&db, &t, 1, "a");
+    commit_row(&db, &t, 2, "b");
+    let pk = t.index("accounts_pk").unwrap();
+    let rid = |id: i64| {
+        let mut tx = db.begin(IsolationLevel::ReadCommitted);
+        let (rid, _) = tx.lookup_unique(&t, &pk, &[Value::I64(id)]).unwrap().unwrap();
+        block_on(tx.commit()).unwrap();
+        rid
+    };
+    let (a, b) = (rid(1), rid(2));
+    let sim = db.fault_sim().unwrap();
+    sim.arm_crash_after_writes(crash_at);
+    let mut t1 = db.begin(IsolationLevel::ReadCommitted);
+    block_on(t1.update(&t, a, &[(2, Value::I64(10))])).unwrap();
+    let mut c1 = std::pin::pin!(t1.commit());
+    // The first poll appends T1's Commit record and publishes its outcome,
+    // then parks on the round; T2 runs while T1 may not be durable yet.
+    let first = c1.as_mut().poll(&mut Context::from_waker(Waker::noop()));
+    let t0 = std::time::Instant::now();
+    while later && sim.io_counts().0 == 0 && t0.elapsed() < std::time::Duration::from_secs(5) {
+        std::thread::yield_now();
+    }
+    block_on(async {
+        let mut t2 = db.begin(IsolationLevel::ReadCommitted);
+        let seen = t2.read(&t, a).unwrap().unwrap();
+        assert_eq!(seen[2], Value::I64(10), "T2 sees T1 committed");
+        t2.update(&t, b, &[(2, Value::I64(20))]).await.unwrap();
+        let _ = t2.commit().await;
+    });
+    if first.is_pending() {
+        let _ = block_on(c1);
+    }
+    let (writes, _) = sim.io_counts();
+    db.shutdown();
+    drop(db);
+    cfg.fault = None;
+    let db = Database::open(cfg).unwrap();
+    let t = db.table("accounts").unwrap();
+    let got = (writes, lookup_pk(&db, &t, 1), lookup_pk(&db, &t, 2));
+    db.shutdown();
+    got
+}
+
+/// Whichever log write a crash cuts at, recovery never keeps T2's write
+/// without T1's: T2 stamps its records above T1's Commit record, so its
+/// round is T1's or a later one, and recovery keeps whole rounds.
+#[test]
+fn a_dependent_commit_never_survives_without_the_commit_it_read() {
+    for later in [false, true] {
+        let (writes, a, b) = dependent_commit_run(u64::MAX, 0, later);
+        assert!(writes > 0, "the run logs through the simulated disk");
+        assert_eq!((a, b), (Some(row(1, "a", 10)), Some(row(2, "b", 20))), "no crash keeps both");
+        // One past the clean run's count too: rounds may batch differently.
+        for crash_at in 1..=writes + 1 {
+            for seed in 0..4 {
+                let (_, a, b) = dependent_commit_run(crash_at, seed, later);
+                if b == Some(row(2, "b", 20)) {
+                    assert_eq!(
+                        a,
+                        Some(row(1, "a", 10)),
+                        "crash at write {crash_at}, seed {seed}, later {later}: T2 without T1"
+                    );
+                }
+            }
+        }
+    }
 }

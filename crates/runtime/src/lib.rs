@@ -17,8 +17,9 @@
 //! with nothing woken parks until a wake, a spawn, or the tick of its
 //! background duties. Every wait therefore needs a named waker — a
 //! [`Notify`] (through [`Notify::wait_until`], the one subscribe →
-//! re-check → await loop), a timer deadline, a fault ticket, or a
-//! self-waking [`yield_now`] — and a lost wakeup hangs the task instead of
+//! re-check → await loop), the WAL's commit bell (durability waits, woken
+//! by the round that covers their stamp), a timer deadline, a fault
+//! ticket, or a self-waking [`yield_now`] — and a lost wakeup hangs the task instead of
 //! being papered over by a periodic re-poll.
 //!
 //! The same executor reproduces the *thread model* of Exp 6: configure one

@@ -110,7 +110,7 @@ impl GcEngine {
             if let Some(twin) = registry.get((log.table, log.page_key)) {
                 twin.clear_if_head(log.row, log);
             }
-            if matches!(log.op, UndoOp::Delete { .. }) {
+            if matches!(log.op, UndoOp::Delete { .. } | UndoOp::FrozenDelete { .. }) {
                 on_delete(log);
                 deleted += 1;
             }

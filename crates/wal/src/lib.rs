@@ -25,4 +25,4 @@ pub use record::{crc32, RecordBody, WalRecord};
 pub use recovery::{
     is_wal_file, recover_dir, recover_dir_stats, sync_wal_files, RecoveredTxn, WalScanStats,
 };
-pub use writer::{WalHub, WalWriter};
+pub use writer::{CommitBell, WalHub, WalWriter};

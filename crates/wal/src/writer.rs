@@ -31,9 +31,11 @@
 //!
 //! A commit appends its Commit record, then publishes its outcome, then
 //! waits until `durable_gsn()` reaches the record's stamp: one wait for
-//! every commit. Whoever saw the outcome stamps at or above that record, so
-//! its own commit lands in the same round or a later one, and a crash that
-//! keeps the dependent's round keeps the dependency's too. This deviates
+//! every commit, parked on the hub's [`CommitBell`] at that stamp, which
+//! only the round that covers it wakes. Whoever saw the outcome stamps at
+//! or above that record, so its own commit lands in the same round or a
+//! later one, and a crash that keeps the dependent's round keeps the
+//! dependency's too. This deviates
 //! from the paper's RFA, where a commit that built on no other slot's
 //! unflushed write waits for its own slot's log alone: here every slot's
 //! bytes share one write and one sync, so that wait could end no earlier.
@@ -45,61 +47,88 @@ use phoebe_common::hist::LatencySite;
 use phoebe_common::ids::{Gsn, Lsn, Timestamp, Xid};
 use phoebe_common::metrics::{Component, Counter, Metrics};
 use phoebe_common::sync::{Condvar, Rank, RankedMutex};
-use phoebe_runtime::{block_on, Notify};
+use phoebe_runtime::block_on;
 use phoebe_storage::buffer::FrameMeta;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
+use std::task::{Context, Poll, Waker};
 use std::time::{Duration, Instant};
 
-/// The group-commit doorbell (event-driven flushing).
+/// The commit bell: where committers and the flusher meet (event-driven
+/// group commit).
 ///
-/// Committing transactions ring it; the flusher thread sleeps on the
-/// condvar with the group-commit window as a *timeout* instead of
-/// unconditionally sleeping the whole window. A lone commit therefore
-/// waits one physical flush, not one full window; under load the rings
-/// that arrive while a round's sync is in flight start the next round the
-/// moment it completes, so concurrent commits batch into one fsync with
-/// no added linger.
-///
-/// The counter lives under a ranked mutex; the flusher's timed block goes
-/// through the ranked guard's condvar projection.
-struct Doorbell {
-    rings: RankedMutex<u64>,
+/// A durability wait checks its condition, registers the stamp it waits
+/// for with its waker, and rings, all in one critical section. The
+/// flusher sleeps on the condvar with the group-commit window as a
+/// *timeout*, so a lone commit waits one physical flush, not one window;
+/// the rings that arrive while a round's sync is in flight start the next
+/// round the moment it completes. After each round the flusher publishes
+/// `durable_gsn`, then takes the waiters whose stamp it covers and wakes
+/// them outside the lock: a commit whose record is in the next round
+/// stays parked. Publishing before draining is what makes the check under
+/// the lock sufficient (`wal/tests/loom_bell.rs`): a waiter that checked
+/// before the publication is on the list when the drain takes it.
+pub struct CommitBell {
+    state: RankedMutex<BellState>,
     cv: Condvar,
 }
 
-impl Default for Doorbell {
+#[derive(Default)]
+struct BellState {
+    /// Rings so far; the flusher runs a round whenever it moved.
+    rings: u64,
+    /// Parked waits, each with the stamp it needs durable. A wait dropped
+    /// while parked stays until a drain takes it: one spurious wake.
+    waiters: Vec<(u64, Waker)>,
+}
+
+impl Default for CommitBell {
     fn default() -> Self {
-        Doorbell {
-            rings: RankedMutex::new(Rank::WalDoorbell, "wal.doorbell", 0),
+        CommitBell {
+            state: RankedMutex::new(Rank::WalDoorbell, "wal.bell", BellState::default()),
             cv: Condvar::new(),
         }
     }
 }
 
-impl Doorbell {
-    /// Wake the flusher: a commit (or barrier) wants durability now.
+impl CommitBell {
+    /// Check `done` under the lock; while it yields nothing, park the
+    /// task until a drain covers `stamp`, and ring the flusher.
+    pub fn park<T>(&self, stamp: u64, cx: &Context, done: impl FnOnce() -> Option<T>) -> Poll<T> {
+        let mut state = self.state.lock();
+        let Some(out) = done() else {
+            state.waiters.push((stamp, cx.waker().clone()));
+            state.rings += 1;
+            drop(state);
+            self.cv.notify_one();
+            return Poll::Pending;
+        };
+        Poll::Ready(out)
+    }
+
+    /// Wake the flusher with nobody parked: someone wants a round now.
     fn ring(&self) {
-        *self.rings.lock() += 1;
+        self.state.lock().rings += 1;
         self.cv.notify_one();
     }
 
-    /// Block until the ring count advances past `seen` or `timeout`
-    /// elapses. Returns the latest count.
-    fn wait(&self, seen: u64, timeout: Duration) -> u64 {
-        let mut rings = self.rings.lock();
-        let deadline = Instant::now() + timeout;
-        while *rings == seen {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            if rings.wait_for(&self.cv, deadline - now).timed_out() {
-                break;
-            }
+    /// Wake every waiter whose stamp is at or below `through` (all of
+    /// them for `u64::MAX`); call it after publishing what it covers.
+    pub fn wake_through(&self, through: u64) {
+        let due: Vec<_> = self.state.lock().waiters.extract_if(.., |w| w.0 <= through).collect();
+        due.into_iter().for_each(|(_, waker)| waker.wake());
+    }
+
+    /// The flusher's sleep: until the ring count moves past `seen` or
+    /// `timeout` elapses (a spurious wakeup only runs a round early).
+    /// Returns the latest count.
+    fn sleep(&self, seen: u64, timeout: Duration) -> u64 {
+        let mut state = self.state.lock();
+        if state.rings == seen {
+            state.wait_for(&self.cv, timeout);
         }
-        *rings
+        state.rings
     }
 }
 
@@ -125,17 +154,6 @@ impl Liveness {
             Self::CLOSED => Err(PhoebeError::WalClosed),
             _ => Err(PhoebeError::WalHalted),
         }
-    }
-}
-
-/// The condition of every durability wait: `Ok` once the horizon reached
-/// the target, the stop error once no round will run again, else keep
-/// waiting.
-fn durable_or_stopped(durable: bool, live: &Liveness) -> Option<Result<()>> {
-    if durable {
-        Some(Ok(()))
-    } else {
-        live.check().err().map(Err)
     }
 }
 
@@ -268,16 +286,13 @@ pub struct WalHub {
     /// fsync fails. Either way every waiter errors instead of sleeping.
     live: Liveness,
     flusher: RankedMutex<Option<std::thread::JoinHandle<()>>>,
-    /// Commit-side wakeup for the flusher thread.
-    doorbell: Doorbell,
+    /// Every durability wait parks here; the flusher sleeps on it.
+    bell: CommitBell,
     /// Holding this lock *is* running a round: rounds never overlap, which
     /// keeps at most one write→sync in flight on the log file.
     round: RankedMutex<Round>,
     /// Rounds completed so far (empty and failed ones included).
     rounds: AtomicU64,
-    /// Notified after every flush round, failed ones included: what
-    /// commits and the blocking write barrier sleep on.
-    round_done: Notify,
     /// Watchdog probe: tracks how long the durable GSN has been stuck
     /// while records are pending. Off the commit/flush paths — only the
     /// telemetry/watchdog samplers lock it.
@@ -347,10 +362,9 @@ impl WalHub {
             shutdown: AtomicBool::new(false),
             live: Liveness::default(),
             flusher: RankedMutex::new(Rank::WalHub, "wal.hub_flusher", None),
-            doorbell: Doorbell::default(),
+            bell: CommitBell::default(),
             round: RankedMutex::new(Rank::WalHub, "wal.hub_round", round),
             rounds: AtomicU64::new(0),
-            round_done: Notify::new(),
             horizon_probe: RankedMutex::new(
                 Rank::WalHub,
                 "wal.hub_horizon",
@@ -362,7 +376,7 @@ impl WalHub {
             std::thread::Builder::new()
                 .name("phoebe-wal-flusher".into())
                 .spawn(move || {
-                    // Event-driven group commit: sleep on the doorbell with
+                    // Event-driven group commit: sleep on the bell with
                     // the configured window as an upper bound. A commit at
                     // an idle moment is flushed immediately; the rings of a
                     // commit storm accumulate while a round's sync is in
@@ -375,7 +389,7 @@ impl WalHub {
                     let mut seen = 0u64;
                     let mut window = group_commit;
                     while !h.shutdown.load(Ordering::Acquire) {
-                        let rings = h.doorbell.wait(seen, window);
+                        let rings = h.bell.sleep(seen, window);
                         if h.shutdown.load(Ordering::Acquire) {
                             break;
                         }
@@ -445,9 +459,6 @@ impl WalHub {
         if !self.sync {
             return Ok(());
         }
-        // Ring the doorbell *before* parking so the flusher starts a round
-        // for this commit rather than waiting out the group-commit window.
-        self.doorbell.ring();
         self.metrics.incr(Counter::RemoteFlushWaits);
         self.ensure_durable_gsn_async(gsn).await
     }
@@ -470,7 +481,7 @@ impl WalHub {
     /// will never come.
     fn stop(&self, why: u8) {
         self.live.stop(why);
-        self.round_done.notify_all();
+        self.bell.wake_through(u64::MAX);
     }
 
     /// Run one group-commit round on the calling thread: steal every
@@ -480,11 +491,11 @@ impl WalHub {
     pub fn flush_all(&self) -> Result<u64> {
         let flushed = self.run_round(&mut self.round.lock());
         // ORDERING: statistic counter; waiters synchronize through the
-        // horizons and `round_done`, never through this count.
+        // horizon and the bell, never through this count.
         self.rounds.fetch_add(1, Ordering::Relaxed);
-        // Wake committers and the write barrier after every round, failed
-        // ones included (they re-check liveness).
-        self.round_done.notify_all();
+        // The round published its horizon (a failed one stopped the hub,
+        // which woke everyone): wake the waits it covered.
+        self.bell.wake_through(self.durable_gsn());
         flushed
     }
 
@@ -536,13 +547,10 @@ impl WalHub {
         }
         WalRecord::round_end(tick).encode_into(&mut round.buf);
         let n = round.buf.len() as u64;
-        let written = self.file.write_all_at(round.offset, &round.buf).and_then(|()| {
-            if self.sync {
-                self.file.sync_data()
-            } else {
-                Ok(())
-            }
-        });
+        let mut written = self.file.write_all_at(round.offset, &round.buf);
+        if self.sync && written.is_ok() {
+            written = self.file.sync_data();
+        }
         // Keep the buffer warm, but not a bulk load's high-water mark.
         round.buf.clear();
         round.buf.shrink_to(16 * SLOT_BUF_BYTES);
@@ -575,26 +583,32 @@ impl WalHub {
     }
 
     /// Await durability of every record stamped ≤ `gsn` (the commit
-    /// wait): sleep on the per-round notification; spinning at high
-    /// urgency here starved the flusher of CPU on small machines.
+    /// wait): park on the bell at `gsn` and ring it, woken by the round
+    /// that covers it; spinning at high urgency here starved the flusher
+    /// of CPU on small machines.
     ///
     /// Errs with [`PhoebeError::WalHalted`] or [`PhoebeError::WalClosed`]
     /// if rounds stopped before the horizon reached `gsn`.
     pub async fn ensure_durable_gsn_async(&self, gsn: u64) -> Result<()> {
-        self.round_done
-            .wait_until(|| durable_or_stopped(self.durable_gsn() >= gsn, &self.live), None)
-            .await
-            .expect("a wait without a deadline ends on its condition")
+        // `Ok` once the horizon reached `gsn`, the stop error once no
+        // round will run again, else keep waiting.
+        let done = || {
+            if self.durable_gsn() >= gsn {
+                return Some(Ok(()));
+            }
+            self.live.check().err().map(Err)
+        };
+        std::future::poll_fn(|cx| self.bell.park(gsn, cx, done)).await
     }
 
     /// Non-blocking write barrier (Steal): whether all WAL up to `gsn` is
-    /// durable. If not, rings the doorbell so a round is under way by the
+    /// durable. If not, rings the bell so a round is under way by the
     /// time the caller looks again — eviction skips the page meanwhile
     /// instead of sleeping on the round with latches held.
     pub fn try_ensure_durable_gsn(&self, gsn: u64) -> bool {
         let durable = self.durable_gsn() >= gsn;
         if !durable {
-            self.doorbell.ring();
+            self.bell.ring();
         }
         durable
     }
@@ -606,16 +620,7 @@ impl WalHub {
     /// write, so a halted or closed log fails the allocation instead of
     /// breaking WAL-before-page.
     pub fn ensure_durable_gsn_blocking(&self, gsn: u64) {
-        // The async barrier's wait, on the calling thread; the condition
-        // rings once per round it still needs.
-        let cond = || {
-            let done = durable_or_stopped(self.durable_gsn() >= gsn, &self.live);
-            if done.is_none() {
-                self.doorbell.ring();
-            }
-            done
-        };
-        let _ = block_on(self.round_done.wait_until(cond, None));
+        let _ = block_on(self.ensure_durable_gsn_async(gsn));
     }
 
     /// Records appended but not yet physically flushed, summed across
@@ -666,9 +671,9 @@ impl WalHub {
     /// durability wait errs with [`PhoebeError::WalClosed`].
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::Release);
-        // Wake the flusher out of its doorbell wait so shutdown does not
-        // stall for a full group-commit window.
-        self.doorbell.ring();
+        // Wake the flusher out of its sleep so shutdown does not stall for
+        // a full group-commit window.
+        self.bell.ring();
         if let Some(t) = self.flusher.lock().take() {
             let _ = t.join();
         }
@@ -791,7 +796,7 @@ mod tests {
         // everything before it — a stream of writes that keeps the GSN
         // moving and slot 1's buffer never empty. The commit's one
         // condition is fixed at its Commit append, so the stream cannot
-        // make it chase. Only the commit rings this quiet hub's doorbell,
+        // make it chase. Only the commit rings this quiet hub's bell,
         // so every round counted here is one the commit could have needed.
         let h = quiet_hub(2);
         let stop = Arc::new(AtomicBool::new(false));
@@ -857,7 +862,7 @@ mod tests {
     #[test]
     fn doorbell_commit_beats_the_group_commit_window() {
         // With a 5 s window, a sleeping-flusher design would hold every
-        // sync commit for seconds; the doorbell must make it ~one flush.
+        // sync commit for seconds; the bell must make it ~one flush.
         let h = quiet_hub(1);
         let commit = |n: u64| {
             write(&h, &FrameMeta::default(), 0, n);
@@ -886,7 +891,7 @@ mod tests {
         assert!(lone < 2 * flush, "lone commit {lone:?} vs flush_all {flush:?}: lingering");
         let t1 = Instant::now();
         h.shutdown();
-        assert!(t1.elapsed() < Duration::from_secs(1), "shutdown must ring the doorbell");
+        assert!(t1.elapsed() < Duration::from_secs(1), "shutdown must ring the bell");
     }
 
     #[test]
@@ -904,7 +909,7 @@ mod tests {
         let idle_rounds = h.rounds() - before;
         assert!(idle_rounds < 20, "idle hub ran {idle_rounds} rounds in 200 ms");
 
-        // Backlog nobody rings the doorbell for (log_op only, no commit)
+        // Backlog nobody rings the bell for (log_op only, no commit)
         // must still become durable at the backed-off cadence — far
         // inside the watchdog's wal_stall_ms.
         let stall_ns = phoebe_common::config::WatchdogConfig::default().wal_stall_ms * 1_000_000;
@@ -920,7 +925,7 @@ mod tests {
     }
 
     #[test]
-    fn remote_dependent_commit_parks_until_round_done() {
+    fn remote_dependent_commit_parks_until_its_round_lands() {
         // Same low-latency requirement for the remote wait.
         let h = quiet_hub(2);
         let page = FrameMeta::default();
@@ -962,6 +967,37 @@ mod tests {
         bounded(move || barrier.ensure_durable_gsn_blocking(g));
         assert!(!h.is_halted(), "a clean shutdown is not a device failure");
         assert!(matches!(h.flush_all(), Err(PhoebeError::WalClosed)));
+    }
+
+    /// Records that it was woken.
+    struct Flag(AtomicBool);
+
+    impl std::task::Wake for Flag {
+        fn wake(self: Arc<Self>) {
+            self.0.store(true, Ordering::Release);
+        }
+    }
+
+    #[test]
+    fn a_round_wakes_only_the_waits_it_covers_and_stop_wakes_the_rest() {
+        let h = quiet_hub(1);
+        let g = h.current_gsn();
+        let flags = [(); 2].map(|_| Arc::new(Flag(AtomicBool::new(false))));
+        let woken = |i: usize| flags[i].0.load(Ordering::Acquire);
+        // Parked as a durability wait parks, minus the ring: this quiet
+        // hub runs only the round the test asks for.
+        let mut state = h.bell.state.lock();
+        for (stamp, flag) in [g, g + 1].into_iter().zip(&flags) {
+            state.waiters.push((stamp, Waker::from(Arc::clone(flag))));
+        }
+        drop(state);
+        h.flush_all().unwrap();
+        assert_eq!(h.durable_gsn(), g);
+        assert!(woken(0), "the round covered stamp g");
+        assert!(!woken(1), "stamp g + 1 is the next round's");
+        h.stop(Liveness::CLOSED);
+        assert!(woken(1), "stop wakes every waiter");
+        h.shutdown();
     }
 
     #[test]

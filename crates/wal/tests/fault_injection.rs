@@ -348,7 +348,7 @@ fn a_round_is_one_write_and_one_sync_whichever_slots_contributed() {
     let dir = KernelConfig::for_tests().data_dir;
     let sim = SimFs::new(FaultConfig::crash_only(1));
     // A 5 s window keeps the flusher asleep (log_op does not ring the
-    // doorbell), so every round is ours.
+    // bell), so every round is ours.
     let hub = hub_with_window(Arc::clone(&sim), &dir, KERNEL_SLOTS, Duration::from_secs(5));
     let io_of = |f: &dyn Fn()| {
         let (w0, s0) = sim.io_counts();

@@ -21,3 +21,4 @@ cargo test -p phoebe-common --features lockdep --test loom_trace_ring --test loo
 cargo test -p phoebe-storage --test loom_latch --test loom_fault_ticket "$@"
 cargo test -p phoebe-txn --test loom_twin --test loom_undo "$@"
 cargo test -p phoebe-runtime --test loom_notify "$@"
+cargo test -p phoebe-wal --test loom_bell "$@"
