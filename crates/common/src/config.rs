@@ -7,7 +7,7 @@
 
 use crate::error::{PhoebeError, Result};
 use serde::{Deserialize, Serialize};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Size of every data page. The paper does not pin a page size; 16 KiB
 /// matches LeanStore-family systems and divides evenly into PAX minipages.
@@ -169,6 +169,33 @@ impl Default for KernelConfig {
     }
 }
 
+/// Remove every `phoebedb-test-<pid>-*` directory in the temp dir whose
+/// process is gone. Liveness is read from `/proc`; where there is none,
+/// nothing is removed.
+fn remove_dead_test_dirs() {
+    let proc = Path::new("/proc");
+    if !proc.join("self").exists() {
+        return;
+    }
+    let Ok(entries) = std::fs::read_dir(std::env::temp_dir()) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        let Some(pid) = name
+            .to_str()
+            .and_then(|n| n.strip_prefix("phoebedb-test-"))
+            .and_then(|rest| rest.split_once('-'))
+            .and_then(|(pid, _)| pid.parse::<u32>().ok())
+        else {
+            continue;
+        };
+        if !proc.join(pid.to_string()).exists() {
+            let _ = std::fs::remove_dir_all(entry.path());
+        }
+    }
+}
+
 impl KernelConfig {
     /// Start building a configuration from the defaults. `build()`
     /// validates the result, so impossible shapes (zero workers, zero
@@ -180,9 +207,15 @@ impl KernelConfig {
 
     /// A configuration suitable for unit tests: tiny buffers, one worker,
     /// a fresh unique temp directory, and synchronous-but-fast WAL.
+    ///
+    /// The directory is `phoebedb-test-<pid>-<n>` and outlives the process
+    /// (reopen tests read it back after a shutdown). The first call in a
+    /// process removes the ones whose process has ended.
     pub fn for_tests() -> Self {
         use std::sync::atomic::{AtomicU64, Ordering};
         static NEXT: AtomicU64 = AtomicU64::new(0);
+        static SWEEP: std::sync::Once = std::sync::Once::new();
+        SWEEP.call_once(remove_dead_test_dirs);
         let n = NEXT.fetch_add(1, Ordering::Relaxed);
         let dir = std::env::temp_dir().join(format!("phoebedb-test-{}-{}", std::process::id(), n));
         KernelConfig {

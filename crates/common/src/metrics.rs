@@ -72,59 +72,56 @@ const NCOMP: usize = 7;
 pub enum Counter {
     Commits = 0,
     Aborts = 1,
-    /// Committed TPC-C NewOrder transactions (the tpmC numerator).
-    NewOrders = 2,
     /// Pages read from the Data Page File into Main Storage.
-    PageReads = 3,
+    PageReads = 2,
     /// Pages written (evicted/checkpointed) to the Data Page File.
-    PageWrites = 4,
+    PageWrites = 3,
     /// Bytes appended to WAL buffers.
-    WalBytes = 5,
+    WalBytes = 4,
     /// Physical WAL flush operations completed.
-    WalFlushes = 6,
+    WalFlushes = 5,
     /// Bytes physically flushed to WAL files.
-    WalFlushedBytes = 7,
+    WalFlushedBytes = 6,
     /// UNDO logs reclaimed by GC.
-    UndoReclaimed = 8,
+    UndoReclaimed = 7,
     /// Commits that RFA allowed to skip waiting on remote WAL writers.
-    RfaEarlyCommits = 9,
+    RfaEarlyCommits = 8,
     /// Commits that had to wait for a remote (cross-slot) flush.
-    RemoteFlushWaits = 10,
+    RemoteFlushWaits = 9,
     /// Optimistic latch validation failures that forced a restart.
-    LatchRestarts = 11,
+    LatchRestarts = 10,
     /// Leaf pages compressed into frozen data blocks.
-    PagesFrozen = 12,
+    PagesFrozen = 11,
     /// Frozen rows warmed back into hot storage.
-    RowsWarmed = 13,
+    RowsWarmed = 12,
     /// Committed WAL records replayed by crash recovery in
     /// `Database::open`.
-    RecoveryRecordsReplayed = 14,
+    RecoveryRecordsReplayed = 13,
     /// Bytes discarded from WAL tails during recovery (torn or partial
     /// trailing records past the last CRC-valid one).
-    RecoveryTailBytesDiscarded = 15,
+    RecoveryTailBytesDiscarded = 14,
     /// Interleaved multi-key batches executed (`multi_get`,
     /// `multi_lookup`, `multi_update_rmw`).
-    BatchGets = 16,
+    BatchGets = 15,
     /// Total keys submitted across all batches; `BatchKeys / BatchGets`
     /// is the mean batch depth.
-    BatchKeys = 17,
+    BatchKeys = 16,
     /// Software prefetches issued by suspended descents for their next
     /// B-tree node.
-    PrefetchesIssued = 18,
+    PrefetchesIssued = 17,
     /// Descents that suspended on a cold page and handed the fault to the
     /// background fault service instead of blocking.
-    FaultSuspends = 19,
+    FaultSuspends = 18,
     /// Incident records written by the stall watchdog.
-    WatchdogIncidents = 20,
+    WatchdogIncidents = 19,
 }
 
-const NCTR: usize = 21;
+const NCTR: usize = 20;
 
 /// All counters with stable names (report order).
 pub const COUNTERS: [(Counter, &str); NCTR] = [
     (Counter::Commits, "commits"),
     (Counter::Aborts, "aborts"),
-    (Counter::NewOrders, "new_orders"),
     (Counter::PageReads, "page_reads"),
     (Counter::PageWrites, "page_writes"),
     (Counter::WalBytes, "wal_bytes"),

@@ -124,14 +124,11 @@ impl phoebe_storage::WalBarrier for HubBarrier {
     }
 }
 
-/// Fraction of a partition's frames kept free: dropping below it triggers
-/// the worker's page swaps (§7.1).
-const FREE_FRAME_WATERMARK: f64 = 0.10;
-
-/// Per-worker background duties (§7.1, Figure 6): page swaps when the
-/// partition's free frames fall below [`FREE_FRAME_WATERMARK`], and GC
-/// after every `Database::GC_EVERY_TXNS` transactions on slots the worker
-/// owns — run on the worker that owns the data.
+/// Per-worker background duties (§7.1, Figure 6): the buffer partition's
+/// page swaps (`BufferPool::page_swap_duty`, which runs when the partition's
+/// free frames fall below its watermark), and GC after every
+/// `Database::GC_EVERY_TXNS` transactions on slots the worker owns — run on
+/// the worker that owns the data.
 struct KernelHook {
     db: Weak<Database>,
 }
@@ -141,21 +138,7 @@ impl WorkerHook for KernelHook {
         let Some(db) = self.db.upgrade() else {
             return;
         };
-        // Page-swap duty.
-        let fpp = db.pool.total_frames() / db.pool.partition_count();
-        let watermark = ((fpp as f64) * FREE_FRAME_WATERMARK) as usize;
-        if db.pool.free_frames(worker) < watermark {
-            let _t = db.metrics.timer(Component::Buffer);
-            db.pool.stage_cooling(worker, 8);
-            for _ in 0..8 {
-                if db.pool.free_frames(worker) >= watermark {
-                    break;
-                }
-                if !db.pool.evict_one(worker).unwrap_or(false) {
-                    break;
-                }
-            }
-        }
+        db.pool.page_swap_duty(worker);
         db.gc_tick(worker);
     }
 }

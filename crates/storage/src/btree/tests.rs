@@ -732,8 +732,7 @@ fn stale_fault_install_is_rejected_after_page_cycle() {
     // Page one leaf out.
     let (cold, pid) = loop {
         for part in 0..t.pool.partition_count() {
-            t.pool.stage_cooling(part, 8);
-            let _ = t.pool.evict_one(part).unwrap();
+            let _ = t.pool.page_swap(part).unwrap();
         }
         if let Some(found) = find_cold_child(&t, root_fid) {
             break found;
@@ -759,8 +758,7 @@ fn stale_fault_install_is_rejected_after_page_cycle() {
     let mut cycled = false;
     'out: for _ in 0..1_000 {
         for part in 0..t.pool.partition_count() {
-            t.pool.stage_cooling(part, 8);
-            let _ = t.pool.evict_one(part).unwrap();
+            let _ = t.pool.page_swap(part).unwrap();
         }
         let g = t.pool.frame(root_fid).latch.read();
         let Page::Inner(n) = &*g else { panic!("root is not inner") };

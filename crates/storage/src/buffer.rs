@@ -14,9 +14,11 @@
 //!
 //! Eviction follows the paper's three swizzle states: a clock pass over the
 //! partition *stages* candidates by setting the cooling bit in the parent's
-//! child swip (Hot → Cooling); accessors that reach a cooling page heat it
-//! back (second chance); when frames are needed, staged candidates still
-//! cooling are written out and their swips turned cold (Cooling → Cold).
+//! child swip (Hot → Cooling) until the partition's cooling stage holds
+//! [`COOLING_SHARE`] of its frames; accessors that reach a cooling page heat
+//! it back (second chance); when frames are needed, staged candidates still
+//! cooling are written out from the stage's front and their swips turned
+//! cold (Cooling → Cold). [`BufferPool::page_swap`] is that one routine.
 
 use crate::latch::HybridLatch;
 use crate::node::Page;
@@ -38,6 +40,22 @@ pub const NO_PARENT: u64 = u64::MAX;
 
 /// Sentinel for "no disk slot assigned yet".
 const NO_DISK: u64 = u64::MAX;
+
+/// Fraction of a partition's frames kept free: dropping below it triggers
+/// the worker's page swaps (§7.1).
+const FREE_FRAME_WATERMARK: f64 = 0.10;
+
+/// Fraction of a partition's frames its cooling stage holds. LeanStore's
+/// Hot → Cooling → Cold keeps about a tenth of the pool Cooling; a quarter
+/// gave `tpcc_cold` fewer page reads and more throughput than a tenth.
+/// Staging tops the stage up to this share and stops there: without a
+/// size, nearly every evictable frame ended up Cooling, and each later
+/// top-up swept the whole partition for a Hot one.
+const COOLING_SHARE: f64 = 0.25;
+
+/// Least number of frames the cooling stage holds, so that a small pool
+/// still stages a useful batch.
+const COOLING_FLOOR: usize = 8;
 
 /// Shards of the per-PageId fault-epoch table. Collisions are harmless:
 /// they can only make an in-flight fault's install reject spuriously
@@ -168,12 +186,16 @@ struct CoolingQueue {
 }
 
 impl CoolingQueue {
-    fn push(&mut self, fid: FrameId) {
+    /// Queue `fid` unless an entry already stands for it; whether the
+    /// queue grew.
+    fn push(&mut self, fid: FrameId) -> bool {
         let queued = &mut self.queued[(fid - self.first) as usize];
-        if !*queued {
-            *queued = true;
-            self.fifo.push_back(fid);
+        if *queued {
+            return false;
         }
+        *queued = true;
+        self.fifo.push_back(fid);
+        true
     }
 
     fn pop(&mut self) -> Option<FrameId> {
@@ -343,10 +365,9 @@ impl BufferPool {
         if let Some(f) = self.partitions[home].free.lock().pop() {
             return Ok(f);
         }
-        // Try to make room locally: stage a batch, then reap it.
+        // Try to make room locally.
         for _ in 0..3 {
-            self.stage_cooling(home, 8);
-            if self.evict_pass(home)?.0 {
+            if self.page_swap(home)?.0 {
                 if let Some(f) = self.partitions[home].free.lock().pop() {
                     return Ok(f);
                 }
@@ -366,8 +387,7 @@ impl BufferPool {
         // and a free frame is a WAL round, sleep for it. No latch is held
         // here; the retry re-checks durability like any other eviction.
         for p in 0..self.partitions.len() {
-            self.stage_cooling(p, 8);
-            let (mut freed, log_pending) = self.evict_pass(p)?;
+            let (mut freed, log_pending) = self.page_swap(p)?;
             if let (false, Some(gsn)) = (freed, log_pending) {
                 if let Some(b) = self.wal_barrier() {
                     b.ensure_durable(gsn);
@@ -547,10 +567,44 @@ impl BufferPool {
         FrameReserve { pool: self.clone(), frames }
     }
 
-    /// Stage up to `want` eviction candidates from `partition` into its
-    /// cooling queue (Hot → Cooling) via a clock pass.
-    pub fn stage_cooling(&self, partition: usize, want: usize) {
+    /// The worker's page-swap duty (§7.1): while `partition` is below the
+    /// free-frame watermark, swap pages, at most 8 per call.
+    pub fn page_swap_duty(&self, partition: usize) {
+        let watermark = (self.frames_per_partition as f64 * FREE_FRAME_WATERMARK) as usize;
+        if self.free_frames(partition) >= watermark {
+            return;
+        }
+        let _t = self.metrics.timer(Component::Buffer);
+        for _ in 0..8 {
+            if !matches!(self.page_swap(partition), Ok((true, _)))
+                || self.free_frames(partition) >= watermark
+            {
+                break;
+            }
+        }
+    }
+
+    /// One page swap in `partition`: top its cooling stage up, then evict
+    /// from the stage's front until a frame is freed. Returns whether one
+    /// was, and the highest page GSN passed over because its log was not
+    /// durable. The worker's duty and `allocate`'s slow path both swap
+    /// pages through here.
+    pub fn page_swap(&self, partition: usize) -> Result<(bool, Option<u64>)> {
+        self.stage_cooling(partition);
+        self.evict_pass(partition)
+    }
+
+    /// Top `partition`'s cooling stage up to [`COOLING_SHARE`] of its
+    /// frames (at least [`COOLING_FLOOR`]) by a clock pass that flips Hot
+    /// swips to Cooling. A full stage costs one lock: the clock does not
+    /// move and no frame is probed. The stage is measured by its queue,
+    /// stale entries of candidates heated since staging included; the
+    /// eviction pass drops those when it reaches them.
+    pub fn stage_cooling(&self, partition: usize) {
         let part = &self.partitions[partition];
+        let target =
+            ((self.frames_per_partition as f64 * COOLING_SHARE) as usize).max(COOLING_FLOOR);
+        let want = target.saturating_sub(part.cooling.lock().fifo.len());
         let lo = partition * self.frames_per_partition;
         let hi = lo + self.frames_per_partition;
         let mut staged = 0;
@@ -563,14 +617,16 @@ impl BufferPool {
                 lo + (cur - lo) % (hi - lo)
             };
             let fid = at as FrameId;
-            if self.try_stage(fid) {
-                part.cooling.lock().push(fid);
+            if self.try_stage(fid) && part.cooling.lock().push(fid) {
                 staged += 1;
             }
         }
     }
 
-    /// Attempt to flip `fid`'s swip in its parent from Hot to Cooling.
+    /// Attempt to flip `fid`'s swip in its parent from Hot to Cooling. The
+    /// parent is read optimistically first: a frame that is already
+    /// Cooling, or whose hint is stale, leaves the parent's latch and
+    /// version alone. Only a parent whose swip will flip is write-latched.
     fn try_stage(&self, fid: FrameId) -> bool {
         let meta = &self.frames[fid as usize].meta;
         let parent = meta.parent.load(Ordering::Relaxed);
@@ -581,17 +637,33 @@ impl BufferPool {
         if !self.frames[fid as usize].latch.optimistic(Self::evictable).unwrap_or(false) {
             return false;
         }
-        let Some(mut pguard) = self.frames[parent as usize].latch.try_write() else {
+        let hot = Swip::hot(fid).raw();
+        let platch = &self.frames[parent as usize].latch;
+        if !platch.optimistic(|p| Self::holds_child(p, hot)).unwrap_or(false) {
+            return false; // stale hint, already cooling, or latched
+        }
+        let Some(mut pguard) = platch.try_write() else {
             return false;
         };
         let Page::Inner(pnode) = &mut *pguard else {
-            return false; // stale hint
+            return false; // changed since the read
         };
-        let Some(slot) = pnode.find_child_slot(Swip::hot(fid).raw()) else {
-            return false; // stale hint or already cooling
+        let Some(slot) = pnode.find_child_slot(hot) else {
+            return false;
         };
         pnode.children[slot] = Swip::cooling(fid).raw();
         true
+    }
+
+    /// Whether `page` is an inner node with the swip `raw` among its
+    /// children. Clamped: it runs on unvalidated racy reads.
+    fn holds_child(page: &Page, raw: u64) -> bool {
+        match page {
+            Page::Inner(n) => {
+                n.children[..=(n.count as usize).min(crate::node::FANOUT)].contains(&raw)
+            }
+            _ => false,
+        }
     }
 
     /// Evict one staged (still-cooling) page from `partition`
@@ -646,10 +718,7 @@ impl BufferPool {
         }
         self.frames[parent as usize]
             .latch
-            .optimistic(|p| match p {
-                Page::Inner(n) => n.find_child_slot(Swip::cooling(fid).raw()).is_some(),
-                _ => false,
-            })
+            .optimistic(|p| Self::holds_child(p, Swip::cooling(fid).raw()))
             .unwrap_or(true)
     }
 
@@ -875,7 +944,7 @@ mod tests {
         p.frame(leaf).meta.dirty.store(true, Ordering::Relaxed);
 
         // Stage + evict.
-        p.stage_cooling(0, 4);
+        p.stage_cooling(0);
         assert!(p.evict_one(0).unwrap(), "must evict the leaf");
         let cold = {
             let g = p.frame(parent).latch.read();
@@ -949,7 +1018,7 @@ mod tests {
         };
 
         let parent1 = make(42);
-        p.stage_cooling(0, 8);
+        p.stage_cooling(0);
         assert!(p.evict_one(0).unwrap());
         let pid1 = cold_child(parent1);
 
@@ -964,7 +1033,7 @@ mod tests {
 
         // The next page-out must draw a *different* disk slot…
         let parent2 = make(7);
-        p.stage_cooling(0, 8);
+        p.stage_cooling(0);
         assert!(p.evict_one(0).unwrap());
         let pid2 = cold_child(parent2);
         assert_ne!(pid1, pid2, "abandoned fault freed a disk slot that is still cold-referenced");
@@ -994,7 +1063,7 @@ mod tests {
             *p.frame(parent).latch.write() = Page::Inner(inner);
             p.frame(leaf).meta.parent.store(parent, Ordering::Relaxed);
             p.frame(leaf).meta.dirty.store(true, Ordering::Relaxed);
-            p.stage_cooling(part, 8);
+            p.stage_cooling(part);
             assert!(p.evict_one(part).unwrap());
             let SwipState::Cold(pid) = child_state(&p, parent, 0) else { panic!("leaf not cold") };
             (parent, pid)
@@ -1060,7 +1129,7 @@ mod tests {
         }
         p.frame(leaf).meta.parent.store(parent, Ordering::Relaxed);
 
-        p.stage_cooling(0, 4);
+        p.stage_cooling(0);
         {
             let _hold = p.frame(leaf).latch.write();
             assert!(!p.evict_one(0).unwrap(), "eviction must back off from a latched victim");
@@ -1141,7 +1210,7 @@ mod tests {
         p.frame(ahead).meta.page_gsn.store(9, Ordering::Relaxed);
         p.frame(durable).meta.page_gsn.store(5, Ordering::Relaxed);
 
-        p.stage_cooling(0, 4);
+        p.stage_cooling(0);
         assert!(p.evict_one(0).unwrap(), "the durable leaf must go");
         assert!(matches!(child_state(&p, parent, 0), SwipState::Cold(_)));
         assert_eq!(child_state(&p, parent, 1), SwipState::Cooling(ahead), "still staged");
@@ -1184,7 +1253,7 @@ mod tests {
     fn write_back_does_not_need_the_parent_latch() {
         let p = pool(8, 1);
         let (parent, leaves) = parent_with_dirty_leaves(&p, 1);
-        p.stage_cooling(0, 4);
+        p.stage_cooling(0);
         {
             let _reader = p.frame(parent).latch.read();
             assert!(!p.evict_one(0).unwrap(), "a latched parent keeps its child resident");
@@ -1205,7 +1274,7 @@ mod tests {
         let p = pool(8, 1);
         let (parent, leaves) = parent_with_dirty_leaves(&p, 2);
         for _ in 0..100 {
-            p.stage_cooling(0, 4);
+            p.stage_cooling(0);
             let mut pg = p.frame(parent).latch.write();
             let Page::Inner(n) = &mut *pg else { unreachable!() };
             BufferPool::heat_in_parent(n, 0);
@@ -1216,8 +1285,52 @@ mod tests {
         assert!(!p.evict_one(0).unwrap());
         assert!(p.partitions[0].cooling.lock().fifo.is_empty());
         // And the frames are stageable and evictable again.
-        p.stage_cooling(0, 4);
+        p.stage_cooling(0);
         assert!(p.evict_one(0).unwrap());
+    }
+
+    /// A full cooling stage is left alone: no clock step, no probe, no
+    /// parent latch. One eviction later the stage takes one frame more.
+    #[test]
+    fn stage_cooling_stops_at_the_stage_target() {
+        let p = pool(16, 1);
+        let (parent, leaves) = parent_with_dirty_leaves(&p, COOLING_FLOOR + 1);
+        let hot = |p: &BufferPool| {
+            (0..leaves.len())
+                .filter(|&i| matches!(child_state(p, parent, i), SwipState::Hot(_)))
+                .count()
+        };
+        p.stage_cooling(0);
+        assert_eq!(p.partitions[0].cooling.lock().fifo.len(), COOLING_FLOOR);
+        assert_eq!(hot(&p), 1);
+
+        let clock = p.partitions[0].clock.load(Ordering::Relaxed);
+        let version = p.frame(parent).latch.optimistic_version();
+        p.stage_cooling(0);
+        assert_eq!(p.partitions[0].clock.load(Ordering::Relaxed), clock, "the clock moved");
+        assert_eq!(p.frame(parent).latch.optimistic_version(), version, "a parent was latched");
+        assert_eq!(hot(&p), 1, "a full stage staged more");
+
+        assert!(p.evict_one(0).unwrap());
+        p.stage_cooling(0);
+        assert_eq!(p.partitions[0].cooling.lock().fifo.len(), COOLING_FLOOR);
+        assert_eq!(hot(&p), 0);
+    }
+
+    /// Probing a frame that is already Cooling reads its parent and
+    /// leaves it: a write latch there would bump the version every
+    /// optimistic reader of that parent validates against.
+    #[test]
+    fn staging_never_write_latches_a_parent_it_does_not_change() {
+        let p = pool(8, 1);
+        let (parent, leaves) = parent_with_dirty_leaves(&p, 1);
+        p.stage_cooling(0);
+        assert_eq!(child_state(&p, parent, 0), SwipState::Cooling(leaves[0]));
+        let version = p.frame(parent).latch.optimistic_version();
+        // The stage is below its target, so this pass probes every frame.
+        p.stage_cooling(0);
+        assert_eq!(p.frame(parent).latch.optimistic_version(), version);
+        assert_eq!(child_state(&p, parent, 0), SwipState::Cooling(leaves[0]));
     }
 
     #[test]
@@ -1238,7 +1351,7 @@ mod tests {
         }
         p.frame(leaf).meta.parent.store(parent, Ordering::Relaxed);
 
-        p.stage_cooling(0, 4);
+        p.stage_cooling(0);
         // Simulate an access heating the swip before eviction runs.
         {
             let mut pg = p.frame(parent).latch.write();
