@@ -35,9 +35,13 @@ pub fn bench_duration() -> Duration {
     Duration::from_secs(env_or("PHOEBE_DURATION_SECS", 3))
 }
 
-/// A unique scratch directory for one experiment run.
+/// A unique scratch directory for one experiment run,
+/// `phoebe-bench-<tag>-<pid>-<n>`. It outlives the process; the first
+/// call in a process removes the ones whose process has ended.
 pub fn fresh_dir(tag: &str) -> std::path::PathBuf {
     static NEXT: AtomicU64 = AtomicU64::new(0);
+    static SWEEP: std::sync::Once = std::sync::Once::new();
+    SWEEP.call_once(|| phoebe_common::config::remove_dead_temp_dirs("phoebe-bench-"));
     let n = NEXT.fetch_add(1, Ordering::Relaxed);
     let dir = std::env::temp_dir().join(format!("phoebe-bench-{tag}-{}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

@@ -169,10 +169,10 @@ impl Default for KernelConfig {
     }
 }
 
-/// Remove every `phoebedb-test-<pid>-*` directory in the temp dir whose
-/// process is gone. Liveness is read from `/proc`; where there is none,
-/// nothing is removed.
-fn remove_dead_test_dirs() {
+/// Remove every `<prefix>…-<pid>-<n>` directory in the temp dir whose
+/// process is gone: what test and benchmark processes leave behind.
+/// Liveness is read from `/proc`; where there is none, nothing is removed.
+pub fn remove_dead_temp_dirs(prefix: &str) {
     let proc = Path::new("/proc");
     if !proc.join("self").exists() {
         return;
@@ -184,9 +184,9 @@ fn remove_dead_test_dirs() {
         let name = entry.file_name();
         let Some(pid) = name
             .to_str()
-            .and_then(|n| n.strip_prefix("phoebedb-test-"))
-            .and_then(|rest| rest.split_once('-'))
-            .and_then(|(pid, _)| pid.parse::<u32>().ok())
+            .and_then(|n| n.strip_prefix(prefix))
+            .and_then(|rest| rest.rsplit('-').nth(1))
+            .and_then(|pid| pid.parse::<u32>().ok())
         else {
             continue;
         };
@@ -215,7 +215,7 @@ impl KernelConfig {
         use std::sync::atomic::{AtomicU64, Ordering};
         static NEXT: AtomicU64 = AtomicU64::new(0);
         static SWEEP: std::sync::Once = std::sync::Once::new();
-        SWEEP.call_once(remove_dead_test_dirs);
+        SWEEP.call_once(|| remove_dead_temp_dirs("phoebedb-test-"));
         let n = NEXT.fetch_add(1, Ordering::Relaxed);
         let dir = std::env::temp_dir().join(format!("phoebedb-test-{}-{}", std::process::id(), n));
         KernelConfig {
@@ -384,6 +384,21 @@ mod tests {
         let a = KernelConfig::for_tests();
         let b = KernelConfig::for_tests();
         assert_ne!(a.data_dir, b.data_dir);
+    }
+
+    #[test]
+    fn dead_processes_temp_dirs_are_swept() {
+        // A tag may hold dashes; the pid is the second field from the end.
+        let tmp = std::env::temp_dir();
+        let dead = tmp.join(format!("phoebe-sweep-test-a-b-{}-0", u32::MAX));
+        let live = tmp.join(format!("phoebe-sweep-test-a-b-{}-0", std::process::id()));
+        for d in [&dead, &live] {
+            std::fs::create_dir_all(d).unwrap();
+        }
+        remove_dead_temp_dirs("phoebe-sweep-test-");
+        assert!(!dead.exists() || !Path::new("/proc/self").exists(), "dead pid's dir kept");
+        assert!(live.exists(), "a live pid's dir removed");
+        std::fs::remove_dir_all(&live).unwrap();
     }
 
     #[test]

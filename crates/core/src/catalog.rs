@@ -14,7 +14,7 @@ use crate::keys::KeyBuilder;
 use phoebe_common::error::{PhoebeError, Result};
 use phoebe_common::ids::{RowId, TableId};
 use phoebe_common::snapshot::SnapshotList;
-use phoebe_storage::node::MAX_KEY;
+use phoebe_storage::node::KEY_CAP;
 use phoebe_storage::schema::{ColType, Schema, Value};
 use phoebe_storage::{BTree, FrozenStore, PaxLayout};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,19 +32,23 @@ pub struct IndexDef {
 }
 
 impl IndexDef {
+    /// Bytes of every key this index stores: its columns' fixed widths,
+    /// plus the row-id suffix of a non-unique index.
+    pub fn key_width(&self, schema: &Schema) -> usize {
+        let suffix = if self.unique { 0 } else { 8 };
+        self.key_cols.iter().map(|&c| key_width(schema.col_type(c))).sum::<usize>() + suffix
+    }
+
     /// Refuse a key layout the index B-tree cannot hold: a key column
-    /// past the end of `schema`, or an encoded key longer than
-    /// [`MAX_KEY`], the row-id suffix of a non-unique index included.
+    /// past the end of `schema`, or keys wider than [`KEY_CAP`].
     pub(crate) fn check(&self, table: TableId, schema: &Schema) -> Result<()> {
         let refuse = |why| Err(PhoebeError::SchemaMismatch { table, detail: why });
         let (name, n) = (&self.name, schema.num_cols());
         if let Some(c) = self.key_cols.iter().find(|&&c| c >= n) {
             return refuse(format!("index '{name}': no column {c} in {n} columns"));
         }
-        let suffix = if self.unique { 0 } else { 8 };
-        let width = self.key_cols.iter().map(|&c| key_width(schema.col_type(c))).sum::<usize>();
-        match width + suffix {
-            w if w > MAX_KEY => refuse(format!("index '{name}': {w}-byte keys, limit {MAX_KEY}")),
+        match self.key_width(schema) {
+            w if w > KEY_CAP => refuse(format!("index '{name}': {w}-byte keys, limit {KEY_CAP}")),
             _ => Ok(()),
         }
     }
@@ -114,9 +118,9 @@ impl IndexEntry {
     pub fn range_for(&self, schema: &Schema, values: &[Value]) -> Result<(Vec<u8>, Vec<u8>)> {
         let prefix = self.prefix_for(schema, values)?;
         let mut high = prefix.clone();
-        // Pad to the maximum stored key length with 0xff: every stored key
-        // with this prefix compares <= high.
-        high.resize(MAX_KEY, 0xff);
+        // Pad to the index's key width with 0xff: every stored key with
+        // this prefix compares <= high.
+        high.resize(self.def.key_width(schema), 0xff);
         Ok((prefix, high))
     }
 }

@@ -184,7 +184,7 @@ mod tests {
 
     #[test]
     fn tpcc_widest_key_fits_inline() {
-        // (w i32)(d i32)(last 16)(first 16)(row id 8) = 48 <= MAX_KEY.
+        // (w i32)(d i32)(last 16)(first 16)(row id 8) = 48 <= KEY_CAP.
         let key = k(|b| {
             b.push_i32(1)
                 .push_i32(10)
@@ -192,6 +192,6 @@ mod tests {
                 .push_str_padded("firstname0123456", 16)
                 .push_row_id(RowId(u64::MAX));
         });
-        assert!(key.len() <= phoebe_storage::node::MAX_KEY);
+        assert!(key.len() <= phoebe_storage::node::KEY_CAP);
     }
 }

@@ -41,17 +41,63 @@ fn create_index_refuses_a_key_column_outside_the_table() {
 #[test]
 fn create_index_refuses_keys_wider_than_the_btree_holds() {
     let db = open_db();
-    let schema = Schema::new(vec![("wide", ColType::Str(64)), ("s", ColType::Str(48))]);
+    let cap = phoebe_storage::node::KEY_CAP as u16;
+    let schema = Schema::new(vec![("wide", ColType::Str(cap + 1)), ("s", ColType::Str(cap - 8))]);
     let t = db.create_table("t", schema).unwrap();
-    assert_mismatch(db.create_index(&t, "wide", vec![0], true), "64-byte unique key");
-    // 48 bytes fit alone; a non-unique index adds an 8-byte row-id suffix.
+    assert_mismatch(db.create_index(&t, "wide", vec![0], true), "unique key one past the cap");
+    // `cap - 8` bytes fit alone; a non-unique index adds an 8-byte row-id
+    // suffix, which reaches the cap exactly.
     db.create_index(&t, "unique_s", vec![1], true).unwrap();
     db.create_index(&t, "s", vec![1], false).unwrap();
-    assert_mismatch(db.create_index(&t, "s_s", vec![1, 1], false), "104-byte key");
+    assert_mismatch(db.create_index(&t, "s_s", vec![1, 1], false), "twice the cap");
     let mut tx = db.begin(IsolationLevel::ReadCommitted);
-    let tuple = vec![Value::Str("x".repeat(64)), Value::Str("y".repeat(48))];
+    let tuple =
+        vec![Value::Str("x".repeat(cap as usize + 1)), Value::Str("y".repeat(cap as usize - 8))];
     block_on(tx.insert(&t, tuple)).unwrap();
     block_on(tx.commit()).unwrap();
+    db.shutdown();
+}
+
+/// A 64-byte unique key: inserted, found by `lookup_unique` and
+/// `scan_index` across many index leaves, and again after a reopen.
+#[test]
+fn a_str64_unique_index_is_served_end_to_end() {
+    let cfg = KernelConfig::for_tests();
+    let name = |i: i64| format!("{:0>64}", format!("name-{i}"));
+    let open = |cfg: &KernelConfig| {
+        let db = Database::open(cfg.clone()).unwrap();
+        let schema = Schema::new(vec![("id", ColType::I64), ("name", ColType::Str(64))]);
+        let t = db.create_table("people", schema).unwrap();
+        let by_name = db.create_index(&t, "by_name", vec![1], true).unwrap();
+        (db, t, by_name)
+    };
+    let check = |db: &Arc<Database>, t: &Arc<TableEntry>, by_name: &Arc<IndexEntry>| {
+        let mut tx = db.begin(IsolationLevel::ReadCommitted);
+        for i in (0..2_000).step_by(37) {
+            let found = tx.lookup_unique(t, by_name, &[Value::Str(name(i))]).unwrap();
+            assert_eq!(found.map(|(_, r)| r.i64("id")), Some(i), "lookup of {i}");
+        }
+        let all = tx.scan_index(t, by_name, &[], 5_000).unwrap();
+        let mut ids: Vec<i64> = all.iter().map(|(_, r)| r.i64("id")).collect();
+        assert!(ids.windows(2).all(|w| name(w[0]) < name(w[1])), "scan in key order");
+        ids.sort_unstable();
+        assert_eq!(ids, (0..2_000).collect::<Vec<_>>());
+        let one = tx.scan_index(t, by_name, &[Value::Str(name(1_234))], 10).unwrap();
+        assert_eq!(one.iter().map(|(_, r)| r.i64("id")).collect::<Vec<_>>(), [1_234]);
+        block_on(tx.commit()).unwrap();
+    };
+    {
+        let (db, t, by_name) = open(&cfg);
+        let mut tx = db.begin(IsolationLevel::ReadCommitted);
+        for i in 0..2_000 {
+            block_on(tx.insert(&t, vec![Value::I64(i), Value::Str(name(i))])).unwrap();
+        }
+        block_on(tx.commit()).unwrap();
+        check(&db, &t, &by_name);
+        db.shutdown();
+    }
+    let (db, t, by_name) = open(&cfg);
+    check(&db, &t, &by_name);
     db.shutdown();
 }
 

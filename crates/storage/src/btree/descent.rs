@@ -88,7 +88,7 @@ impl BTree {
         if self.pool.fault_epoch(pid) == fault_epoch {
             if let Page::Inner(pnode) = &mut *pguard {
                 if let Some(slot) = pnode.find_child_slot(cold.raw()) {
-                    pnode.children[slot] = Swip::hot(fid).raw();
+                    pnode.set_child(slot, Swip::hot(fid).raw());
                     parent.meta.dirty.store(true, Ordering::Relaxed);
                     // Under the write latch the frame cannot be recycled,
                     // so this epoch read names the node just installed into.
@@ -473,9 +473,8 @@ impl<'t, K: Deref<Target = [u8]>> DescentCursor<'t, K> {
         let Some((read, ver)) = frame.latch.optimistic_versioned(|p| match p {
             Page::Inner(n) => {
                 let i = n.child_index(key);
-                let sep =
-                    (want_fence && i < n.count as usize).then(|| SmallKey::from_slice(n.key(i)));
-                Some((n.children[i], sep))
+                let sep = (want_fence && i < n.len()).then(|| n.key(i));
+                Some((n.child(i), sep))
             }
             _ => None,
         }) else {
@@ -551,7 +550,7 @@ impl<'t, K: Deref<Target = [u8]>> DescentCursor<'t, K> {
                 let routed = parent
                     .latch
                     .optimistic(|p| match p {
-                        Page::Inner(n) => Some(n.children[n.child_index(&self.key)]),
+                        Page::Inner(n) => Some(n.child(n.child_index(&self.key))),
                         _ => None,
                     })
                     .flatten()

@@ -10,7 +10,7 @@
 
 use super::{row_key, BTree};
 use crate::latch::{ReadGuard, WriteGuard};
-use crate::node::{IndexLeaf, Page};
+use crate::node::{IndexLeaf, Page, WidthMismatch};
 use crate::pax::{PaxLayout, PaxLeaf};
 use crate::schema::Value;
 use crate::swip::FrameId;
@@ -223,10 +223,10 @@ pub(super) struct IndexInsert<'a> {
 
 impl IndexInsert<'_> {
     fn insert_into(&self, leaf: &mut IndexLeaf, tree: &BTree) -> Result<()> {
-        if leaf.insert(self.key, self.row_id.raw()) {
-            Ok(())
-        } else {
-            Err(PhoebeError::DuplicateKey { index: tree.table })
+        match leaf.insert(self.key, self.row_id.raw()) {
+            Ok(true) => Ok(()),
+            Ok(false) => Err(PhoebeError::DuplicateKey { index: tree.table }),
+            Err(e) => Err(tree.width_mismatch(e)),
         }
     }
 }
@@ -239,6 +239,11 @@ impl LeafOp for IndexInsert<'_> {
         let (tree, fid) = (leaf.tree, leaf.fid);
         let page = leaf.index_leaf_mut()?;
         if page.is_full() {
+            if page.width() != self.key.len() {
+                return Err(
+                    tree.width_mismatch(WidthMismatch { width: page.width(), got: self.key.len() })
+                );
+            }
             return Ok(None);
         }
         self.insert_into(page, tree)?;
@@ -254,7 +259,7 @@ impl LeafOp for IndexInsert<'_> {
     ) -> Result<(Page, Vec<u8>, Result<()>)> {
         let (tree, fid) = (full.tree, full.fid);
         let left = full.index_leaf_mut()?;
-        let (mut right, sep) = left.split();
+        let (mut right, sep) = left.split(self.key);
         let half = if self.key >= sep.as_slice() { &mut right } else { left };
         let out = self.insert_into(half, tree);
         tree.mark_dirty(fid);

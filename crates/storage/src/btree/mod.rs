@@ -41,13 +41,13 @@ pub use leaf::LatchedLeaf;
 
 use crate::buffer::{BufferPool, NO_PARENT};
 use crate::latch::HybridLatch;
-use crate::node::{IndexLeaf, Page};
+use crate::node::{IndexLeaf, Page, WidthMismatch, KEY_CAP};
 use crate::pax::{PaxLayout, PaxLeaf};
 use crate::schema::Value;
 use crate::smallkey::SmallKey;
 use crate::swip::{FrameId, Swip};
 use leaf::{IndexInsert, LeafOp, TableAppend};
-use phoebe_common::error::Result;
+use phoebe_common::error::{PhoebeError, Result};
 use phoebe_common::ids::{RowId, TableId};
 use phoebe_common::metrics::Metrics;
 use std::sync::atomic::Ordering;
@@ -132,6 +132,13 @@ impl BTree {
 
     fn leaf_for(&self, key: &[u8], write: bool) -> Result<LatchedLeaf<'_>> {
         Ok(self.cursor(key, write, false).run()?.0)
+    }
+
+    /// A stored key whose width is not the tree's, as a typed error.
+    fn width_mismatch(&self, e: WidthMismatch) -> PhoebeError {
+        let WidthMismatch { width, got } = e;
+        let detail = format!("{got}-byte key in a tree of {width}-byte keys (cap {KEY_CAP})");
+        PhoebeError::SchemaMismatch { table: self.table, detail }
     }
 
     fn mark_dirty(&self, fid: FrameId) {
@@ -272,11 +279,12 @@ impl BTree {
         mut f: impl FnMut(&[u8], RowId) -> bool,
     ) -> Result<()> {
         debug_assert_eq!(self.kind, TreeKind::Index);
+        let mut buf = [0; KEY_CAP];
         self.scan_leaves(low, Some(high), |leaf, lo| {
             let leaf = leaf.index_leaf()?;
-            for i in leaf.lower_bound(lo)..leaf.count as usize {
-                let k = leaf.key(i);
-                if k > high || !f(k, RowId(leaf.row_ids[i])) {
+            for i in leaf.lower_bound(lo)..leaf.len() {
+                let k = leaf.key_into(i, &mut buf);
+                if k > high || !f(k, RowId(leaf.row_id(i))) {
                     return Ok(false);
                 }
             }

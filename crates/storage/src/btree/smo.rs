@@ -57,12 +57,12 @@ impl BTree {
                 continue;
             }
             let idx = n.child_index(key);
-            let next = match Swip::from_raw(n.children[idx]).state() {
+            let next = match Swip::from_raw(n.child(idx)).state() {
                 SwipState::Hot(f) | SwipState::Cooling(f) => f,
                 SwipState::Cold(pid) => {
                     let f = reserve.take()?;
                     self.pool.read_into_frame(f, pid, cur)?;
-                    n.children[idx] = Swip::hot(f).raw();
+                    n.set_child(idx, Swip::hot(f).raw());
                     self.mark_dirty(cur);
                     f
                 }
@@ -83,7 +83,8 @@ impl BTree {
             let (sibling, sep, out) = op.overflow(&mut leaf, new_fid)?;
             *self.pool.frame(new_fid).latch.write() = sibling;
             self.pool.frame(new_fid).meta.parent.store(cur, Ordering::Relaxed);
-            n.insert_separator(idx, &sep, Swip::hot(new_fid).raw());
+            n.insert_separator(idx, &sep, Swip::hot(new_fid).raw())
+                .map_err(|e| self.width_mismatch(e))?;
             self.mark_dirty(cur);
             self.mark_dirty(new_fid);
             return out;
@@ -95,7 +96,7 @@ impl BTree {
     /// hints.
     fn split_inner(&self, n: &mut InnerNode, right_fid: FrameId) -> Vec<u8> {
         let (right, sep) = n.split();
-        for &child in &right.children[..=right.count as usize] {
+        for child in right.children() {
             if let Some(f) = Swip::from_raw(child).frame() {
                 self.pool.frame(f).meta.parent.store(right_fid, Ordering::Relaxed);
             }
@@ -128,7 +129,9 @@ impl BTree {
         let slot = pnode
             .find_child_slot(Swip::hot(left).raw())
             .ok_or_else(|| PhoebeError::internal("child slot missing"))?;
-        pnode.insert_separator(slot, sep, Swip::hot(right).raw());
+        pnode
+            .insert_separator(slot, sep, Swip::hot(right).raw())
+            .map_err(|e| self.width_mismatch(e))?;
         self.pool.frame(right).meta.parent.store(parent, Ordering::Relaxed);
         self.mark_dirty(parent);
         Ok(())
@@ -146,10 +149,12 @@ impl BTree {
     ) -> Result<()> {
         let new_root = reserve.take()?;
         let mut inner = InnerNode::default();
-        inner.children[0] = Swip::hot(left).raw();
+        inner.set_child(0, Swip::hot(left).raw());
         self.pool.frame(left).meta.parent.store(new_root, Ordering::Relaxed);
         if let Some((sep, right)) = split {
-            inner.insert_separator(0, sep, Swip::hot(right).raw());
+            inner
+                .insert_separator(0, sep, Swip::hot(right).raw())
+                .map_err(|e| self.width_mismatch(e))?;
             self.pool.frame(right).meta.parent.store(new_root, Ordering::Relaxed);
         }
         *self.pool.frame(new_root).latch.write() = Page::Inner(inner);

@@ -125,6 +125,79 @@ fn index_insert_get_remove_with_splits() {
     assert!(found > n as usize / 2);
 }
 
+/// Share of the index leaves' key slots in use, by a leaf walk.
+fn index_leaf_fill(t: &BTree) -> f64 {
+    let (mut used, mut slots) = (0, 0);
+    t.scan_leaves(&[], None, |leaf, _| {
+        let leaf = leaf.index_leaf()?;
+        used += leaf.len();
+        slots += crate::node::capacity(leaf.width());
+        Ok(true)
+    })
+    .unwrap();
+    used as f64 / slots as f64
+}
+
+/// Ascending inserts leave the leaves they pass packed: in one run, and
+/// in 40 interleaved runs (a TPC-C district's orders each ascend, in
+/// front of the next district's keys). Each run leaves one or two partly
+/// filled leaves behind where its tail first split away from the next
+/// run's keys, so the runs are long: at 2 500 keys each the fill is 0.67.
+#[test]
+fn ascending_inserts_keep_index_leaves_packed() {
+    let t = index_tree(512);
+    for i in 0..100_000u64 {
+        t.index_insert(&i.to_be_bytes(), RowId(i)).unwrap();
+    }
+    let fill = index_leaf_fill(&t);
+    assert!(fill >= 0.9, "one ascending run fills {fill:.3} of the leaf slots");
+
+    let t = index_tree(1_024);
+    for seq in 0..10_000u64 {
+        for run in 0..40u32 {
+            let key = [&run.to_be_bytes()[..], &seq.to_be_bytes()].concat();
+            t.index_insert(&key, RowId(seq)).unwrap();
+        }
+    }
+    let fill = index_leaf_fill(&t);
+    assert!(fill >= 0.9, "40 interleaved runs fill {fill:.3} of the leaf slots");
+    let mut n = 0;
+    t.index_range(&[], &[0xff; 12], |_, _| {
+        n += 1;
+        true
+    })
+    .unwrap();
+    assert_eq!(n, 400_000);
+}
+
+/// `kv`'s index: 500 000 ascending 8-byte keys fit under one root.
+#[test]
+fn kv_shaped_index_has_height_two() {
+    let t = index_tree(1_024);
+    for i in 0..500_000u64 {
+        t.index_insert(&i.to_be_bytes(), RowId(i)).unwrap();
+    }
+    assert_eq!(t.height(), 2);
+    for i in (0..500_000u64).step_by(9_973) {
+        assert_eq!(t.index_get(&i.to_be_bytes()).unwrap(), Some(RowId(i)));
+    }
+}
+
+#[test]
+fn index_refuses_a_key_of_another_width() {
+    let t = index_tree(64);
+    for i in 0..2_000u64 {
+        t.index_insert(&i.to_be_bytes(), RowId(i)).unwrap();
+    }
+    for key in [&[1u8; 9][..], &[1u8; 7], &[]] {
+        match t.index_insert(key, RowId(0)) {
+            Err(PhoebeError::SchemaMismatch { .. }) => {}
+            other => panic!("a {}-byte key in an 8-byte tree: {other:?}", key.len()),
+        }
+    }
+    assert_eq!(t.index_get(&7u64.to_be_bytes()).unwrap(), Some(RowId(7)));
+}
+
 #[test]
 fn index_duplicate_key_is_rejected() {
     let t = index_tree(64);
@@ -339,14 +412,16 @@ fn settled<T>(mut op: impl FnMut() -> Result<T>) -> Result<T> {
     }
 }
 
-/// An index key in `prefix`'s key space; every seventh is longer than a
-/// `SmallKey`'s inline buffer, so cursors and fences spill to the heap.
+/// An index key in `prefix`'s key space, 35 bytes like every key of the
+/// tree: longer than a `SmallKey`'s inline buffer, so cursors and fences
+/// spill to the heap. Every key of a prefix has the same head (the prefix
+/// and seven zero bytes), so each search breaks its ties on the suffix;
+/// every seventh key carries non-zero bytes past `k`.
 fn model_key(prefix: u8, k: u32) -> Vec<u8> {
-    let mut key = vec![prefix];
+    let mut key = vec![prefix, 0, 0, 0, 0, 0, 0, 0];
     key.extend_from_slice(&k.to_be_bytes());
-    if k.is_multiple_of(7) {
-        key.extend_from_slice(&[b'x'; 30]);
-    }
+    let fill = if k.is_multiple_of(7) { b'x' } else { 0 };
+    key.extend_from_slice(&[fill; 23]);
     key
 }
 
@@ -702,8 +777,8 @@ fn restart_counter_matches_restart_latency_samples() {
 fn find_cold_child(t: &BTree, root_fid: FrameId) -> Option<(Swip, phoebe_common::ids::PageId)> {
     let g = t.pool.frame(root_fid).latch.read();
     let Page::Inner(n) = &*g else { panic!("root is not inner") };
-    (0..=n.count as usize).find_map(|i| {
-        let s = Swip::from_raw(n.children[i]);
+    (0..=n.len()).find_map(|i| {
+        let s = Swip::from_raw(n.child(i));
         match s.state() {
             SwipState::Cold(pid) => Some((s, pid)),
             _ => None,
@@ -762,8 +837,8 @@ fn stale_fault_install_is_rejected_after_page_cycle() {
         }
         let g = t.pool.frame(root_fid).latch.read();
         let Page::Inner(n) = &*g else { panic!("root is not inner") };
-        for i in 0..=n.count as usize {
-            if Swip::from_raw(n.children[i]).state() == SwipState::Cold(pid) {
+        for i in 0..=n.len() {
+            if Swip::from_raw(n.child(i)).state() == SwipState::Cold(pid) {
                 cycled = true;
                 break 'out;
             }
@@ -796,7 +871,7 @@ fn recycled_parent_frame_is_not_trusted_by_slot_revalidation() {
     let route_to = |pfid: FrameId, leaf: FrameId| {
         let mut g = t.pool.frame(pfid).latch.write();
         let mut inner = InnerNode::default();
-        inner.children[0] = Swip::hot(leaf).raw();
+        inner.set_child(0, Swip::hot(leaf).raw());
         *g = Page::Inner(inner);
     };
     let pfid = t.pool.allocate().unwrap();

@@ -651,7 +651,7 @@ impl BufferPool {
         let Some(slot) = pnode.find_child_slot(hot) else {
             return false;
         };
-        pnode.children[slot] = Swip::cooling(fid).raw();
+        pnode.set_child(slot, Swip::cooling(fid).raw());
         true
     }
 
@@ -659,9 +659,7 @@ impl BufferPool {
     /// children. Clamped: it runs on unvalidated racy reads.
     fn holds_child(page: &Page, raw: u64) -> bool {
         match page {
-            Page::Inner(n) => {
-                n.children[..=(n.count as usize).min(crate::node::FANOUT)].contains(&raw)
-            }
+            Page::Inner(n) => n.children().any(|c| c == raw),
             _ => false,
         }
     }
@@ -733,9 +731,9 @@ impl BufferPool {
             Page::Free => false,
             Page::TableLeaf(_) | Page::IndexLeaf(_) => true,
             // Clamped: `try_stage` runs this on an unvalidated racy read.
-            Page::Inner(n) => n.children[..=(n.count as usize).min(crate::node::FANOUT)]
-                .iter()
-                .all(|&c| matches!(Swip::from_raw(c).state(), SwipState::Cold(_))),
+            Page::Inner(n) => {
+                n.children().all(|c| matches!(Swip::from_raw(c).state(), SwipState::Cold(_)))
+            }
         }
     }
 
@@ -812,7 +810,7 @@ impl BufferPool {
         // after the write-back and loaded current bytes.
         self.fault_epochs[disk_raw as usize % self.fault_epochs.len()]
             .fetch_add(1, Ordering::Release);
-        pnode.children[slot] = Swip::cold(PageId(disk_raw)).raw();
+        pnode.set_child(slot, Swip::cold(PageId(disk_raw)).raw());
         drop(pguard);
         // Clear the frame and hand it back. The disk slot now belongs to
         // the cold swip, not to the frame.
@@ -827,9 +825,9 @@ impl BufferPool {
     /// Heat a cooling swip back to hot (second chance). The caller holds
     /// the parent exclusively and passes the child slot.
     pub fn heat_in_parent(pnode: &mut crate::node::InnerNode, slot: usize) {
-        let s = Swip::from_raw(pnode.children[slot]);
+        let s = Swip::from_raw(pnode.child(slot));
         if matches!(s.state(), SwipState::Cooling(_)) {
-            pnode.children[slot] = s.heated().raw();
+            pnode.set_child(slot, s.heated().raw());
         }
     }
 }
@@ -937,7 +935,7 @@ mod tests {
         {
             let mut pg = p.frame(parent).latch.write();
             let mut inner = InnerNode::default();
-            inner.children[0] = Swip::hot(leaf).raw();
+            inner.set_child(0, Swip::hot(leaf).raw());
             *pg = Page::Inner(inner);
         }
         p.frame(leaf).meta.parent.store(parent, Ordering::Relaxed);
@@ -949,7 +947,7 @@ mod tests {
         let cold = {
             let g = p.frame(parent).latch.read();
             let Page::Inner(n) = &*g else { panic!("parent gone") };
-            match Swip::from_raw(n.children[0]).state() {
+            match Swip::from_raw(n.child(0)).state() {
                 SwipState::Cold(pid) => pid,
                 s => panic!("expected cold swip, got {s:?}"),
             }
@@ -1001,7 +999,7 @@ mod tests {
             {
                 let mut pg = p.frame(parent).latch.write();
                 let mut inner = InnerNode::default();
-                inner.children[0] = Swip::hot(leaf).raw();
+                inner.set_child(0, Swip::hot(leaf).raw());
                 *pg = Page::Inner(inner);
             }
             p.frame(leaf).meta.parent.store(parent, Ordering::Relaxed);
@@ -1011,7 +1009,7 @@ mod tests {
         let cold_child = |parent: FrameId| {
             let g = p.frame(parent).latch.read();
             let Page::Inner(n) = &*g else { panic!("parent gone") };
-            match Swip::from_raw(n.children[0]).state() {
+            match Swip::from_raw(n.child(0)).state() {
                 SwipState::Cold(pid) => pid,
                 s => panic!("expected cold swip, got {s:?}"),
             }
@@ -1059,7 +1057,7 @@ mod tests {
             let leaf = p.allocate_in(part).unwrap();
             *p.frame(leaf).latch.write() = Page::TableLeaf(crate::pax::PaxLeaf::new());
             let mut inner = InnerNode::default();
-            inner.children[0] = Swip::hot(leaf).raw();
+            inner.set_child(0, Swip::hot(leaf).raw());
             *p.frame(parent).latch.write() = Page::Inner(inner);
             p.frame(leaf).meta.parent.store(parent, Ordering::Relaxed);
             p.frame(leaf).meta.dirty.store(true, Ordering::Relaxed);
@@ -1124,7 +1122,7 @@ mod tests {
         {
             let mut pg = p.frame(parent).latch.write();
             let mut inner = InnerNode::default();
-            inner.children[0] = Swip::hot(leaf).raw();
+            inner.set_child(0, Swip::hot(leaf).raw());
             *pg = Page::Inner(inner);
         }
         p.frame(leaf).meta.parent.store(parent, Ordering::Relaxed);
@@ -1150,11 +1148,14 @@ mod tests {
                 *p.frame(leaf).latch.write() = Page::TableLeaf(crate::pax::PaxLeaf::new());
                 p.frame(leaf).meta.parent.store(parent, Ordering::Relaxed);
                 p.frame(leaf).meta.dirty.store(true, Ordering::Relaxed);
-                inner.children[i] = Swip::hot(leaf).raw();
+                let raw = Swip::hot(leaf).raw();
+                match i {
+                    0 => inner.set_child(0, raw),
+                    _ => inner.insert_separator(i - 1, &(i as u64).to_be_bytes(), raw).unwrap(),
+                }
                 leaf
             })
             .collect();
-        inner.count = n as u16 - 1;
         *p.frame(parent).latch.write() = Page::Inner(inner);
         (parent, leaves)
     }
@@ -1162,7 +1163,7 @@ mod tests {
     fn child_state(p: &BufferPool, parent: FrameId, slot: usize) -> SwipState {
         let g = p.frame(parent).latch.read();
         let Page::Inner(n) = &*g else { panic!("parent gone") };
-        Swip::from_raw(n.children[slot]).state()
+        Swip::from_raw(n.child(slot)).state()
     }
 
     /// A log that is durable up to a horizon the test moves and counts
@@ -1346,7 +1347,7 @@ mod tests {
         {
             let mut pg = p.frame(parent).latch.write();
             let mut inner = InnerNode::default();
-            inner.children[0] = Swip::hot(leaf).raw();
+            inner.set_child(0, Swip::hot(leaf).raw());
             *pg = Page::Inner(inner);
         }
         p.frame(leaf).meta.parent.store(parent, Ordering::Relaxed);
@@ -1361,6 +1362,6 @@ mod tests {
         assert!(!p.evict_one(0).unwrap(), "heated page must not be evicted");
         let g = p.frame(parent).latch.read();
         let Page::Inner(n) = &*g else { unreachable!() };
-        assert_eq!(Swip::from_raw(n.children[0]).state(), SwipState::Hot(leaf));
+        assert_eq!(Swip::from_raw(n.child(0)).state(), SwipState::Hot(leaf));
     }
 }

@@ -10,44 +10,84 @@
 //!   `(key, row_id)` pairs (§5.1: "user-defined indexes ... storing
 //!   (key, row_id) pairs").
 //!
+//! Inner nodes and index leaves share one format, `KeyNode`: a small
+//! header (count, key width) and one inline area. Every key a tree stores
+//! has the same width — 8-byte row keys in a table tree, fixed-width
+//! column encodings (plus a row-id suffix when not unique) in an index —
+//! so the area is three dense arrays with a stride of the tree's own
+//! width: each key's head (its first 8 bytes as a big-endian `u64`), the
+//! row ids or child swips, and the key bytes past the head. A node holds
+//! [`capacity`]`(width)` keys.
+//!
 //! All node storage is fixed-size and inline — no `Vec`, no `Box` — so an
 //! optimistic reader that loses the version race reads stale plain bytes,
-//! never a dangling pointer (see the latch module's contract). Keys are
-//! byte strings compared lexicographically; callers encode typed keys
-//! order-preservingly (big-endian ints etc.).
-//!
-//! Inner and index nodes keep each key's head (`key_head`) beside its slot, and
-//! a search compares heads — one machine word each, in one dense array —
-//! and reads a key slot only when its head ties with the search key's.
-//! Heads live only in memory: a page image carries the keys, and decoding
-//! rebuilds the heads from them.
+//! never a dangling pointer (see the latch module's contract); every
+//! accessor clamps the count and width it read before it slices. Keys
+//! are byte strings compared lexicographically; callers encode typed
+//! keys order-preservingly (big-endian ints etc.).
 
 use crate::pax::PaxLeaf;
+use crate::smallkey::SmallKey;
 use phoebe_common::config::PAGE_SIZE;
 use phoebe_common::error::{PhoebeError, Result};
 use std::cmp::Ordering;
 
-/// Maximum key length storable inline in inner and index nodes.
-pub const MAX_KEY: usize = 56;
+/// Bytes in a key node's inline area: as many whole words as fit beside
+/// the header without making the node larger than a table leaf, which
+/// sizes every frame's `Page`.
+const AREA_BYTES: usize = (std::mem::size_of::<PaxLeaf>() - 8) / 8 * 8;
 
-/// Separator keys per inner node (fanout = FANOUT + 1 children).
-pub const FANOUT: usize = 200;
+/// The fewest keys a node of the widest key holds.
+const MIN_KEYS: usize = 32;
 
-/// Entries per index leaf: as many as fit beside their heads without
-/// making the leaf larger than a table leaf, so the frame does not grow.
-pub const INDEX_LEAF_CAP: usize = 212;
+/// The widest key a tree stores: the width at which a node still holds
+/// [`MIN_KEYS`] keys. `IndexDef::check` refuses wider index keys at DDL
+/// time; a node refuses them with [`WidthMismatch`].
+pub const KEY_CAP: usize = (AREA_BYTES - 8) / MIN_KEYS - 16 + 8;
+
+/// Keys a node of key width `width` (at most [`KEY_CAP`]) holds: each
+/// takes a head and a row id or swip (16 bytes) plus its bytes past the
+/// head; an inner node's extra child takes the last 8 bytes.
+pub const fn capacity(width: usize) -> usize {
+    (AREA_BYTES - 8) / (16 + width.saturating_sub(8))
+}
+
+/// [`capacity`] for every width, so a hop reads it instead of dividing.
+const CAPACITY: [u16; KEY_CAP + 1] = {
+    let mut caps = [0u16; KEY_CAP + 1];
+    let mut w = 0;
+    while w <= KEY_CAP {
+        caps[w] = capacity(w) as u16;
+        w += 1;
+    }
+    caps
+};
 
 // Every frame holds a `Page`, sized by its largest variant: a table leaf.
 const _: () = assert!(
-    std::mem::size_of::<IndexLeaf>() <= std::mem::size_of::<PaxLeaf>()
-        && std::mem::size_of::<InnerNode>() <= std::mem::size_of::<PaxLeaf>()
+    std::mem::size_of::<KeyNode>() <= std::mem::size_of::<PaxLeaf>()
+        && capacity(KEY_CAP) >= MIN_KEYS
+        && capacity(0) <= u16::MAX as usize
 );
+
+/// `last_insert` when no insert since the node was made, split or shrunk.
+const NO_INSERT: u16 = u16::MAX;
+
+/// A stored key whose width differs from its node's, or exceeds
+/// [`KEY_CAP`]. The tree reports it as a `SchemaMismatch`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WidthMismatch {
+    /// The node's key width.
+    pub width: usize,
+    /// The refused key's length.
+    pub got: usize,
+}
 
 /// A key's head: its first 8 bytes, zero-padded, as a big-endian integer.
 /// Where two keys' heads differ they order the keys exactly as the byte
 /// slices do — a key shorter than 8 bytes pads with the smallest byte, so
 /// it stays below every longer key it is a prefix of. Only equal heads
-/// leave the order to the slices.
+/// leave the order to the bytes past the head.
 #[inline]
 fn key_head(key: &[u8]) -> u64 {
     let mut head = [0u8; 8];
@@ -56,169 +96,145 @@ fn key_head(key: &[u8]) -> u64 {
     u64::from_be_bytes(head)
 }
 
-/// Order of two keys whose heads are equal. A key of at most 8 bytes is
-/// then a prefix of the other key (its padding matched the other's
-/// bytes), so the lengths decide; two longer keys share their first 8
-/// bytes and differ in the rest.
-#[inline]
-fn order_on_tie(stored: &[u8], key: &[u8]) -> Ordering {
-    if stored.len() <= 8 || key.len() <= 8 {
-        stored.len().cmp(&key.len())
-    } else {
-        stored[8..].cmp(&key[8..])
+/// Where a node's arrays sit in its area, from a clamped header.
+#[derive(Clone, Copy)]
+struct Layout {
+    /// Key width, at most [`KEY_CAP`].
+    width: usize,
+    /// Bytes per key past the head.
+    sfx: usize,
+    /// Keys the node holds; heads are words `[0, cap)`, values words
+    /// `[cap, 2 cap + 1)`, suffixes the bytes after those.
+    cap: usize,
+    /// Keys stored, at most `cap`.
+    n: usize,
+}
+
+impl Layout {
+    /// Byte offset of key `i`'s suffix.
+    #[inline]
+    fn suffix_at(&self, i: usize) -> usize {
+        (2 * self.cap + 1) * 8 + i * self.sfx
     }
 }
 
-/// An inner node: `count` separator keys and `count + 1` children.
-/// `children[i]` holds keys `k` with `keys[i-1] <= k < keys[i]`
-/// (with implicit sentinels at both ends).
-pub struct InnerNode {
-    pub count: u16,
-    pub key_lens: [u8; FANOUT],
-    pub keys: [[u8; MAX_KEY]; FANOUT],
-    /// `heads[i]` is `key_head(key(i))`.
-    heads: [u64; FANOUT],
-    /// Raw [`crate::swip::Swip`] encodings.
-    pub children: [u64; FANOUT + 1],
+/// A node's inline area: 8-aligned bytes, so the head and value words
+/// are aligned loads.
+#[repr(align(8))]
+struct Area([u8; AREA_BYTES]);
+
+/// The format inner nodes and index leaves share: `count` keys of
+/// `width` bytes each, in order, with one value each (a row id) or one
+/// more (child swips).
+pub(crate) struct KeyNode {
+    count: u16,
+    /// 0 until the first key is stored: a node takes the width of the
+    /// first key it stores, and a split hands its width to the sibling.
+    width: u16,
+    /// Position of the last insert into an index leaf (the split rule's
+    /// memory), or [`NO_INSERT`]. Written under the exclusive latch; not
+    /// part of the page image.
+    last_insert: u16,
+    area: Area,
 }
 
-impl Default for InnerNode {
-    fn default() -> Self {
-        InnerNode {
-            count: 0,
-            key_lens: [0; FANOUT],
-            keys: [[0; MAX_KEY]; FANOUT],
-            heads: [0; FANOUT],
-            children: [crate::swip::Swip::NULL.raw(); FANOUT + 1],
+impl KeyNode {
+    fn new(first_value: u64) -> Self {
+        let mut node =
+            KeyNode { count: 0, width: 0, last_insert: NO_INSERT, area: Area([0; AREA_BYTES]) };
+        node.set_value(0, first_value);
+        node
+    }
+
+    #[inline]
+    fn layout(&self) -> Layout {
+        let width = (self.width as usize).min(KEY_CAP);
+        let cap = CAPACITY[width] as usize;
+        Layout { width, sfx: width.saturating_sub(8), cap, n: (self.count as usize).min(cap) }
+    }
+
+    /// Word `i` of the area: a head below `cap`, a value from there.
+    #[inline]
+    fn word(&self, i: usize) -> u64 {
+        u64::from_ne_bytes(self.area.0[i * 8..i * 8 + 8].try_into().expect("8 bytes"))
+    }
+
+    fn set_word(&mut self, i: usize, v: u64) {
+        self.area.0[i * 8..i * 8 + 8].copy_from_slice(&v.to_ne_bytes());
+    }
+
+    /// Move words `range` to start at word `to`.
+    fn move_words(&mut self, range: std::ops::Range<usize>, to: usize) {
+        self.area.0.copy_within(range.start * 8..range.end * 8, to * 8);
+    }
+
+    fn len(&self) -> usize {
+        self.layout().n
+    }
+
+    fn width(&self) -> usize {
+        self.layout().width
+    }
+
+    fn is_full(&self) -> bool {
+        let l = self.layout();
+        l.n >= l.cap
+    }
+
+    /// Let `key` be stored here: an empty node of no width takes its
+    /// width; otherwise the widths must match.
+    fn admit(&mut self, key: &[u8]) -> std::result::Result<(), WidthMismatch> {
+        let refused = WidthMismatch { width: self.width as usize, got: key.len() };
+        if key.len() > KEY_CAP {
+            return Err(refused);
         }
-    }
-}
-
-impl InnerNode {
-    pub fn key(&self, i: usize) -> &[u8] {
-        &self.keys[i][..self.key_lens[i] as usize]
-    }
-
-    fn set_key(&mut self, i: usize, key: &[u8]) {
-        assert!(key.len() <= MAX_KEY, "key exceeds {MAX_KEY} bytes");
-        self.key_lens[i] = key.len() as u8;
-        self.keys[i][..key.len()].copy_from_slice(key);
-        self.heads[i] = key_head(key);
-    }
-
-    fn rebuild_heads(&mut self) {
-        for i in 0..self.count as usize {
-            self.heads[i] = key_head(self.key(i));
+        if self.width == 0 && self.count == 0 && !key.is_empty() {
+            // The values move with the capacity: keep the first child.
+            let first = self.value(0);
+            self.width = key.len() as u16;
+            self.set_value(0, first);
         }
-    }
-
-    pub fn is_full(&self) -> bool {
-        self.count as usize >= FANOUT
-    }
-
-    /// Child index to descend into for `key`: the first separator greater
-    /// than `key` bounds the subtree on the right.
-    pub fn child_index(&self, key: &[u8]) -> usize {
-        let h = key_head(key);
-        let (mut lo, mut hi) = (0usize, self.count as usize);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if self.heads[mid].cmp(&h).then_with(|| order_on_tie(self.key(mid), key))
-                == Ordering::Greater
-            {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        lo
-    }
-
-    /// Insert separator `key` at child position `pos` with `right` becoming
-    /// `children[pos + 1]` (the result of splitting `children[pos]`).
-    pub fn insert_separator(&mut self, pos: usize, key: &[u8], right: u64) {
-        let n = self.count as usize;
-        assert!(n < FANOUT, "insert into a full inner node");
-        assert!(pos <= n);
-        self.keys.copy_within(pos..n, pos + 1);
-        self.key_lens.copy_within(pos..n, pos + 1);
-        self.heads.copy_within(pos..n, pos + 1);
-        self.children.copy_within(pos + 1..n + 1, pos + 2);
-        self.set_key(pos, key);
-        self.children[pos + 1] = right;
-        self.count += 1;
-    }
-
-    /// Split in half: returns the new right sibling and the separator key
-    /// promoted to the parent (the median, which moves up and out).
-    pub fn split(&mut self) -> (InnerNode, Vec<u8>) {
-        let n = self.count as usize;
-        let mid = n / 2;
-        let sep = self.key(mid).to_vec();
-        let mut right = InnerNode::default();
-        let moved = n - mid - 1;
-        right.keys[..moved].copy_from_slice(&self.keys[mid + 1..n]);
-        right.key_lens[..moved].copy_from_slice(&self.key_lens[mid + 1..n]);
-        right.heads[..moved].copy_from_slice(&self.heads[mid + 1..n]);
-        right.children[..=moved].copy_from_slice(&self.children[mid + 1..=n]);
-        right.count = moved as u16;
-        self.count = mid as u16;
-        (right, sep)
-    }
-
-    /// Position of the child whose raw swip equals `raw`, if any (used by
-    /// eviction to find a victim's slot in its parent).
-    pub fn find_child_slot(&self, raw: u64) -> Option<usize> {
-        self.children[..=self.count as usize].iter().position(|&c| c == raw)
-    }
-}
-
-/// A secondary-index leaf: entries sorted by key. Keys are unique — the
-/// upper layer suffixes non-unique user keys with the row id.
-pub struct IndexLeaf {
-    pub count: u16,
-    pub key_lens: [u8; INDEX_LEAF_CAP],
-    pub keys: [[u8; MAX_KEY]; INDEX_LEAF_CAP],
-    /// `heads[i]` is `key_head(key(i))`.
-    heads: [u64; INDEX_LEAF_CAP],
-    pub row_ids: [u64; INDEX_LEAF_CAP],
-}
-
-impl Default for IndexLeaf {
-    fn default() -> Self {
-        IndexLeaf {
-            count: 0,
-            key_lens: [0; INDEX_LEAF_CAP],
-            keys: [[0; MAX_KEY]; INDEX_LEAF_CAP],
-            heads: [0; INDEX_LEAF_CAP],
-            row_ids: [0; INDEX_LEAF_CAP],
-        }
-    }
-}
-
-impl IndexLeaf {
-    pub fn key(&self, i: usize) -> &[u8] {
-        &self.keys[i][..self.key_lens[i] as usize]
-    }
-
-    pub fn is_full(&self) -> bool {
-        self.count as usize >= INDEX_LEAF_CAP
-    }
-
-    fn rebuild_heads(&mut self) {
-        for i in 0..self.count as usize {
-            self.heads[i] = key_head(self.key(i));
+        if self.width as usize == key.len() {
+            Ok(())
+        } else {
+            Err(refused)
         }
     }
 
-    /// `Ok(pos)` if `key(pos) == key`, else `Err(pos)` with `pos` the
-    /// first position whose key is greater.
+    /// Key `i` (below the count), head bytes then suffix, into `buf`.
+    fn key_into<'b>(&self, i: usize, buf: &'b mut [u8; KEY_CAP]) -> &'b [u8] {
+        let l = self.layout();
+        let h = l.width.min(8);
+        buf[..h].copy_from_slice(&self.word(i).to_be_bytes()[..h]);
+        let at = l.suffix_at(i);
+        buf[h..l.width].copy_from_slice(&self.area.0[at..at + l.sfx]);
+        &buf[..l.width]
+    }
+
+    fn key(&self, i: usize) -> SmallKey {
+        SmallKey::from_slice(self.key_into(i, &mut [0; KEY_CAP]))
+    }
+
+    /// `Ok(pos)` if key `pos` equals `key`, else `Err(pos)` with `pos`
+    /// the first position whose key is greater. Binary search on the
+    /// heads; a tie is broken on the stored suffix against `key`'s bytes
+    /// past 8, or — when either side has no bytes past 8 — on the lengths.
+    #[inline]
     fn search(&self, key: &[u8]) -> std::result::Result<usize, usize> {
+        let l = self.layout();
         let h = key_head(key);
-        let (mut lo, mut hi) = (0usize, self.count as usize);
+        let (mut lo, mut hi) = (0usize, l.n);
         while lo < hi {
             let mid = (lo + hi) / 2;
-            match self.heads[mid].cmp(&h).then_with(|| order_on_tie(self.key(mid), key)) {
+            let ord = self.word(mid).cmp(&h).then_with(|| {
+                if l.width <= 8 || key.len() <= 8 {
+                    l.width.cmp(&key.len())
+                } else {
+                    let at = l.suffix_at(mid);
+                    self.area.0[at..at + l.sfx].cmp(&key[8..])
+                }
+            });
+            match ord {
                 Ordering::Less => lo = mid + 1,
                 Ordering::Greater => hi = mid,
                 Ordering::Equal => return Ok(mid),
@@ -227,65 +243,281 @@ impl IndexLeaf {
         Err(lo)
     }
 
+    /// Value `i`: a row id, or child swip `i`.
+    #[inline]
+    fn value(&self, i: usize) -> u64 {
+        self.word(self.layout().cap + i)
+    }
+
+    /// Values `[0, n + extra)`, clamped.
+    fn values(&self, extra: usize) -> impl Iterator<Item = u64> + '_ {
+        let l = self.layout();
+        self.area.0[l.cap * 8..(l.cap + l.n + extra) * 8]
+            .chunks_exact(8)
+            .map(|w| u64::from_ne_bytes(w.try_into().expect("8 bytes")))
+    }
+
+    fn set_value(&mut self, i: usize, v: u64) {
+        self.set_word(self.layout().cap + i, v);
+    }
+
+    /// Insert `key` (of the node's width) at `pos`, with `value` at value
+    /// position `pos + extra`. The node must have room.
+    fn insert_at(&mut self, pos: usize, key: &[u8], value: u64, extra: usize) {
+        let l = self.layout();
+        let (n, cap, s) = (l.n, l.cap, l.sfx);
+        assert!(n < cap && pos <= n, "insert into a full node");
+        self.move_words(pos..n, pos + 1);
+        self.move_words(cap + pos + extra..cap + n + extra, cap + pos + extra + 1);
+        let at = l.suffix_at(pos);
+        self.area.0.copy_within(at..at + (n - pos) * s, at + s);
+        self.area.0[at..at + s].copy_from_slice(&key[key.len().min(8)..]);
+        self.set_word(pos, key_head(key));
+        self.set_word(cap + pos + extra, value);
+        self.count = n as u16 + 1;
+    }
+
+    /// Remove key `pos` and value `pos` (index leaves).
+    fn remove_at(&mut self, pos: usize) {
+        let l = self.layout();
+        let (n, cap, s) = (l.n, l.cap, l.sfx);
+        self.move_words(pos + 1..n, pos);
+        self.move_words(cap + pos + 1..cap + n, cap + pos);
+        let at = l.suffix_at(pos);
+        self.area.0.copy_within(at + s..at + (n - pos) * s, at);
+        self.count = n as u16 - 1;
+        self.last_insert = NO_INSERT;
+    }
+
+    /// Move keys `[from, n)` and values `[vfrom, vend)` into a new node
+    /// of the same width; this node keeps its first `keep` keys.
+    fn split_off(&mut self, from: usize, keep: usize, vfrom: usize, vend: usize) -> KeyNode {
+        let l = self.layout();
+        let mut right = KeyNode::new(0);
+        right.width = self.width;
+        let m = l.n - from;
+        let (src, dst) = (&self.area.0, &mut right.area.0);
+        dst[..m * 8].copy_from_slice(&src[from * 8..l.n * 8]);
+        let vals = (l.cap + vfrom) * 8..(l.cap + vend) * 8;
+        dst[l.cap * 8..l.cap * 8 + vals.len()].copy_from_slice(&src[vals]);
+        let (at, to) = (l.suffix_at(from), l.suffix_at(0));
+        dst[to..to + m * l.sfx].copy_from_slice(&src[at..at + m * l.sfx]);
+        right.count = m as u16;
+        self.count = keep as u16;
+        self.last_insert = NO_INSERT;
+        right
+    }
+
+    /// The page image: the header, then the used part of each array.
+    fn encode(&self, w: &mut Writer<'_>, extra: usize) {
+        let l = self.layout();
+        w.u16(l.n as u16);
+        w.u16(l.width as u16);
+        let b = &self.area.0;
+        w.bytes(&b[..l.n * 8]);
+        w.bytes(&b[l.cap * 8..(l.cap + l.n + extra) * 8]);
+        w.bytes(&b[l.suffix_at(0)..l.suffix_at(l.n)]);
+    }
+
+    fn decode(r: &mut Reader<'_>, extra: usize) -> Result<KeyNode> {
+        let (count, width) = (r.u16() as usize, r.u16() as usize);
+        if width > KEY_CAP || count > capacity(width) {
+            return Err(PhoebeError::corruption(format!(
+                "key node of {count} {width}-byte keys out of range"
+            )));
+        }
+        let mut node = KeyNode::new(0);
+        (node.count, node.width) = (count as u16, width as u16);
+        let l = node.layout();
+        let b = &mut node.area.0;
+        r.read(&mut b[..count * 8]);
+        r.read(&mut b[l.cap * 8..(l.cap + count + extra) * 8]);
+        r.read(&mut b[l.suffix_at(0)..l.suffix_at(count)]);
+        Ok(node)
+    }
+}
+
+/// An inner node: `len()` separator keys and one more child.
+/// `child(i)` holds keys `k` with `key(i-1) <= k < key(i)` (with implicit
+/// sentinels at both ends).
+pub struct InnerNode(KeyNode);
+
+impl Default for InnerNode {
+    fn default() -> Self {
+        InnerNode(KeyNode::new(crate::swip::Swip::NULL.raw()))
+    }
+}
+
+impl InnerNode {
+    /// Separator keys (children − 1).
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Width of every separator; 0 before the first.
+    pub fn width(&self) -> usize {
+        self.0.width()
+    }
+
+    /// Separator `i`, assembled from its head and suffix.
+    pub fn key(&self, i: usize) -> SmallKey {
+        self.0.key(i)
+    }
+
+    /// Raw [`crate::swip::Swip`] of child `i`.
+    #[inline]
+    pub fn child(&self, i: usize) -> u64 {
+        self.0.value(i)
+    }
+
+    pub fn set_child(&mut self, i: usize, raw: u64) {
+        self.0.set_value(i, raw)
+    }
+
+    /// Every child's raw swip, clamped to the area (racy reads call it).
+    pub fn children(&self) -> impl Iterator<Item = u64> + '_ {
+        self.0.values(1)
+    }
+
+    pub fn is_full(&self) -> bool {
+        self.0.is_full()
+    }
+
+    /// Child index to descend into for `key`: the first separator greater
+    /// than `key` bounds the subtree on the right.
+    #[inline]
+    pub fn child_index(&self, key: &[u8]) -> usize {
+        match self.0.search(key) {
+            Ok(pos) => pos + 1,
+            Err(pos) => pos,
+        }
+    }
+
+    /// Insert separator `key` at position `pos` with `right` becoming
+    /// child `pos + 1` (the result of splitting child `pos`).
+    pub fn insert_separator(
+        &mut self,
+        pos: usize,
+        key: &[u8],
+        right: u64,
+    ) -> std::result::Result<(), WidthMismatch> {
+        self.0.admit(key)?;
+        self.0.insert_at(pos, key, right, 1);
+        Ok(())
+    }
+
+    /// Split in half: returns the new right sibling and the separator key
+    /// promoted to the parent (the median, which moves up and out).
+    pub fn split(&mut self) -> (InnerNode, Vec<u8>) {
+        let n = self.len();
+        let mid = n / 2;
+        let sep = self.key(mid).to_vec();
+        (InnerNode(self.0.split_off(mid + 1, mid, mid + 1, n + 1)), sep)
+    }
+
+    /// Position of the child whose raw swip equals `raw`, if any (used by
+    /// eviction to find a victim's slot in its parent).
+    pub fn find_child_slot(&self, raw: u64) -> Option<usize> {
+        self.children().position(|c| c == raw)
+    }
+}
+
+/// A secondary-index leaf: entries sorted by key. Keys are unique — the
+/// upper layer suffixes non-unique user keys with the row id.
+#[derive(Default)]
+pub struct IndexLeaf(KeyNode);
+
+impl Default for KeyNode {
+    fn default() -> Self {
+        KeyNode::new(0)
+    }
+}
+
+impl IndexLeaf {
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Width of every key; 0 before the first.
+    pub fn width(&self) -> usize {
+        self.0.width()
+    }
+
+    pub fn is_full(&self) -> bool {
+        self.0.is_full()
+    }
+
+    /// Key `i`, assembled from its head and suffix.
+    pub fn key(&self, i: usize) -> SmallKey {
+        self.0.key(i)
+    }
+
+    /// Key `i` assembled into `buf`, for loops over many keys.
+    pub fn key_into<'b>(&self, i: usize, buf: &'b mut [u8; KEY_CAP]) -> &'b [u8] {
+        self.0.key_into(i, buf)
+    }
+
+    pub fn row_id(&self, i: usize) -> u64 {
+        self.0.value(i)
+    }
+
     /// First position with `key(pos) >= key`.
     pub fn lower_bound(&self, key: &[u8]) -> usize {
-        self.search(key).unwrap_or_else(|pos| pos)
+        self.0.search(key).unwrap_or_else(|pos| pos)
     }
 
     /// Exact-match lookup.
+    #[inline]
     pub fn get(&self, key: &[u8]) -> Option<u64> {
-        self.search(key).ok().map(|pos| self.row_ids[pos])
+        self.0.search(key).ok().map(|pos| self.0.value(pos))
     }
 
-    /// Insert `(key, row_id)`; returns false if the key already exists.
-    pub fn insert(&mut self, key: &[u8], row_id: u64) -> bool {
-        assert!(key.len() <= MAX_KEY, "key exceeds {MAX_KEY} bytes");
-        let n = self.count as usize;
-        assert!(n < INDEX_LEAF_CAP, "insert into a full index leaf");
-        let Err(pos) = self.search(key) else {
-            return false;
+    /// Insert `(key, row_id)`; `Ok(false)` if the key already exists. The
+    /// leaf must have room.
+    pub fn insert(&mut self, key: &[u8], row_id: u64) -> std::result::Result<bool, WidthMismatch> {
+        self.0.admit(key)?;
+        let Err(pos) = self.0.search(key) else {
+            return Ok(false);
         };
-        self.keys.copy_within(pos..n, pos + 1);
-        self.key_lens.copy_within(pos..n, pos + 1);
-        self.heads.copy_within(pos..n, pos + 1);
-        self.row_ids.copy_within(pos..n, pos + 1);
-        self.key_lens[pos] = key.len() as u8;
-        self.keys[pos] = [0; MAX_KEY];
-        self.keys[pos][..key.len()].copy_from_slice(key);
-        self.heads[pos] = key_head(key);
-        self.row_ids[pos] = row_id;
-        self.count += 1;
-        true
+        self.0.insert_at(pos, key, row_id, 0);
+        self.0.last_insert = pos as u16;
+        Ok(true)
     }
 
     /// Remove `key`; returns the row id it mapped to, if present.
     pub fn remove(&mut self, key: &[u8]) -> Option<u64> {
-        let n = self.count as usize;
-        let pos = self.search(key).ok()?;
-        let row = self.row_ids[pos];
-        self.keys.copy_within(pos + 1..n, pos);
-        self.key_lens.copy_within(pos + 1..n, pos);
-        self.heads.copy_within(pos + 1..n, pos);
-        self.row_ids.copy_within(pos + 1..n, pos);
-        self.count -= 1;
+        let pos = self.0.search(key).ok()?;
+        let row = self.0.value(pos);
+        self.0.remove_at(pos);
         Some(row)
     }
 
-    /// Split in half: returns the right sibling and the separator (the
-    /// right sibling's first key; it stays in the leaf — leaf separators
-    /// are copied up, not moved up).
-    pub fn split(&mut self) -> (IndexLeaf, Vec<u8>) {
-        let n = self.count as usize;
-        let mid = n / 2;
-        let mut right = IndexLeaf::default();
-        let moved = n - mid;
-        right.keys[..moved].copy_from_slice(&self.keys[mid..n]);
-        right.key_lens[..moved].copy_from_slice(&self.key_lens[mid..n]);
-        right.heads[..moved].copy_from_slice(&self.heads[mid..n]);
-        right.row_ids[..moved].copy_from_slice(&self.row_ids[mid..n]);
-        right.count = moved as u16;
-        self.count = mid as u16;
-        let sep = right.key(0).to_vec();
+    /// Split this full leaf to make room for `key`: returns the right
+    /// sibling and the separator, the right sibling's first key (leaf
+    /// separators are copied up, not moved up). `key` itself is not
+    /// inserted; it belongs right of the separator iff `key >= sep`.
+    ///
+    /// If `key` lands right after the last insert (`pos == last + 1`) in
+    /// the upper half, the inserts are running in ascending order: split
+    /// at `pos`, so the left leaf keeps `[0, pos)` and takes `key`, and
+    /// the right one gets `[pos, n)` — or, when `pos == n`, only `key`
+    /// (the separator is then `key`). Otherwise split in half.
+    pub fn split(&mut self, key: &[u8]) -> (IndexLeaf, Vec<u8>) {
+        let n = self.len();
+        let at = match self.0.search(key) {
+            Err(pos) if pos == self.0.last_insert as usize + 1 && pos > n / 2 => pos,
+            _ => n / 2,
+        };
+        let right = IndexLeaf(self.0.split_off(at, at, at, n));
+        let sep = if at == n { key.to_vec() } else { right.key(0).to_vec() };
         (right, sep)
     }
 }
@@ -315,7 +547,9 @@ impl Page {
         matches!(self, Page::Free)
     }
 
-    /// Serialize into an on-disk page image (Data Page File slot).
+    /// Serialize into an on-disk page image (Data Page File slot). Key
+    /// nodes write their words in native byte order: page images never
+    /// leave the machine that wrote them.
     pub fn encode(&self, out: &mut [u8]) {
         assert!(out.len() >= PAGE_SIZE);
         out[..PAGE_SIZE].fill(0);
@@ -324,14 +558,7 @@ impl Page {
             Page::Free => w.u8(0),
             Page::Inner(n) => {
                 w.u8(1);
-                w.u16(n.count);
-                w.bytes(&n.key_lens);
-                for k in &n.keys[..n.count as usize] {
-                    w.bytes(k);
-                }
-                for c in &n.children[..=n.count as usize] {
-                    w.u64(*c);
-                }
+                n.0.encode(&mut w, 1);
             }
             Page::TableLeaf(l) => {
                 w.u8(2);
@@ -343,14 +570,7 @@ impl Page {
             }
             Page::IndexLeaf(l) => {
                 w.u8(3);
-                w.u16(l.count);
-                w.bytes(&l.key_lens[..l.count as usize]);
-                for k in &l.keys[..l.count as usize] {
-                    w.bytes(k);
-                }
-                for r in &l.row_ids[..l.count as usize] {
-                    w.u64(*r);
-                }
+                l.0.encode(&mut w, 0);
             }
         }
     }
@@ -373,23 +593,7 @@ impl Page {
         let mut r = Reader { buf, at: 0 };
         match r.u8() {
             0 => *self = Page::Free,
-            1 => {
-                let count = r.u16();
-                if count as usize > FANOUT {
-                    return Err(PhoebeError::corruption("inner count out of range"));
-                }
-                *self = Page::Inner(InnerNode::default());
-                let Page::Inner(n) = self else { unreachable!() };
-                n.count = count;
-                r.read(&mut n.key_lens);
-                for k in &mut n.keys[..count as usize] {
-                    r.read(k);
-                }
-                for c in &mut n.children[..=count as usize] {
-                    *c = r.u64();
-                }
-                n.rebuild_heads();
-            }
+            1 => *self = Page::Inner(InnerNode(KeyNode::decode(&mut r, 1)?)),
             2 => {
                 *self = Page::TableLeaf(PaxLeaf::new());
                 let Page::TableLeaf(l) = self else { unreachable!() };
@@ -399,23 +603,7 @@ impl Page {
                 }
                 r.read(&mut l.data);
             }
-            3 => {
-                let count = r.u16();
-                if count as usize > INDEX_LEAF_CAP {
-                    return Err(PhoebeError::corruption("index leaf count out of range"));
-                }
-                *self = Page::IndexLeaf(IndexLeaf::default());
-                let Page::IndexLeaf(l) = self else { unreachable!() };
-                l.count = count;
-                r.read(&mut l.key_lens[..count as usize]);
-                for k in &mut l.keys[..count as usize] {
-                    r.read(k);
-                }
-                for id in &mut l.row_ids[..count as usize] {
-                    *id = r.u64();
-                }
-                l.rebuild_heads();
-            }
+            3 => *self = Page::IndexLeaf(IndexLeaf(KeyNode::decode(&mut r, 0)?)),
             t => return Err(PhoebeError::corruption(format!("unknown page kind {t}"))),
         }
         Ok(())
@@ -482,49 +670,55 @@ mod tests {
     #[test]
     fn inner_child_index_partitions_key_space() {
         let mut n = InnerNode::default();
-        n.children[0] = 100;
-        n.insert_separator(0, b"m", 200);
-        n.insert_separator(1, b"t", 300);
+        n.set_child(0, 100);
+        n.insert_separator(0, b"m", 200).unwrap();
+        n.insert_separator(1, b"t", 300).unwrap();
         assert_eq!(n.child_index(b"a"), 0);
         assert_eq!(n.child_index(b"m"), 1); // separator belongs right
         assert_eq!(n.child_index(b"p"), 1);
         assert_eq!(n.child_index(b"t"), 2);
         assert_eq!(n.child_index(b"z"), 2);
-        assert_eq!(n.children[..3], [100, 200, 300]);
+        assert_eq!(n.children().collect::<Vec<_>>(), [100, 200, 300]);
+        // Stored keys share one width; a search key may have any length.
+        assert_eq!(n.insert_separator(2, b"zz", 400), Err(WidthMismatch { width: 1, got: 2 }));
+        assert_eq!(n.child_index(b"ta"), 2);
+        assert_eq!(n.child_index(b""), 0);
     }
 
     #[test]
     fn inner_insert_separator_shifts_correctly() {
         let mut n = InnerNode::default();
-        n.children[0] = 1;
-        n.insert_separator(0, b"d", 2);
-        n.insert_separator(1, b"h", 3);
+        n.set_child(0, 1);
+        n.insert_separator(0, b"d", 2).unwrap();
+        n.insert_separator(1, b"h", 3).unwrap();
         // Now split child 1 ("d".."h") with separator "f".
-        n.insert_separator(1, b"f", 9);
-        assert_eq!(n.count, 3);
-        assert_eq!(n.key(0), b"d");
-        assert_eq!(n.key(1), b"f");
-        assert_eq!(n.key(2), b"h");
-        assert_eq!(n.children[..4], [1, 2, 9, 3]);
+        n.insert_separator(1, b"f", 9).unwrap();
+        assert_eq!(n.len(), 3);
+        assert_eq!(&*n.key(0), b"d");
+        assert_eq!(&*n.key(1), b"f");
+        assert_eq!(&*n.key(2), b"h");
+        assert_eq!(n.children().collect::<Vec<_>>(), [1, 2, 9, 3]);
     }
 
     #[test]
     fn inner_split_preserves_navigation() {
         let mut n = InnerNode::default();
-        n.children[0] = 0;
-        for i in 0..FANOUT {
+        n.set_child(0, 0);
+        let fanout = capacity(5);
+        for i in 0..fanout {
             let key = format!("{i:05}");
-            n.insert_separator(i, key.as_bytes(), (i + 1) as u64);
+            n.insert_separator(i, key.as_bytes(), (i + 1) as u64).unwrap();
         }
         assert!(n.is_full());
         let (right, sep) = n.split();
+        assert_eq!(right.width(), 5, "the sibling inherits the width");
         // Every original child must be reachable via the correct side.
-        for i in 0..FANOUT {
+        for i in 0..fanout {
             let key = format!("{i:05}");
             let child = if key.as_bytes() < sep.as_slice() {
-                n.children[n.child_index(key.as_bytes())]
+                n.child(n.child_index(key.as_bytes()))
             } else {
-                right.children[right.child_index(key.as_bytes())]
+                right.child(right.child_index(key.as_bytes()))
             };
             assert_eq!(child, (i + 1) as u64, "child for separator {key}");
         }
@@ -533,17 +727,19 @@ mod tests {
     #[test]
     fn index_leaf_insert_get_remove() {
         let mut l = IndexLeaf::default();
-        assert!(l.insert(b"bob", 2));
-        assert!(l.insert(b"alice", 1));
-        assert!(l.insert(b"carol", 3));
-        assert!(!l.insert(b"bob", 9), "duplicate must be rejected");
-        assert_eq!(l.get(b"alice"), Some(1));
+        assert_eq!(l.insert(b"bob", 2), Ok(true));
+        assert_eq!(l.insert(b"ali", 1), Ok(true));
+        assert_eq!(l.insert(b"car", 3), Ok(true));
+        assert_eq!(l.insert(b"bob", 9), Ok(false), "duplicate must be rejected");
+        assert_eq!(l.insert(b"alice", 4), Err(WidthMismatch { width: 3, got: 5 }));
+        assert_eq!(l.get(b"ali"), Some(1));
         assert_eq!(l.get(b"bob"), Some(2));
-        assert_eq!(l.get(b"dave"), None);
+        assert_eq!(l.get(b"dav"), None);
+        assert_eq!(l.get(b"alice"), None, "a search key of another width just misses");
         assert_eq!(l.remove(b"bob"), Some(2));
         assert_eq!(l.get(b"bob"), None);
         assert_eq!(l.remove(b"bob"), None);
-        assert_eq!(l.count, 2);
+        assert_eq!(l.len(), 2);
     }
 
     #[test]
@@ -552,23 +748,26 @@ mod tests {
         let mut keys: Vec<u64> = (0..200).map(|i| (i * 7919) % 1000).collect();
         keys.dedup();
         for &k in &keys {
-            l.insert(&k.to_be_bytes(), k);
+            l.insert(&k.to_be_bytes(), k).unwrap();
         }
-        for w in 0..l.count as usize - 1 {
-            assert!(l.key(w) < l.key(w + 1));
+        for w in 0..l.len() - 1 {
+            assert!(*l.key(w) < *l.key(w + 1));
         }
     }
 
     #[test]
     fn index_leaf_split_partitions_entries() {
+        // Shuffled inserts: the split falls in the middle.
+        let cap = capacity(8) as u64;
         let mut l = IndexLeaf::default();
-        for i in 0..INDEX_LEAF_CAP {
-            l.insert(&(i as u64).to_be_bytes(), i as u64);
+        for i in 0..cap {
+            let k = i * 7919 % cap;
+            l.insert(&k.to_be_bytes(), k).unwrap();
         }
         assert!(l.is_full());
-        let (right, sep) = l.split();
-        assert_eq!(l.count as usize + right.count as usize, INDEX_LEAF_CAP);
-        for i in 0..INDEX_LEAF_CAP as u64 {
+        let (right, sep) = l.split(&cap.to_be_bytes());
+        assert_eq!((l.len(), right.len()), (cap as usize / 2, cap as usize - cap as usize / 2));
+        for i in 0..cap {
             let key = i.to_be_bytes();
             let got = if key.as_slice() < sep.as_slice() { l.get(&key) } else { right.get(&key) };
             assert_eq!(got, Some(i));
@@ -576,10 +775,32 @@ mod tests {
     }
 
     #[test]
+    fn index_leaf_split_keeps_ascending_inserts_packed() {
+        // Ascending into the right edge: the left leaf keeps everything.
+        let cap = capacity(12);
+        let key = |i: usize| [&[0u8; 4][..], &(i as u64).to_be_bytes()].concat();
+        let mut l = IndexLeaf::default();
+        for i in 0..cap {
+            l.insert(&key(i * 2), i as u64).unwrap();
+        }
+        let (right, sep) = l.split(&key(cap * 2));
+        assert_eq!((l.len(), right.len(), sep), (cap, 0, key(cap * 2)));
+        // Ascending in front of higher keys (the next district's): the
+        // left leaf keeps what precedes the insert point and takes the key.
+        let mut l = IndexLeaf::default();
+        for i in (cap - 10..cap).chain(0..cap - 10) {
+            l.insert(&key(i * 2), i as u64).unwrap();
+        }
+        let (right, sep) = l.split(&key((cap - 10) * 2 - 1));
+        assert_eq!((l.len(), right.len(), sep), (cap - 10, 10, key((cap - 10) * 2)));
+        assert_eq!(l.insert(&key((cap - 10) * 2 - 1), 0), Ok(true));
+    }
+
+    #[test]
     fn find_child_slot_locates_swips() {
         let mut n = InnerNode::default();
-        n.children[0] = 11;
-        n.insert_separator(0, b"x", 22);
+        n.set_child(0, 11);
+        n.insert_separator(0, b"x", 22).unwrap();
         assert_eq!(n.find_child_slot(11), Some(0));
         assert_eq!(n.find_child_slot(22), Some(1));
         assert_eq!(n.find_child_slot(33), None);
@@ -588,11 +809,11 @@ mod tests {
     #[test]
     fn pages_roundtrip_through_disk_encoding() {
         let mut inner = InnerNode::default();
-        inner.children[0] = 5;
-        inner.insert_separator(0, b"hello", 6);
+        inner.set_child(0, 5);
+        inner.insert_separator(0, b"hello", 6).unwrap();
         let mut index = IndexLeaf::default();
-        index.insert(b"k1", 10);
-        index.insert(b"k2", 20);
+        index.insert(b"k1", 10).unwrap();
+        index.insert(b"k2", 20).unwrap();
         let schema = Schema::new(vec![("a", ColType::I64), ("s", ColType::Str(8))]);
         let layout = crate::pax::PaxLayout::for_schema(&schema);
         let mut leaf = PaxLeaf::new();
@@ -606,12 +827,12 @@ mod tests {
             assert_eq!(back.kind_name(), page.kind_name());
             match (&page, &back) {
                 (Page::Inner(a), Page::Inner(b)) => {
-                    assert_eq!(a.count, b.count);
+                    assert_eq!(a.len(), b.len());
                     assert_eq!(a.key(0), b.key(0));
-                    assert_eq!(a.children[..2], b.children[..2]);
+                    assert!(a.children().eq(b.children()));
                 }
                 (Page::IndexLeaf(a), Page::IndexLeaf(b)) => {
-                    assert_eq!(a.count, b.count);
+                    assert_eq!(a.len(), b.len());
                     assert_eq!(b.get(b"k1"), Some(10));
                     assert_eq!(b.get(b"k2"), Some(20));
                     assert_eq!(a.key(1), b.key(1));
@@ -633,9 +854,25 @@ mod tests {
         buf[0] = 99;
         assert!(Page::decode(&buf).is_err());
         assert!(Page::decode(&buf[..10]).is_err());
-        // Out-of-range counts are rejected, not trusted.
+        // Out-of-range counts and widths are rejected, not trusted.
         buf[0] = 1;
-        buf[1..3].copy_from_slice(&(FANOUT as u16 + 1).to_le_bytes());
+        buf[1..3].copy_from_slice(&(capacity(8) as u16 + 1).to_le_bytes());
+        buf[3..5].copy_from_slice(&8u16.to_le_bytes());
         assert!(Page::decode(&buf).is_err());
+        buf[1..3].copy_from_slice(&1u16.to_le_bytes());
+        buf[3..5].copy_from_slice(&(KEY_CAP as u16 + 1).to_le_bytes());
+        assert!(Page::decode(&buf).is_err());
+    }
+
+    #[test]
+    fn racy_headers_are_clamped_before_slicing() {
+        // What an optimistic reader can see mid-write: any count, any width.
+        let mut n = InnerNode::default();
+        for (count, width) in [(u16::MAX, 0), (u16::MAX, u16::MAX), (3, u16::MAX), (900, 400)] {
+            (n.0.count, n.0.width) = (count, width);
+            let _ = n.child_index(&[0xff; 40]);
+            let _ = n.children().any(|c| c == 7);
+            assert!(n.len() <= capacity(n.width()));
+        }
     }
 }

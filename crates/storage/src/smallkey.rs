@@ -1,7 +1,8 @@
 //! Inline small-key buffer for B-tree descents and range scans.
 //!
 //! Separator/fence keys are short — 8 bytes for table trees (big-endian
-//! row ids), at most `node::MAX_KEY` for index trees — but the descent
+//! row ids), the index's key width (at most `node::KEY_CAP`, in TPC-C at
+//! most 48) for index trees — but the descent
 //! used to copy each one into a fresh `Vec<u8>`, one heap allocation per
 //! inner hop per restart. [`SmallKey`] keeps keys up to [`INLINE_LEN`]
 //! bytes on the stack and only spills longer ones to the heap, so the

@@ -3,11 +3,13 @@
 //! disk encoding.
 
 use phoebe_common::ids::RowId;
-use phoebe_storage::node::{IndexLeaf, InnerNode, Page, FANOUT, INDEX_LEAF_CAP, MAX_KEY};
+use phoebe_storage::node::{capacity, IndexLeaf, InnerNode, Page, WidthMismatch, KEY_CAP};
 use phoebe_storage::pax::{PaxLayout, PaxLeaf};
 use phoebe_storage::schema::{ColType, Schema, Value};
 use phoebe_storage::tier::codec;
 use proptest::prelude::*;
+use rand::{rngs::StdRng, RngCore, SeedableRng};
+use std::collections::{BTreeMap, BTreeSet};
 
 fn arb_value(ty: ColType) -> BoxedStrategy<Value> {
     match ty {
@@ -39,19 +41,24 @@ fn arb_rows(max: usize) -> impl Strategy<Value = Vec<Vec<Value>>> {
     proptest::collection::vec(types.into_iter().map(arb_value).collect::<Vec<_>>(), 1..max)
 }
 
-fn random_key() -> impl Strategy<Value = Vec<u8>> {
-    proptest::collection::vec(any::<u8>(), 1..MAX_KEY)
-}
-
-/// Keys over {0x00, 0x01, 0xff}, 1 to 16 bytes long. Unlike random bytes
-/// they often tie on their first 8 bytes, and a short key zero-pads to the
-/// same head as every longer key that extends it with zeros.
-fn tie_heavy_key() -> impl Strategy<Value = Vec<u8>> {
-    proptest::collection::vec((0usize..3).prop_map(|i| [0x00, 0x01, 0xff][i]), 1..17)
+/// `count` distinct keys of exactly `width` bytes: random bytes, or
+/// (`ties`) bytes over {0x00, 0x01, 0xff}, which often share their first
+/// 8 bytes and so make the searches break ties past the head.
+fn keys_of_width(width: usize, count: usize, ties: bool, seed: u64) -> BTreeSet<Vec<u8>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut keys = BTreeSet::new();
+    for _ in 0..count * 4 {
+        if keys.len() == count {
+            break;
+        }
+        let byte = |r: u64| if ties { [0x00, 0x01, 0xff][(r % 3) as usize] } else { r as u8 };
+        keys.insert((0..width).map(|_| byte(rng.next_u64())).collect());
+    }
+    keys
 }
 
 /// The keys in an order that is neither sorted nor reverse-sorted.
-fn shuffled(keys: &std::collections::BTreeSet<Vec<u8>>) -> Vec<Vec<u8>> {
+fn shuffled(keys: &BTreeSet<Vec<u8>>) -> Vec<Vec<u8>> {
     let mut out: Vec<_> = keys.iter().cloned().collect();
     out.sort_by_key(|k| {
         k.iter()
@@ -60,16 +67,23 @@ fn shuffled(keys: &std::collections::BTreeSet<Vec<u8>>) -> Vec<Vec<u8>> {
     out
 }
 
-/// `lower_bound` and `get` agree with a linear scan of the key slices.
-fn leaf_matches_scan(leaf: &IndexLeaf, probes: &[Vec<u8>], step: &str) {
-    let keys: Vec<&[u8]> = (0..leaf.count as usize).map(|i| leaf.key(i)).collect();
-    for w in keys.windows(2) {
-        assert!(w[0] < w[1], "{step}: leaf out of order");
-    }
+/// The leaf holds exactly `model`, in order, and `lower_bound` and `get`
+/// agree with a linear scan of its keys.
+fn leaf_matches_scan(
+    leaf: &IndexLeaf,
+    model: &BTreeMap<Vec<u8>, u64>,
+    probes: &[Vec<u8>],
+    step: &str,
+) {
+    let keys: Vec<Vec<u8>> = (0..leaf.len()).map(|i| leaf.key(i).to_vec()).collect();
+    let held: Vec<(Vec<u8>, u64)> =
+        keys.iter().cloned().zip((0..leaf.len()).map(|i| leaf.row_id(i))).collect();
+    let want: Vec<(Vec<u8>, u64)> = model.iter().map(|(k, r)| (k.clone(), *r)).collect();
+    assert_eq!(held, want, "{step}: leaf content");
     for p in probes {
-        let lower = keys.iter().filter(|k| **k < p.as_slice()).count();
+        let lower = keys.iter().filter(|k| k.as_slice() < p.as_slice()).count();
         assert_eq!(leaf.lower_bound(p), lower, "{step}: lower_bound({p:?})");
-        let hit = keys.iter().position(|k| *k == p.as_slice()).map(|i| leaf.row_ids[i]);
+        let hit = keys.iter().position(|k| k == p).map(|i| leaf.row_id(i));
         assert_eq!(leaf.get(p), hit, "{step}: get({p:?})");
     }
 }
@@ -77,9 +91,12 @@ fn leaf_matches_scan(leaf: &IndexLeaf, probes: &[Vec<u8>], step: &str) {
 /// `child_index` agrees with a linear scan: the first separator greater
 /// than the key.
 fn inner_matches_scan(node: &InnerNode, probes: &[Vec<u8>], step: &str) {
-    let seps: Vec<&[u8]> = (0..node.count as usize).map(|i| node.key(i)).collect();
+    let seps: Vec<Vec<u8>> = (0..node.len()).map(|i| node.key(i).to_vec()).collect();
+    for w in seps.windows(2) {
+        assert!(w[0] < w[1], "{step}: separators out of order");
+    }
     for p in probes {
-        let child = seps.iter().filter(|s| **s <= p.as_slice()).count();
+        let child = seps.iter().filter(|s| s.as_slice() <= p.as_slice()).count();
         assert_eq!(node.child_index(p), child, "{step}: child_index({p:?})");
     }
 }
@@ -90,11 +107,19 @@ fn disk_roundtrip(page: Page) -> Page {
     Page::decode(&buf).unwrap()
 }
 
-/// Every stored key, plus each one cut short, zero-extended and bumped in
-/// its last byte: the probes that land between and beside stored keys.
-fn probes_for(keys: &std::collections::BTreeSet<Vec<u8>>) -> Vec<Vec<u8>> {
+fn leaf_roundtrip(leaf: IndexLeaf) -> IndexLeaf {
+    let Page::IndexLeaf(back) = disk_roundtrip(Page::IndexLeaf(leaf)) else {
+        panic!("kind changed")
+    };
+    back
+}
+
+/// About 40 stored keys, plus each one cut short, zero-extended and
+/// bumped in its last byte: the probes that land between and beside
+/// stored keys, with search keys of three lengths.
+fn probes_for(keys: &BTreeSet<Vec<u8>>) -> Vec<Vec<u8>> {
     let mut probes = vec![vec![], vec![0x00], vec![0xff; 16]];
-    for k in keys {
+    for k in keys.iter().step_by((keys.len() / 10).max(1)) {
         probes.push(k.clone());
         probes.push(k[..k.len() - 1].to_vec());
         probes.push([k.as_slice(), &[0]].concat());
@@ -105,49 +130,136 @@ fn probes_for(keys: &std::collections::BTreeSet<Vec<u8>>) -> Vec<Vec<u8>> {
     probes
 }
 
+/// `model` split at `sep`: the entries below it and the rest.
+fn split_model(
+    model: &BTreeMap<Vec<u8>, u64>,
+    sep: &[u8],
+) -> (BTreeMap<Vec<u8>, u64>, BTreeMap<Vec<u8>, u64>) {
+    let right = model.range(sep.to_vec()..).map(|(k, r)| (k.clone(), *r)).collect();
+    let left = model.range(..sep.to_vec()).map(|(k, r)| (k.clone(), *r)).collect();
+    (left, right)
+}
+
 /// Index leaf search against the oracle after each step that moves
-/// heads: inserts, removes, a split and a disk round trip.
-fn index_leaf_search_oracle(keys: &std::collections::BTreeSet<Vec<u8>>) {
+/// entries: shuffled inserts (up to a full leaf), removes, a split in
+/// half and a disk round trip of each half.
+fn index_leaf_search_oracle(keys: &BTreeSet<Vec<u8>>) {
+    let width = keys.first().expect("keys").len();
     let probes = probes_for(keys);
     let mut leaf = IndexLeaf::default();
+    let mut model = BTreeMap::new();
     for (i, k) in shuffled(keys).iter().enumerate() {
-        assert!(leaf.insert(k, i as u64), "fresh keys insert");
-        assert!(!leaf.insert(k, u64::MAX), "duplicates are refused");
+        assert_eq!(leaf.insert(k, i as u64), Ok(true), "fresh keys insert");
+        assert_eq!(leaf.insert(k, u64::MAX), Ok(false), "duplicates are refused");
+        model.insert(k.clone(), i as u64);
     }
-    leaf_matches_scan(&leaf, &probes, "insert");
+    assert_eq!(leaf.is_full(), keys.len() == capacity(width));
+    let wider = vec![0; width + 1];
+    assert_eq!(leaf.insert(&wider, 0), Err(WidthMismatch { width, got: width + 1 }));
+    leaf_matches_scan(&leaf, &model, &probes, "insert");
     for k in keys.iter().step_by(3) {
-        assert!(leaf.remove(k).is_some());
+        assert_eq!(leaf.remove(k), model.remove(k));
         assert_eq!(leaf.remove(k), None);
     }
-    leaf_matches_scan(&leaf, &probes, "remove");
-    if leaf.count >= 2 {
-        let (right, _) = leaf.split();
-        leaf_matches_scan(&leaf, &probes, "split (left)");
-        leaf_matches_scan(&right, &probes, "split (right)");
+    leaf_matches_scan(&leaf, &model, &probes, "remove");
+    // The last change was a remove, so the split is in half.
+    let n = leaf.len();
+    let (right, sep) = leaf.split(keys.last().expect("keys"));
+    assert_eq!((leaf.len(), right.len(), right.width()), (n / 2, n - n / 2, width));
+    let (lm, rm) = split_model(&model, &sep);
+    leaf_matches_scan(&leaf_roundtrip(leaf), &lm, &probes, "split (left) + decode");
+    leaf_matches_scan(&leaf_roundtrip(right), &rm, &probes, "split (right) + decode");
+}
+
+/// The split rule for ascending inserts, on sorted keys `k[0..m]`:
+/// past the last key the left leaf keeps everything; in front of higher
+/// keys it keeps what precedes the insert point and takes the key; in
+/// the lower half it splits in half.
+fn ascending_split_oracle(keys: &BTreeSet<Vec<u8>>) {
+    let k: Vec<Vec<u8>> = keys.iter().cloned().collect();
+    let m = k.len();
+    if m < 4 {
+        return;
     }
-    let Page::IndexLeaf(back) = disk_roundtrip(Page::IndexLeaf(leaf)) else {
-        panic!("kind changed")
+    let probes = probes_for(keys);
+    let fill = |order: &[usize]| {
+        let mut leaf = IndexLeaf::default();
+        let mut model = BTreeMap::new();
+        for &i in order {
+            assert_eq!(leaf.insert(&k[i], i as u64), Ok(true));
+            model.insert(k[i].clone(), i as u64);
+        }
+        (leaf, model)
     };
-    leaf_matches_scan(&back, &probes, "decode");
+    // Past the last key: the new key alone goes right.
+    let (mut left, mut model) = fill(&(0..m - 1).collect::<Vec<_>>());
+    let (mut right, sep) = left.split(&k[m - 1]);
+    assert_eq!((left.len(), right.len(), &sep), (m - 1, 0, &k[m - 1]), "split past the end");
+    assert_eq!(right.insert(&k[m - 1], 0), Ok(true));
+    leaf_matches_scan(&leaf_roundtrip(left), &model, &probes, "past the end (left)");
+    model.clear();
+    model.insert(k[m - 1].clone(), 0);
+    leaf_matches_scan(&leaf_roundtrip(right), &model, &probes, "past the end (right)");
+    // In front of higher keys, upper half: split at the insert point.
+    let j = (3 * m / 4).min(m - 2);
+    let (mut left, mut model) = fill(&(j + 1..m).chain(0..j).collect::<Vec<_>>());
+    let (right, sep) = left.split(&k[j]);
+    assert_eq!((left.len(), right.len(), &sep), (j, m - j - 1, &k[j + 1]), "split at the insert");
+    assert_eq!(left.insert(&k[j], j as u64), Ok(true));
+    model.insert(k[j].clone(), j as u64);
+    let (lm, rm) = split_model(&model, &sep);
+    leaf_matches_scan(&leaf_roundtrip(left), &lm, &probes, "insert point (left)");
+    leaf_matches_scan(&leaf_roundtrip(right), &rm, &probes, "insert point (right)");
+    // Right after the last insert but in the lower half: in half.
+    let (mut left, _) = fill(&(2..m).chain(0..1).collect::<Vec<_>>());
+    let (right, _) = left.split(&k[1]);
+    assert_eq!((left.len(), right.len()), ((m - 1) / 2, m - 1 - (m - 1) / 2), "lower half");
 }
 
 /// Inner node routing against the oracle after separator inserts, a
 /// split and a disk round trip.
-fn inner_search_oracle(keys: &std::collections::BTreeSet<Vec<u8>>) {
+fn inner_search_oracle(keys: &BTreeSet<Vec<u8>>) {
+    let width = keys.first().expect("keys").len();
     let probes = probes_for(keys);
     let mut node = InnerNode::default();
     for k in shuffled(keys) {
-        let pos = (0..node.count as usize).filter(|&i| node.key(i) < k.as_slice()).count();
-        node.insert_separator(pos, &k, 0);
+        let pos = (0..node.len()).filter(|&i| *node.key(i) < *k).count();
+        node.insert_separator(pos, &k, 0).unwrap();
     }
+    assert_eq!(node.is_full(), keys.len() == capacity(width));
+    let wider = vec![0; width + 1];
+    assert_eq!(node.insert_separator(0, &wider, 0), Err(WidthMismatch { width, got: width + 1 }));
     inner_matches_scan(&node, &probes, "insert_separator");
-    if node.count >= 2 {
+    if node.len() >= 2 {
         let (right, _) = node.split();
         inner_matches_scan(&node, &probes, "split (left)");
         inner_matches_scan(&right, &probes, "split (right)");
     }
     let Page::Inner(back) = disk_roundtrip(Page::Inner(node)) else { panic!("kind changed") };
     inner_matches_scan(&back, &probes, "decode");
+}
+
+/// Every key width from 1 to the cap, random and tie-heavy keys, as many
+/// as a node holds.
+fn every_width(mut check: impl FnMut(&BTreeSet<Vec<u8>>)) {
+    for width in 1..=KEY_CAP {
+        for ties in [false, true] {
+            check(&keys_of_width(width, capacity(width), ties, width as u64));
+        }
+    }
+}
+
+#[test]
+fn index_leaf_stays_sorted_and_total() {
+    every_width(|keys| {
+        index_leaf_search_oracle(keys);
+        ascending_split_oracle(keys);
+    });
+}
+
+#[test]
+fn inner_child_index_matches_a_linear_scan() {
+    every_width(inner_search_oracle);
 }
 
 proptest! {
@@ -189,53 +301,6 @@ proptest! {
                 prop_assert!(ids2.len() <= ids.len());
             }
         }
-    }
-
-    #[test]
-    fn index_leaf_stays_sorted_and_total(
-        keys in proptest::collection::btree_set(random_key(), 1..INDEX_LEAF_CAP),
-        ties in proptest::collection::btree_set(tie_heavy_key(), 1..INDEX_LEAF_CAP),
-    ) {
-        index_leaf_search_oracle(&keys);
-        index_leaf_search_oracle(&ties);
-        let mut leaf = IndexLeaf::default();
-        for (i, k) in keys.iter().enumerate() {
-            prop_assert!(leaf.insert(k, i as u64), "fresh keys insert");
-        }
-        for w in 1..leaf.count as usize {
-            prop_assert!(leaf.key(w - 1) < leaf.key(w));
-        }
-        // Splits partition without loss.
-        let (right, sep) = {
-            let mut l2 = IndexLeaf::default();
-            for (i, k) in keys.iter().enumerate() {
-                l2.insert(k, i as u64);
-            }
-            l2.split()
-        };
-        let mut left_only = IndexLeaf::default();
-        for (i, k) in keys.iter().enumerate() {
-            left_only.insert(k, i as u64);
-        }
-        let (right2, _) = left_only.split();
-        let _ = right2;
-        for (i, k) in keys.iter().enumerate() {
-            let hit = if k.as_slice() < sep.as_slice() {
-                left_only.get(k)
-            } else {
-                right.get(k)
-            };
-            prop_assert_eq!(hit, Some(i as u64), "key {:?} sep {:?}", k, sep);
-        }
-    }
-
-    #[test]
-    fn inner_child_index_matches_a_linear_scan(
-        keys in proptest::collection::btree_set(random_key(), 1..FANOUT),
-        ties in proptest::collection::btree_set(tie_heavy_key(), 1..FANOUT),
-    ) {
-        inner_search_oracle(&keys);
-        inner_search_oracle(&ties);
     }
 
     #[test]

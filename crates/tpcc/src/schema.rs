@@ -348,7 +348,7 @@ mod tests {
 
     #[test]
     fn index_keys_fit_inline_limit() {
-        use phoebe_storage::node::MAX_KEY;
+        use phoebe_storage::node::KEY_CAP;
         for idx in INDEXES {
             let schema = idx.table().schema();
             let mut width = 0usize;
@@ -364,7 +364,7 @@ mod tests {
             if !idx.unique() {
                 width += 8; // row-id suffix
             }
-            assert!(width <= MAX_KEY, "{:?} key width {} too large", idx, width);
+            assert!(width <= KEY_CAP, "{:?} key width {} too large", idx, width);
         }
     }
 
