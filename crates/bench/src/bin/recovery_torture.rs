@@ -13,6 +13,10 @@
 //!    accounts and appends its ledger row; some deliberately abort).
 //!    When the simulated disk dies, pending unsynced writes are dropped
 //!    or torn and every later I/O fails; committers surface `WalHalted`.
+//!    Every fourth seed instead logs padded transfers, one round each,
+//!    from one thread, and crashes around the first refill of the log's
+//!    preallocated zero tail (about 0.5-0.7 MiB into the log), before
+//!    its concurrent workers start.
 //! 4. Reopen the same directory with `Database::open` — recovery is
 //!    automatic — and check the oracle invariants:
 //!      * every transfer whose commit was acknowledged is in the ledger
@@ -56,6 +60,13 @@ fn ledger_schema() -> Schema {
     ])
 }
 
+/// Bytes of one padding row's string.
+const PAD_BYTES: u16 = 1000;
+
+fn pad_schema() -> Schema {
+    Schema::new(vec![("id", ColType::I64), ("fill", ColType::Str(PAD_BYTES))])
+}
+
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Transfer {
     src: u64,
@@ -75,6 +86,50 @@ struct Oracle {
     aborted: Mutex<HashSet<i64>>,
 }
 
+/// One transfer between two random accounts, with its ledger row and,
+/// given a `pad` table, 8 rows of 1 KiB padding; one in ten is rolled
+/// back on purpose. The oracle learns of it as it goes.
+fn transfer(
+    db: &Arc<Database>,
+    accounts: &Arc<TableEntry>,
+    ledger: &Arc<TableEntry>,
+    pad: Option<&Arc<TableEntry>>,
+    oracle: &Oracle,
+    rng: &mut StdRng,
+    op_id: i64,
+) -> Result<()> {
+    let src = rng.random_range(1..=ACCOUNTS);
+    let mut dst = rng.random_range(1..=ACCOUNTS);
+    while dst == src {
+        dst = rng.random_range(1..=ACCOUNTS);
+    }
+    let amt = rng.random_range(1..=50i64);
+    let abort_this = rng.random_bool(0.1);
+    let mut tx = db.begin(IsolationLevel::ReadCommitted);
+    block_on(
+        tx.update_rmw(accounts, RowId(src), &|cur| vec![(1, Value::I64(cur[1].as_i64() - amt))]),
+    )?;
+    block_on(
+        tx.update_rmw(accounts, RowId(dst), &|cur| vec![(1, Value::I64(cur[1].as_i64() + amt))]),
+    )?;
+    block_on(tx.insert(ledger, row![op_id, src as i64, dst as i64, amt]))?;
+    if let Some(pad) = pad {
+        for i in 0..8 {
+            let fill = Value::Str("p".repeat(PAD_BYTES as usize));
+            block_on(tx.insert(pad, vec![Value::I64(op_id * 8 + i), fill]))?;
+        }
+    }
+    if abort_this {
+        tx.abort();
+        oracle.aborted.lock().unwrap().insert(op_id);
+        return Ok(());
+    }
+    oracle.attempted.lock().unwrap().insert(op_id, Transfer { src, dst, amt });
+    block_on(tx.commit())?;
+    oracle.acked.lock().unwrap().insert(op_id, Transfer { src, dst, amt });
+    Ok(())
+}
+
 fn run_seed(seed: u64) -> Result<String> {
     let dir = std::env::temp_dir().join(format!("phoebe-torture-{}-{seed}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -91,6 +146,7 @@ fn run_seed(seed: u64) -> Result<String> {
     let db = Database::open(cfg)?;
     let accounts = db.create_table("accounts", accounts_schema())?;
     let ledger = db.create_table("ledger", ledger_schema())?;
+    let pad = db.create_table("pad", pad_schema())?;
     {
         let mut tx = db.begin(IsolationLevel::ReadCommitted);
         for a in 1..=ACCOUNTS {
@@ -101,11 +157,36 @@ fn run_seed(seed: u64) -> Result<String> {
 
     let sim = Arc::clone(db.fault_sim().expect("opened with fault injection"));
     let mut seed_rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    // Let the workload get going, then kill the disk mid-flight.
-    sim.arm_crash_after_writes(seed_rng.random_range(20..400u64));
-
     let oracle = Arc::new(Oracle::default());
     let next_op = Arc::new(AtomicU64::new(1));
+    if seed.is_multiple_of(4) {
+        // A fresh segment's preallocated zero tail is first refilled
+        // between rounds once its log passes 512 KiB (one write and a
+        // sync). Every fourth seed logs small committed rounds (a
+        // transfer and 8 KiB of padding each) from one thread and arms
+        // the crash when the log passes 480 KiB, so it lands in the
+        // rounds before that refill, inside it, or in the rounds just
+        // after it, at about 0.5-0.7 MiB. These seeds run no concurrent
+        // workload: their workers start on a dead disk. The 1.5 MiB
+        // bound only stops the loop should the crash never fire.
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_F111);
+        let mut armed = false;
+        while db.wal.total_bytes_flushed() < 3 << 19 {
+            if !armed && db.wal.total_bytes_flushed() >= 480 << 10 {
+                sim.arm_crash_after_writes(seed_rng.random_range(1..24u64));
+                armed = true;
+            }
+            let op_id = next_op.fetch_add(1, Ordering::Relaxed) as i64;
+            match transfer(&db, &accounts, &ledger, Some(&pad), &oracle, &mut rng, op_id) {
+                Ok(()) => {}
+                Err(e) if e.is_retryable() => {}
+                Err(_) => break,
+            }
+        }
+    } else {
+        // Let the workload get going, then kill the disk mid-flight.
+        sim.arm_crash_after_writes(seed_rng.random_range(20..400u64));
+    }
     let workers: Vec<_> = (0..WORKER_THREADS)
         .map(|w| {
             let db = Arc::clone(&db);
@@ -120,37 +201,8 @@ fn run_seed(seed: u64) -> Result<String> {
                     if op_id > 100_000 {
                         return; // safety net; the crash should hit long before
                     }
-                    let src = rng.random_range(1..=ACCOUNTS);
-                    let mut dst = rng.random_range(1..=ACCOUNTS);
-                    while dst == src {
-                        dst = rng.random_range(1..=ACCOUNTS);
-                    }
-                    let amt = rng.random_range(1..=50i64);
-                    let abort_this = rng.random_bool(0.1);
-                    let outcome: Result<bool> = (|| {
-                        let mut tx = db.begin(IsolationLevel::ReadCommitted);
-                        block_on(tx.update_rmw(&accounts, RowId(src), &|cur| {
-                            vec![(1, Value::I64(cur[1].as_i64() - amt))]
-                        }))?;
-                        block_on(tx.update_rmw(&accounts, RowId(dst), &|cur| {
-                            vec![(1, Value::I64(cur[1].as_i64() + amt))]
-                        }))?;
-                        block_on(tx.insert(&ledger, row![op_id, src as i64, dst as i64, amt]))?;
-                        if abort_this {
-                            tx.abort();
-                            return Ok(false);
-                        }
-                        oracle.attempted.lock().unwrap().insert(op_id, Transfer { src, dst, amt });
-                        block_on(tx.commit())?;
-                        Ok(true)
-                    })();
-                    match outcome {
-                        Ok(true) => {
-                            oracle.acked.lock().unwrap().insert(op_id, Transfer { src, dst, amt });
-                        }
-                        Ok(false) => {
-                            oracle.aborted.lock().unwrap().insert(op_id);
-                        }
+                    match transfer(&db, &accounts, &ledger, None, &oracle, &mut rng, op_id) {
+                        Ok(()) => {}
                         Err(e) if e.is_retryable() => continue,
                         // WalHalted / Io: the disk is dead; stop working.
                         Err(_) => return,

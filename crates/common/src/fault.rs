@@ -10,6 +10,8 @@
 //!   device buffer of a real machine) and is visible to reads;
 //! * `sync_data` is the only durability barrier: it moves the cached
 //!   writes onto the backing file and fsyncs it;
+//! * `set_len` carries the cached writes over too, then cuts the backing
+//!   file: a crash after it keeps the cut;
 //! * [`SimFs::crash`] freezes the disk at its last durable state plus a
 //!   *seeded-random* subset of the volatile writes — some dropped (write
 //!   reordering that only an fsync barrier forbids), some torn to a
@@ -66,6 +68,8 @@ pub trait FaultFile: Send + Sync {
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<usize>;
     /// Durability barrier for everything previously written to this file.
     fn sync_data(&self) -> io::Result<()>;
+    /// Cut (or extend with zeroes) the file to `len` bytes.
+    fn set_len(&self, len: u64) -> io::Result<()>;
 
     /// Loop `write_at` until every byte is accepted.
     fn write_all_at(&self, mut offset: u64, mut data: &[u8]) -> io::Result<()> {
@@ -120,6 +124,9 @@ impl FaultFile for OsFile {
     }
     fn sync_data(&self) -> io::Result<()> {
         self.0.sync_data()
+    }
+    fn set_len(&self, len: u64) -> io::Result<()> {
+        self.0.set_len(len)
     }
 }
 
@@ -360,6 +367,21 @@ impl FaultFile for SimFile {
         self.shared.syncs.fetch_add(1, Ordering::SeqCst);
         Ok(())
     }
+
+    /// Carries the pending writes over onto the durable layer, then cuts
+    /// it: a crash afterwards keeps exactly the first `len` bytes as they
+    /// read before the call.
+    fn set_len(&self, len: u64) -> io::Result<()> {
+        let mut st = self.state.lock().unwrap();
+        // Under the state lock for the same reason as `sync_data`.
+        if self.shared.crashed.load(Ordering::SeqCst) {
+            return Err(eio("set_len after crash"));
+        }
+        for w in st.pending.drain(..) {
+            self.durable.write_all_at(&w.data, w.offset)?;
+        }
+        self.durable.set_len(len)
+    }
 }
 
 #[cfg(test)]
@@ -467,6 +489,24 @@ mod tests {
             }
         }
         assert!(failed && fs.crashed(), "the armed crash point must fire");
+    }
+
+    #[test]
+    fn set_len_carries_pending_writes_over_and_cuts_the_durable_layer() {
+        let path = dir().join("cut.bin");
+        let fs = SimFs::new(FaultConfig::crash_only(5));
+        let f = fs.create(&path).unwrap();
+        f.write_all_at(0, b"durable!").unwrap();
+        f.sync_data().unwrap();
+        f.write_all_at(8, b"volatile").unwrap();
+        f.set_len(12).unwrap();
+        let mut buf = [0u8; 16];
+        assert_eq!(f.read_at(0, &mut buf).unwrap(), 12, "reads end at the cut");
+        assert_eq!(&buf[..12], b"durable!vola");
+        // Every seed's crash must keep the cut image: nothing is pending.
+        fs.crash();
+        assert!(f.set_len(0).is_err(), "set_len fails after crash");
+        assert_eq!(std::fs::read(&path).unwrap(), b"durable!vola");
     }
 
     #[test]

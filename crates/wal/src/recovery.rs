@@ -28,11 +28,17 @@
 //!
 //! A segment without a leading marker, written before markers existed,
 //! keeps its whole CRC-valid prefix.
+//!
+//! A segment the writer preallocated ends in zeroes no round reached (a
+//! crash leaves them; a clean shutdown cuts them off). The first zero
+//! length is the end of the log, so the zeroes are neither read into
+//! memory nor counted as a torn tail.
 
 use crate::record::{RecordBody, WalRecord};
 use phoebe_common::error::Result;
 use phoebe_common::ids::{Timestamp, Xid};
 use std::collections::HashMap;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 /// One committed transaction reassembled from the logs.
@@ -57,7 +63,8 @@ pub struct WalScanStats {
     pub records: u64,
     /// Bytes past the last record kept, summed across files (torn or
     /// partial trailing writes the crash left behind, and a marked
-    /// segment's records after its last marker).
+    /// segment's records after its last marker), up to the last non-zero
+    /// byte or CRC-valid record: a preallocated zero tail is not counted.
     pub tail_bytes_discarded: u64,
     /// Highest GSN on any CRC-valid record, committed, cut or not.
     pub max_gsn: u64,
@@ -81,12 +88,31 @@ pub fn read_wal_file(path: &Path) -> Result<Vec<WalRecord>> {
 
 /// [`read_wal_file`], accumulating scan volume into `stats`.
 pub fn read_wal_file_stats(path: &Path, stats: &mut WalScanStats) -> Result<Vec<WalRecord>> {
-    let buf = std::fs::read(path)?;
+    let file = std::fs::File::open(path)?;
+    let len = file.metadata()?.len();
+    let written = written_len(&file)? as usize;
+    let mut buf = vec![0; written];
+    file.read_exact_at(&mut buf, 0)?;
     let mut out = Vec::new();
     let mut at = 0;
     // (records, bytes) up to and including the last round marker.
     let mut whole_rounds = (0, 0);
-    while let Some((rec, next)) = WalRecord::decode_at(&buf, at)? {
+    loop {
+        let Some((rec, next)) = WalRecord::decode_at(&buf, at)? else {
+            // A record can end in zero bytes, which the scan for the last
+            // non-zero byte left out: its length says how many. (Every
+            // record's header is in `buf`: the xid's flag bit is non-zero.)
+            let frame = buf
+                .get(at..at + 4)
+                .map(|h| at + 8 + u32::from_le_bytes(h.try_into().expect("4")) as usize);
+            match frame {
+                Some(end) if end > buf.len() && end as u64 <= len => {
+                    buf.resize(end, 0);
+                    continue;
+                }
+                _ => break,
+            }
+        };
         stats.max_gsn = stats.max_gsn.max(rec.gsn.raw());
         stats.max_start_ts = stats.max_start_ts.max(rec.xid.start_ts());
         let marker = rec.body == RecordBody::RoundEnd;
@@ -96,6 +122,7 @@ pub fn read_wal_file_stats(path: &Path, stats: &mut WalScanStats) -> Result<Vec<
             whole_rounds = (out.len(), at);
         }
     }
+    let valid = at;
     if out.first().is_some_and(|r| r.body == RecordBody::RoundEnd) {
         out.truncate(whole_rounds.0);
         at = whole_rounds.1;
@@ -111,8 +138,25 @@ pub fn read_wal_file_stats(path: &Path, stats: &mut WalScanStats) -> Result<Vec<
         path.display()
     );
     stats.records += out.len() as u64;
-    stats.tail_bytes_discarded += (buf.len() - at) as u64;
+    stats.tail_bytes_discarded += (written.max(valid) - at) as u64;
     Ok(out)
+}
+
+/// The length of `file` less its trailing zero bytes: read backwards a
+/// chunk at a time, so a zero tail is never held whole.
+pub(crate) fn written_len(file: &std::fs::File) -> Result<u64> {
+    let mut end = file.metadata()?.len();
+    let mut chunk = vec![0u8; 64 << 10];
+    while end > 0 {
+        let n = chunk.len().min(end as usize);
+        let start = end - n as u64;
+        file.read_exact_at(&mut chunk[..n], start)?;
+        if let Some(i) = chunk[..n].iter().rposition(|&b| b != 0) {
+            return Ok(start + i as u64 + 1);
+        }
+        end = start;
+    }
+    Ok(0)
 }
 
 /// Every [`is_wal_file`] in `dir`, in name order.
@@ -456,6 +500,41 @@ mod tests {
         assert_eq!(recovered.iter().map(|t| t.cts).collect::<Vec<_>>(), vec![10, 20]);
         assert_eq!(recovered[0].ops, vec![ins(2)]);
         assert_eq!(recovered[1].ops, vec![ins(1)]);
+    }
+
+    #[test]
+    fn a_zero_tail_is_the_end_of_the_log_not_damage() {
+        // A preallocated segment that no clean shutdown trimmed.
+        let dir = KernelConfig::for_tests().data_dir;
+        let h = hub_in(&dir, 1);
+        h.log_op(0, xid(1), 1, RecordBody::Begin);
+        block_on(h.commit(0, xid(1), 5)).unwrap();
+        h.shutdown();
+        let path = only_wal_file(&dir);
+        let clean = recover_dir_stats(&dir).unwrap();
+        let extend = |path: &Path| {
+            let f = std::fs::OpenOptions::new().write(true).open(path).unwrap();
+            f.set_len(f.metadata().unwrap().len() + (3 << 20)).unwrap();
+        };
+        extend(&path);
+        let (recovered, stats) = recover_dir_stats(&dir).unwrap();
+        assert_eq!((recovered, stats), clean, "the zeroes change nothing");
+        assert_eq!(stats.tail_bytes_discarded, 0);
+        // A record may itself end in zeroes (a Commit's cts): the scan
+        // for the last non-zero byte must not cut it off. An unmarked
+        // segment keeps its last record without a marker to end on it.
+        let legacy = dir.join("wal_slot_0000.log");
+        let mut bytes = Vec::new();
+        for (n, body) in [(1, RecordBody::Begin), (2, RecordBody::Commit { cts: 9 })] {
+            let (gsn, lsn) = (phoebe_common::ids::Gsn(1), phoebe_common::ids::Lsn(n));
+            WalRecord { xid: xid(2), gsn, lsn, body }.encode_into(&mut bytes);
+        }
+        assert_eq!(bytes.last(), Some(&0), "the Commit record ends in zero bytes");
+        std::fs::write(&legacy, &bytes).unwrap();
+        extend(&legacy);
+        let (recovered, stats) = recover_dir_stats(&dir).unwrap();
+        assert_eq!(recovered.iter().map(|t| t.cts).collect::<Vec<_>>(), [5, 9]);
+        assert_eq!(stats.tail_bytes_discarded, 0);
     }
 
     #[test]

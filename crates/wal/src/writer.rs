@@ -3,13 +3,20 @@
 //!
 //! Every task slot owns a [`WalWriter`]: an in-memory buffer plus its own
 //! LSN sequence, so log *appends* never contend across slots. All slots
-//! share one append-only segment file per incarnation: a fresh directory
-//! starts at `wal_seg_0000.log`, and each reopen logs into the next number,
-//! leaving the segments it recovered from untouched. Records are
-//! self-describing (xid, GSN, LSN), so nothing about ordering depends on
-//! which file holds them. A background flusher runs group-commit rounds,
-//! one at a time; a round makes its bytes durable with **one write and one
-//! `fdatasync`** made by the flusher itself.
+//! share one segment file per incarnation: a fresh directory starts at
+//! `wal_seg_0000.log`, and each reopen logs into the next number, leaving
+//! the segments it recovered from untouched. Records are self-describing
+//! (xid, GSN, LSN), so nothing about ordering depends on which file holds
+//! them. A background flusher runs group-commit rounds, one at a time; a
+//! round makes its bytes durable with **one write and one `fdatasync`**
+//! made by the flusher itself.
+//!
+//! Rounds write into space that is already there. The flusher keeps the
+//! segment zero-filled and synced some way past the append offset, and
+//! refills it between rounds, so a round overwrites allocated blocks and
+//! its `fdatasync` carries data only, not a new file size. Recovery reads
+//! the first zero length as the end of the log, and a clean shutdown cuts
+//! the zero tail off.
 //!
 //! The GSN clock orders everything. A record is stamped under its slot's
 //! buffer lock with the clock's value, raised first to the caller's floor
@@ -41,6 +48,7 @@
 //! bytes share one write and one sync, so that wait could end no earlier.
 
 use crate::record::{RecordBody, WalRecord};
+use crate::recovery::written_len;
 use phoebe_common::error::{PhoebeError, Result};
 use phoebe_common::fault::{FaultFile, FaultFs, OsFs};
 use phoebe_common::hist::LatencySite;
@@ -160,30 +168,53 @@ impl Liveness {
 /// Initial capacity of a slot's append buffer.
 const SLOT_BUF_BYTES: usize = 16 * 1024;
 
+/// The zero-filled headroom the flusher keeps past the append offset: a
+/// new segment starts with one step, and once less than half a step is
+/// left the flusher writes and syncs one more. A fill delays only the
+/// next round.
+const FILL_STEP: u64 = 1 << 20;
+
+/// What fills write from, one chunk per write. A zeroed heap buffer of a
+/// whole step stayed resident (`peak_rss_mb` about 1.3 MB higher on
+/// `tpcc_hot`, `tpcc_cold` and `kv_read`), so a step is written from
+/// this small one.
+static ZEROS: [u8; 64 << 10] = [0; 64 << 10];
+
 /// The segment this incarnation logs into: `wal_seg_0000.log` in a fresh
 /// directory, else one past the highest `wal_seg_NNNN.log` — which is
-/// reused instead when it holds nothing past its leading round marker (an
-/// open that logged nothing, or crashed before its first round). A segment
-/// holding records is never truncated.
+/// reused instead when it holds nothing but zeroes past its leading round
+/// marker (an open that logged nothing, or crashed before its first
+/// round). A segment holding a record or a torn round is never truncated.
 fn next_segment(dir: &Path) -> Result<PathBuf> {
-    let marker_only = WalRecord::round_end(0).encode_into(&mut Vec::new()) as u64;
-    let mut highest: Option<(u64, u64)> = None;
+    let marker_len = WalRecord::round_end(0).encode_into(&mut Vec::new()) as u64;
+    let mut highest: Option<(u64, PathBuf)> = None;
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         let name = entry.file_name();
         let n = name.to_str().and_then(|n| n.strip_prefix("wal_seg_")?.strip_suffix(".log"));
         if let Some(n) = n.and_then(|n| n.parse::<u64>().ok()) {
-            if highest.is_none_or(|(h, _)| n > h) {
-                highest = Some((n, entry.metadata()?.len()));
+            if highest.as_ref().is_none_or(|(h, _)| n > *h) {
+                highest = Some((n, entry.path()));
             }
         }
     }
     let n = match highest {
         None => 0,
-        Some((n, len)) if len <= marker_only => n,
+        Some((n, path)) if written_len(&std::fs::File::open(&path)?)? <= marker_len => n,
         Some((n, _)) => n + 1,
     };
     Ok(dir.join(format!("wal_seg_{n:04}.log")))
+}
+
+/// Write `len` zero bytes at `from`, a chunk of [`ZEROS`] per write.
+fn write_zeros(file: &dyn FaultFile, from: u64, len: u64) -> std::io::Result<()> {
+    let mut at = from;
+    while at < from + len {
+        let n = ZEROS.len().min((from + len - at) as usize);
+        file.write_all_at(at, &ZEROS[..n])?;
+        at += n as u64;
+    }
+    Ok(())
 }
 
 /// One slot's WAL writer: the append buffer and the slot's LSN marks.
@@ -255,6 +286,11 @@ impl WalWriter {
 struct Round {
     /// The log file's append offset.
     offset: u64,
+    /// Every byte from `offset` up to here is a zero that was written and
+    /// synced, so a round that ends below it changes no file size. A round
+    /// larger than the headroom (a bulk load) writes past it, and the next
+    /// refill starts at `offset`.
+    alloc_end: u64,
     /// The gathered write, reused round after round (empty between rounds).
     buf: Vec<u8>,
     /// One buffer per slot, swapped with the slot's own at the steal: the
@@ -346,11 +382,19 @@ impl WalHub {
         let mut marker = Vec::new();
         let offset = WalRecord::round_end(first_gsn).encode_into(&mut marker) as u64;
         file.write_all_at(0, &marker)?;
+        // The first headroom rides on the sync the segment makes anyway.
+        let headroom = if sync { FILL_STEP } else { 0 };
+        write_zeros(&*file, offset, headroom)?;
         file.sync_data()?;
         // Rounds sync the segment's data, not its directory entry; without
         // this a power cut could drop a new segment with its acked commits.
         std::fs::File::open(dir)?.sync_all()?;
-        let round = Round { offset, spares: vec![Vec::new(); slots], ..Round::default() };
+        let round = Round {
+            offset,
+            alloc_end: offset + headroom,
+            spares: vec![Vec::new(); slots],
+            ..Round::default()
+        };
         let hub = Arc::new(WalHub {
             writers: (0..slots).map(|_| WalWriter::new()).collect(),
             file,
@@ -385,7 +429,8 @@ impl WalHub {
                     // rounds back the window off (x2, up to x64) so an idle
                     // kernel is not woken thousands of times a second to
                     // find every buffer empty; un-rung backlog still waits
-                    // at most that long.
+                    // at most that long. After each round, once its waits
+                    // are woken, the headroom is topped up.
                     let mut seen = 0u64;
                     let mut window = group_commit;
                     while !h.shutdown.load(Ordering::Acquire) {
@@ -395,15 +440,17 @@ impl WalHub {
                         }
                         let rung = rings != seen;
                         seen = rings;
-                        window = match h.flush_all() {
+                        window = match h.flush_all().and_then(|n| h.keep_headroom().map(|()| n)) {
                             Ok(0) if !rung => (window * 2).min(group_commit * 64),
                             Ok(_) => group_commit,
-                            // flush_all already halted the hub; retrying
-                            // against a dead log device is pointless.
+                            // The failed round or fill already halted the
+                            // hub; retrying against a dead log device is
+                            // pointless.
                             Err(_) => break,
                         };
                     }
                     let _ = h.flush_all();
+                    h.trim();
                     // No round runs after this one: whoever still waits
                     // (a commit racing shutdown, or one begun after it)
                     // must error out, not sleep forever.
@@ -574,6 +621,42 @@ impl WalHub {
         // The whole round is one group-commit window's worth of work.
         self.metrics.probe_since(LatencySite::GroupCommit, 0, n, round_start).finish();
         Ok(n)
+    }
+
+    /// Top up the zero-filled headroom, between rounds (the flusher calls
+    /// it once a round has woken its waits). Once less than half a
+    /// [`FILL_STEP`] is left, write one step of zeroes from
+    /// `max(alloc_end, offset)` and sync them. The `round` lock keeps every
+    /// round out meanwhile, and the fill never writes below the offset. An
+    /// I/O error halts the hub, as a failed round does.
+    fn keep_headroom(&self) -> Result<()> {
+        if !self.sync {
+            return Ok(());
+        }
+        let mut round = self.round.lock();
+        if round.alloc_end.saturating_sub(round.offset) >= FILL_STEP / 2 {
+            return Ok(());
+        }
+        self.live.check()?;
+        let from = round.alloc_end.max(round.offset);
+        let filled = write_zeros(&*self.file, from, FILL_STEP).and_then(|()| self.file.sync_data());
+        if let Err(e) = filled {
+            self.stop(Liveness::HALTED);
+            return Err(e.into());
+        }
+        round.alloc_end = from + FILL_STEP;
+        Ok(())
+    }
+
+    /// Cut the zero tail off after the final round, so a cleanly closed
+    /// segment ends at its last round. A cut that a power loss undoes
+    /// leaves zeroes, which recovery reads as the end of the log.
+    fn trim(&self) {
+        let mut round = self.round.lock();
+        if round.alloc_end > round.offset && self.live.check().is_ok() {
+            let _ = self.file.set_len(round.offset);
+            round.alloc_end = round.offset;
+        }
     }
 
     /// Every record stamped at or below this GSN is durable: published by
@@ -759,6 +842,21 @@ mod tests {
         let want = [(0, 7, true), (2, 7, false), (1, 7, false), (0, 8, true)];
         assert_eq!(got[..4], want);
         assert_eq!(got[4..], [(3, 9, false), (0, 10, true)]);
+    }
+
+    #[test]
+    fn the_segment_is_preallocated_and_a_clean_shutdown_trims_it() {
+        let dir = phoebe_common::KernelConfig::for_tests().data_dir;
+        let h = WalHub::new(&dir, 1, 2, Duration::from_secs(5), true, Arc::new(Metrics::new(1)))
+            .unwrap();
+        let path = dir.join("wal_seg_0000.log");
+        let len = || std::fs::metadata(&path).unwrap().len();
+        let marker = WalRecord::round_end(0).encode_into(&mut Vec::new()) as u64;
+        assert_eq!(len(), marker + FILL_STEP, "the marker and the first headroom");
+        block_on(h.commit(0, xid(1), 1)).unwrap();
+        assert_eq!(len(), marker + FILL_STEP, "a round writes into the headroom");
+        h.shutdown();
+        assert_eq!(len(), marker + h.total_bytes_flushed(), "the zeroes are cut, and not counted");
     }
 
     #[test]

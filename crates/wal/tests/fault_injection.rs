@@ -14,7 +14,7 @@ use phoebe_common::KernelConfig;
 use phoebe_runtime::block_on;
 use phoebe_storage::schema::Value;
 use phoebe_wal::recovery::read_wal_file;
-use phoebe_wal::{recover_dir, recover_dir_stats, RecordBody, WalHub};
+use phoebe_wal::{recover_dir, recover_dir_stats, RecordBody, WalHub, WalRecord};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -405,14 +405,22 @@ fn torn_gathered_round_keeps_the_acked_prefix_and_acks_nothing_past_the_tear() {
         assert_eq!(xids[..3], [1, 2, 3], "seed {seed}: acknowledged round lost");
         assert_eq!(xids[3..], [11, 12, 13][..survivors], "seed {seed}: replay went past the tear");
         assert!(survivors == 0 || survivors == 3, "seed {seed}: a part of a round was replayed");
-        // Every byte in the file is either a CRC-valid record or counted
-        // as discarded tail.
+        // Every byte in the file is a kept record or counted as discarded
+        // tail, up to the last non-zero byte or the end of the last
+        // CRC-valid record, whichever is further; the preallocated zeroes
+        // past that are not counted.
         let path = std::fs::read_dir(&dir).unwrap().next().unwrap().unwrap().path();
         let valid_bytes: usize =
             read_wal_file(&path).unwrap().iter().map(|rec| rec.encode_into(&mut Vec::new())).sum();
+        let bytes = std::fs::read(&path).unwrap();
+        let written = bytes.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
+        let mut scan_end = 0;
+        while let Some((_, next)) = WalRecord::decode_at(&bytes, scan_end).unwrap() {
+            scan_end = next;
+        }
         assert_eq!(
-            valid_bytes as u64 + stats.tail_bytes_discarded,
-            std::fs::metadata(&path).unwrap().len(),
+            valid_bytes + stats.tail_bytes_discarded as usize,
+            written.max(scan_end),
             "seed {seed}: torn tail not accounted"
         );
         torn += (stats.tail_bytes_discarded > 0) as u32;
@@ -420,4 +428,140 @@ fn torn_gathered_round_keeps_the_acked_prefix_and_acks_nothing_past_the_tear() {
     }
     assert!(torn > 0, "no seed tore the write mid-round");
     assert!(whole > 0, "no seed landed the whole round");
+}
+
+/// One transaction of `rows` inserts, each carrying a 1 KiB string,
+/// committed and waited for: one round on a hub nothing else rings.
+fn commit_rows(hub: &WalHub, x: u64, rows: u64) -> phoebe_common::error::Result<()> {
+    let xid = Xid::from_start_ts(x);
+    hub.log_op(0, xid, 0, RecordBody::Begin);
+    for r in 0..rows {
+        let tuple = vec![Value::I64(r as i64), Value::Str("z".repeat(1024))];
+        hub.log_op(0, xid, 0, RecordBody::Insert { table: TableId(1), row: RowId(r), tuple });
+    }
+    block_on(hub.commit(0, xid, x))
+}
+
+/// The fill sweep's workload: a bulk round larger than a fresh segment's
+/// headroom, then 17 KiB rounds until the log is past 5 MiB. Returns
+/// the transactions acknowledged before the first error, and after each
+/// one the write count the disk showed.
+fn bulk_then_small_rounds(hub: &WalHub, sim: &SimFs) -> (Vec<u64>, Vec<u64>) {
+    let (mut acked, mut writes) = (Vec::new(), Vec::new());
+    for x in 1..=240 {
+        let rows = if x == 1 { 1500 } else { 16 };
+        if commit_rows(hub, x, rows).is_err() {
+            break;
+        }
+        acked.push(x);
+        writes.push(sim.io_counts().0);
+    }
+    (acked, writes)
+}
+
+/// A crash anywhere around a refill of the preallocated tail: its zero
+/// writes, its sync, and the first round that writes into filled space.
+/// A bulk round first writes past the headroom, so the first refill
+/// must start at the round offset, not at the old allocated end, or it
+/// overwrites acknowledged bytes. Every crash point keeps every
+/// acknowledged transaction, and whole rounds only: each round is one
+/// transaction, so what recovers is the acknowledged ones and at most
+/// the one in flight, each with all its records.
+#[test]
+fn crash_sweep_across_refills_keeps_every_acked_commit() {
+    let quiet = Duration::from_secs(5);
+    // A dry run finds where the refills fall: a fill shows as writes
+    // beyond one per round, counted by the sample after the round it
+    // follows or the next one.
+    let dir = KernelConfig::for_tests().data_dir;
+    let sim = SimFs::new(FaultConfig::crash_only(0));
+    let hub = hub_with_window(Arc::clone(&sim), &dir, 1, quiet);
+    let created = sim.io_counts().0;
+    let (acked, writes) = bulk_then_small_rounds(&hub, &sim);
+    hub.shutdown();
+    assert_eq!(acked.len(), 240);
+    let marks: Vec<u64> = std::iter::once(created).chain(writes).map(|w| w - created).collect();
+    let fills: Vec<usize> = (1..marks.len()).filter(|&k| marks[k] - marks[k - 1] > 1).collect();
+    assert!(fills.len() >= 2, "the workload ran {} refills", fills.len());
+    let mut points: Vec<u64> = fills
+        .iter()
+        .flat_map(|&k| {
+            marks[k.saturating_sub(2)].saturating_sub(2)..=marks[(k + 1).min(marks.len() - 1)] + 2
+        })
+        .filter(|&n| n > 0)
+        .collect();
+    points.dedup();
+
+    for (seed, &crash_at) in points.iter().enumerate() {
+        let dir = KernelConfig::for_tests().data_dir;
+        let sim = SimFs::new(FaultConfig::crash_only(seed as u64));
+        let hub = hub_with_window(Arc::clone(&sim), &dir, 1, quiet);
+        sim.arm_crash_after_writes(crash_at);
+        let (acked, _) = bulk_then_small_rounds(&hub, &sim);
+        assert!(sim.crashed(), "crash point {crash_at} never fired");
+        hub.shutdown();
+        let recovered = recover_dir(&dir).unwrap();
+        let xids: Vec<u64> = recovered.iter().map(|t| t.xid.start_ts()).collect();
+        assert_eq!(xids[..acked.len().min(xids.len())], acked, "crash at write {crash_at}");
+        assert!(
+            xids.len() - acked.len() <= 1,
+            "crash at write {crash_at}: {} recovered past the acked {}",
+            xids.len(),
+            acked.len()
+        );
+        for t in &recovered {
+            let rows = if t.xid.start_ts() == 1 { 1500 } else { 16 };
+            assert_eq!(t.ops.len(), rows, "crash at write {crash_at}: a round replayed in part");
+        }
+    }
+}
+
+/// The segment names in `dir`, sorted.
+fn segments(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
+}
+
+/// A crash between a segment's creation and its first round leaves the
+/// marker and the preallocated zeroes: the next open logs into that same
+/// segment. A segment holding a round, or a torn scrap of one, is never
+/// reused.
+#[test]
+fn a_crash_before_the_first_round_reopens_into_the_same_segment() {
+    let dir = KernelConfig::for_tests().data_dir;
+    let quiet = Duration::from_secs(5);
+    let sim = SimFs::new(FaultConfig::crash_only(3));
+    let hub = hub_with_window(Arc::clone(&sim), &dir, 2, quiet);
+    sim.crash();
+    hub.shutdown();
+    let first = dir.join("wal_seg_0000.log");
+    assert!(std::fs::metadata(&first).unwrap().len() >= 1 << 20, "the zero tail is untrimmed");
+    assert_eq!(recover_dir_stats(&dir).unwrap().1.tail_bytes_discarded, 0);
+
+    let sim = SimFs::new(FaultConfig::crash_only(4));
+    let hub = hub_with_window(Arc::clone(&sim), &dir, 2, quiet);
+    assert_eq!(segments(&dir), ["wal_seg_0000.log"], "a round-less segment is reused");
+    log_txn(&hub, 1, 1);
+    hub.flush_all().unwrap();
+    sim.crash();
+    hub.shutdown();
+
+    let sim = SimFs::new(FaultConfig::crash_only(5));
+    let hub = hub_with_window(Arc::clone(&sim), &dir, 2, quiet);
+    assert_eq!(segments(&dir), ["wal_seg_0000.log", "wal_seg_0001.log"]);
+    sim.crash();
+    hub.shutdown();
+    assert_eq!(recover_dir(&dir).unwrap().len(), 1, "the acked round survives");
+
+    // One non-zero byte after the marker is a round that was torn.
+    let torn = dir.join("wal_seg_0001.log");
+    let f = std::fs::OpenOptions::new().write(true).open(&torn).unwrap();
+    std::os::unix::fs::FileExt::write_all_at(&f, &[0xde], 4096).unwrap();
+    let hub = hub_with_window(SimFs::new(FaultConfig::crash_only(6)), &dir, 2, quiet);
+    assert_eq!(segments(&dir).len(), 3, "a torn round's segment is kept");
+    hub.shutdown();
 }

@@ -7,6 +7,9 @@
 #   PHOEBE_TORTURE_SEEDS=200 ./scripts/recovery_torture.sh
 #   PHOEBE_TORTURE_START=1000 PHOEBE_TORTURE_SEEDS=16 ./scripts/recovery_torture.sh
 #
+# Every fourth seed crashes single-threaded, in small rounds around the
+# first refill of the log's preallocated zero tail (about 0.5-0.7 MiB into
+# the log), instead of running the concurrent workload.
 # The crash point and each unsynced write's fate derive from the seed; what
 # the crash catches in flight also depends on thread timing, so a failing
 # seed (`recovery_torture --seed N`) may not fail again on its own. Sweep
