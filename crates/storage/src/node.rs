@@ -96,6 +96,99 @@ fn key_head(key: &[u8]) -> u64 {
     u64::from_be_bytes(head)
 }
 
+/// The fewest keys [`search_sorted`] interpolates over; below it, bisection.
+const INTERPOLATE_MIN: usize = 8;
+
+/// Position of a search key among `n` sorted keys: `Ok(i)` if key `i`
+/// equals it, else `Err(i)` with `i` the first position whose key is
+/// greater. `head_at(i)` is key `i`'s head and `h` the search key's; `tie(i)`
+/// orders key `i` against the search key when the heads are equal. Inner
+/// nodes, index leaves and a table leaf's row ids all search this way.
+///
+/// Row-id separators and dense integer keys are nearly evenly spaced, so
+/// the position is interpolated between the end heads: a key beyond them
+/// is answered at once, else key `g = (h − first) · (n − 1) / (last −
+/// first)` is probed, and from there the search gallops (steps 1, 2, 4,
+/// …) until the key is bracketed and bisects the bracket. A head that
+/// ties `h` says nothing about position: a tie with one end is settled by
+/// comparing that key, and a tie with both ends or at a probe bisects what
+/// is left. So a dense node costs three head reads, a tie-heavy one at
+/// most `⌈log₂ n⌉ + 3`.
+///
+/// Every probe lies in the open bracket and each step shrinks it, so heads
+/// that are not sorted (a torn optimistic read) still give a position in
+/// `[0, n]` after at most about `2 log₂ n` reads.
+#[inline]
+pub(crate) fn search_sorted(
+    n: usize,
+    h: u64,
+    head_at: impl Fn(usize) -> u64,
+    tie: impl Fn(usize) -> Ordering,
+) -> std::result::Result<usize, usize> {
+    let cmp = |i: usize, head_i: u64| head_i.cmp(&h).then_with(|| tie(i));
+    let (mut lo, mut hi) = (0, n);
+    if n >= INTERPOLATE_MIN {
+        let (first, last) = (head_at(0), head_at(n - 1));
+        // A key beyond an end is answered there, a tie with one end is
+        // settled there, and a tie with both ends bisects.
+        match (h.cmp(&first), h.cmp(&last)) {
+            (Ordering::Less, _) => return Err(0),
+            (_, Ordering::Greater) => return Err(n),
+            (Ordering::Equal, Ordering::Equal) => {}
+            (Ordering::Equal, Ordering::Less) => match tie(0) {
+                Ordering::Less => lo = 1,
+                Ordering::Equal => return Ok(0),
+                Ordering::Greater => return Err(0),
+            },
+            (Ordering::Greater, Ordering::Equal) => match tie(n - 1) {
+                Ordering::Less => return Err(n),
+                Ordering::Equal => return Ok(n - 1),
+                Ordering::Greater => hi = n - 1,
+            },
+            (Ordering::Greater, Ordering::Less) => {
+                (lo, hi) = (1, n - 1);
+                // Multiplied first, the guess is exact for evenly spaced keys.
+                let g = (h - first) as f64 * (n - 1) as f64 / (last - first) as f64;
+                let g = (g as usize).clamp(lo, hi - 1);
+                let hg = head_at(g);
+                match cmp(g, hg) {
+                    Ordering::Equal => return Ok(g),
+                    Ordering::Less => lo = g + 1,
+                    Ordering::Greater => hi = g,
+                }
+                // Gallop from g toward the key — g ± 1, g ± 2, g ± 4, … — until
+                // a probe passes the key, leaves the bracket or ties its head.
+                let (up, mut step, mut tied) = (lo > g, 1, hg == h);
+                while !tied {
+                    let p = if up { g + step } else { g.wrapping_sub(step) };
+                    if p < lo || p >= hi {
+                        break;
+                    }
+                    let hp = head_at(p);
+                    match cmp(p, hp) {
+                        Ordering::Equal => return Ok(p),
+                        Ordering::Less => lo = p + 1,
+                        Ordering::Greater => hi = p,
+                    }
+                    if up != (lo > p) {
+                        break;
+                    }
+                    (step, tied) = (2 * step, hp == h);
+                }
+            }
+        }
+    }
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        match cmp(mid, head_at(mid)) {
+            Ordering::Less => lo = mid + 1,
+            Ordering::Greater => hi = mid,
+            Ordering::Equal => return Ok(mid),
+        }
+    }
+    Err(lo)
+}
+
 /// Where a node's arrays sit in its area, from a clamped header.
 #[derive(Clone, Copy)]
 struct Layout {
@@ -216,31 +309,30 @@ impl KeyNode {
     }
 
     /// `Ok(pos)` if key `pos` equals `key`, else `Err(pos)` with `pos`
-    /// the first position whose key is greater. Binary search on the
-    /// heads; a tie is broken on the stored suffix against `key`'s bytes
+    /// the first position whose key is greater: [`search_sorted`] over the
+    /// heads. A tie is broken on the stored suffix against `key`'s bytes
     /// past 8, or — when either side has no bytes past 8 — on the lengths.
     #[inline]
     fn search(&self, key: &[u8]) -> std::result::Result<usize, usize> {
+        self.search_by(key, |i| self.word(i))
+    }
+
+    /// [`Self::search`] reading each head through `head_at`.
+    #[inline]
+    fn search_by(
+        &self,
+        key: &[u8],
+        head_at: impl Fn(usize) -> u64,
+    ) -> std::result::Result<usize, usize> {
         let l = self.layout();
-        let h = key_head(key);
-        let (mut lo, mut hi) = (0usize, l.n);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            let ord = self.word(mid).cmp(&h).then_with(|| {
-                if l.width <= 8 || key.len() <= 8 {
-                    l.width.cmp(&key.len())
-                } else {
-                    let at = l.suffix_at(mid);
-                    self.area.0[at..at + l.sfx].cmp(&key[8..])
-                }
-            });
-            match ord {
-                Ordering::Less => lo = mid + 1,
-                Ordering::Greater => hi = mid,
-                Ordering::Equal => return Ok(mid),
+        search_sorted(l.n, key_head(key), head_at, |i| {
+            if l.width <= 8 || key.len() <= 8 {
+                l.width.cmp(&key.len())
+            } else {
+                let at = l.suffix_at(i);
+                self.area.0[at..at + l.sfx].cmp(&key[8..])
             }
-        }
-        Err(lo)
+        })
     }
 
     /// Value `i`: a row id, or child swip `i`.
@@ -862,6 +954,103 @@ mod tests {
         buf[1..3].copy_from_slice(&1u16.to_le_bytes());
         buf[3..5].copy_from_slice(&(KEY_CAP as u16 + 1).to_le_bytes());
         assert!(Page::decode(&buf).is_err());
+    }
+
+    /// One search of `key` in `node` and the head reads it took.
+    fn counted_search(node: &KeyNode, key: &[u8]) -> (std::result::Result<usize, usize>, usize) {
+        let reads = std::cell::Cell::new(0);
+        let got = node.search_by(key, |i| {
+            reads.set(reads.get() + 1);
+            node.word(i)
+        });
+        (got, reads.get())
+    }
+
+    #[test]
+    fn evenly_spaced_keys_take_three_head_reads() {
+        // A full kv index leaf (consecutive integers) and a full table inner
+        // node (row ids a leaf's worth apart).
+        let n = capacity(8);
+        let dense = |i: usize| ((1 << 63) | (1000 + i as u64)).to_be_bytes();
+        let rows = |i: usize| (7 + 409 * i as u64).to_be_bytes();
+        let mut leaf = IndexLeaf::default();
+        let mut inner = InnerNode::default();
+        for i in 0..n {
+            leaf.insert(&dense(i), i as u64).unwrap();
+            inner.insert_separator(i, &rows(i), i as u64 + 1).unwrap();
+        }
+        assert!(leaf.is_full() && inner.is_full());
+        for (node, key) in [(&leaf.0, &dense as &dyn Fn(usize) -> [u8; 8]), (&inner.0, &rows)] {
+            for i in 0..n {
+                let (got, reads) = counted_search(node, &key(i));
+                assert_eq!(got, Ok(i));
+                assert!(reads <= 3, "key {i}: {reads} head reads");
+            }
+        }
+        // A row id between two separators: one more read finds its child.
+        for i in 0..n - 1 {
+            let (got, reads) = counted_search(&inner.0, &(7 + 409 * i as u64 + 200).to_be_bytes());
+            assert_eq!(got, Err(i + 1));
+            assert!(reads <= 4, "after separator {i}: {reads} head reads");
+        }
+    }
+
+    #[test]
+    fn tied_heads_cost_at_most_three_reads_over_bisection() {
+        // Composite keys whose heads repeat, as TPC-C's (warehouse,
+        // district, ...) keys do, and keys whose heads all tie.
+        for run in [48, 1000] {
+            let n = capacity(16);
+            let key =
+                |i: usize| [((i / run) as u64).to_be_bytes(), (i as u64).to_be_bytes()].concat();
+            let mut leaf = IndexLeaf::default();
+            for i in 0..n {
+                leaf.insert(&key(i), i as u64).unwrap();
+            }
+            let bound = n.next_power_of_two().trailing_zeros() as usize + 3;
+            for i in 0..n {
+                let (got, reads) = counted_search(&leaf.0, &key(i));
+                assert_eq!(got, Ok(i));
+                assert!(reads <= bound, "run {run}, key {i}: {reads} head reads > {bound}");
+                let mut between = key(i);
+                between.push(0);
+                let (got, reads) = counted_search(&leaf.0, &between);
+                assert_eq!(got, Err(i + 1));
+                assert!(reads <= bound, "run {run}, after key {i}: {reads} head reads");
+            }
+        }
+    }
+
+    #[test]
+    fn torn_heads_still_give_a_position() {
+        // An optimistic reader racing a writer can see heads in any order.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for width in [4, 8, 16] {
+            let mut node = KeyNode::new(0);
+            (node.count, node.width) = (capacity(width) as u16, width as u16);
+            for round in 0..200 {
+                let l = node.layout();
+                for i in 0..l.n {
+                    // Mostly sorted, with some words out of place.
+                    let v = if next() % 4 == 0 { next() } else { i as u64 * (round + 1) };
+                    node.set_word(i, v);
+                }
+                for _ in 0..50 {
+                    let probe = next().to_be_bytes();
+                    let key = &[&probe[..], &probe[..]].concat()[..width];
+                    let (got, reads) = counted_search(&node, key);
+                    assert!(got.unwrap_or_else(|p| p) <= l.n, "width {width}: {got:?}");
+                    let bound = 2 * l.n.next_power_of_two().trailing_zeros() as usize + 4;
+                    assert!(reads <= bound, "width {width}: {reads} head reads > {bound}");
+                }
+            }
+        }
     }
 
     #[test]

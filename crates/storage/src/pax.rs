@@ -10,13 +10,14 @@
 //!
 //! Row ids are monotonically increasing and rows are appended in order, so
 //! the row-id minipage is sorted; a point lookup goes straight to the slot
-//! a consecutive run of ids would put the row in, and binary-searches only
-//! when that slot holds another id. A
+//! a consecutive run of ids would put the row in, and searches the sorted
+//! ids only when that slot holds another id. A
 //! leaf's row-id range is immutable once written: the table B-Tree grows by
 //! adding fresh rightmost leaves rather than redistributing rows, which is
 //! what makes (table, first_row_id) a stable page identity for twin tables
 //! and makes freezing (consecutive leaves → one compressed block) safe.
 
+use crate::node::search_sorted;
 use crate::schema::{ColType, Schema, Value};
 use phoebe_common::ids::RowId;
 
@@ -127,31 +128,18 @@ impl PaxLeaf {
     /// Position of live row `row_id`. Ids are drawn in ascending order
     /// under the rightmost leaf's latch, so a leaf's ids are consecutive
     /// and the row sits at `row_id - first_row_id`; only a leaf where
-    /// recovery skipped ids misses that slot and falls back to a binary
-    /// search of the sorted row-id minipage.
+    /// recovery skipped ids misses that slot and falls back to
+    /// [`search_sorted`] over the sorted row-id minipage.
     pub fn find(&self, row_id: RowId) -> Option<usize> {
         let n = self.len();
         let direct = row_id.raw().wrapping_sub(self.first_row_id()?.raw());
         let pos = if direct < n as u64 && self.row_id_at(direct as usize) == row_id {
             direct as usize
         } else {
-            self.search(row_id)?
+            let id = |i| self.row_id_at(i).raw();
+            search_sorted(n, row_id.raw(), id, |_| std::cmp::Ordering::Equal).ok()?
         };
         self.is_valid(pos).then_some(pos)
-    }
-
-    /// Binary-search the sorted row-id minipage for `row_id`'s position.
-    fn search(&self, row_id: RowId) -> Option<usize> {
-        let (mut lo, mut hi) = (0usize, self.len());
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            match self.row_id_at(mid).cmp(&row_id) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return Some(mid),
-            }
-        }
-        None
     }
 
     #[inline]

@@ -57,6 +57,48 @@ fn keys_of_width(width: usize, count: usize, ties: bool, seed: u64) -> BTreeSet<
     keys
 }
 
+/// Integer keys of exactly `width` bytes: each value big-endian in the
+/// first `min(width, 8)` bytes, zeroes past them. The values are
+/// `values(max)`, kept while they stay at most `max` (the largest that
+/// fits) and up to as many as a node holds.
+fn int_keys(width: usize, values: impl FnOnce(u64) -> Vec<u64>) -> BTreeSet<Vec<u8>> {
+    let bytes = width.min(8);
+    let max = u64::MAX >> (64 - 8 * bytes);
+    let mut keys = BTreeSet::new();
+    for v in values(max).into_iter().take_while(|&v| v <= max).take(capacity(width)) {
+        let mut key = v.to_be_bytes()[8 - bytes..].to_vec();
+        key.resize(width, 0);
+        keys.insert(key);
+    }
+    keys
+}
+
+/// Dense ascending integers from a quarter of the range, one step apart
+/// but for an occasional gap: a `kv` index leaf, a table inner node.
+fn dense_keys(width: usize, seed: u64) -> BTreeSet<Vec<u8>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    int_keys(width, |max| {
+        let mut v = max / 4;
+        (0..capacity(width))
+            .map(|_| {
+                let r = rng.next_u64();
+                v += if r % 16 == 0 { 2 + r / 16 % 40 } else { 1 };
+                v
+            })
+            .collect()
+    })
+}
+
+/// Geometrically spaced integers over the whole range: an interpolated
+/// guess lands far below most keys, so the gallop takes its longest runs.
+fn geometric_keys(width: usize) -> BTreeSet<Vec<u8>> {
+    int_keys(width, |max| {
+        let n = capacity(width).min(max as usize / 2);
+        let bits = (64 - max.leading_zeros()) as f64 - 2.0;
+        (0..n).map(|i| i as u64 + (bits * i as f64 / n as f64).exp2() as u64).collect()
+    })
+}
+
 /// The keys in an order that is neither sorted nor reverse-sorted.
 fn shuffled(keys: &BTreeSet<Vec<u8>>) -> Vec<Vec<u8>> {
     let mut out: Vec<_> = keys.iter().cloned().collect();
@@ -114,9 +156,26 @@ fn leaf_roundtrip(leaf: IndexLeaf) -> IndexLeaf {
     back
 }
 
+/// `key` as a big-endian number, one up or down; `None` past either end.
+fn neighbour(key: &[u8], up: bool) -> Option<Vec<u8>> {
+    let mut out = key.to_vec();
+    for b in out.iter_mut().rev() {
+        let (v, carry) = if up { b.overflowing_add(1) } else { b.overflowing_sub(1) };
+        *b = v;
+        if !carry {
+            return Some(out);
+        }
+    }
+    None
+}
+
 /// About 40 stored keys, plus each one cut short, zero-extended and
 /// bumped in its last byte: the probes that land between and beside
-/// stored keys, with search keys of three lengths.
+/// stored keys, with search keys of three lengths. At both ends, where
+/// the searches answer without interpolating: the end keys, their
+/// neighbours outside and inside, and keys whose heads equal the end
+/// heads, of the same width with the lowest and highest bytes past the
+/// head, and 8 bytes long.
 fn probes_for(keys: &BTreeSet<Vec<u8>>) -> Vec<Vec<u8>> {
     let mut probes = vec![vec![], vec![0x00], vec![0xff; 16]];
     for k in keys.iter().step_by((keys.len() / 10).max(1)) {
@@ -126,6 +185,19 @@ fn probes_for(keys: &BTreeSet<Vec<u8>>) -> Vec<Vec<u8>> {
         let mut bumped = k.clone();
         *bumped.last_mut().unwrap() = bumped.last().unwrap().wrapping_add(1);
         probes.push(bumped);
+    }
+    for end in [keys.first(), keys.last()].into_iter().flatten() {
+        probes.push(end.clone());
+        probes.extend([false, true].iter().filter_map(|&up| neighbour(end, up)));
+        let head = end.len().min(8);
+        for fill in [0x00, 0xff] {
+            let mut same_head = end.clone();
+            same_head[head..].fill(fill);
+            probes.push(same_head);
+        }
+        let mut eight = end[..head].to_vec();
+        eight.resize(8, 0);
+        probes.push(eight);
     }
     probes
 }
@@ -239,13 +311,16 @@ fn inner_search_oracle(keys: &BTreeSet<Vec<u8>>) {
     inner_matches_scan(&back, &probes, "decode");
 }
 
-/// Every key width from 1 to the cap, random and tie-heavy keys, as many
-/// as a node holds.
+/// Every key width from 1 to the cap, as many keys as a node holds: random
+/// and tie-heavy keys, dense integers with gaps and geometrically spaced
+/// ones.
 fn every_width(mut check: impl FnMut(&BTreeSet<Vec<u8>>)) {
     for width in 1..=KEY_CAP {
         for ties in [false, true] {
             check(&keys_of_width(width, capacity(width), ties, width as u64));
         }
+        check(&dense_keys(width, width as u64));
+        check(&geometric_keys(width));
     }
 }
 
