@@ -32,9 +32,9 @@ fn main() {
             phoebe_common::Json::obj()
                 .with("warehouses", n as u64)
                 .with("top_p99", top_p99_sites(&snap, 3))
-                .with("latency", latency_json(&snap)),
+                .with("latency", snap.latency_json()),
         );
-        last_stats = Some(kernel_stats_json(&engine.db));
+        last_stats = Some(engine.db.stats().to_json());
         engine.db.shutdown();
     }
     print_table("Exp 1 (Fig 7a): tpmC vs warehouses = workers", &headers, &rows);

@@ -43,7 +43,7 @@ fn main() {
             phoebe_common::Json::obj()
                 .with("workers", n as u64)
                 .with("top_p99", top_p99_sites(&snap, 3))
-                .with("latency", latency_json(&snap)),
+                .with("latency", snap.latency_json()),
         );
         engine.db.shutdown();
     }

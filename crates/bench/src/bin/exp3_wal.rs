@@ -87,7 +87,7 @@ fn main() {
             .with("records_appended", total)
             .with("bytes_flushed", hub.total_bytes_flushed())
             .with("series", rows_json(&headers, &rows))
-            .with("latency", latency_json(&hub.metrics_snapshot())),
+            .with("latency", hub.metrics_snapshot().latency_json()),
     );
     hub.shutdown();
 }

@@ -10,6 +10,7 @@
 
 use phoebe_bench::*;
 use phoebe_common::config::PAGE_SIZE;
+use phoebe_common::metrics::Counter;
 use phoebe_tpcc::run_phoebe;
 use std::time::Duration;
 
@@ -18,21 +19,21 @@ fn main() {
     let frames: usize = env_or("PHOEBE_BUFFER_FRAMES", 192); // deliberately tiny
     let engine = loaded_engine("exp4", 2, 16, frames, wh, phoebe_tpcc::TpccScale::mini());
     let db = engine.db.clone();
-    let mut last_io = (0u64, 0u64);
     let mut last = db.metrics.snapshot();
     let sampler = Sampler::start(Duration::from_millis(500), move |t| {
-        let (r, w) = db.pool.io_counts();
         let now = db.metrics.snapshot();
         // One `PHOEBE_STATS` line per sample, covering just that interval.
-        let delta = db.stats_from_metrics(&now.delta_since(&last));
+        let delta = db.stats_from_metrics(now.delta_since(&last));
         println!("PHOEBE_STATS {}", delta.to_json().render());
+        let mb_per_s =
+            |c: Counter| f(delta.metrics.counter(c) as f64 * PAGE_SIZE as f64 / 0.5 / 1e6);
         let row = vec![
             format!("{t:.1}"),
-            f((r - last_io.0) as f64 * PAGE_SIZE as f64 / 0.5 / 1e6),
-            f((w - last_io.1) as f64 * PAGE_SIZE as f64 / 0.5 / 1e6),
+            mb_per_s(Counter::PageReads),
+            mb_per_s(Counter::PageWrites),
             f(delta.counter("commits") as f64 * 2.0 * 60.0),
         ];
-        (last_io, last) = ((r, w), now);
+        last = now;
         row
     });
     let mut cfg = driver_cfg(wh, 16, true);
@@ -59,7 +60,7 @@ fn main() {
             .with("page_writes", w)
             .with("committed", stats.committed)
             .with("series", rows_json(&headers, &rows))
-            .with("stats", kernel_stats_json(&engine.db)),
+            .with("stats", engine.db.stats().to_json()),
     );
     engine.db.shutdown();
 }

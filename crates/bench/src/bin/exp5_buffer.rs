@@ -28,7 +28,7 @@ fn main() {
         percs.push(
             phoebe_common::Json::obj()
                 .with("frames", frames as u64)
-                .with("latency", latency_json(&engine.db.metrics.snapshot())),
+                .with("latency", engine.db.metrics.snapshot().latency_json()),
         );
         engine.db.shutdown();
     }

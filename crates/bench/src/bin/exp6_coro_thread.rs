@@ -55,7 +55,7 @@ fn main() {
         Json::obj()
             .with("model", "co-routine")
             .with("top_p99", top_p99_sites(&snap, 3))
-            .with("latency", latency_json(&snap)),
+            .with("latency", snap.latency_json()),
     );
     engine.db.shutdown();
 
@@ -78,7 +78,7 @@ fn main() {
         Json::obj()
             .with("model", "thread")
             .with("top_p99", top_p99_sites(&snap, 3))
-            .with("latency", latency_json(&snap)),
+            .with("latency", snap.latency_json()),
     );
     engine.db.shutdown();
 
@@ -244,7 +244,7 @@ fn batched_vs_sequential() -> Json {
         snap.counter(Counter::BatchGets),
         snap.counter(Counter::BatchKeys),
     );
-    let stats = kernel_stats_json(&db);
+    let stats = db.stats().to_json();
     db.shutdown();
 
     let headers = ["mode", "reads/s", "batch depth", "retries"];

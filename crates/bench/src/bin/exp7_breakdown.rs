@@ -48,7 +48,7 @@ fn run_one(affinity: bool) -> (Vec<(Component, f64)>, u64, f64, phoebe_common::J
     let delta = engine.db.metrics.snapshot().delta_since(&before);
     let breakdown = delta.breakdown(busy_ns);
     let ns_per_txn = busy_ns as f64 / stats.committed.max(1) as f64;
-    let latency = latency_json(&delta);
+    let latency = delta.latency_json();
     engine.db.shutdown();
     (breakdown, stats.committed, ns_per_txn, latency)
 }

@@ -79,8 +79,8 @@ fn main() {
         phoebe_common::Json::obj()
             .with("series", rows_json(&headers, &rows))
             .with("tpm_ratio", pstats.tpm_total() / bstats.tpm_total().max(1e-9))
-            .with("percentiles", latency_json(&phoebe.db.metrics.snapshot()))
-            .with("stats", kernel_stats_json(&phoebe.db)),
+            .with("percentiles", phoebe.db.metrics.snapshot().latency_json())
+            .with("stats", phoebe.db.stats().to_json()),
     );
     phoebe.db.shutdown();
 }

@@ -24,7 +24,7 @@ fn main() {
     let cfg = driver_cfg(wh, terminals, true);
     let pstats = run_phoebe(&phoebe, &cfg);
     rows.push(vec!["PhoebeDB".into(), f(pstats.tpm_total()), "unthrottled".into()]);
-    let phoebe_latency = latency_json(&phoebe.db.metrics.snapshot());
+    let phoebe_latency = phoebe.db.metrics.snapshot().latency_json();
     phoebe.db.shutdown();
 
     // O-DB stand-in: baseline engine, ample memory, capped log bandwidth.

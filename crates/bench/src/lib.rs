@@ -200,26 +200,6 @@ pub fn rows_json(headers: &[&str], rows: &[Vec<String>]) -> Json {
     Json::from(arr)
 }
 
-/// Per-site latency percentiles from a metrics snapshot, as one object
-/// keyed by the stable site names (`commit`, `wal_flush`, ...).
-pub fn latency_json(snap: &MetricsSnapshot) -> Json {
-    let mut obj = Json::obj();
-    for &site in SITES.iter() {
-        let h = snap.latency(site);
-        obj = obj.with(
-            site.name(),
-            Json::obj()
-                .with("count", h.count())
-                .with("mean_ns", h.mean_ns() as u64)
-                .with("max_ns", h.max_ns())
-                .with("p50_ns", h.p50())
-                .with("p95_ns", h.p95())
-                .with("p99_ns", h.p99()),
-        );
-    }
-    obj
-}
-
 /// The `k` sites with the highest p99 latency, worst first — the "where
 /// does tail latency live" summary every experiment now reports.
 pub fn top_p99_sites(snap: &MetricsSnapshot, k: usize) -> Json {
@@ -237,12 +217,6 @@ pub fn top_p99_sites(snap: &MetricsSnapshot, k: usize) -> Json {
         })
         .collect();
     Json::from(arr)
-}
-
-/// The kernel's full stats snapshot (counters + components + percentiles),
-/// via the public `Database::stats()` API.
-pub fn kernel_stats_json(db: &Arc<Database>) -> Json {
-    db.stats().to_json()
 }
 
 /// Print the experiment's single machine-readable line:

@@ -44,6 +44,20 @@ impl Json {
         self
     }
 
+    /// The value under `key`, added as an empty object if absent (objects
+    /// only; panics otherwise, as [`Json::set`] does).
+    pub fn entry(&mut self, key: &str) -> &mut Json {
+        let Json::Obj(fields) = self else { panic!("Json::entry on a non-object") };
+        let i = match fields.iter().position(|(k, _)| k == key) {
+            Some(i) => i,
+            None => {
+                fields.push((key.to_owned(), Json::obj()));
+                fields.len() - 1
+            }
+        };
+        &mut fields[i].1
+    }
+
     /// Render to a compact single-line JSON string.
     pub fn render(&self) -> String {
         let mut out = String::new();

@@ -14,7 +14,8 @@
 //! [`set_current_worker`]; all other threads fall into a shared external
 //! shard. A snapshot sums the shards.
 
-use crate::hist::{HistogramSnapshot, LatencyHistogram, LatencySite, NSITES};
+use crate::hist::{HistogramSnapshot, LatencyHistogram, LatencySite, NSITES, SITES};
+use crate::json::Json;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -251,6 +252,11 @@ impl Metrics {
         Probe { metrics: self, site, slot, arg, start }
     }
 
+    /// One counter summed over the shards, without a full snapshot.
+    pub fn counter(&self, counter: Counter) -> u64 {
+        self.shards.iter().map(|s| s.counters[counter as usize].load(Ordering::Relaxed)).sum()
+    }
+
     /// Sum all shards into an immutable snapshot — O(workers) merges of
     /// fixed-size arrays, no locks taken.
     pub fn snapshot(&self) -> MetricsSnapshot {
@@ -349,6 +355,25 @@ impl MetricsSnapshot {
     /// The merged latency histogram for one instrumented site.
     pub fn latency(&self, site: LatencySite) -> &HistogramSnapshot {
         &self.latency[site as usize]
+    }
+
+    /// Every site's percentile summary, one object keyed by site name.
+    pub fn latency_json(&self) -> Json {
+        let mut obj = Json::obj();
+        for &site in SITES.iter() {
+            let h = self.latency(site);
+            obj.set(
+                site.name(),
+                Json::obj()
+                    .with("count", h.count())
+                    .with("mean_ns", h.mean_ns() as u64)
+                    .with("max_ns", h.max_ns())
+                    .with("p50_ns", h.p50())
+                    .with("p95_ns", h.p95())
+                    .with("p99_ns", h.p99()),
+            );
+        }
+        obj
     }
 
     /// `self - earlier`, element-wise (for interval reporting).

@@ -33,7 +33,7 @@
 //! primitives with no tracking: loom explores tiny bounded schedules
 //! where the ordering discipline is the *subject* of other tests, and
 //! global statics do not fit the model-checker lifecycle. The wait-for
-//! graph structure itself ([`WaitForGraph`]) does compile under loom so
+//! graph structure itself (`WaitForGraph`) does compile under loom so
 //! the `loom_lockdep` suite can verify it is race-free.
 //!
 //! See DESIGN.md "Lock ordering" for the rank lattice and waiver policy.

@@ -90,6 +90,9 @@ pub struct Database {
     /// production. Exposed via [`Database::fault_sim`] so crash tests can
     /// arm and trigger the simulated power cut.
     sim: Option<Arc<SimFs>>,
+    /// The file layer every persistent file is created through: [`OsFs`],
+    /// or `sim` when fault injection is on.
+    fs: Arc<dyn FaultFs>,
     /// The kernel flight recorder (disabled unless `cfg.trace` or
     /// `PHOEBE_TRACE` enabled it); every subsystem emits through the
     /// metrics handle, this is the drain/export side.
@@ -242,7 +245,7 @@ impl Database {
             Duration::from_micros(cfg.wal_group_commit_us),
             cfg.wal_sync,
             Arc::clone(&metrics),
-            fs,
+            Arc::clone(&fs),
             recovery.max_gsn + 1,
         )?;
         pool.set_wal_barrier(Arc::new(HubBarrier(Arc::clone(&wal))));
@@ -260,6 +263,7 @@ impl Database {
             by_name: RankedRwLock::new(Rank::Db, "db.by_name", HashMap::new()),
             ddl_log: RankedMutex::new(Rank::Db, "db.ddl_log", Vec::new()),
             sim,
+            fs,
             tracer,
             trace_path: RankedMutex::new(Rank::Db, "db.trace_path", trace_path),
             recovery,
@@ -470,8 +474,8 @@ impl Database {
         let tree =
             BTree::create(Arc::clone(&self.pool), id, TreeKind::Table, Arc::clone(&self.metrics))?;
         let types: Vec<ColType> = schema.types().to_vec();
-        let frozen =
-            FrozenStore::create(&self.cfg.data_dir.join(format!("frozen_{}.db", id.raw())), types)?;
+        let path = self.cfg.data_dir.join(format!("frozen_{}.db", id.raw()));
+        let frozen = FrozenStore::create(self.fs.as_ref(), &path, types)?;
         let entry = Arc::new(TableEntry::new(id, name.to_owned(), schema.clone(), tree, frozen));
         let idx = self.catalog.len();
         self.catalog.push(Arc::clone(&entry));

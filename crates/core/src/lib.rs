@@ -50,11 +50,10 @@ pub use catalog::{IndexDef, IndexEntry, TableEntry};
 pub use db::{Database, RecoveryInfo, EXTERNAL_SLOTS};
 pub use keys::KeyBuilder;
 pub use phoebe_common::{TelemetryConfig, TraceConfig, Tracer, WatchdogConfig};
+pub use phoebe_runtime::{RuntimeStats, WorkerStateSummary};
 pub use phoebe_txn::locks::IsolationLevel;
 pub use row::Row;
-pub use stats::{
-    ComponentCost, CounterValue, KernelStats, LatencySummary, RuntimeGauges, WorkerStateSummary,
-};
+pub use stats::{KernelStats, Series};
 pub use telemetry::KernelTelemetry;
 pub use temperature::{FreezeStats, WarmStats};
 pub use txn_api::Transaction;

@@ -10,7 +10,7 @@
 pub use crate::catalog::{IndexDef, IndexEntry, TableEntry};
 pub use crate::db::Database;
 pub use crate::row::Row;
-pub use crate::stats::{KernelStats, LatencySummary};
+pub use crate::stats::KernelStats;
 pub use crate::txn_api::Transaction;
 pub use phoebe_common::{
     KernelConfig, KernelConfigBuilder, LatencySite, PhoebeError, Result, TelemetryConfig,

@@ -140,7 +140,7 @@ fn watchdog_main(
         // One snapshot per tick: the interval since the previous tick plus
         // the live gauges, the same `KernelStats` `/metrics` renders.
         let now = db.metrics.snapshot();
-        let s = db.stats_from_metrics(&now.delta_since(&prev));
+        let s = db.stats_from_metrics(now.delta_since(&prev));
         prev = now;
 
         // --- Worker progress: the worker loop charges its time-in-state
@@ -149,7 +149,7 @@ fn watchdog_main(
         // one hook tick. (Its poll count is no heartbeat: a worker whose
         // tasks all sleep on a lock or a commit rightly stops polling.)
         workers.resize_with(s.worker_states.len(), Default::default);
-        for (st, ws) in workers.iter_mut().zip(&s.worker_states) {
+        for (worker, (st, ws)) in workers.iter_mut().zip(&s.worker_states).enumerate() {
             let charged = ws.running_ns + ws.ready_ns + ws.parked_ns + ws.io_ns;
             let stuck = charged == st.0;
             st.0 = charged;
@@ -159,7 +159,7 @@ fn watchdog_main(
                     &log,
                     "worker_stall",
                     Json::obj()
-                        .with("worker", ws.worker)
+                        .with("worker", worker)
                         .with("occupied_slots", ws.occupied_slots)
                         .with("polls", ws.polls)
                         .with("worker_stall_ms", cfg.worker_stall_ms),
@@ -209,12 +209,12 @@ fn watchdog_main(
         // --- Optional commit-p99 ceiling over the sampling window.
         if let Some(limit) = cfg.p99_limit_ns {
             let commit = s.latency(LatencySite::Commit);
-            if p99.observe(commit.count > 0 && commit.p99_ns > limit, Duration::ZERO, cooldown) {
+            if p99.observe(commit.count() > 0 && commit.p99() > limit, Duration::ZERO, cooldown) {
                 capture(
                     &db,
                     &log,
                     "p99_breach",
-                    Json::obj().with("commit_p99_ns", commit.p99_ns).with("p99_limit_ns", limit),
+                    Json::obj().with("commit_p99_ns", commit.p99()).with("p99_limit_ns", limit),
                 );
             }
         }

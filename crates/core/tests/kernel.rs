@@ -453,6 +453,40 @@ fn freeze_then_read_from_block_store_then_warm() {
     db.shutdown();
 }
 
+/// The Data Block File is created through the kernel's fault layer: a
+/// block write that fails fails the freeze, moves no watermark and drains
+/// no hot row.
+#[test]
+fn failed_block_write_fails_the_freeze_and_keeps_every_row() {
+    let mut cfg = KernelConfig::for_tests();
+    cfg.freeze_access_threshold = u64::MAX;
+    cfg.freeze_batch_pages = 4;
+    cfg.fault = Some(phoebe_common::fault::FaultConfig::crash_only(13));
+    let db = Database::open(cfg).unwrap();
+    let t = db.create_table("events", Schema::new(vec![("v", ColType::I64)])).unwrap();
+    let n = 4000u64;
+    block_on(async {
+        let mut tx = db.begin(IsolationLevel::ReadCommitted);
+        for i in 0..n {
+            tx.insert(&t, vec![Value::I64(i as i64)]).await.unwrap();
+        }
+        tx.commit().await.unwrap();
+    });
+    let watermark = t.frozen.max_frozen_row_id();
+    // Every write from here on fails; the pool holds every page, so reads
+    // need no I/O.
+    db.fault_sim().expect("fault injection enabled").crash();
+    assert!(db.freeze_table(&t).is_err(), "the block write must fail the freeze");
+    assert_eq!(t.frozen.max_frozen_row_id(), watermark);
+    let mut tx = db.begin(IsolationLevel::ReadCommitted);
+    for i in 0..n {
+        let got = tx.read(&t, RowId(i + 1)).unwrap();
+        assert_eq!(got.map(|r| r[0].clone()), Some(Value::I64(i as i64)), "row {}", i + 1);
+    }
+    tx.abort();
+    db.shutdown();
+}
+
 #[test]
 fn frozen_rows_update_out_of_place() {
     let mut cfg = KernelConfig::for_tests();

@@ -52,26 +52,26 @@ fn stats_report_commit_percentiles_after_workload() {
 
     let stats = db.stats();
     let commit = stats.latency(LatencySite::Commit);
-    assert_eq!(commit.count, 160, "4 of every 5 transactions commit");
-    assert!(commit.p50_ns > 0, "commit p50 must be nonzero after commits");
+    assert_eq!(commit.count(), 160, "4 of every 5 transactions commit");
+    assert!(commit.p50() > 0, "commit p50 must be nonzero after commits");
     assert!(
-        commit.p50_ns <= commit.p95_ns && commit.p95_ns <= commit.p99_ns,
+        commit.p50() <= commit.p95() && commit.p95() <= commit.p99(),
         "p50={} p95={} p99={} must be monotone",
-        commit.p50_ns,
-        commit.p95_ns,
-        commit.p99_ns
+        commit.p50(),
+        commit.p95(),
+        commit.p99()
     );
-    assert!(commit.p99_ns <= commit.max_ns);
+    assert!(commit.p99() <= commit.max_ns());
 
     let abort = stats.latency(LatencySite::Abort);
-    assert_eq!(abort.count, 40);
-    assert!(abort.p50_ns <= abort.p95_ns && abort.p95_ns <= abort.p99_ns);
+    assert_eq!(abort.count(), 40);
+    assert!(abort.p50() <= abort.p95() && abort.p95() <= abort.p99());
 
     // Synchronous commits flushed the WAL, so flush percentiles exist too
     // and stay monotone.
     let flush = stats.latency(LatencySite::WalFlush);
-    assert!(flush.count > 0, "durable commits imply WAL flushes");
-    assert!(flush.p50_ns <= flush.p95_ns && flush.p95_ns <= flush.p99_ns);
+    assert!(flush.count() > 0, "durable commits imply WAL flushes");
+    assert!(flush.p50() <= flush.p95() && flush.p95() <= flush.p99());
 
     // The counters and the histograms must agree through the public API.
     assert_eq!(stats.counter("commits"), 160);
@@ -86,7 +86,13 @@ fn stats_json_is_one_line_and_carries_the_sites() {
     churn(&db, &table, 25);
     let line = db.stats().to_json().render();
     assert!(!line.contains('\n'), "machine-readable output must be one line");
-    for key in ["\"commit\"", "\"wal_flush\"", "\"buffer_fault\"", "\"p99_ns\"", "\"counters\""] {
+    for key in [
+        "\"commit\"",
+        "\"wal_flush\"",
+        "\"buffer_fault\"",
+        "\"p99_ns\"",
+        "\"phoebe_counter_total\"",
+    ] {
         assert!(line.contains(key), "stats JSON missing {key}: {line}");
     }
     db.shutdown();

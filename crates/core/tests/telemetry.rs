@@ -4,7 +4,8 @@
 //! judged by its heartbeat rather than by how often it polls.
 
 use phoebe_common::hist::SITES;
-use phoebe_common::metrics::COUNTERS;
+use phoebe_common::metrics::{COMPONENTS, COUNTERS};
+use phoebe_common::Json;
 use phoebe_common::{FaultConfig, WatchdogConfig};
 use phoebe_core::prelude::*;
 use std::io::{Read, Write};
@@ -66,8 +67,9 @@ fn every_site_and_counter_exports_to_prometheus_and_json() {
     let table = accounts(&db);
     churn(&db, &table, 50);
 
-    let prom = phoebe_core::telemetry::prometheus_text(&db);
-    let json = db.stats().to_json().render();
+    let stats = db.stats();
+    let prom = phoebe_core::telemetry::prometheus_text(&stats);
+    let json = stats.to_json().render();
     for &site in SITES.iter() {
         let name = site.name();
         assert!(
@@ -97,6 +99,110 @@ fn every_site_and_counter_exports_to_prometheus_and_json() {
     db.shutdown();
 }
 
+/// The child of a `/stats` object named `key`.
+fn child<'a>(node: &'a Json, key: &str) -> &'a Json {
+    let Json::Obj(fields) = node else { panic!("{key}: parent is not an object") };
+    &fields.iter().find(|(k, _)| k == key).unwrap_or_else(|| panic!("{key} missing from /stats")).1
+}
+
+/// Leaves under a `/stats` node.
+fn leaves(node: &Json) -> usize {
+    match node {
+        Json::Obj(fields) => fields.iter().map(|(_, v)| leaves(v)).sum(),
+        _ => 1,
+    }
+}
+
+/// One listing: `/metrics` and `/stats` render one snapshot's table of
+/// series. Every non-histogram sample of the one is a leaf of the other
+/// with the same value (and there are no other leaves), no sample is
+/// listed twice, and the table holds every counter, component, site,
+/// worker × state row and gauge.
+#[test]
+fn metrics_and_stats_render_one_table() {
+    let db = Database::open(KernelConfig::for_tests()).unwrap();
+    let table = accounts(&db);
+    churn(&db, &table, 50);
+
+    let stats = db.stats();
+    let prom = phoebe_core::telemetry::prometheus_text(&stats);
+    let json = stats.to_json();
+    let mut listed = std::collections::HashSet::new();
+    let mut scalars = 0;
+    for line in prom.lines().filter(|l| !l.starts_with('#')) {
+        let (key, value) = line.rsplit_once(' ').unwrap();
+        assert!(listed.insert(key.to_owned()), "{key} listed twice");
+        if key.starts_with("phoebe_latency_ns") {
+            continue;
+        }
+        let (name, labels) = key.split_once('{').unwrap_or((key, ""));
+        let mut node = child(&json, name);
+        for label in labels.trim_end_matches('}').split(',').filter(|l| !l.is_empty()) {
+            node = child(node, label.split_once('=').unwrap().1.trim_matches('"'));
+        }
+        assert_eq!(node, &Json::U64(value.parse().unwrap()), "/stats disagrees on {key}");
+        scalars += 1;
+    }
+    let histograms = child(&json, "phoebe_latency_ns");
+    assert_eq!(leaves(&json) - leaves(histograms), scalars, "/stats lists what /metrics does");
+
+    let mut want: Vec<String> = Vec::new();
+    for &(_, name) in COUNTERS.iter() {
+        want.push(format!("phoebe_counter_total{{counter=\"{name}\"}}"));
+    }
+    for &c in COMPONENTS.iter() {
+        for family in ["phoebe_component_busy_ns_total", "phoebe_component_ops_total"] {
+            want.push(format!("{family}{{component=\"{}\"}}", c.name()));
+        }
+    }
+    for &site in SITES.iter() {
+        want.push(format!("phoebe_latency_ns_count{{site=\"{}\"}}", site.name()));
+        assert!(child(histograms, site.name()) != &Json::Null);
+    }
+    for w in 0..db.cfg.workers {
+        for state in ["running", "ready", "parked", "io"] {
+            want.push(format!("phoebe_worker_state_ns_total{{worker=\"{w}\",state=\"{state}\"}}"));
+        }
+        want.push(format!("phoebe_worker_polls_total{{worker=\"{w}\"}}"));
+        want.push(format!("phoebe_worker_occupied_slots{{worker=\"{w}\"}}"));
+    }
+    for name in [
+        "phoebe_runtime_tasks_completed_total",
+        "phoebe_runtime_polls_total",
+        "phoebe_runtime_parks_total",
+        "phoebe_runtime_tasks_pulled_global_total",
+        "phoebe_runtime_tasks_pulled_local_total",
+        "phoebe_runtime_urgent_pull_stalls_total",
+        "phoebe_runtime_occupied_slots",
+        "phoebe_runtime_ready_tasks",
+        "phoebe_runtime_global_queue_depth",
+        "phoebe_wal_durable_gsn",
+        "phoebe_wal_flush_horizon_age_ns",
+        "phoebe_wal_backlog_records",
+        "phoebe_wal_halted",
+        "phoebe_buffer_total_frames",
+        "phoebe_buffer_free_frames",
+        "phoebe_fault_tickets_inflight",
+        "phoebe_fault_budget_limit",
+        "phoebe_undo_backlog",
+        "phoebe_twin_tables",
+        "phoebe_trace_events_emitted_total",
+    ] {
+        want.push(name.to_owned());
+    }
+    for key in &want {
+        assert!(listed.contains(key), "{key} missing from /metrics");
+    }
+    let series = stats.series();
+    for &(_, name) in COUNTERS.iter() {
+        assert!(
+            series.iter().any(|s| s.name == "phoebe_counter_total" && s.labels[0].1 == name),
+            "counter {name} missing from the table"
+        );
+    }
+    db.shutdown();
+}
+
 /// Prometheus invariants on a live kernel: histogram bucket counts are
 /// cumulative and agree with `_count`, and `_sum`/`_count` are consistent
 /// with the recorded traffic.
@@ -109,7 +215,7 @@ fn prometheus_histograms_are_cumulative_and_consistent() {
     let stats = db.stats();
     let commits = stats.counter("commits");
     assert_eq!(commits, 80);
-    let prom = phoebe_core::telemetry::prometheus_text(&db);
+    let prom = phoebe_core::telemetry::prometheus_text(&stats);
 
     // The commit histogram: every bucket line's value must be
     // non-decreasing, and the +Inf bucket must equal _count.
@@ -160,11 +266,11 @@ fn http_endpoints_serve_metrics_stats_and_live_trace() {
     assert!(body.contains("# TYPE phoebe_latency_ns histogram"), "{body:.200}");
     assert!(body.contains("phoebe_counter_total{counter=\"commits\"} 48"));
     assert!(body.contains("phoebe_worker_state_ns_total{worker=\"0\",state=\"running\"}"));
-    assert!(body.contains("phoebe_wal_bytes_flushed_total"));
+    assert!(body.contains("phoebe_counter_total{counter=\"wal_flushed_bytes\"}"));
 
     let (status, body) = http_get(addr, "/stats");
     assert_eq!(status, 200);
-    assert!(body.contains("\"counters\"") && body.contains("\"commits\":48"), "{body:.200}");
+    assert!(body.contains("\"phoebe_counter_total\":{\"commits\":48,"), "{body:.200}");
 
     // Live flight-recorder snapshot: telemetry auto-enables an in-memory
     // tracer, so the Perfetto document carries real events — and the
@@ -256,7 +362,7 @@ fn wedged_wal_flush_produces_incident_with_evidence() {
     let trace = std::fs::read_to_string(incident.join("trace.json")).unwrap();
     assert!(trace.contains("\"traceEvents\""), "flight-recorder snapshot missing/invalid");
     let stats = std::fs::read_to_string(incident.join("stats.json")).unwrap();
-    assert!(stats.contains("\"wal\""), "stats dump missing/invalid");
+    assert!(stats.contains("\"phoebe_wal_halted\""), "stats dump missing/invalid");
 
     // The incident is also visible as a counter on the scrape path.
     let deadline = Instant::now() + Duration::from_secs(5);

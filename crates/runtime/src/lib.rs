@@ -35,7 +35,7 @@ mod yield_point;
 
 pub use block_on::block_on;
 pub use notify::Notify;
-pub use runtime::{Runtime, RuntimeConfig, RuntimeStats, WorkerHook, WorkerTimeInState};
+pub use runtime::{Runtime, RuntimeConfig, RuntimeStats, WorkerHook, WorkerStateSummary};
 pub use task::{current_slot, JoinHandle};
 pub use timer::{sleep, sleep_until, Sleep};
 pub use yield_point::{yield_now, Urgency};

@@ -69,30 +69,27 @@ pub struct RuntimeStats {
     pub ready_tasks: u64,
     /// Depth of the global injector queue alone.
     pub global_queue_depth: u64,
-    /// Cumulative wall time each worker spent per scheduler state,
-    /// indexed by worker. Charged at every phase boundary of the worker
-    /// loop, bounded parks included, so its total is the watchdog's
-    /// progress heartbeat: it stops only while the worker is stuck inside
-    /// one poll or one hook tick.
-    pub worker_state_ns: Vec<WorkerTimeInState>,
-    /// Cumulative poll count per worker.
-    pub worker_polls: Vec<u64>,
-    /// Seated-slot gauge per worker (same data `occupied_slots` sums).
-    pub worker_occupied: Vec<u64>,
 }
 
-/// Cumulative per-worker wall time split by what the worker was doing:
-/// polling seated tasks (`running`), pulling/bookkeeping between polls
-/// (`ready`), parked with nothing runnable (`parked`), or running the
-/// kernel hook's background duties — page swaps, GC (`io`). The four
-/// always sum to the worker's lifetime, so interval deltas give a
-/// utilization profile.
+/// One worker's row of [`Runtime::stats_by_worker`]: cumulative wall time
+/// split by what the worker was doing — polling seated tasks (`running`),
+/// pulling/bookkeeping between polls (`ready`), parked with nothing
+/// runnable (`parked`), or running the kernel hook's background duties,
+/// page swaps and GC (`io`) — plus its poll count and seated slots. The
+/// four times always sum to the worker's lifetime and are charged at every
+/// phase boundary of the worker loop, bounded parks included, so their
+/// total is the watchdog's progress heartbeat: it stops only while the
+/// worker is stuck inside one poll or one hook tick.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct WorkerTimeInState {
+pub struct WorkerStateSummary {
     pub running_ns: u64,
     pub ready_ns: u64,
     pub parked_ns: u64,
     pub io_ns: u64,
+    /// Task polls on this worker (cumulative).
+    pub polls: u64,
+    /// Task slots seated on this worker (gauge).
+    pub occupied_slots: u64,
 }
 
 /// Indices into `WorkerStats::state_ns`.
@@ -248,33 +245,38 @@ impl Runtime {
 
     /// Aggregate scheduler statistics across workers.
     pub fn stats(&self) -> RuntimeStats {
+        self.stats_by_worker().0
+    }
+
+    /// [`Runtime::stats`] and the per-worker rows it sums, read in one pass.
+    pub fn stats_by_worker(&self) -> (RuntimeStats, Vec<WorkerStateSummary>) {
         let mut out = RuntimeStats::default();
+        let mut rows = Vec::with_capacity(self.shared.stats.len());
         // ORDERING: statistics reads; each counter is independent and a
         // slightly stale aggregate is fine — nothing synchronizes on it.
         for s in &self.shared.stats {
-            out.tasks_completed += s.tasks_completed.load(Ordering::Relaxed);
-            let polls = s.polls.load(Ordering::Relaxed);
-            out.polls += polls;
-            out.worker_polls.push(polls);
-            out.parks += s.parks.load(Ordering::Relaxed);
-            out.tasks_pulled_global += s.pulled_global.load(Ordering::Relaxed);
-            out.tasks_pulled_local += s.pulled_local.load(Ordering::Relaxed);
-            out.urgent_pull_stalls += s.urgent_pull_stalls.load(Ordering::Relaxed);
-            let occupied = s.occupied.load(Ordering::Relaxed);
-            out.occupied_slots += occupied;
-            out.worker_occupied.push(occupied);
-            // ORDERING: as above — independent statistic reads.
-            out.worker_state_ns.push(WorkerTimeInState {
+            let row = WorkerStateSummary {
                 running_ns: s.state_ns[ST_RUNNING].load(Ordering::Relaxed),
                 ready_ns: s.state_ns[ST_READY].load(Ordering::Relaxed),
                 parked_ns: s.state_ns[ST_PARKED].load(Ordering::Relaxed),
                 io_ns: s.state_ns[ST_IO].load(Ordering::Relaxed),
-            });
+                polls: s.polls.load(Ordering::Relaxed),
+                occupied_slots: s.occupied.load(Ordering::Relaxed),
+            };
+            // ORDERING: as above — independent statistic reads.
+            out.tasks_completed += s.tasks_completed.load(Ordering::Relaxed);
+            out.polls += row.polls;
+            out.parks += s.parks.load(Ordering::Relaxed);
+            out.tasks_pulled_global += s.pulled_global.load(Ordering::Relaxed);
+            out.tasks_pulled_local += s.pulled_local.load(Ordering::Relaxed);
+            out.urgent_pull_stalls += s.urgent_pull_stalls.load(Ordering::Relaxed);
+            out.occupied_slots += row.occupied_slots;
+            rows.push(row);
         }
         out.global_queue_depth = self.shared.injector.len() as u64;
         out.ready_tasks = out.global_queue_depth
             + self.shared.locals.iter().map(|l| l.lock().len() as u64).sum::<u64>();
-        out
+        (out, rows)
     }
 
     /// Stop accepting work, drain current tasks, and join the workers.

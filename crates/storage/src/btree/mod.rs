@@ -9,12 +9,12 @@
 //! Concurrency follows the paper's hybrid lock strategy (§7.2), and each
 //! part of it is written once:
 //!
-//! * [`descent`] — optimistic lock coupling: one hop (read versions,
+//! * `descent` — optimistic lock coupling: one hop (read versions,
 //!   validate the parent, restart on interference), driven either to
 //!   completion on the calling thread or one suspendable step at a time;
-//! * [`leaf`] — what happens under the shared or exclusive latch of the
+//! * `leaf` — what happens under the shared or exclusive latch of the
 //!   leaf a descent delivers, the same whichever way it was driven;
-//! * [`smo`] — structure modifications: one pessimistic crab that holds
+//! * `smo` — structure modifications: one pessimistic crab that holds
 //!   the tree-meta latch and couples exclusive latches with preemptive
 //!   splitting, so it coexists with optimistic readers simply by bumping
 //!   versions.

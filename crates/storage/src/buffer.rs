@@ -15,7 +15,7 @@
 //! Eviction follows the paper's three swizzle states: a clock pass over the
 //! partition *stages* candidates by setting the cooling bit in the parent's
 //! child swip (Hot → Cooling) until the partition's cooling stage holds
-//! [`COOLING_SHARE`] of its frames; accessors that reach a cooling page heat
+//! `COOLING_SHARE` of its frames; accessors that reach a cooling page heat
 //! it back (second chance); when frames are needed, staged candidates still
 //! cooling are written out from the stage's front and their swips turned
 //! cold (Cooling → Cold). [`BufferPool::page_swap`] is that one routine.
@@ -320,9 +320,11 @@ impl BufferPool {
         self.partitions[partition].free.lock().len()
     }
 
-    /// Physical (reads, writes) against the Data Page File.
+    /// Physical (reads, writes) against the Data Page File: the
+    /// `PageReads`/`PageWrites` counters, bumped by the only two calls that
+    /// move a page image.
     pub fn io_counts(&self) -> (u64, u64) {
-        self.page_file.io_counts()
+        (self.metrics.counter(Counter::PageReads), self.metrics.counter(Counter::PageWrites))
     }
 
     /// Record an OLTP access on a frame (temperature tracking, §5.2).
@@ -594,8 +596,8 @@ impl BufferPool {
         self.evict_pass(partition)
     }
 
-    /// Top `partition`'s cooling stage up to [`COOLING_SHARE`] of its
-    /// frames (at least [`COOLING_FLOOR`]) by a clock pass that flips Hot
+    /// Top `partition`'s cooling stage up to `COOLING_SHARE` of its
+    /// frames (at least `COOLING_FLOOR`) by a clock pass that flips Hot
     /// swips to Cooling. A full stage costs one lock: the clock does not
     /// move and no frame is probed. The stage is measured by its queue,
     /// stale entries of candidates heated since staging included; the

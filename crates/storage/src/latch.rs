@@ -2,7 +2,7 @@
 //!
 //! PhoebeDB's hybrid lock strategy uses *optimistic* latches during B-Tree
 //! traversal (reads proceed without locking and validate a version counter
-//! afterwards — Optimistic Lock Coupling [OLC]), and *shared*/*exclusive*
+//! afterwards — Optimistic Lock Coupling, OLC), and *shared*/*exclusive*
 //! latches for tuple operations on leaf nodes. This module provides the
 //! primitive: a version-counter latch wrapping the protected value.
 //!

@@ -41,7 +41,7 @@ const AREA_BYTES: usize = (std::mem::size_of::<PaxLeaf>() - 8) / 8 * 8;
 const MIN_KEYS: usize = 32;
 
 /// The widest key a tree stores: the width at which a node still holds
-/// [`MIN_KEYS`] keys. `IndexDef::check` refuses wider index keys at DDL
+/// `MIN_KEYS` keys. `IndexDef::check` refuses wider index keys at DDL
 /// time; a node refuses them with [`WidthMismatch`].
 pub const KEY_CAP: usize = (AREA_BYTES - 8) / MIN_KEYS - 16 + 8;
 

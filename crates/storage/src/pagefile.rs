@@ -18,8 +18,6 @@ pub struct PageFile {
     file: Arc<dyn FaultFile>,
     next: AtomicU64,
     free: RankedMutex<Vec<PageId>>,
-    reads: AtomicU64,
-    writes: AtomicU64,
 }
 
 impl PageFile {
@@ -37,8 +35,6 @@ impl PageFile {
             file,
             next: AtomicU64::new(0),
             free: RankedMutex::new(Rank::PageFile, "pagefile.free", Vec::new()),
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
         })
     }
 
@@ -59,7 +55,6 @@ impl PageFile {
     pub fn write_page(&self, id: PageId, buf: &[u8]) -> Result<()> {
         debug_assert_eq!(buf.len(), PAGE_SIZE);
         self.file.write_all_at(id.raw() * PAGE_SIZE as u64, buf)?;
-        self.writes.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -67,7 +62,6 @@ impl PageFile {
     pub fn read_page(&self, id: PageId, buf: &mut [u8]) -> Result<()> {
         debug_assert_eq!(buf.len(), PAGE_SIZE);
         self.file.read_exact_at(id.raw() * PAGE_SIZE as u64, buf)?;
-        self.reads.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -75,11 +69,6 @@ impl PageFile {
     pub fn sync(&self) -> Result<()> {
         self.file.sync_data()?;
         Ok(())
-    }
-
-    /// (physical reads, physical writes) so far.
-    pub fn io_counts(&self) -> (u64, u64) {
-        (self.reads.load(Ordering::Relaxed), self.writes.load(Ordering::Relaxed))
     }
 
     /// Highest slot ever allocated (file length in pages).
@@ -105,7 +94,6 @@ mod tests {
         let mut back = vec![0u8; PAGE_SIZE];
         pf.read_page(id, &mut back).unwrap();
         assert_eq!(img, back);
-        assert_eq!(pf.io_counts(), (1, 1));
     }
 
     #[test]

@@ -129,7 +129,7 @@ impl PaxLeaf {
     /// under the rightmost leaf's latch, so a leaf's ids are consecutive
     /// and the row sits at `row_id - first_row_id`; only a leaf where
     /// recovery skipped ids misses that slot and falls back to
-    /// [`search_sorted`] over the sorted row-id minipage.
+    /// `search_sorted` over the sorted row-id minipage.
     pub fn find(&self, row_id: RowId) -> Option<usize> {
         let n = self.len();
         let direct = row_id.raw().wrapping_sub(self.first_row_id()?.raw());

@@ -16,13 +16,13 @@
 use super::codec;
 use crate::schema::{ColType, Value};
 use phoebe_common::error::{PhoebeError, Result};
+use phoebe_common::fault::{FaultFile, FaultFs};
 use phoebe_common::ids::RowId;
 use phoebe_common::sync::{Rank, RankedMutex, RankedRwLock};
 use std::collections::HashSet;
-use std::fs::{File, OpenOptions};
-use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 struct BlockMeta {
     start: RowId,
@@ -46,7 +46,7 @@ pub struct BlockStats {
 
 /// Append-only compressed block storage for one table.
 pub struct FrozenStore {
-    file: File,
+    file: Arc<dyn FaultFile>,
     append_at: AtomicU64,
     directory: RankedRwLock<Vec<BlockMeta>>,
     tombstones: RankedMutex<HashSet<u64>>,
@@ -58,14 +58,11 @@ pub struct FrozenStore {
 pub const NOTHING_FROZEN: u64 = 0;
 
 impl FrozenStore {
-    pub fn create(path: &Path, types: Vec<ColType>) -> Result<Self> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        let file =
-            OpenOptions::new().read(true).write(true).create(true).truncate(true).open(path)?;
+    /// Create (or truncate) the store's file at `path` through `fs`, the
+    /// kernel's one I/O seam.
+    pub fn create(fs: &dyn FaultFs, path: &Path, types: Vec<ColType>) -> Result<Self> {
         Ok(FrozenStore {
-            file,
+            file: fs.create(path)?,
             append_at: AtomicU64::new(0),
             directory: RankedRwLock::new(Rank::FrozenTier, "frozen.directory", Vec::new()),
             tombstones: RankedMutex::new(Rank::FrozenTier, "frozen.tombstones", HashSet::new()),
@@ -95,7 +92,7 @@ impl FrozenStore {
         }
         let blob = codec::encode_block(&self.types, row_ids, rows);
         let offset = self.append_at.fetch_add(blob.len() as u64, Ordering::SeqCst);
-        self.file.write_all_at(&blob, offset)?;
+        self.file.write_all_at(offset, &blob)?;
         self.directory.write().push(BlockMeta {
             start,
             end,
@@ -122,7 +119,7 @@ impl FrozenStore {
             (b.offset, b.len as usize)
         };
         let mut buf = vec![0u8; len];
-        self.file.read_exact_at(&mut buf, offset)?;
+        self.file.read_exact_at(offset, &mut buf)?;
         codec::decode_block(&buf)
     }
 
@@ -213,7 +210,7 @@ impl FrozenStore {
                 (dir[idx].offset, dir[idx].len as usize)
             };
             let mut buf = vec![0u8; len];
-            self.file.read_exact_at(&mut buf, offset)?;
+            self.file.read_exact_at(offset, &mut buf)?;
             let (ids, rows) = codec::decode_block(&buf)?;
             let tomb = self.tombstones.lock();
             for (id, row) in ids.iter().zip(&rows) {
@@ -239,10 +236,12 @@ impl FrozenStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use phoebe_common::fault::OsFs;
 
     fn store() -> FrozenStore {
         let dir = phoebe_common::KernelConfig::for_tests().data_dir;
-        FrozenStore::create(&dir.join("frozen.db"), vec![ColType::I64, ColType::Str(10)]).unwrap()
+        FrozenStore::create(&OsFs, &dir.join("frozen.db"), vec![ColType::I64, ColType::Str(10)])
+            .unwrap()
     }
 
     fn rows(range: std::ops::Range<u64>) -> (Vec<RowId>, Vec<Vec<Value>>) {

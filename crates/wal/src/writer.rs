@@ -312,8 +312,6 @@ pub struct WalHub {
     /// Every record stamped at or below this is durable: the last
     /// completed round's tick minus one.
     durable_gsn: AtomicU64,
-    /// Bytes written by rounds that landed, markers included (statistic).
-    bytes_flushed: AtomicU64,
     metrics: Arc<Metrics>,
     sync: bool,
     /// Asks the flusher to run its final round and exit.
@@ -400,7 +398,6 @@ impl WalHub {
             file,
             gsn: AtomicU64::new(first_gsn),
             durable_gsn: AtomicU64::new(first_gsn - 1),
-            bytes_flushed: AtomicU64::new(0),
             metrics,
             sync,
             shutdown: AtomicBool::new(false),
@@ -615,7 +612,6 @@ impl WalHub {
         for (slot, mark) in round.stolen.drain(..) {
             self.writers[slot].flushed_lsn.fetch_max(mark, Ordering::Relaxed);
         }
-        self.bytes_flushed.fetch_add(n, Ordering::Relaxed);
         self.metrics.incr(Counter::WalFlushes);
         self.metrics.add(Counter::WalFlushedBytes, n);
         // The whole round is one group-commit window's worth of work.
@@ -739,10 +735,10 @@ impl WalHub {
         probe.since.map_or(0, |s| s.elapsed().as_nanos() as u64)
     }
 
-    /// Bytes written by rounds that landed, round markers included.
+    /// Bytes written by rounds that landed, round markers included: the
+    /// `WalFlushedBytes` counter.
     pub fn total_bytes_flushed(&self) -> u64 {
-        // ORDERING: diagnostic read of a monotonic statistic.
-        self.bytes_flushed.load(Ordering::Relaxed)
+        self.metrics.counter(Counter::WalFlushedBytes)
     }
 
     /// Snapshot of the hub's metrics registry (tests/diagnostics).

@@ -395,9 +395,12 @@ fn walk_functions(
 ) -> Vec<FnBody> {
     let mut out: Vec<FnBody> = Vec::new();
     let mut depth: i64 = 0;
-    // Innermost-last stack of (body index in `out`, depth the body closes at).
-    let mut fn_stack: Vec<(usize, i64)> = Vec::new();
+    // Innermost-last stack of (body index in `out`, depth the body closes
+    // at, the function's parameter names).
+    let mut fn_stack: Vec<(usize, i64, Vec<String>)> = Vec::new();
     let mut pending_fn: Option<String> = None;
+    // The pending function's signature text, up to its body's `{`.
+    let mut signature = String::new();
     let mut guards: Vec<Guard> = Vec::new();
 
     for (idx, line) in lines.iter().enumerate() {
@@ -405,10 +408,17 @@ fn walk_functions(
         let code = line.code.as_str();
 
         if let Some(name) = fn_name(code) {
+            let at = code.find(&format!("fn {name}")).unwrap_or(0);
+            signature = code[at..].to_owned();
             pending_fn = Some(name);
         } else if pending_fn.is_some() && code.contains(';') && !code.contains('{') {
             pending_fn = None; // trait-method signature without a body
+        } else if pending_fn.is_some() {
+            signature.push_str(code);
         }
+        // A call through a parameter — the enclosing function's or a
+        // closure's on this line — names no kernel function.
+        let closure_params = closure_params(code);
 
         // Early releases.
         guards.retain(|g| {
@@ -467,19 +477,19 @@ fn walk_functions(
                     depth += 1;
                     if let Some(name) = pending_fn.take() {
                         out.push(FnBody { name, file, events: Vec::new() });
-                        fn_stack.push((out.len() - 1, depth - 1));
+                        fn_stack.push((out.len() - 1, depth - 1, param_names(&signature)));
                     }
                 }
                 Item::Close => {
                     depth -= 1;
                     guards.retain(|g| g.depth < depth + 1);
-                    while fn_stack.last().is_some_and(|(_, d)| *d >= depth) {
+                    while fn_stack.last().is_some_and(|(_, d, _)| *d >= depth) {
                         fn_stack.pop();
                     }
                 }
                 Item::Acquire { candidates, bindable } => {
                     let held = snapshot(&guards);
-                    if let Some((bi, _)) = fn_stack.last() {
+                    if let Some((bi, _, _)) = fn_stack.last() {
                         out[*bi].events.push(Event::Acquire {
                             candidates: candidates.clone(),
                             line: n,
@@ -502,7 +512,10 @@ fn walk_functions(
                     }
                 }
                 Item::Call(callee) => {
-                    if let Some((bi, _)) = fn_stack.last() {
+                    if let Some((bi, _, params)) = fn_stack.last() {
+                        if params.contains(&callee) || closure_params.contains(&callee) {
+                            continue;
+                        }
                         out[*bi].events.push(Event::Call {
                             callee,
                             line: n,
@@ -540,6 +553,66 @@ fn fn_name(code: &str) -> Option<String> {
         start = at + 3;
     }
     None
+}
+
+/// The parameter names of a signature starting at `fn name`: each
+/// top-level `name: Type` of its `(...)` list (with `mut`/`&` stripped),
+/// patterns skipped.
+fn param_names(signature: &str) -> Vec<String> {
+    // Depth over `<(...)>` groups; `->` closes nothing.
+    let mut depth = 0i32;
+    let mut prev = ' ';
+    let mut item: Option<String> = None;
+    let mut items = Vec::new();
+    for c in signature.chars() {
+        let arrow = prev == '-';
+        prev = c;
+        match c {
+            '(' | '<' | '[' => depth += 1,
+            ')' | ']' => depth -= 1,
+            '>' if !arrow => depth -= 1,
+            _ => {}
+        }
+        match (&mut item, depth, c) {
+            (None, 1, '(') => item = Some(String::new()),
+            (None, ..) => {}
+            (Some(_), 0, _) => break,
+            (Some(i), 1, ',') => items.push(std::mem::take(i)),
+            (Some(i), ..) => i.push(c),
+        }
+    }
+    items.extend(item);
+    items.iter().filter_map(|i| binding_name(i.split(':').next()?)).collect()
+}
+
+/// The parameter names of every `|a, b: T|` closure head on a line (`||`
+/// is an empty head or a logical or, and names nothing).
+fn closure_params(code: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    let mut rest = code;
+    while let Some(p) = rest.find('|') {
+        let after = &rest[p + 1..];
+        let Some(q) = after.find('|') else { break };
+        let head = &after[..q];
+        if q > 0 && head.chars().all(|c| c.is_alphanumeric() || " _,:&<>()[]".contains(c)) {
+            out.extend(head.split(',').filter_map(|i| binding_name(i.split(':').next()?)));
+            rest = &after[q + 1..];
+        } else {
+            rest = after;
+        }
+    }
+    out
+}
+
+/// `pat` as one bound identifier (`mut x`, `&x` and `x` give `x`).
+fn binding_name(pat: &str) -> Option<String> {
+    let t = pat.trim().trim_start_matches('&').trim();
+    let t = t.strip_prefix("mut ").unwrap_or(t).trim();
+    let ok = !t.is_empty()
+        && t.chars().all(|c| c.is_alphanumeric() || c == '_')
+        && !t.starts_with(|c: char| c.is_numeric())
+        && t != "self";
+    ok.then(|| t.to_owned())
 }
 
 /// The `Rank::<Name>` token in a declaration window, and the text after it.
@@ -901,5 +974,41 @@ impl S {
         assert!(a.dot.contains("t.lo\\nDb (10)"), "{}", a.dot);
         assert!(a.dot.contains("t.hi\\nNotify (100)"));
         assert!(a.dot.contains("c0 -> c1"), "{}", a.dot);
+    }
+
+    #[test]
+    fn calls_through_parameters_name_no_kernel_function() {
+        let src = "\
+fn decls() {
+    lo: RankedMutex::new(Rank::Db, \"t.lo\", 0);
+    hi: RankedMutex::new(Rank::Notify, \"t.hi\", 0);
+}
+impl S {
+    fn head(&self) -> u64 {
+        let g = self.lo.lock();
+    }
+    fn search<F: Fn(u64)>(
+        &self,
+        mut head: impl Fn(usize) -> u64,
+        tie: F,
+    ) -> usize {
+        let g = self.hi.lock();
+        head(0) + tie(1)
+    }
+    fn scan(&self, keys: &[u64]) {
+        let g = self.hi.lock();
+        keys.iter().map(|&head, _| head(1)).count();
+    }
+    fn bad(&self) {
+        let g = self.hi.lock();
+        self.head();
+    }
+}
+";
+        let a = run(src);
+        assert_eq!(rules(&a), ["lock-order"], "{:?}", a.violations);
+        assert_eq!(a.violations[0].1.line, 23, "only the real call descends");
+        assert_eq!(param_names("fn f<F: Fn(u8)>(&self, mut a: &[u8], (b, c): (u8, u8))"), ["a"]);
+        assert_eq!(closure_params("x.map(|a, mut b: u8| a || b) || c"), ["a", "b"]);
     }
 }

@@ -20,7 +20,8 @@
 #   * the durable-GSN gauge (phoebe_wal_durable_gsn) rises strictly
 #     between the scrapes: every group-commit round ticks it, so a burst
 #     that commits moves it,
-#   * /stats returns the kernel JSON document (with its "gc" gauges),
+#   * /stats returns the kernel JSON document: every /metrics family (the
+#     GC gauges among them) and every latency site,
 #   * /trace?ms=200 returns a Perfetto-loadable trace-event JSON.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -157,10 +158,13 @@ twins = second[("phoebe_twin_tables", "")]
 assert backlog < UNDO_BACKLOG_BOUND, \
     f"phoebe_undo_backlog {backlog} >= {UNDO_BACKLOG_BOUND}: some UNDO arena is not collected"
 
-# /stats: the kernel JSON document.
+# /stats: the kernel JSON document, the same table of series as /metrics
+# (every family under its /metrics name) plus the latency sites.
 stats = json.loads(get("/stats"))
-for key in ("counters", "components", "latency", "runtime", "wal", "buffer", "gc"):
+families = {name for name, _ in first if not name.startswith("phoebe_latency_ns")}
+for key in families | {"phoebe_latency_ns", "phoebe_undo_backlog", "phoebe_twin_tables"}:
     assert key in stats, f"/stats missing {key}"
+assert need <= set(stats["phoebe_latency_ns"]), "/stats missing latency sites"
 
 # /trace?ms=200: a live Perfetto snapshot without stopping the kernel.
 trace = json.loads(get("/trace?ms=200"))

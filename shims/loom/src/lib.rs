@@ -3,7 +3,7 @@
 //! Same shape as the real crate — `loom::model`, `loom::thread`,
 //! `loom::sync::{Mutex, RwLock, atomic}`, `loom::cell::UnsafeCell` — but
 //! implemented in-tree so the workspace builds without registry access.
-//! The engine ([`rt`]) is a CHESS-style bounded model checker: real OS
+//! The engine (`rt`) is a CHESS-style bounded model checker: real OS
 //! threads run one at a time under a cooperative scheduler, every
 //! synchronization operation is a schedule point, and schedules are
 //! enumerated depth-first with a preemption bound.
