@@ -3,8 +3,9 @@
 //! Paper: ~1800 MB/s sustained via io_uring on an NVMe SSD, stable for the
 //! whole run. Here every slot buffer drains into one log file: each
 //! group-commit round gathers them into one write followed by one
-//! `fdatasync`, both made by the flusher thread; the shape to observe is
-//! a *stable* MB/s series.
+//! `fdatasync`. Nobody here waits on a commit, so one thread of this
+//! experiment runs the rounds back to back; the shape to observe is a
+//! *stable* MB/s series.
 
 use phoebe_bench::*;
 use phoebe_common::ids::Xid;
@@ -23,7 +24,7 @@ fn main() {
     let hub = WalHub::new(
         &dir,
         writers,
-        0, // I/O threads: none, the flusher writes and syncs itself
+        0, // I/O threads: none, a round's leader writes and syncs itself
         Duration::from_micros(200),
         true,
         Arc::new(Metrics::new(appenders)),
@@ -57,6 +58,14 @@ fn main() {
             })
         })
         .collect();
+    let rounds = {
+        let (hub, stop) = (Arc::clone(&hub), Arc::clone(&stop));
+        std::thread::spawn(move || {
+            while !stop.load(Ordering::Acquire) {
+                hub.flush_all().expect("wal round");
+            }
+        })
+    };
     let hub2 = Arc::clone(&hub);
     let mut last = 0u64;
     let sampler = Sampler::start(Duration::from_millis(500), move |t| {
@@ -68,6 +77,7 @@ fn main() {
     std::thread::sleep(Duration::from_secs(secs));
     stop.store(true, Ordering::Release);
     let total: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
+    rounds.join().unwrap();
     let rows = sampler.finish();
     let headers = ["t (s)", "MB/s"];
     print_table(

@@ -33,7 +33,11 @@ pub struct KernelConfig {
     /// Whether commits wait for their slot's WAL writer to reach the disk
     /// ("WAL sync is enabled" in §9). Off = fully asynchronous commit.
     pub wal_sync: bool,
-    /// Group-commit window for each slot WAL writer, in microseconds.
+    /// The longest pending log records wait for a group-commit round, in
+    /// microseconds, while the workers stay busy: a worker's tick runs a
+    /// round once records are pending and the last round ended this long
+    /// ago. A commit is often covered sooner: a worker about to park runs a
+    /// round while a commit waits, and a wait off the pool runs its own.
     pub wal_group_commit_us: u64,
     /// Leaf pages whose OLTP access count over the sampling window stays
     /// below this threshold are candidates for freezing (§5.2).
@@ -311,7 +315,7 @@ impl KernelConfigBuilder {
         affinity: bool,
         /// Whether commits wait for WAL durability.
         wal_sync: bool,
-        /// Group-commit window per slot WAL writer, microseconds.
+        /// The tick's bound on a pending record's wait for a round, µs.
         wal_group_commit_us: u64,
         /// Access-count threshold below which leaves freeze (§5.2).
         freeze_access_threshold: u64,

@@ -1,8 +1,8 @@
 //! Deterministic fault-injection file layer (the crash-torture substrate).
 //!
-//! Every byte PhoebeDB persists — WAL rounds from the group-commit
-//! flusher, page images through the Data Page File, compressed blocks
-//! through the Data Block File — goes through the [`FaultFs`] /
+//! Every byte PhoebeDB persists — WAL group-commit rounds, page images
+//! through the Data Page File, compressed blocks through the Data Block
+//! File — goes through the [`FaultFs`] /
 //! [`FaultFile`] traits instead of `std::fs` directly. Production uses
 //! [`OsFs`], a zero-cost passthrough. Tests and the crash-torture harness
 //! use [`SimFs`], which models the volatile/durable split of a real disk:

@@ -90,20 +90,20 @@ pub enum Rank {
     FrozenTier = 65,
     /// Page-fault service tickets (`storage/fault_service.rs`).
     FaultService = 70,
-    /// WAL hub control state: flusher handle, horizon probe
-    /// (`wal/writer.rs`).
+    /// WAL hub control state: the round lock, whose holder runs a
+    /// group-commit round, and the horizon probe (`wal/writer.rs`).
     WalHub = 75,
     /// Per-slot WAL writer buffers (`wal/writer.rs`). Self-nesting: a
     /// group-commit round holds every slot's buffer at once.
     WalSlot = 80,
-    /// WAL commit bell: the flusher's ring count and the parked
-    /// durability waits; rung under frame latches by eviction, drained
-    /// under the hub's round lock by a failed round (`wal/writer.rs`).
+    /// WAL commit bell: the parked durability waits; drained under the
+    /// hub's round lock by every round (`wal/writer.rs`).
     WalDoorbell = 82,
     /// Runtime shared control state: worker-thread registry, hooks
     /// (`runtime/runtime.rs`).
     RuntimeShared = 88,
-    /// Per-worker injection queues (`runtime/runtime.rs`).
+    /// The global task queue and the per-worker injection queues; never
+    /// two at once (`runtime/runtime.rs`).
     RuntimeQueue = 90,
     /// Timer wheel state (`runtime/timer.rs`).
     Timer = 95,

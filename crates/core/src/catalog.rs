@@ -293,11 +293,12 @@ impl TableEntry {
     }
 }
 
-/// Remove `row`'s entry from each of `indexes`. A removal that fails
-/// (an I/O error) is not retried: the entry it leaves points at a missing
-/// tuple, which every reader treats as no match.
+/// Remove `row`'s entry from each of `indexes`: the key, only while it
+/// still maps to `row`. A removal that fails (an I/O error) is not
+/// retried: the entry it leaves points at a missing tuple, which every
+/// reader treats as no match.
 fn remove_entries(indexes: &[Arc<IndexEntry>], schema: &Schema, tuple: &[Value], row: RowId) {
     for index in indexes {
-        let _ = index.tree.index_remove(&index.key_for(schema, tuple, row));
+        let _ = index.tree.index_remove(&index.key_for(schema, tuple, row), row);
     }
 }

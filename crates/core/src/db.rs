@@ -115,23 +115,13 @@ pub struct Database {
     watchdog: RankedMutex<Option<crate::watchdog::WatchdogHandle>>,
 }
 
-struct HubBarrier(Arc<WalHub>);
-
-impl phoebe_storage::WalBarrier for HubBarrier {
-    fn try_ensure_durable(&self, gsn: u64) -> bool {
-        self.0.try_ensure_durable_gsn(gsn)
-    }
-
-    fn ensure_durable(&self, gsn: u64) {
-        self.0.ensure_durable_gsn_blocking(gsn);
-    }
-}
-
 /// Per-worker background duties (§7.1, Figure 6): the buffer partition's
 /// page swaps (`BufferPool::page_swap_duty`, which runs when the partition's
-/// free frames fall below its watermark), and GC after every
+/// free frames fall below its watermark), GC after every
 /// `Database::GC_EVERY_TXNS` transactions on slots the worker owns — run on
-/// the worker that owns the data.
+/// the worker that owns the data — and the log's group-commit rounds: one
+/// per tick once a backlog is a window old, and one whenever a worker
+/// would park while a commit waits.
 struct KernelHook {
     db: Weak<Database>,
 }
@@ -143,6 +133,11 @@ impl WorkerHook for KernelHook {
         };
         db.pool.page_swap_duty(worker);
         db.gc_tick(worker);
+        db.wal.flush_if_due();
+    }
+
+    fn idle(&self, _worker: usize) -> bool {
+        self.db.upgrade().is_some_and(|db| db.wal.lead_awaited_round())
     }
 }
 
@@ -248,7 +243,7 @@ impl Database {
             Arc::clone(&fs),
             recovery.max_gsn + 1,
         )?;
-        pool.set_wal_barrier(Arc::new(HubBarrier(Arc::clone(&wal))));
+        pool.set_wal_barrier(wal.clone());
         let arenas: Vec<_> = (0..total_slots).map(|_| Arc::new(UndoArena::new())).collect();
         let twins = Arc::new(TwinRegistry::new());
         let gc = GcEngine::new(arenas.clone(), Arc::clone(&twins));
@@ -390,7 +385,6 @@ impl Database {
         if let Some(rt) = self.runtime.write().take() {
             rt.shutdown();
         }
-        let _ = self.wal.flush_all();
         self.wal.shutdown();
         self.export_trace_on_shutdown();
     }
@@ -656,8 +650,8 @@ impl Database {
 
     /// Physically remove a deleted row once its deletion is globally
     /// visible (§7.3 "GC for deleted tuples"): a hot row's tuple and index
-    /// entries, a frozen row's index entries (its block keeps the
-    /// tombstone).
+    /// entries, a frozen row's index entries that still map to it (its
+    /// block keeps the tombstone; an update moved its keys already).
     fn physically_delete(&self, log: &Arc<UndoLog>) {
         let Ok(table) = self.table_by_id(log.table) else {
             return;
@@ -760,12 +754,7 @@ impl Database {
 
 impl Drop for Database {
     fn drop(&mut self) {
-        self.stop_observability();
-        if let Some(rt) = self.runtime.write().take() {
-            rt.shutdown();
-        }
-        self.wal.shutdown();
-        self.export_trace_on_shutdown();
+        self.shutdown();
     }
 }
 

@@ -33,7 +33,7 @@ pub struct KernelStats {
     /// group-commit round's tick minus one; it rises with every round).
     pub wal_durable_gsn: u64,
     /// How long the WAL flush horizon has been stuck behind the append
-    /// horizon (0 while the flusher keeps up).
+    /// horizon (0 while the rounds keep up).
     pub wal_flush_horizon_age_ns: u64,
     /// Records appended but not yet flushed, summed across slot writers.
     pub wal_backlog_records: u64,

@@ -627,6 +627,9 @@ impl Transaction {
                 for (c, v) in &delta {
                     new_tuple[*c] = v.clone();
                 }
+                // The new version takes the frozen row's keys: its unique
+                // entries must go first. Rollback puts them back.
+                table.remove_index_entries(&image, row);
                 let new_row = self.insert(table, new_tuple).await?;
                 Ok((new_row, image))
             }
@@ -702,8 +705,12 @@ impl Transaction {
                 UndoOp::Delete { .. } => {
                     // Logical delete: nothing physical happened yet.
                 }
-                UndoOp::FrozenDelete { .. } => {
+                UndoOp::FrozenDelete { row_image } => {
                     table.frozen.unmark_deleted(log.row);
+                    // An update removed the row's entries before its hot
+                    // insert (undone above); after a delete they are still
+                    // there, and the first insert finds its key taken.
+                    let _ = table.add_index_entries(row_image, log.row);
                 }
             }
             if let Some(twin) = self.db.twins.get((log.table, log.page_key)) {

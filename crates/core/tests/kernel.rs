@@ -1118,6 +1118,64 @@ fn collected_frozen_delete_frees_its_unique_key() {
     db.shutdown();
 }
 
+/// Updating a frozen row of a table with a unique index moves the row hot
+/// under its keys: the frozen row's entries go first, so the hot insert
+/// finds its unique key free. Committed, the new row keeps its keys
+/// through GC — which must not remove the new row's unique entry by key —
+/// and through a reopen; aborted, the frozen row keeps its own. The
+/// non-unique index follows the row as well.
+#[test]
+fn update_of_a_frozen_row_keeps_it_under_its_keys() {
+    let mut cfg = KernelConfig::for_tests();
+    cfg.freeze_access_threshold = u64::MAX; // everything qualifies as cold
+    cfg.freeze_batch_pages = 2;
+    let db = Database::open(cfg.clone()).unwrap();
+    let t = make_accounts(&db);
+    db.create_index(&t, "accounts_owner", vec![1], false).unwrap();
+    let owner = |id: i64| format!("o{id}");
+    block_on(async {
+        let mut tx = db.begin(IsolationLevel::ReadCommitted);
+        for id in 0..2500 {
+            tx.insert(&t, row(id, &owner(id), id)).await.unwrap();
+        }
+        tx.commit().await.unwrap();
+    });
+    assert!(db.freeze_table(&t).unwrap().rows_frozen > 0);
+    let update = |id: i64, commit: bool| {
+        block_on(async {
+            let pk = t.index("accounts_pk").unwrap();
+            let mut tx = db.begin(IsolationLevel::ReadCommitted);
+            let (rid, _) = tx.lookup_unique(&t, &pk, &[Value::I64(id)]).unwrap().unwrap();
+            let moved = tx.update(&t, rid, &[(2, Value::I64(-id))]).await.unwrap();
+            assert_ne!(moved, rid, "key {id} was frozen: the update moves it hot");
+            match commit {
+                true => _ = tx.commit().await.unwrap(),
+                false => tx.abort(),
+            }
+        })
+    };
+    update(1, true);
+    update(2, false);
+    let check = |db: &Arc<Database>, t: &Arc<TableEntry>, when: &str| {
+        let by_owner = t.index("accounts_owner").unwrap();
+        for (id, balance) in [(1, -1), (2, 2), (3, 3)] {
+            let want = row(id, &owner(id), balance);
+            assert_eq!(lookup_pk(db, t, id), Some(want.clone()), "key {id} {when}");
+            let mut tx = db.begin(IsolationLevel::ReadCommitted);
+            let found = tx.scan_index(t, &by_owner, &[Value::Str(owner(id))], 100).unwrap();
+            let found: Vec<_> = found.into_iter().map(|(_, r)| r.into_values()).collect();
+            assert_eq!(found.iter().filter(|r| r[1] == want[1]).collect::<Vec<_>>(), [&want]);
+            block_on(tx.commit()).unwrap();
+        }
+    };
+    check(&db, &t, "after the updates");
+    db.collect_all();
+    check(&db, &t, "after GC");
+    let (db, t) = reopen(db, &cfg);
+    check(&db, &t, "after a reopen");
+    db.shutdown();
+}
+
 /// One run of the read-only dependency: T1 updates row 1 and commits; T2,
 /// on another slot, reads row 1, sees T1 committed, updates row 2 and
 /// commits — at once, or (`later`) only after T1's round wrote, so that

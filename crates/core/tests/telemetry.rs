@@ -319,7 +319,7 @@ fn wedged_wal_flush_produces_incident_with_evidence() {
     churn(&db, &table, 10); // healthy traffic first: no incidents yet
 
     // Kill the simulated disk: every subsequent WAL write/fsync fails, so
-    // the flusher halts the hub and the flush horizon freezes behind the
+    // the next round halts the hub and the flush horizon freezes behind the
     // records the doomed commit appended.
     db.fault_sim().expect("fault-injected kernel").crash();
     let rt = db.runtime();

@@ -2,14 +2,13 @@
 
 use crate::task::{enter_slot, waker_for, Completer, JoinHandle, Task, WakeState};
 use crate::yield_point::{take_last_urgency, Urgency};
-use crossbeam::deque::{Injector, Steal};
 use phoebe_common::sync::{Rank, RankedMutex, RankedRwLock};
 use phoebe_common::trace::{EventKind, Tracer};
 use std::collections::VecDeque;
 use std::future::Future;
 use std::panic::AssertUnwindSafe;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 use std::time::{Duration, Instant};
@@ -49,6 +48,13 @@ impl RuntimeConfig {
 /// (§7.1, Figure 6).
 pub trait WorkerHook: Send + Sync + 'static {
     fn tick(&self, worker: usize);
+
+    /// Run by a worker whose pass made no progress, before it parks: work
+    /// that may wake what its slots wait on (a group-commit round). True
+    /// when it did some, and the worker polls again instead of parking.
+    fn idle(&self, _worker: usize) -> bool {
+        false
+    }
 }
 
 /// Scheduler statistics (observability + tests). Counters are cumulative;
@@ -67,7 +73,7 @@ pub struct RuntimeStats {
     pub occupied_slots: u64,
     /// Spawned tasks waiting for a slot (global queue + local queues).
     pub ready_tasks: u64,
-    /// Depth of the global injector queue alone.
+    /// Depth of the global queue alone.
     pub global_queue_depth: u64,
 }
 
@@ -114,7 +120,10 @@ struct WorkerStats {
 
 struct Shared {
     cfg: RuntimeConfig,
-    injector: Injector<Task>,
+    global: RankedMutex<VecDeque<Task>>,
+    /// The global queue's length, stored under its lock: a vacant slot
+    /// skips the lock while it reads 0, and the depth sample reads it.
+    global_len: AtomicUsize,
     locals: Vec<RankedMutex<VecDeque<Task>>>,
     worker_threads: RankedRwLock<Vec<std::thread::Thread>>,
     hook: RankedRwLock<Option<Arc<dyn WorkerHook>>>,
@@ -123,6 +132,19 @@ struct Shared {
 }
 
 impl Shared {
+    /// Take the oldest task from the global queue, if any.
+    fn pop_global(&self) -> Option<Task> {
+        // ORDERING: a hint; a task pushed after a 0 is read unparks this
+        // worker, which looks again.
+        if self.global_len.load(Ordering::Relaxed) == 0 {
+            return None;
+        }
+        let mut global = self.global.lock();
+        let task = global.pop_front();
+        self.global_len.store(global.len(), Ordering::Relaxed);
+        task
+    }
+
     fn unpark_all(&self) {
         for t in self.worker_threads.read().iter() {
             t.unpark();
@@ -158,32 +180,31 @@ impl Runtime {
                 "runtime.worker_threads",
                 Vec::with_capacity(cfg.workers),
             ),
-            injector: Injector::new(),
+            global: RankedMutex::new(Rank::RuntimeQueue, "runtime.global_queue", VecDeque::new()),
+            global_len: AtomicUsize::new(0),
             hook: RankedRwLock::new(Rank::RuntimeShared, "runtime.hook", None),
             shutdown: AtomicBool::new(false),
             stats: (0..cfg.workers).map(|_| WorkerStats::default()).collect(),
             cfg,
         });
-        let rt = Arc::new(Runtime {
-            shared: shared.clone(),
-            threads: RankedMutex::new(Rank::RuntimeShared, "runtime.thread_handles", Vec::new()),
-        });
-        let mut threads = rt.threads.lock();
-        for w in 0..shared.cfg.workers {
-            let sh = shared.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("phoebe-worker-{w}"))
-                .spawn(move || worker_main(sh, w))
-                .expect("spawn worker thread");
-            threads.push(handle);
-        }
+        let threads = (0..shared.cfg.workers)
+            .map(|w| {
+                let sh = shared.clone();
+                std::thread::Builder::new()
+                    .name(format!("phoebe-worker-{w}"))
+                    .spawn(move || worker_main(sh, w))
+                    .expect("spawn worker thread")
+            })
+            .collect();
         // Wait until every worker has registered its Thread handle so that
         // early spawns can unpark them.
         while shared.worker_threads.read().len() < shared.cfg.workers {
             std::thread::yield_now();
         }
-        drop(threads);
-        rt
+        Arc::new(Runtime {
+            shared,
+            threads: RankedMutex::new(Rank::RuntimeShared, "runtime.thread_handles", threads),
+        })
     }
 
     /// Convenience constructor matching a kernel configuration.
@@ -236,7 +257,11 @@ impl Runtime {
                 self.shared.unpark_one(w);
             }
             None => {
-                self.shared.injector.push(task);
+                let mut global = self.shared.global.lock();
+                global.push_back(task);
+                // ORDERING: a hint, stored under the lock (`pop_global`).
+                self.shared.global_len.store(global.len(), Ordering::Relaxed);
+                drop(global);
                 self.shared.unpark_all();
             }
         }
@@ -273,7 +298,8 @@ impl Runtime {
             out.occupied_slots += row.occupied_slots;
             rows.push(row);
         }
-        out.global_queue_depth = self.shared.injector.len() as u64;
+        // ORDERING: a gauge.
+        out.global_queue_depth = self.shared.global_len.load(Ordering::Relaxed) as u64;
         out.ready_tasks = out.global_queue_depth
             + self.shared.locals.iter().map(|l| l.lock().len() as u64).sum::<u64>();
         (out, rows)
@@ -334,8 +360,9 @@ struct Seated {
 }
 
 /// The longest a worker with nothing to run parks: the cadence of the
-/// worker hook's page-swap and GC duties while the worker is idle. It
-/// re-polls nothing — only slots a waker marked ready run after a park.
+/// worker hook's duties (page swaps, GC, the kernel's window-old WAL
+/// round) while the worker is idle. It re-polls nothing — only slots a
+/// waker marked ready run after a park.
 const HOOK_CADENCE: Duration = Duration::from_micros(100);
 
 fn worker_main(shared: Arc<Shared>, worker: usize) {
@@ -360,7 +387,7 @@ fn worker_main(shared: Arc<Shared>, worker: usize) {
         // hooks reach into pool/db state whose locks rank below the
         // runtime's.
         let hook = shared.hook.read().clone();
-        if let Some(hook) = hook {
+        if let Some(hook) = &hook {
             hook.tick(worker);
         }
         charge(ST_IO, &mut mark);
@@ -432,14 +459,14 @@ fn worker_main(shared: Arc<Shared>, worker: usize) {
                 };
                 let (task, from_local) = match task {
                     Some(t) => (t, true),
-                    None => match pop_global(&shared.injector) {
+                    None => match shared.pop_global() {
                         Some(t) => (t, false),
                         None => break,
                     },
                 };
                 if from_local {
                     // ORDERING: statistic counters; task handoff is ordered
-                    // by the local-queue mutex / injector internally.
+                    // by the queues' mutexes.
                     stats.pulled_local.fetch_add(1, Ordering::Relaxed);
                 } else {
                     stats.pulled_global.fetch_add(1, Ordering::Relaxed);
@@ -460,23 +487,31 @@ fn worker_main(shared: Arc<Shared>, worker: usize) {
             // every busy round (not just rounds that stole) keeps the counter
             // fresh in the ring for long-lived tasks, whose pulls all happen
             // at startup and would otherwise be overwritten on wrap.
-            tracer.instant(EventKind::QueueDepth, 0, shared.injector.len() as u64, 0);
+            // ORDERING: a gauge.
+            let depth = shared.global_len.load(Ordering::Relaxed) as u64;
+            tracer.instant(EventKind::QueueDepth, 0, depth, 0);
         }
         // ORDERING: statistic gauge, read only by `stats()`.
         stats.occupied.store(occupied as u64, Ordering::Relaxed);
 
         // Nothing woke and nothing was pulled: every seated task sleeps on
-        // a waker, and any vacant slot found the queues empty. A waker stores
-        // `ready` before it unparks, so one that fires after this round's
-        // scan leaves the unpark token and the park returns at once.
+        // a waker, and any vacant slot found the queues empty. The hook's
+        // idle duty may end a wait here (the worker charges it to `io`);
+        // else the worker parks. A waker stores `ready` before it unparks,
+        // so one that fires after this round's scan leaves the unpark token
+        // and the park returns at once.
         if !progressed {
             if occupied == 0 && shared.shutdown.load(Ordering::Acquire) {
                 return;
             }
+            charge(ST_READY, &mut mark);
+            if hook.is_some_and(|hook| hook.idle(worker)) {
+                charge(ST_IO, &mut mark);
+                continue;
+            }
             // ORDERING: statistic counter; parking itself synchronizes
             // through `park_timeout`/`unpark`.
             stats.parks.fetch_add(1, Ordering::Relaxed);
-            charge(ST_READY, &mut mark);
             let park_start = mark;
             std::thread::park_timeout(HOOK_CADENCE);
             // The park span reuses the time-in-state boundary reads.
@@ -485,16 +520,6 @@ fn worker_main(shared: Arc<Shared>, worker: usize) {
             tracer.instant(EventKind::Unpark, 0, 0, 0);
         }
         charge(ST_READY, &mut mark);
-    }
-}
-
-fn pop_global(injector: &Injector<Task>) -> Option<Task> {
-    loop {
-        match injector.steal() {
-            Steal::Success(t) => return Some(t),
-            Steal::Empty => return None,
-            Steal::Retry => continue,
-        }
     }
 }
 

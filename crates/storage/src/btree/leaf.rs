@@ -125,13 +125,14 @@ impl<'t> LatchedLeaf<'t> {
         Ok(self.index_leaf()?.get(key).map(RowId))
     }
 
-    /// Remove `key` from this index leaf; returns the row id it mapped to.
-    pub(super) fn index_remove(&mut self, key: &[u8]) -> Result<Option<RowId>> {
-        let out = self.index_leaf_mut()?.remove(key).map(RowId);
-        if out.is_some() {
+    /// Remove `key` from this index leaf if it maps to `row`; whether it
+    /// did.
+    pub(super) fn index_remove(&mut self, key: &[u8], row: RowId) -> Result<bool> {
+        let removed = self.index_leaf_mut()?.remove(key, row.raw());
+        if removed {
             self.tree.mark_dirty(self.fid);
         }
-        Ok(out)
+        Ok(removed)
     }
 }
 

@@ -264,10 +264,12 @@ impl BTree {
         self.leaf_for(key, false)?.index_get(key)
     }
 
-    /// Remove `key`; returns the row id it mapped to.
-    pub fn index_remove(&self, key: &[u8]) -> Result<Option<RowId>> {
+    /// Remove `key` if it maps to `row`; whether it did. A unique key
+    /// carries no row id, so the key alone may name another row's entry
+    /// by now (a frozen row's key after its update moved it hot).
+    pub fn index_remove(&self, key: &[u8], row: RowId) -> Result<bool> {
         debug_assert_eq!(self.kind, TreeKind::Index);
-        self.leaf_for(key, true)?.index_remove(key)
+        self.leaf_for(key, true)?.index_remove(key, row)
     }
 
     /// Visit entries with `low <= key <= high` in order; `f` returns

@@ -116,7 +116,8 @@ fn index_insert_get_remove_with_splits() {
         if let Some(r) = t.index_get(&k).unwrap() {
             // Remove and verify gone.
             if i % 1000 == 0 {
-                assert_eq!(t.index_remove(&k).unwrap(), Some(r));
+                assert!(!t.index_remove(&k, RowId(r.raw() + 1)).unwrap(), "another row's key");
+                assert!(t.index_remove(&k, r).unwrap());
                 assert_eq!(t.index_get(&k).unwrap(), None);
             }
             found += 1;
@@ -491,8 +492,18 @@ fn model_writer(t: &ModelTrees, seed: u64, prefix: u8, ops: usize, solo: bool) -
             }
             65..75 => {
                 let key = model_key(prefix, rng.random_range(0..key_space));
-                let got = settled(|| t.index.index_remove(&key)).unwrap().map(|r| r.raw());
-                assert_eq!(got, model.index.remove(&key));
+                // The row the key maps to, or (one time in four, or when
+                // the key is absent) another: that removes nothing.
+                let held = model.index.get(&key).copied();
+                let row = match held {
+                    Some(r) if rng.random_range(0..4u32) > 0 => r,
+                    _ => rng.next_u64(),
+                };
+                let removed = settled(|| t.index.index_remove(&key, RowId(row))).unwrap();
+                assert_eq!(removed, held == Some(row));
+                if removed {
+                    model.index.remove(&key);
+                }
             }
             75..92 => {
                 // Own rows, present and absent keys, and a row nobody has.

@@ -138,9 +138,9 @@ pub struct Frame {
 /// Callback the WAL layer installs so dirty-page write-out obeys
 /// write-ahead ordering ("Non-Force, Steal", §8).
 pub trait WalBarrier: Send + Sync + 'static {
-    /// Whether all WAL up to `gsn` is durable. If not, nudge the flusher
-    /// and return at once — this is the only barrier call eviction makes
-    /// while it holds a latch.
+    /// Whether all WAL up to `gsn` is durable, answered at once — this is
+    /// the only barrier call eviction makes while it holds a latch. The
+    /// log's own rounds (the kernel's tick) make the rest durable.
     fn try_ensure_durable(&self, gsn: u64) -> bool;
     /// Block until all WAL up to `gsn` is durable. Called with no latch
     /// held, and only from [`BufferPool::allocate`]'s last-resort pass.
@@ -152,7 +152,7 @@ enum Evict {
     /// The frame went back to its partition's free list.
     Freed,
     /// Dirty, and its log up to this GSN is not durable yet: not written,
-    /// still cooling, worth another look once the flusher's round lands.
+    /// still cooling, worth another look once a WAL round lands.
     LogPending(u64),
     /// Lost a latch race, heated, or no longer evictable.
     Skipped,
@@ -669,7 +669,7 @@ impl BufferPool {
     /// Evict one staged (still-cooling) page from `partition`
     /// (Cooling → Cold). Returns true if a frame was freed. Never sleeps
     /// and never waits for the log: a dirty candidate whose WAL is not
-    /// durable yet is passed over (the flusher is nudged) in favour of
+    /// durable yet is passed over in favour of
     /// clean and already-durable ones.
     pub fn evict_one(&self, partition: usize) -> Result<bool> {
         Ok(self.evict_pass(partition)?.0)
@@ -1169,7 +1169,7 @@ mod tests {
     }
 
     /// A log that is durable up to a horizon the test moves and counts
-    /// the nudges it gets. Sleeping on it (which catches the horizon up)
+    /// the queries that find it short. Sleeping on it (which catches the horizon up)
     /// is a test failure unless `may_wait`.
     struct StubLog {
         durable: AtomicU64,
@@ -1199,7 +1199,7 @@ mod tests {
 
     /// Steal (§8) without the sleep: a dirty page whose log is not durable
     /// is neither written nor waited for — eviction takes the next
-    /// candidate, nudges the flusher once, and comes back for the page
+    /// candidate, asks the log once, and comes back for the page
     /// when the horizon has passed it.
     #[test]
     fn eviction_skips_a_page_whose_log_is_not_durable() {
@@ -1217,7 +1217,7 @@ mod tests {
         assert!(p.evict_one(0).unwrap(), "the durable leaf must go");
         assert!(matches!(child_state(&p, parent, 0), SwipState::Cold(_)));
         assert_eq!(child_state(&p, parent, 1), SwipState::Cooling(ahead), "still staged");
-        assert_eq!(log.rings.load(Ordering::Relaxed), 1, "one nudge for the one page passed over");
+        assert_eq!(log.rings.load(Ordering::Relaxed), 1, "one query for the one page passed over");
         assert_eq!(p.io_counts().1, 1, "no image may reach disk ahead of its log");
         assert!(p.frame(ahead).meta.dirty.load(Ordering::Relaxed));
 

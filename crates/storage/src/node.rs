@@ -584,12 +584,10 @@ impl IndexLeaf {
         Ok(true)
     }
 
-    /// Remove `key`; returns the row id it mapped to, if present.
-    pub fn remove(&mut self, key: &[u8]) -> Option<u64> {
-        let pos = self.0.search(key).ok()?;
-        let row = self.0.value(pos);
-        self.0.remove_at(pos);
-        Some(row)
+    /// Remove `key` if it maps to `row_id`; whether it did.
+    pub fn remove(&mut self, key: &[u8], row_id: u64) -> bool {
+        let found = self.0.search(key).ok().filter(|&pos| self.0.value(pos) == row_id);
+        found.inspect(|&pos| self.0.remove_at(pos)).is_some()
     }
 
     /// Split this full leaf to make room for `key`: returns the right
@@ -828,9 +826,10 @@ mod tests {
         assert_eq!(l.get(b"bob"), Some(2));
         assert_eq!(l.get(b"dav"), None);
         assert_eq!(l.get(b"alice"), None, "a search key of another width just misses");
-        assert_eq!(l.remove(b"bob"), Some(2));
+        assert!(!l.remove(b"bob", 9), "bob maps to another row");
+        assert!(l.remove(b"bob", 2));
         assert_eq!(l.get(b"bob"), None);
-        assert_eq!(l.remove(b"bob"), None);
+        assert!(!l.remove(b"bob", 2));
         assert_eq!(l.len(), 2);
     }
 

@@ -230,8 +230,10 @@ fn index_leaf_search_oracle(keys: &BTreeSet<Vec<u8>>) {
     assert_eq!(leaf.insert(&wider, 0), Err(WidthMismatch { width, got: width + 1 }));
     leaf_matches_scan(&leaf, &model, &probes, "insert");
     for k in keys.iter().step_by(3) {
-        assert_eq!(leaf.remove(k), model.remove(k));
-        assert_eq!(leaf.remove(k), None);
+        let row = model.remove(k).expect("every key was inserted");
+        assert!(!leaf.remove(k, row + 1), "a key that maps to another row stays");
+        assert!(leaf.remove(k, row));
+        assert!(!leaf.remove(k, row), "a removed key is gone");
     }
     leaf_matches_scan(&leaf, &model, &probes, "remove");
     // The last change was a remove, so the split is in half.

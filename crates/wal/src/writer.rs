@@ -7,16 +7,27 @@
 //! `wal_seg_0000.log`, and each reopen logs into the next number, leaving
 //! the segments it recovered from untouched. Records are self-describing
 //! (xid, GSN, LSN), so nothing about ordering depends on which file holds
-//! them. A background flusher runs group-commit rounds, one at a time; a
-//! round makes its bytes durable with **one write and one `fdatasync`**
-//! made by the flusher itself.
+//! them. Group-commit rounds run one at a time, each on a thread that
+//! needs one, and a round makes its bytes durable with **one write and one
+//! `fdatasync`** made by that thread. There is no log thread. A round is
+//! led by:
 //!
-//! Rounds write into space that is already there. The flusher keeps the
-//! segment zero-filled and synced some way past the append offset, and
-//! refills it between rounds, so a round overwrites allocated blocks and
-//! its `fdatasync` carries data only, not a new file size. Recovery reads
-//! the first zero length as the end of the log, and a clean shutdown cuts
-//! the zero tail off.
+//! - a worker about to park while a durability wait is parked on the bell
+//!   ([`WalHub::lead_awaited_round`]);
+//! - the kernel hook's tick, once records are pending and the last round
+//!   ended a group-commit window ago ([`WalHub::flush_if_due`]);
+//! - a wait off the pool — a client thread's commit, `block_on`, the buffer
+//!   pool's last-resort barrier — which runs rounds itself until one covers
+//!   it.
+//!
+//! So no durability wait depends on another thread being free.
+//!
+//! Rounds write into space that is already there. The segment is kept
+//! zero-filled and synced some way past the append offset, and a round's
+//! leader refills it after its round, so a round overwrites allocated
+//! blocks and its `fdatasync` carries data only, not a new file size.
+//! Recovery reads the first zero length as the end of the log, and a clean
+//! shutdown cuts the zero tail off.
 //!
 //! The GSN clock orders everything. A record is stamped under its slot's
 //! buffer lock with the clock's value, raised first to the caller's floor
@@ -38,11 +49,11 @@
 //!
 //! A commit appends its Commit record, then publishes its outcome, then
 //! waits until `durable_gsn()` reaches the record's stamp: one wait for
-//! every commit, parked on the hub's [`CommitBell`] at that stamp, which
-//! only the round that covers it wakes. Whoever saw the outcome stamps at
-//! or above that record, so its own commit lands in the same round or a
-//! later one, and a crash that keeps the dependent's round keeps the
-//! dependency's too. This deviates
+//! every commit. On the pool it parks on the hub's [`CommitBell`] at that
+//! stamp, which only the round that covers it wakes. Whoever saw the
+//! outcome stamps at or above that record, so its own commit lands in the
+//! same round or a later one, and a crash that keeps the dependent's round
+//! keeps the dependency's too. This deviates
 //! from the paper's RFA, where a commit that built on no other slot's
 //! unflushed write waits for its own slot's log alone: here every slot's
 //! bytes share one write and one sync, so that wait could end no earlier.
@@ -54,89 +65,68 @@ use phoebe_common::fault::{FaultFile, FaultFs, OsFs};
 use phoebe_common::hist::LatencySite;
 use phoebe_common::ids::{Gsn, Lsn, Timestamp, Xid};
 use phoebe_common::metrics::{Component, Counter, Metrics};
-use phoebe_common::sync::{Condvar, Rank, RankedMutex};
-use phoebe_runtime::block_on;
-use phoebe_storage::buffer::FrameMeta;
+use phoebe_common::sync::{Rank, RankedMutex, RankedMutexGuard};
+use phoebe_storage::buffer::{FrameMeta, WalBarrier};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 use std::time::{Duration, Instant};
 
-/// The commit bell: where committers and the flusher meet (event-driven
-/// group commit).
+/// The commit bell: where the durability waits of pool tasks park.
 ///
-/// A durability wait checks its condition, registers the stamp it waits
-/// for with its waker, and rings, all in one critical section. The
-/// flusher sleeps on the condvar with the group-commit window as a
-/// *timeout*, so a lone commit waits one physical flush, not one window;
-/// the rings that arrive while a round's sync is in flight start the next
-/// round the moment it completes. After each round the flusher publishes
-/// `durable_gsn`, then takes the waiters whose stamp it covers and wakes
-/// them outside the lock: a commit whose record is in the next round
-/// stays parked. Publishing before draining is what makes the check under
-/// the lock sufficient (`wal/tests/loom_bell.rs`): a waiter that checked
-/// before the publication is on the list when the drain takes it.
+/// A wait checks its condition and registers the stamp it waits for with
+/// its waker in one critical section. After each round its leader
+/// publishes `durable_gsn`, then takes the waiters whose stamp it covers
+/// and wakes them outside the lock: a commit whose record is in the next
+/// round stays parked. Publishing before draining is what makes the check
+/// under the lock sufficient (`wal/tests/loom_bell.rs`): a waiter that
+/// checked before the publication is on the list when the drain takes it.
+/// A parked wait is also what sends a worker about to park into a round
+/// ([`WalHub::lead_awaited_round`]).
 pub struct CommitBell {
-    state: RankedMutex<BellState>,
-    cv: Condvar,
-}
-
-#[derive(Default)]
-struct BellState {
-    /// Rings so far; the flusher runs a round whenever it moved.
-    rings: u64,
     /// Parked waits, each with the stamp it needs durable. A wait dropped
     /// while parked stays until a drain takes it: one spurious wake.
-    waiters: Vec<(u64, Waker)>,
+    waiters: RankedMutex<Vec<(u64, Waker)>>,
 }
 
 impl Default for CommitBell {
     fn default() -> Self {
-        CommitBell {
-            state: RankedMutex::new(Rank::WalDoorbell, "wal.bell", BellState::default()),
-            cv: Condvar::new(),
-        }
+        CommitBell { waiters: RankedMutex::new(Rank::WalDoorbell, "wal.bell", Vec::new()) }
     }
 }
 
 impl CommitBell {
     /// Check `done` under the lock; while it yields nothing, park the
-    /// task until a drain covers `stamp`, and ring the flusher.
+    /// task until a drain covers `stamp`.
     pub fn park<T>(&self, stamp: u64, cx: &Context, done: impl FnOnce() -> Option<T>) -> Poll<T> {
-        let mut state = self.state.lock();
+        let mut waiters = self.waiters.lock();
         let Some(out) = done() else {
-            state.waiters.push((stamp, cx.waker().clone()));
-            state.rings += 1;
-            drop(state);
-            self.cv.notify_one();
+            waiters.push((stamp, cx.waker().clone()));
             return Poll::Pending;
         };
         Poll::Ready(out)
     }
 
-    /// Wake the flusher with nobody parked: someone wants a round now.
-    fn ring(&self) {
-        self.state.lock().rings += 1;
-        self.cv.notify_one();
+    /// Wake one parked wait, whatever its stamp: it re-checks and parks
+    /// again, and its worker, idle, leads the round it needs.
+    fn wake_one(&self) {
+        let waiter = self.waiters.lock().pop();
+        if let Some((_, waker)) = waiter {
+            waker.wake();
+        }
+    }
+
+    /// Whether some wait is parked: a round would wake it.
+    pub fn is_awaited(&self) -> bool {
+        !self.waiters.lock().is_empty()
     }
 
     /// Wake every waiter whose stamp is at or below `through` (all of
     /// them for `u64::MAX`); call it after publishing what it covers.
     pub fn wake_through(&self, through: u64) {
-        let due: Vec<_> = self.state.lock().waiters.extract_if(.., |w| w.0 <= through).collect();
+        let due: Vec<_> = self.waiters.lock().extract_if(.., |w| w.0 <= through).collect();
         due.into_iter().for_each(|(_, waker)| waker.wake());
-    }
-
-    /// The flusher's sleep: until the ring count moves past `seen` or
-    /// `timeout` elapses (a spurious wakeup only runs a round early).
-    /// Returns the latest count.
-    fn sleep(&self, seen: u64, timeout: Duration) -> u64 {
-        let mut state = self.state.lock();
-        if state.rings == seen {
-            state.wait_for(&self.cv, timeout);
-        }
-        state.rings
     }
 }
 
@@ -145,7 +135,7 @@ impl CommitBell {
 struct Liveness(AtomicU8);
 
 impl Liveness {
-    /// Shut down: the flusher ran its final round and no other follows.
+    /// Shut down: the final round ran and no other follows.
     const CLOSED: u8 = 1;
     /// A log write or fsync failed: nothing more can be proven durable.
     const HALTED: u8 = 2;
@@ -168,10 +158,10 @@ impl Liveness {
 /// Initial capacity of a slot's append buffer.
 const SLOT_BUF_BYTES: usize = 16 * 1024;
 
-/// The zero-filled headroom the flusher keeps past the append offset: a
-/// new segment starts with one step, and once less than half a step is
-/// left the flusher writes and syncs one more. A fill delays only the
-/// next round.
+/// The zero-filled headroom kept past the append offset: a new segment
+/// starts with one step, and once less than half a step is left a round's
+/// leader writes and syncs one more after its round. A fill delays only
+/// its leader and the next round.
 const FILL_STEP: u64 = 1 << 20;
 
 /// What fills write from, one chunk per write. A zeroed heap buffer of a
@@ -256,7 +246,7 @@ impl WalWriter {
     ) -> (Lsn, u64, usize) {
         let mut buf = self.buf.lock();
         // ORDERING: the counter only needs unique, monotone values; the
-        // flusher reads it under this lock.
+        // steal reads it under this lock.
         let lsn = Lsn(self.next_lsn.fetch_add(1, Ordering::Relaxed));
         // The lock orders this load after any earlier steal's tick, so
         // only a floor above the clock needs the read-modify-write.
@@ -302,7 +292,7 @@ struct Round {
 }
 
 /// The WAL hub: all slot writers, the GSN clock, and the group-commit
-/// flusher.
+/// rounds, which run on the threads that need them.
 pub struct WalHub {
     writers: Vec<Arc<WalWriter>>,
     file: Arc<dyn FaultFile>,
@@ -314,19 +304,24 @@ pub struct WalHub {
     durable_gsn: AtomicU64,
     metrics: Arc<Metrics>,
     sync: bool,
-    /// Asks the flusher to run its final round and exit.
-    shutdown: AtomicBool,
-    /// Closed after the flusher's final round; halted when a log write or
-    /// fsync fails. Either way every waiter errors instead of sleeping.
+    /// How long pending records wait for a round that nobody waits on
+    /// ([`WalHub::flush_if_due`]).
+    group_commit: Duration,
+    /// Closed after the final round; halted when a log write or fsync
+    /// fails. Either way every waiter errors instead of sleeping.
     live: Liveness,
-    flusher: RankedMutex<Option<std::thread::JoinHandle<()>>>,
-    /// Every durability wait parks here; the flusher sleeps on it.
+    /// Every durability wait of a pool task parks here.
     bell: CommitBell,
+    /// A `try_lead` found a round running.
+    handoff: AtomicBool,
     /// Holding this lock *is* running a round: rounds never overlap, which
     /// keeps at most one write→sync in flight on the log file.
     round: RankedMutex<Round>,
     /// Rounds completed so far (empty and failed ones included).
     rounds: AtomicU64,
+    /// When the last round ended, in nanoseconds since `epoch`.
+    last_round_ns: AtomicU64,
+    epoch: Instant,
     /// Watchdog probe: tracks how long the durable GSN has been stuck
     /// while records are pending. Off the commit/flush paths — only the
     /// telemetry/watchdog samplers lock it.
@@ -344,11 +339,12 @@ struct HorizonProbe {
 
 impl WalHub {
     /// Create writers for `slots` task slots over a new segment under
-    /// `dir` on the real filesystem and start the group-commit flusher.
+    /// `dir` on the real filesystem. `group_commit` bounds how long a
+    /// pending record that nobody waits on stays volatile.
     ///
-    /// `_io_threads` is ignored: the flusher makes each round's write
-    /// and sync itself. It stays only because `benchmark/src/probes.rs`
-    /// passes it, and goes with the next change to that crate.
+    /// `_io_threads` is ignored: a round's leader makes its write and sync
+    /// itself. It stays only because `benchmark/src/probes.rs` passes it,
+    /// and goes with the next change to that crate.
     pub fn new(
         dir: &Path,
         slots: usize,
@@ -393,69 +389,27 @@ impl WalHub {
             spares: vec![Vec::new(); slots],
             ..Round::default()
         };
-        let hub = Arc::new(WalHub {
+        Ok(Arc::new(WalHub {
             writers: (0..slots).map(|_| WalWriter::new()).collect(),
             file,
             gsn: AtomicU64::new(first_gsn),
             durable_gsn: AtomicU64::new(first_gsn - 1),
             metrics,
             sync,
-            shutdown: AtomicBool::new(false),
+            group_commit,
             live: Liveness::default(),
-            flusher: RankedMutex::new(Rank::WalHub, "wal.hub_flusher", None),
             bell: CommitBell::default(),
+            handoff: AtomicBool::new(false),
             round: RankedMutex::new(Rank::WalHub, "wal.hub_round", round),
             rounds: AtomicU64::new(0),
+            last_round_ns: AtomicU64::new(0),
+            epoch: Instant::now(),
             horizon_probe: RankedMutex::new(
                 Rank::WalHub,
                 "wal.hub_horizon",
                 HorizonProbe::default(),
             ),
-        });
-        let h = Arc::clone(&hub);
-        *hub.flusher.lock() = Some(
-            std::thread::Builder::new()
-                .name("phoebe-wal-flusher".into())
-                .spawn(move || {
-                    // Event-driven group commit: sleep on the bell with
-                    // the configured window as an upper bound. A commit at
-                    // an idle moment is flushed immediately; the rings of a
-                    // commit storm accumulate while a round's sync is in
-                    // flight and the next round takes them all, so a batch
-                    // is whatever arrived during one sync. Timed-out empty
-                    // rounds back the window off (x2, up to x64) so an idle
-                    // kernel is not woken thousands of times a second to
-                    // find every buffer empty; un-rung backlog still waits
-                    // at most that long. After each round, once its waits
-                    // are woken, the headroom is topped up.
-                    let mut seen = 0u64;
-                    let mut window = group_commit;
-                    while !h.shutdown.load(Ordering::Acquire) {
-                        let rings = h.bell.sleep(seen, window);
-                        if h.shutdown.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let rung = rings != seen;
-                        seen = rings;
-                        window = match h.flush_all().and_then(|n| h.keep_headroom().map(|()| n)) {
-                            Ok(0) if !rung => (window * 2).min(group_commit * 64),
-                            Ok(_) => group_commit,
-                            // The failed round or fill already halted the
-                            // hub; retrying against a dead log device is
-                            // pointless.
-                            Err(_) => break,
-                        };
-                    }
-                    let _ = h.flush_all();
-                    h.trim();
-                    // No round runs after this one: whoever still waits
-                    // (a commit racing shutdown, or one begun after it)
-                    // must error out, not sleep forever.
-                    h.stop(Liveness::CLOSED);
-                })
-                .expect("spawn wal flusher"),
-        );
-        Ok(hub)
+        }))
     }
 
     pub fn writer(&self, slot: usize) -> &Arc<WalWriter> {
@@ -520,7 +474,7 @@ impl WalHub {
     }
 
     /// Stop acknowledging durability — a log write or fsync failed, or the
-    /// flusher ran its final round — and wake every parked waiter so it
+    /// final round ran — and wake every parked waiter so it
     /// observes why and errors out instead of sleeping on a round that
     /// will never come.
     fn stop(&self, why: u8) {
@@ -528,18 +482,87 @@ impl WalHub {
         self.bell.wake_through(u64::MAX);
     }
 
-    /// Run one group-commit round on the calling thread: steal every
-    /// writer's pending bytes into one write, closed by a round marker, and
-    /// make it durable with one `fdatasync`. Returns bytes flushed. A concurrent caller waits its
-    /// turn, so on return everything appended before the call is durable.
+    /// Run one group-commit round on the calling thread, after any round
+    /// in flight: steal every writer's pending bytes into one write, closed
+    /// by a round marker, and make it durable with one `fdatasync`. Returns
+    /// bytes flushed. On return everything appended before the call is
+    /// durable.
     pub fn flush_all(&self) -> Result<u64> {
-        let flushed = self.run_round(&mut self.round.lock());
-        // ORDERING: statistic counter; waiters synchronize through the
-        // horizon and the bell, never through this count.
+        self.lead(self.round.lock())
+    }
+
+    /// The idle duty of a worker about to park: when a durability wait is
+    /// parked on the bell and no round is running, run one here and
+    /// return true, so the worker polls what the round woke instead of
+    /// parking. A worker that finds a round running parks: that round's
+    /// drain wakes whatever it covered, and its hand-off (see `lead`) one
+    /// wait it did not.
+    pub fn lead_awaited_round(&self) -> bool {
+        self.bell.is_awaited() && self.try_lead()
+    }
+
+    /// The tick's round: once records are pending and the last round ended
+    /// at least the group-commit window ago, run one unless one is running.
+    /// This bounds how long a record that nobody waits on stays volatile —
+    /// with `wal_sync` off, behind a page eviction skipped, or any backlog.
+    pub fn flush_if_due(&self) {
+        // ORDERING: a hint; a stale read only moves the round by a tick. A
+        // round may end between the two reads: that is no time since.
+        let last = self.last_round_ns.load(Ordering::Relaxed);
+        let since = (self.epoch.elapsed().as_nanos() as u64).saturating_sub(last);
+        if since >= self.group_commit.as_nanos() as u64 && self.backlog_records() > 0 {
+            self.try_lead();
+        }
+    }
+
+    /// Run a round unless one is running; whether this call ran it. One
+    /// that was running hands off when it ends (see `lead`).
+    fn try_lead(&self) -> bool {
+        let Some(round) = self.round.try_lock() else {
+            // ORDERING: a hint to the running round's leader, read after
+            // it lets the lock go; a late one leaves this caller its park.
+            self.handoff.store(true, Ordering::Relaxed);
+            return false;
+        };
+        let _ = self.lead(round);
+        true
+    }
+
+    /// The wait of a caller off the pool: nobody else may run a round for
+    /// it, so it runs them itself until one covers `gsn`.
+    fn lead_until(&self, gsn: u64) -> Result<()> {
+        while self.durable_gsn() < gsn {
+            // A round that failed stopped the hub: this says why.
+            self.live.check()?;
+            let round = self.round.lock();
+            // The round this call waited behind may have covered `gsn`.
+            if self.durable_gsn() < gsn {
+                let _ = self.lead(round);
+            }
+        }
+        Ok(())
+    }
+
+    /// One round under the held `round` lock, the wake of the waits it
+    /// covered and the headroom's top-up; then, with the lock released and
+    /// if a `try_lead` lost the lock to this round (an idle worker then
+    /// parks), a hand-off: one wait the round did not cover is woken, so
+    /// its worker leads the next round now, not after its bounded park.
+    fn lead(&self, mut round: RankedMutexGuard<'_, Round>) -> Result<u64> {
+        let flushed = self.run_round(&mut round);
+        // ORDERING: statistics and the tick's hint; waiters synchronize
+        // through the horizon and the bell, never through these.
         self.rounds.fetch_add(1, Ordering::Relaxed);
+        self.last_round_ns.store(self.epoch.elapsed().as_nanos() as u64, Ordering::Relaxed);
         // The round published its horizon (a failed one stopped the hub,
         // which woke everyone): wake the waits it covered.
         self.bell.wake_through(self.durable_gsn());
+        let flushed = flushed.and_then(|n| self.keep_headroom(&mut round).map(|()| n));
+        drop(round);
+        // ORDERING: the hint's reset; see `try_lead`.
+        if self.handoff.swap(false, Ordering::Relaxed) {
+            self.bell.wake_one();
+        }
         flushed
     }
 
@@ -619,21 +642,15 @@ impl WalHub {
         Ok(n)
     }
 
-    /// Top up the zero-filled headroom, between rounds (the flusher calls
-    /// it once a round has woken its waits). Once less than half a
-    /// [`FILL_STEP`] is left, write one step of zeroes from
-    /// `max(alloc_end, offset)` and sync them. The `round` lock keeps every
-    /// round out meanwhile, and the fill never writes below the offset. An
-    /// I/O error halts the hub, as a failed round does.
-    fn keep_headroom(&self) -> Result<()> {
-        if !self.sync {
+    /// Top up the zero-filled headroom after a round, under its lock.
+    /// Once less than half a [`FILL_STEP`] is left, write one step of
+    /// zeroes from `max(alloc_end, offset)` and sync them; the fill never
+    /// writes below the offset. An I/O error halts the hub, as a failed
+    /// round does.
+    fn keep_headroom(&self, round: &mut Round) -> Result<()> {
+        if !self.sync || round.alloc_end.saturating_sub(round.offset) >= FILL_STEP / 2 {
             return Ok(());
         }
-        let mut round = self.round.lock();
-        if round.alloc_end.saturating_sub(round.offset) >= FILL_STEP / 2 {
-            return Ok(());
-        }
-        self.live.check()?;
         let from = round.alloc_end.max(round.offset);
         let filled = write_zeros(&*self.file, from, FILL_STEP).and_then(|()| self.file.sync_data());
         if let Err(e) = filled {
@@ -647,8 +664,7 @@ impl WalHub {
     /// Cut the zero tail off after the final round, so a cleanly closed
     /// segment ends at its last round. A cut that a power loss undoes
     /// leaves zeroes, which recovery reads as the end of the log.
-    fn trim(&self) {
-        let mut round = self.round.lock();
+    fn trim(&self, round: &mut Round) {
         if round.alloc_end > round.offset && self.live.check().is_ok() {
             let _ = self.file.set_len(round.offset);
             round.alloc_end = round.offset;
@@ -662,13 +678,16 @@ impl WalHub {
     }
 
     /// Await durability of every record stamped ≤ `gsn` (the commit
-    /// wait): park on the bell at `gsn` and ring it, woken by the round
-    /// that covers it; spinning at high urgency here starved the flusher
-    /// of CPU on small machines.
+    /// wait). A task on the pool parks on the bell at `gsn`, woken by the
+    /// round that covers it, which its own worker may run once idle; any
+    /// other caller runs rounds itself until one covers `gsn`.
     ///
     /// Errs with [`PhoebeError::WalHalted`] or [`PhoebeError::WalClosed`]
     /// if rounds stopped before the horizon reached `gsn`.
     pub async fn ensure_durable_gsn_async(&self, gsn: u64) -> Result<()> {
+        if phoebe_runtime::current_slot().is_none() {
+            return self.lead_until(gsn);
+        }
         // `Ok` once the horizon reached `gsn`, the stop error once no
         // round will run again, else keep waiting.
         let done = || {
@@ -678,28 +697,6 @@ impl WalHub {
             self.live.check().err().map(Err)
         };
         std::future::poll_fn(|cx| self.bell.park(gsn, cx, done)).await
-    }
-
-    /// Non-blocking write barrier (Steal): whether all WAL up to `gsn` is
-    /// durable. If not, rings the bell so a round is under way by the
-    /// time the caller looks again — eviction skips the page meanwhile
-    /// instead of sleeping on the round with latches held.
-    pub fn try_ensure_durable_gsn(&self, gsn: u64) -> bool {
-        let durable = self.durable_gsn() >= gsn;
-        if !durable {
-            self.bell.ring();
-        }
-        durable
-    }
-
-    /// Blocking variant of the write barrier, for the buffer pool's
-    /// last-resort allocation pass (called with no latch held). Returns
-    /// early (without reaching `gsn`) once rounds stopped; the caller
-    /// re-checks with [`WalHub::try_ensure_durable_gsn`] before any page
-    /// write, so a halted or closed log fails the allocation instead of
-    /// breaking WAL-before-page.
-    pub fn ensure_durable_gsn_blocking(&self, gsn: u64) {
-        let _ = block_on(self.ensure_durable_gsn_async(gsn));
     }
 
     /// Records appended but not yet physically flushed, summed across
@@ -712,7 +709,7 @@ impl WalHub {
     ///
     /// Returns 0 while nothing is pending or rounds keep completing; once
     /// there is a backlog and the durable GSN stops moving between
-    /// observations, the age grows until the flusher makes progress again.
+    /// observations, the age grows until a round makes progress again.
     /// Telemetry/watchdog sampling path only — the probe is stateful, so
     /// concurrent callers share one clock (fine: both want the same
     /// answer).
@@ -746,16 +743,35 @@ impl WalHub {
         self.metrics.snapshot()
     }
 
-    /// Stop the flusher (final flush included); afterwards every
+    /// Run the final round, cut the zero tail and stop: afterwards every
     /// durability wait errs with [`PhoebeError::WalClosed`].
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
-        // Wake the flusher out of its sleep so shutdown does not stall for
-        // a full group-commit window.
-        self.bell.ring();
-        if let Some(t) = self.flusher.lock().take() {
-            let _ = t.join();
-        }
+        let _ = self.flush_all();
+        let mut round = self.round.lock();
+        self.trim(&mut round);
+        // No round runs after this one: whoever still waits (a commit
+        // racing shutdown, or one begun after it) must error out, not
+        // sleep forever.
+        self.stop(Liveness::CLOSED);
+    }
+}
+
+/// The buffer pool's write barrier (Steal, §8).
+impl WalBarrier for WalHub {
+    /// Whether all WAL up to `gsn` is durable. Eviction skips the page
+    /// meanwhile instead of waiting on a round with latches held; the
+    /// tick's next round covers it.
+    fn try_ensure_durable(&self, gsn: u64) -> bool {
+        self.durable_gsn() >= gsn
+    }
+
+    /// For the pool's last-resort allocation pass (no latch held, on a
+    /// worker or not): runs the rounds itself. Returns early (without
+    /// reaching `gsn`) once rounds stopped; the caller re-checks with
+    /// `try_ensure_durable` before any page write, so a halted or closed
+    /// log fails the allocation instead of breaking WAL-before-page.
+    fn ensure_durable(&self, gsn: u64) {
+        let _ = self.lead_until(gsn);
     }
 }
 
@@ -770,17 +786,11 @@ mod tests {
     use super::*;
     use phoebe_runtime::block_on;
 
+    /// A hub with a 100 us window. Only its callers run rounds: a test's
+    /// own `flush_all`, a `block_on` commit, or a `flush_if_due` it makes.
     fn hub(slots: usize) -> Arc<WalHub> {
         let dir = phoebe_common::KernelConfig::for_tests().data_dir;
         WalHub::new(&dir, slots, 2, Duration::from_micros(100), true, Arc::new(Metrics::new(1)))
-            .unwrap()
-    }
-
-    /// A hub whose flusher sleeps until rung (a 5 s window): the rounds a
-    /// test does not ask for do not run.
-    fn quiet_hub(slots: usize) -> Arc<WalHub> {
-        let dir = phoebe_common::KernelConfig::for_tests().data_dir;
-        WalHub::new(&dir, slots, 2, Duration::from_secs(5), true, Arc::new(Metrics::new(1)))
             .unwrap()
     }
 
@@ -857,7 +867,7 @@ mod tests {
 
     #[test]
     fn page_write_stamps_at_or_above_the_page_and_raises_it() {
-        let h = quiet_hub(2);
+        let h = hub(2);
         let page = FrameMeta::default();
         write(&h, &page, 1, 1);
         let g1 = page_gsn(&page);
@@ -870,7 +880,7 @@ mod tests {
 
     #[test]
     fn remote_dependent_commit_waits_for_global_horizon() {
-        let h = quiet_hub(2);
+        let h = hub(2);
         let page = FrameMeta::default();
         write(&h, &page, 1, 1);
         write(&h, &page, 0, 2);
@@ -890,9 +900,9 @@ mod tests {
         // everything before it — a stream of writes that keeps the GSN
         // moving and slot 1's buffer never empty. The commit's one
         // condition is fixed at its Commit append, so the stream cannot
-        // make it chase. Only the commit rings this quiet hub's bell,
-        // so every round counted here is one the commit could have needed.
-        let h = quiet_hub(2);
+        // make it chase. Only the commit runs this hub's rounds, so every
+        // round counted here is one the commit could have needed.
+        let h = hub(2);
         let stop = Arc::new(AtomicBool::new(false));
         let appender = {
             let (h, stop) = (Arc::clone(&h), Arc::clone(&stop));
@@ -924,7 +934,6 @@ mod tests {
         for i in 0..50 {
             h.log_op(0, xid(i), 1, RecordBody::Commit { cts: i });
         }
-        // Either the background flusher or this call drains the buffer.
         h.flush_all().unwrap();
         assert!(h.total_bytes_flushed() > 0);
         h.shutdown();
@@ -932,10 +941,9 @@ mod tests {
 
     #[test]
     fn flush_horizon_age_tracks_stuck_backlog() {
-        // A 5 s group-commit window keeps the background flusher asleep
-        // for the whole test, so the backlog we append stays unflushed
-        // until we drain it explicitly.
-        let h = quiet_hub(1);
+        // Nothing runs a round but this test, so the backlog stays
+        // unflushed until it drains it.
+        let h = hub(1);
         assert_eq!(h.backlog_records(), 0);
         assert_eq!(h.flush_horizon_age_ns(), 0, "caught up: no age");
 
@@ -955,9 +963,11 @@ mod tests {
 
     #[test]
     fn doorbell_commit_beats_the_group_commit_window() {
-        // With a 5 s window, a sleeping-flusher design would hold every
-        // sync commit for seconds; the bell must make it ~one flush.
-        let h = quiet_hub(1);
+        // With a 5 s window, a commit that waited for the tick would take
+        // seconds; a commit off the pool runs its own round, ~one flush.
+        let dir = phoebe_common::KernelConfig::for_tests().data_dir;
+        let h = WalHub::new(&dir, 1, 2, Duration::from_secs(5), true, Arc::new(Metrics::new(1)))
+            .unwrap();
         let commit = |n: u64| {
             write(&h, &FrameMeta::default(), 0, n);
             let t0 = Instant::now();
@@ -965,63 +975,103 @@ mod tests {
             t0.elapsed()
         };
         let first = commit(7);
-        assert!(
-            first < Duration::from_secs(1),
-            "commit took {first:?}: flusher still sleeping out the window"
-        );
-        // No linger: a lone commit whose predecessor round was non-empty
-        // costs one flush plus the wake-ups, not a sleep of the previous
-        // round's length on top (which would be >= 2 flushes). Best of
-        // many interleaved trials on each side, so neither a noisy
-        // neighbour nor the sibling tests' load can decide it.
+        assert!(first < Duration::from_secs(1), "commit took {first:?}: it waited out the window");
+        // No linger: a lone commit costs one round, not a round plus a
+        // wait of some other round's length (>= 2 flushes). Best of many
+        // interleaved trials on each side, so neither a noisy neighbour
+        // nor the sibling tests' load can decide it.
         let (mut flush, mut lone) = (Duration::MAX, Duration::MAX);
         for n in 0..32 {
             h.log_op(0, xid(100 + n), 1, RecordBody::Commit { cts: 100 + n });
             let t0 = Instant::now();
             h.flush_all().unwrap();
             flush = flush.min(t0.elapsed());
+            let before = h.rounds();
             lone = lone.min(commit(200 + n));
+            assert_eq!(h.rounds() - before, 1, "a lone commit is one round");
         }
         assert!(lone < 2 * flush, "lone commit {lone:?} vs flush_all {flush:?}: lingering");
         let t1 = Instant::now();
         h.shutdown();
-        assert!(t1.elapsed() < Duration::from_secs(1), "shutdown must ring the bell");
+        assert!(t1.elapsed() < Duration::from_secs(1), "shutdown waited out the window");
     }
 
     #[test]
-    fn idle_flusher_backs_off_but_unrung_backlog_still_flushes() {
+    fn an_idle_hub_runs_no_round_and_the_tick_flushes_a_window_old_backlog() {
         let dir = phoebe_common::KernelConfig::for_tests().data_dir;
-        let h =
-            WalHub::new(&dir, 4, 2, Duration::from_micros(200), true, Arc::new(Metrics::new(1)))
-                .unwrap();
-        // Let the window back off to its cap (200 us doubling to 12.8 ms
-        // takes ~25 ms), then count: a fixed 200 us cadence would run
-        // ~1000 rounds in 200 ms, the cap allows ~16.
+        let window = Duration::from_millis(20);
+        let h = WalHub::new(&dir, 4, 2, window, true, Arc::new(Metrics::new(1))).unwrap();
+        // No thread of the hub's own: nothing runs while nobody asks, and a
+        // tick with nothing pending runs nothing either.
         std::thread::sleep(Duration::from_millis(50));
-        let before = h.rounds();
-        std::thread::sleep(Duration::from_millis(200));
-        let idle_rounds = h.rounds() - before;
-        assert!(idle_rounds < 20, "idle hub ran {idle_rounds} rounds in 200 ms");
-
-        // Backlog nobody rings the bell for (log_op only, no commit)
-        // must still become durable at the backed-off cadence — far
-        // inside the watchdog's wal_stall_ms.
-        let stall_ns = phoebe_common::config::WatchdogConfig::default().wal_stall_ms * 1_000_000;
-        h.log_op(1, xid(1), 1, RecordBody::Begin);
+        h.flush_if_due();
+        assert_eq!(h.rounds(), 0, "an idle hub ran a round");
+        // A backlog nobody waits on (log_op only, no commit): the tick
+        // leaves it until the last round is a window old, then runs one —
+        // far inside the watchdog's wal_stall_ms.
         let t0 = Instant::now();
+        h.flush_all().unwrap();
+        h.log_op(1, xid(1), 1, RecordBody::Begin);
+        h.flush_if_due();
+        assert!(t0.elapsed() >= window || h.backlog_records() == 1, "the tick ran a round early");
+        let stall_ns = phoebe_common::config::WatchdogConfig::default().wal_stall_ms * 1_000_000;
         while h.backlog_records() > 0 {
             assert!(h.flush_horizon_age_ns() < stall_ns, "horizon looked stalled");
-            assert!(t0.elapsed() < Duration::from_millis(50), "un-rung backlog not flushed");
-            std::thread::sleep(Duration::from_micros(500));
+            assert!(t0.elapsed() < Duration::from_secs(5), "the tick never flushed the backlog");
+            std::thread::sleep(Duration::from_millis(1));
+            h.flush_if_due();
         }
+        assert!(t0.elapsed() >= window, "the backlog was flushed inside the window");
         assert_eq!(h.writer(1).flushed_lsn(), 1);
         h.shutdown();
     }
 
     #[test]
+    fn a_worker_that_lost_the_round_is_handed_the_next() {
+        let h = hub(1);
+        let flags = [(); 2].map(|_| Arc::new(Flag(AtomicBool::new(false))));
+        let g = h.current_gsn();
+        // One wait this round covers, and one a later round must.
+        for (stamp, flag) in [g, g + 5].into_iter().zip(&flags) {
+            let waker = Waker::from(Arc::clone(flag));
+            assert!(h.bell.park(stamp, &Context::from_waker(&waker), || None::<()>).is_pending());
+        }
+        let round = h.round.lock();
+        assert!(!h.lead_awaited_round(), "a round is running: park");
+        drop(round);
+        h.flush_all().unwrap();
+        assert!(flags[0].0.load(Ordering::Acquire), "the round covered stamp g");
+        assert!(flags[1].0.load(Ordering::Acquire), "the hand-off woke the uncovered wait");
+        assert!(!h.bell.is_awaited());
+        h.shutdown();
+    }
+
+    #[test]
+    fn an_idle_worker_leads_a_round_only_while_a_wait_is_parked() {
+        let h = hub(1);
+        h.log_op(0, xid(1), 1, RecordBody::Begin);
+        assert!(!h.lead_awaited_round(), "nobody waits: no round");
+        assert_eq!(h.rounds(), 0);
+        let flag = Arc::new(Flag(AtomicBool::new(false)));
+        let g = h.current_gsn();
+        let waker = Waker::from(Arc::clone(&flag));
+        let parked = h.bell.park(g, &Context::from_waker(&waker), || None::<()>);
+        assert!(parked.is_pending());
+        // A round in flight elsewhere: the worker parks instead.
+        let round = h.round.lock();
+        assert!(!h.lead_awaited_round(), "the round lock is taken: park");
+        drop(round);
+        assert!(h.lead_awaited_round(), "a wait is parked: lead");
+        assert!(flag.0.load(Ordering::Acquire), "the round woke the wait it covered");
+        assert!(h.durable_gsn() >= g);
+        assert_eq!(h.backlog_records(), 0);
+        assert!(!h.lead_awaited_round(), "the drain emptied the bell");
+        h.shutdown();
+    }
+
+    #[test]
     fn remote_dependent_commit_parks_until_its_round_lands() {
-        // Same low-latency requirement for the remote wait.
-        let h = quiet_hub(2);
+        let h = hub(2);
         let page = FrameMeta::default();
         write(&h, &page, 1, 1);
         write(&h, &page, 0, 2);
@@ -1058,7 +1108,7 @@ mod tests {
         let err = bounded(move || block_on(wait.ensure_durable_gsn_async(g))).unwrap_err();
         assert!(matches!(err, PhoebeError::WalClosed), "got {err:?}");
         let barrier = Arc::clone(&h);
-        bounded(move || barrier.ensure_durable_gsn_blocking(g));
+        bounded(move || barrier.ensure_durable(g));
         assert!(!h.is_halted(), "a clean shutdown is not a device failure");
         assert!(matches!(h.flush_all(), Err(PhoebeError::WalClosed)));
     }
@@ -1074,17 +1124,15 @@ mod tests {
 
     #[test]
     fn a_round_wakes_only_the_waits_it_covers_and_stop_wakes_the_rest() {
-        let h = quiet_hub(1);
+        let h = hub(1);
         let g = h.current_gsn();
         let flags = [(); 2].map(|_| Arc::new(Flag(AtomicBool::new(false))));
         let woken = |i: usize| flags[i].0.load(Ordering::Acquire);
-        // Parked as a durability wait parks, minus the ring: this quiet
-        // hub runs only the round the test asks for.
-        let mut state = h.bell.state.lock();
+        // Parked as a durability wait of a pool task parks.
         for (stamp, flag) in [g, g + 1].into_iter().zip(&flags) {
-            state.waiters.push((stamp, Waker::from(Arc::clone(flag))));
+            let waker = Waker::from(Arc::clone(flag));
+            assert!(h.bell.park(stamp, &Context::from_waker(&waker), || None::<()>).is_pending());
         }
-        drop(state);
         h.flush_all().unwrap();
         assert_eq!(h.durable_gsn(), g);
         assert!(woken(0), "the round covered stamp g");
@@ -1096,7 +1144,7 @@ mod tests {
 
     #[test]
     fn durable_gsn_ignores_idle_writers() {
-        let h = quiet_hub(4);
+        let h = hub(4);
         let (_, g) = h.log_op(0, xid(1), 1, RecordBody::Begin);
         assert!(h.durable_gsn() < g);
         h.flush_all().unwrap();

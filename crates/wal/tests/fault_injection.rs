@@ -13,6 +13,7 @@ use phoebe_common::metrics::Metrics;
 use phoebe_common::KernelConfig;
 use phoebe_runtime::block_on;
 use phoebe_storage::schema::Value;
+use phoebe_storage::WalBarrier;
 use phoebe_wal::recovery::read_wal_file;
 use phoebe_wal::{recover_dir, recover_dir_stats, RecordBody, WalHub, WalRecord};
 use rand::rngs::StdRng;
@@ -24,7 +25,9 @@ use std::time::Duration;
 /// The kernel's slot count: 2 workers × 16 slots plus 8 external slots.
 const KERNEL_SLOTS: usize = 2 * 16 + 8;
 
-/// A hub over `fs`, flusher on a 50 us window.
+/// A hub over `fs`. Its rounds are its callers': each commit here waits
+/// off the pool and so runs its own, and the window only paces the kernel
+/// tick's rounds (`flush_if_due`), which no test here makes.
 fn hub_over(fs: Arc<SimFs>, dir: &std::path::Path, slots: usize) -> Arc<WalHub> {
     hub_with_window(fs, dir, slots, Duration::from_micros(50))
 }
@@ -141,7 +144,7 @@ fn commit_after_crash_returns_wal_halted() {
 }
 
 /// `flush_all` + the durable-GSN barrier form a real durability line:
-/// once `ensure_durable_gsn_blocking` returns for a GSN, a crash cannot
+/// once the barrier's `ensure_durable` returns for a GSN, a crash cannot
 /// lose records at or below it.
 #[test]
 fn durable_gsn_barrier_survives_crash() {
@@ -157,7 +160,7 @@ fn durable_gsn_barrier_survives_crash() {
             block_on(hub.commit(slot, xid, x * 10)).unwrap();
         }
         let barrier_gsn = hub.current_gsn();
-        hub.ensure_durable_gsn_blocking(barrier_gsn);
+        hub.ensure_durable(barrier_gsn);
         assert!(hub.durable_gsn() >= barrier_gsn);
 
         // Volatile tail after the barrier, then crash.
@@ -224,8 +227,8 @@ fn join_storm(appenders: Vec<std::thread::JoinHandle<Vec<Stamped>>>) -> Vec<Stam
 /// The round-tick invariant: after every round, each record stamped at or
 /// below `durable_gsn()` is at or below its slot's flushed LSN — whatever
 /// the appenders' floors and however their appends interleave with the
-/// steals. The rounds are this test's alone (the flusher is never rung),
-/// so reading the horizons right after one reads exactly what it
+/// steals. The rounds are this test's alone (nothing else runs one), so
+/// reading the horizons right after one reads exactly what it
 /// published; the records are checked against every round afterwards.
 /// Read back from the log, each round holds exactly the records stamped
 /// between the previous round's tick and its own: the steal takes every
@@ -347,8 +350,8 @@ fn records_stamped_at_or_below_durable_gsn_survive_crash() {
 fn a_round_is_one_write_and_one_sync_whichever_slots_contributed() {
     let dir = KernelConfig::for_tests().data_dir;
     let sim = SimFs::new(FaultConfig::crash_only(1));
-    // A 5 s window keeps the flusher asleep (log_op does not ring the
-    // bell), so every round is ours.
+    // Nothing else runs a round (log_op waits for nothing), so every round
+    // is ours.
     let hub = hub_with_window(Arc::clone(&sim), &dir, KERNEL_SLOTS, Duration::from_secs(5));
     let io_of = |f: &dyn Fn()| {
         let (w0, s0) = sim.io_counts();

@@ -3,12 +3,17 @@
 
   scripts/sample_stacks.py [--start S] [--seconds S] [--hz N] [--threads RE]
                            [--top N] [--match RE] -- COMMAND [ARGS...]
+  scripts/sample_stacks.py --sched [--start S] [--seconds S] [--threads RE]
+                           -- COMMAND [ARGS...]
 
 Starts COMMAND as a child, waits --start seconds (setup), then samples it
 for --seconds at about --hz rounds per second. A round visits every thread
-whose name matches --threads and that is running (state R): it seizes the
-thread with ptrace, interrupts it, reads its registers, walks its frame
-pointers through /proc/<pid>/mem and detaches. At the end it prints the
+whose name matches --threads and that is running (state R) and has run
+since the round before: its /proc/<pid>/task/<tid>/schedstat run time
+rose since the last visit, so a thread that a wake made runnable but that
+still waits for a CPU is not taken for running. A visit seizes the thread
+with ptrace, interrupts it, reads its registers, walks its frame pointers
+through /proc/<pid>/mem and detaches. At the end it prints the
 --top functions by leaf share (the sampled instruction pointer) and by
 inclusive share (anywhere in the walked stack; only names matching
 --match). Addresses are symbolized with `addr2line -i`, so a function
@@ -28,6 +33,13 @@ its own so the normal build is not rebuilt:
 
 (with the root manifest's [profile.release] keys exported as
 CARGO_PROFILE_RELEASE_* to build what benchmark/run.py builds).
+
+With --sched it samples no stack. It reads each matching thread's
+schedstat and status at both ends of the window, lets the child run to its
+own end (its output passes through), and then prints per thread: the cores
+it was on a CPU and the cores it was runnable but waiting for one, and its
+voluntary and involuntary context switches per second. It only reads
+/proc.
 
 Linux on x86-64 only.
 """
@@ -172,7 +184,8 @@ class Process:
         return pcs
 
 
-def running_threads(pid, pattern):
+def threads(pid, pattern):
+    """(tid, name, state) of the child's threads whose name matches."""
     for tid in os.listdir(f"/proc/{pid}/task"):
         try:
             with open(f"/proc/{pid}/task/{tid}/stat") as f:
@@ -180,9 +193,41 @@ def running_threads(pid, pattern):
         except OSError:
             continue
         name = stat[stat.index("(") + 1:stat.rindex(")")]
-        state = stat[stat.rindex(")") + 2]
-        if state == "R" and pattern.search(name):
-            yield int(tid)
+        if pattern.search(name):
+            yield int(tid), name, stat[stat.rindex(")") + 2]
+
+
+def sched(pid, tid):
+    """(ns on a CPU, ns runnable and waiting, voluntary and involuntary
+    context switches) of thread `tid`; None if it left."""
+    try:
+        with open(f"/proc/{pid}/task/{tid}/schedstat") as f:
+            on_cpu, waiting = (int(x) for x in f.read().split()[:2])
+        with open(f"/proc/{pid}/task/{tid}/status") as f:
+            fields = dict(line.split(":", 1) for line in f if ":" in line)
+    except OSError:
+        return None
+    switches = (int(fields[k]) for k in ("voluntary_ctxt_switches", "nonvoluntary_ctxt_switches"))
+    return (on_cpu, waiting, *switches)
+
+
+def sched_table(pid, pattern, seconds):
+    """Per matching thread, what it did with the CPU over `seconds`: a
+    row of name, cores on a CPU, cores waiting, switches per second."""
+    def read():
+        return {(tid, name): sched(pid, tid) for tid, name, _ in threads(pid, pattern)}
+
+    start, t0 = read(), time.monotonic()
+    time.sleep(seconds)
+    end, wall = read(), time.monotonic() - t0
+    rows = []
+    for key in sorted(start.keys() & end.keys(), key=lambda k: (k[1], k[0])):
+        if start[key] is None or end[key] is None:
+            continue
+        on, wait, vol, invol = (b - a for a, b in zip(start[key], end[key]))
+        rows.append((f"{key[1]} ({key[0]})", on / 1e9 / wall, wait / 1e9 / wall,
+                     vol / wall, invol / wall))
+    return rows
 
 
 def sample_thread(tid):
@@ -214,20 +259,45 @@ def main():
     ap.add_argument("--threads", default="")
     ap.add_argument("--top", type=int, default=10)
     ap.add_argument("--match", default="", help="list only these in the inclusive shares")
+    ap.add_argument("--sched", action="store_true", help="CPU and switches per thread, no stacks")
     ap.add_argument("command", nargs="+")
     args = ap.parse_args()
+    pattern, match = re.compile(args.threads), re.compile(args.match)
+
+    if args.sched:
+        child = subprocess.Popen(args.command)
+        time.sleep(args.start)
+        rows = sched_table(child.pid, pattern, args.seconds)
+        child.wait()
+        print(f"\n{'thread':<28} {'on CPU':>7} {'waiting':>8} {'voluntary/s':>12} "
+              f"{'involuntary/s':>14}")
+        for name, on, wait, vol, invol in rows:
+            print(f"{name:<28} {on:7.2f} {wait:8.2f} {vol:12.0f} {invol:14.0f}")
+        return
 
     child = subprocess.Popen(args.command, stdout=subprocess.DEVNULL)
     time.sleep(args.start)
     proc = Process(child.pid)
-    pattern, match = re.compile(args.threads), re.compile(args.match)
     stacks = []
+    # Each thread's run time when it was last visited: a thread whose run
+    # time has not risen since has not run since.
+    last_run = {}
     end = time.monotonic() + args.seconds
     while time.monotonic() < end and child.poll() is None:
-        for tid in list(running_threads(child.pid, pattern)):
+        for tid, _, state in list(threads(child.pid, pattern)):
+            ran = sched(child.pid, tid)
+            if state != "R" or ran is None or ran[0] <= last_run.get(tid, ran[0]):
+                if ran is not None:
+                    last_run[tid] = ran[0]
+                continue
             regs = sample_thread(tid)
             if regs is not None:
                 stacks.append(proc.stack(regs))
+            # Read after the detach: the visit's own stop and resume are
+            # not a later round's evidence that the thread ran.
+            after = sched(child.pid, tid)
+            if after is not None:
+                last_run[tid] = after[0]
         time.sleep(1.0 / args.hz)
     child.send_signal(signal.SIGTERM)
     child.wait()
